@@ -35,6 +35,7 @@ from repro.core.base import EngineOptions, JoinContext
 from repro.core.pairs import ResultPair
 from repro.core.stats import JoinStats
 from repro.resilience.deadline import Deadline
+from repro.resilience.errors import StaleStreamError
 from repro.resilience.faults import FaultPlan
 from repro.rtree.tree import RTree
 from repro.storage.cost import (
@@ -514,10 +515,19 @@ class IncrementalJoin:
         self._plane = plane
         self._checkpoint = checkpoint
         self._resume_payload = resume_payload
+        # A write to either tree after this makes the stream stale.
+        self._versions = (ctx.tree_r.version, ctx.tree_s.version)
         if resume_payload is not None:
             # The stream's consumer-facing produced count spans the
             # whole logical join, checkpointed prefix included.
             self._produced = resume_payload.get("watermark", 0)
+
+    def _check_current(self) -> None:
+        """Close and raise :class:`StaleStreamError` once a tree was written."""
+        versions = (self._ctx.tree_r.version, self._ctx.tree_s.version)
+        if versions != self._versions and not self._closed:
+            self.close()
+            raise StaleStreamError(f"{self._name}: a tree was written after it opened")
 
     def close(self) -> None:
         """Release the run's resources (spill files); idempotent.
@@ -547,13 +557,16 @@ class IncrementalJoin:
         self.close()
 
     def __iter__(self) -> Iterator[ResultPair]:
+        self._check_current()
         for pair in self._generator:
             self._produced += 1
             yield pair
+            self._check_current()
         self.close()
 
     def next_batch(self, n: int) -> list[ResultPair]:
         """Pull up to ``n`` further results (fewer only at exhaustion)."""
+        self._check_current()
         batch: list[ResultPair] = []
         for pair in self._generator:
             batch.append(pair)

@@ -65,10 +65,10 @@ class EngineOptions:
         single-pop path.  Every width yields byte-identical result
         streams and identical counters.
     flat:
-        Build the flat tree arena (:mod:`repro.kernels.flat`) at join
-        start and serve sorted/packed child sides from it.  On by
-        default; turning it off restores the per-expansion object walk
-        (the benchmark baseline).
+        Serve sorted/packed child sides from a flat tree arena
+        (:mod:`repro.kernels.flat`) over each tree's image, re-serialized
+        only after a write.  On by default; turning it off restores the
+        per-expansion object walk (the benchmark baseline).
     """
 
     optimize_axis: bool = True
@@ -152,10 +152,10 @@ class JoinContext:
     def flat_path(self):
         """The run's :class:`~repro.kernels.flat.FlatHotPath`, or ``None``.
 
-        Built on first request (arena serialization is one BFS over each
-        tree) and shared by the sweeper and the tagged-batch cache; the
-        result is memoized, including a ``None`` when the options or the
-        backend rule it out.
+        Built on first request (two views over the trees' memoized
+        images; a tree written since is serialized again) and shared by
+        the sweeper and the tagged-batch cache; memoized, including a
+        ``None`` when the options or the backend rule it out.
         """
         if not self._flat_built:
             self._flat_built = True

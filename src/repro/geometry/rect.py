@@ -175,7 +175,7 @@ class Rect:
 
         Uses the naive ``sqrt(dx*dx + dy*dy)`` form in lockstep with
         :func:`repro.geometry.distances.min_distance` and the batched
-        kernels, which must all agree bit-for-bit.
+        kernels (bit-for-bit unless both squares underflow to 0.0).
         """
         dx = max(self.xmin - other.xmax, other.xmin - self.xmax, 0.0)
         dy = max(self.ymin - other.ymax, other.ymin - self.ymax, 0.0)
@@ -183,7 +183,8 @@ class Rect:
             return dy
         if dy == 0.0:
             return dx
-        return math.sqrt(dx * dx + dy * dy)
+        # Both gaps > 0: apart, even when the squares underflow to 0.0.
+        return math.sqrt(dx * dx + dy * dy) or max(dx, dy)
 
     def max_dist(self, other: "Rect") -> float:
         """Maximum Euclidean distance between points of the rectangles."""

@@ -21,11 +21,13 @@ Nodes are stored in BFS order, so the root is node 0 and every child
 index is greater than its parent's — subtree counts are computed by one
 reverse pass.
 
-Backings: :class:`TreeArena` owns the buffers for one join run.  In
-shm mode they live in a single ``multiprocessing.shared_memory``
-segment whose name travels to workers inside a picklable
-``ArenaDescriptor`` (:mod:`repro.parallel.shm`); otherwise they live in
-a plain ``bytearray`` and in-process users share the views directly.
+Backings: each tree's image is memoized per ``RTree.version``
+(:func:`tree_image`), so a write re-serializes only the tree it changed,
+and an image is never written after serialization.  In shm mode
+:class:`TreeArena` copies both images into one
+``multiprocessing.shared_memory`` segment whose name travels to workers
+inside a picklable ``ArenaDescriptor`` (:mod:`repro.parallel.shm`);
+otherwise its read-only views sit straight on the images.
 Either way :class:`SharedTreeView` exposes the same API, with NumPy
 views (``np.frombuffer``) when NumPy is importable and
 ``memoryview.cast`` fallbacks otherwise, so the PR 5 ``PackedRects``
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import os
 import secrets
+import weakref
 from typing import TYPE_CHECKING
 from dataclasses import dataclass
 
@@ -91,11 +94,11 @@ class TreeLayout:
 def serialize_tree_indexed(
     tree: "RTree",
 ) -> tuple[TreeLayout, bytearray, dict[int, int]]:
-    """:func:`serialize_tree` plus the page-id → flat-index map.
+    """Flatten a tree into the struct-of-arrays buffer described above.
 
-    The map is what lets an in-process consumer translate ``Item.ref``
-    (a page id) into the arena node whose entry window holds that
-    node's children — the flat hot path's lookup key.
+    Also returns the page-id → flat-index map: the flat hot path's key
+    from ``Item.ref`` (a page id) to the arena node whose entry window
+    holds that node's children.
     """
     import array
 
@@ -169,10 +172,19 @@ def serialize_tree_indexed(
     return layout, buf, index_of
 
 
-def serialize_tree(tree: "RTree") -> tuple[TreeLayout, bytearray]:
-    """Flatten a tree into the struct-of-arrays buffer described above."""
-    layout, buf, _ = serialize_tree_indexed(tree)
-    return layout, buf
+#: tree -> (version, image): weak keys free an image with its tree.  No
+#: lock: racing threads at worst serialize one version twice.
+_IMAGES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def tree_image(tree: "RTree") -> tuple[TreeLayout, bytearray, dict[int, int]]:
+    """The tree's :func:`serialize_tree_indexed` image, memoized per version."""
+    hit = _IMAGES.get(tree)
+    if hit is not None and hit[0] == tree.version:
+        return hit[1]
+    image = serialize_tree_indexed(tree)
+    _IMAGES[tree] = (tree.version, image)
+    return image
 
 
 class SharedTreeView:
@@ -273,41 +285,43 @@ def _segment_name() -> str:
 
 
 class TreeArena:
-    """Owner of both trees' flat buffers for one join run.
+    """Both trees' flat views for one join run, over their memoized images.
 
-    ``use_shm=True`` places them in one shared-memory segment (process
-    workers attach by name); ``use_shm=False`` uses a private
-    ``bytearray`` — in-process users (thread/serial parallel workers and
-    the sequential flat hot path) share the views directly, and nothing
-    process-related is imported.
+    Only a tree written since its last arena is serialized here.
+    ``use_shm=True`` copies the images into one shared-memory segment
+    (process workers attach by name); ``use_shm=False`` puts a read-only
+    view straight on each image — in-process users (thread/serial
+    parallel workers and the sequential flat hot path) share the views
+    directly, and nothing process-related is imported.
     """
 
     def __init__(self, tree_r: "RTree", tree_s: "RTree", use_shm: bool) -> None:
-        layout_r, buf_r, index_r = serialize_tree_indexed(tree_r)
-        layout_s, buf_s, index_s = serialize_tree_indexed(tree_s)
+        #: ``index_r``/``index_s``: page id -> flat node index, one map per
+        #: side (the sequential flat hot path translates ``Item.ref``).
+        layout_r, buf_r, self.index_r = tree_image(tree_r)
+        layout_s, buf_s, self.index_s = tree_image(tree_s)
         self.layout_r = layout_r
         self.layout_s = layout_s
-        #: page id -> flat node index, one map per side (the sequential
-        #: flat hot path translates ``Item.ref`` through these).
-        self.index_r = index_r
-        self.index_s = index_s
         self._shm = None
         self._closed = False
-        total = layout_r.nbytes + layout_s.nbytes
         if use_shm:
             from multiprocessing import shared_memory
 
+            total = layout_r.nbytes + layout_s.nbytes
             self._shm = shared_memory.SharedMemory(
                 create=True, size=max(total, 1), name=_segment_name()
             )
             backing = self._shm.buf
             backing[: layout_r.nbytes] = buf_r
             backing[layout_r.nbytes : total] = buf_s
+            buf_r = backing[: layout_r.nbytes]
+            buf_s = backing[layout_r.nbytes : total]
         else:
-            backing = memoryview(buf_r + buf_s)
-        self._backing = backing
-        self.view_r = SharedTreeView(layout_r, backing[: layout_r.nbytes])
-        self.view_s = SharedTreeView(layout_s, backing[layout_r.nbytes : total])
+            # Other arenas share these images: guard them against writes.
+            buf_r = memoryview(buf_r).toreadonly()
+            buf_s = memoryview(buf_s).toreadonly()
+        self.view_r = SharedTreeView(layout_r, buf_r)
+        self.view_s = SharedTreeView(layout_s, buf_s)
 
     @property
     def segment(self) -> str | None:
@@ -330,7 +344,7 @@ class TreeArena:
 
         Called from the engine's ``finally``, so it runs on success, on
         typed errors, on deadline expiry and after injected worker
-        kills; unlink is what keeps ``/dev/shm`` clean.
+        kills; unlink is what keeps ``/dev/shm`` clean.  The images stay.
         """
         if self._closed:
             return
@@ -338,8 +352,6 @@ class TreeArena:
         try:
             self.view_r.release()
             self.view_s.release()
-            if isinstance(self._backing, memoryview):
-                self._backing.release()
         except BufferError:  # pragma: no cover - exported views still alive
             pass
         if self._shm is not None:

@@ -7,8 +7,9 @@ four Python list comprehensions to pack the rectangles.  This module
 gives the sequential path the same flat treatment:
 
 - :class:`FlatHotPath` — built per join over a plain-buffer
-  :class:`~repro.kernels.arena.TreeArena` (cached across joins while
-  both trees are unmutated), it caches each node's sorted child order
+  :class:`~repro.kernels.arena.TreeArena` (views on each tree's
+  memoized image, so only a tree written since the last join is
+  serialized again), it caches each node's sorted child order
   per (axis, direction) and gathers the packed coordinate arrays
   straight out of the arena (one fancy-index per array), so a node
   re-expanded against many partners sorts and packs exactly once;
@@ -30,7 +31,6 @@ the simulated clock and all counters are path-invariant.
 from __future__ import annotations
 
 import os
-import weakref
 from typing import TYPE_CHECKING
 
 from repro.kernels.arena import TreeArena
@@ -102,42 +102,6 @@ class BatchController:
         elif self._width < MAX_BATCH:
             self._width *= 2
         return self._width
-
-
-#: Cross-join arena cache: ``(id(tree_r), id(tree_s))`` ->
-#: ``(versions, weakrefs, arena)``.  The arena is an immutable snapshot
-#: of both trees, so repeated joins over the same (unmutated) pair —
-#: incremental streams, benchmark sweeps, query workloads — skip the
-#: serialization pass entirely.  Tree mutation bumps ``RTree.version``
-#: and misses the cache; tree death purges the entry via the weakref
-#: callbacks, so a recycled ``id()`` can never alias a stale snapshot.
-_ARENA_CACHE: dict = {}
-_ARENA_CACHE_MAX = 4
-
-
-def _shared_arena(tree_r: "RTree", tree_s: "RTree") -> TreeArena:
-    """A plain-buffer arena for the pair, reused while both trees stand still."""
-    key = (id(tree_r), id(tree_s))
-    versions = (tree_r.version, tree_s.version)
-    hit = _ARENA_CACHE.get(key)
-    if hit is not None:
-        cached_versions, (ref_r, ref_s), arena = hit
-        if cached_versions == versions and ref_r() is tree_r and ref_s() is tree_s:
-            return arena
-        del _ARENA_CACHE[key]
-    if len(_ARENA_CACHE) >= _ARENA_CACHE_MAX:
-        # Drop the oldest snapshot (insertion order); its buffers free
-        # with the last view holding them.
-        _ARENA_CACHE.pop(next(iter(_ARENA_CACHE)))
-    arena = TreeArena(tree_r, tree_s, use_shm=False)
-
-    def purge(_ref: object, _key: object = key) -> None:
-        _ARENA_CACHE.pop(_key, None)
-
-    _ARENA_CACHE[key] = (
-        versions, (weakref.ref(tree_r, purge), weakref.ref(tree_s, purge)), arena
-    )
-    return arena
 
 
 def _unpickled_flat_pack() -> None:
@@ -220,7 +184,7 @@ class FlatHotPath:
             return None
         if tree_r.size == 0 or tree_s.size == 0:
             return None
-        return cls(_shared_arena(tree_r, tree_s), kernels)
+        return cls(TreeArena(tree_r, tree_s, use_shm=False), kernels)
 
     def sorted_side(
         self, side_r: bool, item: "Item", children: list, axis: int, forward: bool
@@ -302,14 +266,15 @@ class FlatHotPath:
         return view.entries.slice(lo, hi)
 
     def close(self) -> None:
-        """Release this join's side cache.  Idempotent.
+        """Release this join's side cache and arena views.  Idempotent.
 
-        The arena itself belongs to the cross-join cache (plain buffers,
-        nothing process-global to unlink) and stays mapped for the next
-        join over the same trees; it frees with its cache entry.
+        The per-tree images under the views stay memoized
+        (:func:`~repro.kernels.arena.tree_image`) for the next join over
+        the same tree versions; each frees with its tree.
         """
         if self._closed:
             return
         self._closed = True
         self._sides.clear()
         self._view_r = self._view_s = None
+        self.arena.close()

@@ -34,6 +34,7 @@ from repro.resilience.errors import (
     ReproError,
     SpillCorruptionError,
     SpillError,
+    StaleStreamError,
 )
 from repro.resilience.faults import FaultPlan, FaultSpec, trip_worker_faults
 from repro.resilience.recovery import load_checkpoint, validate_checkpoint
@@ -57,6 +58,7 @@ __all__ = [
     "ReproError",
     "SpillCorruptionError",
     "SpillError",
+    "StaleStreamError",
     "join_fingerprint",
     "load_checkpoint",
     "trip_worker_faults",

@@ -29,6 +29,7 @@ __all__ = [
     "ReproError",
     "SpillCorruptionError",
     "SpillError",
+    "StaleStreamError",
 ]
 
 
@@ -126,6 +127,12 @@ class JoinInterrupted(ReproError):
     def __reduce__(self):
         # stats/paths may not round-trip; keep the identifying fields.
         return (type(self), (self.signal_name, self.checkpoint_path, None))
+
+
+class StaleStreamError(ReproError):
+    """An open incremental stream's tree was written (the stream is closed)."""
+
+    exit_code = 65  # EX_DATAERR
 
 
 class CheckpointError(ReproError):

@@ -91,8 +91,8 @@ class FileRTree(RTree):
                                    _FILE_HEADER.size)
         self.root_id = root_id
         self.size = size
-        # Read-only view: the mutation counter never moves, so flat-arena
-        # snapshots of a file tree stay valid for the file's lifetime.
+        # Read-only view: the mutation counter never moves, so its flat
+        # image is serialized once and its streams never go stale.
         self.version = 0
 
     @classmethod

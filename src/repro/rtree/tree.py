@@ -63,8 +63,8 @@ class RTree:
         root = self._alloc_node(level=0)
         self.root_id = root.page_id
         self.size = 0
-        #: Mutation counter: bumped by every insert/delete so derived
-        #: snapshots (the flat-arena cache) can detect staleness cheaply.
+        #: Mutation counter, bumped by every insert/delete: the memoized
+        #: flat image re-serializes and open incremental streams go stale.
         self.version = 0
 
     # ------------------------------------------------------------------

@@ -58,6 +58,22 @@ def assert_distances_close(got: list[float], expected: list[float]) -> None:
         assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-9), (i, a, b)
 
 
+@pytest.fixture
+def serializations(monkeypatch):
+    """Every tree the flat-image serializer runs on, in call order."""
+    from repro.kernels import arena
+
+    calls = []
+    real = arena.serialize_tree_indexed
+
+    def counting(tree):
+        calls.append(tree)
+        return real(tree)
+
+    monkeypatch.setattr(arena, "serialize_tree_indexed", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def small_r() -> list[tuple[Rect, int]]:
     return random_rects(120, seed=11)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.geometry.rect import Rect
 
@@ -141,6 +141,10 @@ def test_axis_le_min_le_max(a: Rect, b: Rect):
 
 
 @given(rects(), rects())
+@example(  # gaps whose squares underflow to 0.0
+    Rect(0.0, -1.0, 0.0, -2.2250738585072014e-308),
+    Rect(-1.0, 0.0, -2.2250738585072014e-308, 0.0),
+)
 def test_intersects_iff_min_dist_zero(a: Rect, b: Rect):
     assert a.intersects(b) == (a.min_dist(b) == 0.0)
 

@@ -28,7 +28,12 @@ from repro import (
 from repro.parallel import engine as parallel_engine
 from repro.parallel.merge import GlobalBound
 from repro.queues.main_queue import MainQueue
-from repro.resilience import NULL_DEADLINE, InjectedWorkerCrash, trip_worker_faults
+from repro.resilience import (
+    NULL_DEADLINE,
+    InjectedWorkerCrash,
+    StaleStreamError,
+    trip_worker_faults,
+)
 from repro.storage.disk import SimulatedDisk
 
 from tests.conftest import assert_distances_close
@@ -508,7 +513,8 @@ class TestCli:
                 SpillError,
                 SpillCorruptionError,
                 JoinDeadlineExceeded,
+                StaleStreamError,
             )
         }
-        assert len(codes) == 6
+        assert len(codes) == 7
         assert all(code != 0 for code in codes)

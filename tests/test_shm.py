@@ -22,7 +22,7 @@ from repro.parallel.shm import (
     SharedTreeView,
     TreeArena,
     active_segments,
-    serialize_tree,
+    serialize_tree_indexed,
 )
 from repro.resilience.faults import FaultPlan
 from repro.rtree.tree import RTree
@@ -68,7 +68,7 @@ def sequential(point_trees):
 class TestSerialization:
     def test_layout_roundtrip(self):
         tree = RTree.bulk_load(_points(300, 5))
-        layout, buf = serialize_tree(tree)
+        layout, buf, _ = serialize_tree_indexed(tree)
         assert layout.size == tree.size
         assert layout.height == tree.height
         assert len(buf) == layout.nbytes
@@ -82,7 +82,7 @@ class TestSerialization:
 
     def test_children_follow_parents(self):
         tree = RTree.bulk_load(_points(400, 6))
-        layout, buf = serialize_tree(tree)
+        layout, buf, _ = serialize_tree_indexed(tree)
         view = SharedTreeView(layout, memoryview(buf))
         for node in range(layout.n_nodes):
             if int(view.lvl[node]) == 0:
@@ -98,7 +98,7 @@ class TestSerialization:
     def test_leaf_entries_carry_object_ids(self):
         items = _points(64, 7)
         tree = RTree.bulk_load(items)
-        layout, buf = serialize_tree(tree)
+        layout, buf, _ = serialize_tree_indexed(tree)
         view = SharedTreeView(layout, memoryview(buf))
         seen = set()
         for node in range(layout.n_nodes):
@@ -317,3 +317,29 @@ class TestCrashRecovery:
             )
             parallel_kdj(tree_r, tree_s, 100, config=config)
             assert active_segments() == [], f"segment leak after {plan!r}"
+
+
+class TestMutatedTree:
+    """A write to S re-serializes S alone; R's cached image is reused."""
+
+    @pytest.mark.parametrize("mode", ["shm-serial", "shm-process"])
+    def test_mode_tracks_write_and_reuses_r_image(self, mode, serializations):
+        tree_r = RTree.bulk_load(_points(800, 41))
+        items_s = _points(800, 42)
+        tree_s = RTree.bulk_load(items_s)
+        TreeArena(tree_r, tree_s, use_shm=False).close()  # cache both images
+        rng = random.Random(43)
+        for rect, oid in items_s[:40]:
+            assert tree_s.delete(rect, oid)
+            tree_s.insert(
+                Rect.from_point(rng.uniform(0, 1000), rng.uniform(0, 1000)), oid
+            )
+        del serializations[:]
+        # flat=False: the sequential reference builds no arena, so every
+        # serialization below is the parallel run's.
+        seq = JoinRunner(tree_r, tree_s, JoinConfig(flat=False)).kdj(300, "amkdj")
+        config = JoinConfig(parallel=2, parallel_mode=mode)
+        result = parallel_kdj(tree_r, tree_s, 300, config=config)
+        assert _stream(result) == _stream(seq)
+        assert len(serializations) == 1 and serializations[0] is tree_s
+        assert active_segments() == []

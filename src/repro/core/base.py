@@ -144,8 +144,10 @@ class JoinContext:
         # one attribute read and allocates nothing.
         self.checkpoint = checkpoint
         # Flat hot path (repro.kernels.flat), built lazily on first use:
-        # engines that never expand through the sweeper (SJ-SORT, NLJ)
-        # must not pay the arena serialization.
+        # engines that never ask for it must not pay the arena
+        # serialization.  NLJ never sweeps; SJ-SORT sweeps every node
+        # pair, but on the object-graph body (its PlaneSweeper gets no
+        # ``flat``).
         self._flat = None
         self._flat_built = False
 

@@ -22,7 +22,7 @@ class Rect:
 
     Degenerate rectangles (zero width and/or height) are valid and are used
     to represent points.  Construction validates that the rectangle is not
-    inverted.
+    inverted and has no NaN coordinate.
     """
 
     xmin: float
@@ -31,9 +31,11 @@ class Rect:
     ymax: float
 
     def __post_init__(self) -> None:
-        if self.xmin > self.xmax or self.ymin > self.ymax:
+        # Written so that a NaN coordinate, which fails every comparison,
+        # is rejected too: a NaN rectangle would sit in a tree unfindable.
+        if not (self.xmin <= self.xmax and self.ymin <= self.ymax):
             raise ValueError(
-                f"inverted rectangle: ({self.xmin}, {self.ymin}, "
+                f"inverted or NaN rectangle: ({self.xmin}, {self.ymin}, "
                 f"{self.xmax}, {self.ymax})"
             )
 

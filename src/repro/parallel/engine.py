@@ -59,7 +59,11 @@ from repro.obs.sinks import CollectSink
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.merge import GlobalBound, merge_topk, pair_key
 from repro.resilience.deadline import Deadline
-from repro.resilience.errors import PartitionFailedError, ReproError
+from repro.resilience.errors import (
+    PartitionFailedError,
+    ReproError,
+    StaleStreamError,
+)
 from repro.resilience.faults import trip_worker_faults
 from repro.parallel.partition import (
     Partition,
@@ -922,6 +926,11 @@ class ParallelIncrementalJoin:
 
     With ``config.trace_path`` set, every stage rewrites the trace file,
     so after the stream ends it holds the last (largest-k) stage's run.
+
+    Like :class:`repro.core.api.IncrementalJoin`, the stream closes and
+    raises :class:`StaleStreamError` once either tree was written after
+    it opened: a later stage would run on the written trees, so the
+    skipped prefix would no longer be the pairs already yielded.
     """
 
     def __init__(
@@ -941,6 +950,15 @@ class ParallelIncrementalJoin:
         self._started = time.perf_counter()
         self._generator = self._generate()
         self._produced = 0
+        self._closed = False
+        self._versions = (tree_r.version, tree_s.version)
+
+    def _check_current(self) -> None:
+        """Close and raise :class:`StaleStreamError` once a tree was written."""
+        versions = (self._tree_r.version, self._tree_s.version)
+        if versions != self._versions and not self._closed:
+            self.close()
+            raise StaleStreamError("parallel-idj: a tree was written after it opened")
 
     def _generate(self) -> Iterator[ResultPair]:
         k = max(1, self._config.initial_k)
@@ -962,12 +980,15 @@ class ParallelIncrementalJoin:
             k *= 4
 
     def __iter__(self) -> Iterator[ResultPair]:
+        self._check_current()
         for pair in self._generator:
             self._produced += 1
             yield pair
+            self._check_current()
 
     def next_batch(self, n: int) -> list[ResultPair]:
         """Pull up to ``n`` further results (fewer only at exhaustion)."""
+        self._check_current()
         batch: list[ResultPair] = []
         for pair in self._generator:
             batch.append(pair)
@@ -978,6 +999,7 @@ class ParallelIncrementalJoin:
 
     def close(self) -> None:
         """End the stream; partition workers hold no persistent state."""
+        self._closed = True
         self._generator.close()
 
     def __enter__(self) -> "ParallelIncrementalJoin":

@@ -5,7 +5,17 @@ Seeger (SIGMOD 1990):
 
 - **ChooseSubtree** descends by least overlap enlargement when the
   children are leaves, and by least area enlargement otherwise (ties
-  broken by area enlargement, then area).
+  broken by area enlargement, then area).  The overlap rule is applied
+  lazily but exactly: entries are visited in (area enlargement, area,
+  position) order, an entry's overlap enlargement is computed only when
+  it is visited, a new best is kept only when strictly lower, and the
+  scan stops at the first entry scoring 0.0.  For finite areas that is
+  the entry the full scan picks, because overlap enlargement is never
+  negative (the enlarged rectangle contains the old one, and float
+  ``min``/``max``, ``-``, ``*`` and ``+`` are monotone) and is 0.0 for
+  every entry that already contains the new rectangle.  The R* paper's
+  "nearly minimum overlap" shortcut is not used: it can choose another
+  subtree and so build another tree.
 - **OverflowTreatment** performs one *forced reinsert* per level per data
   insertion (the 30% of entries whose centers lie farthest from the node
   center are removed and re-inserted, closest first), and splits
@@ -106,31 +116,56 @@ class RStarInserter:
     def _choose_subtree(self, node: Node, rect: Rect, target_level: int) -> Entry:
         """R* ChooseSubtree for descending one level toward ``target_level``."""
         entries = node.entries
+
+        def by_enlargement(e: Entry) -> tuple[float, float]:
+            return (e.rect.enlargement(rect), e.rect.area())
+
         if node.level - 1 == 0 and target_level == 0:
-            # Children are leaves: minimize overlap enlargement.
-            return min(
-                entries,
-                key=lambda e: (
-                    self._overlap_enlargement(entries, e, rect),
-                    e.rect.enlargement(rect),
-                    e.rect.area(),
-                ),
-            )
-        return min(
-            entries, key=lambda e: (e.rect.enlargement(rect), e.rect.area())
-        )
+            # Children are leaves: least overlap enlargement, then the key
+            # above, then position -- scored lazily (module docstring).
+            best = None
+            best_overlap = math.inf
+            for entry in sorted(entries, key=by_enlargement):
+                overlap = self._overlap_enlargement(entries, entry, rect)
+                if best is None or overlap < best_overlap:
+                    best, best_overlap = entry, overlap
+                    if overlap == 0.0:
+                        break
+            return best
+        return min(entries, key=by_enlargement)
 
     @staticmethod
     def _overlap_enlargement(entries: list[Entry], target: Entry, rect: Rect) -> float:
-        """Increase in total overlap with siblings if ``target`` absorbs ``rect``."""
-        enlarged = target.rect.union(rect)
+        """Increase in total overlap with siblings if ``target`` absorbs ``rect``.
+
+        Bit-identical to ``after - before``, where ``after`` sums
+        ``target.rect.union(rect).intersection_area(o)`` and ``before``
+        sums ``target.rect.intersection_area(o)`` over the siblings ``o``
+        in order: the same ``min``/``max`` argument order and float
+        operations, on coordinates.  A sibling the enlarged rectangle
+        does not meet adds 0.0 to both sums, so it is skipped.
+        """
+        t = target.rect
+        exmin, eymin = min(t.xmin, rect.xmin), min(t.ymin, rect.ymin)
+        exmax, eymax = max(t.xmax, rect.xmax), max(t.ymax, rect.ymax)
         before = 0.0
         after = 0.0
         for other in entries:
             if other is target:
                 continue
-            before += target.rect.intersection_area(other.rect)
-            after += enlarged.intersection_area(other.rect)
+            o = other.rect
+            w = min(exmax, o.xmax) - max(exmin, o.xmin)
+            if w <= 0.0:
+                continue
+            h = min(eymax, o.ymax) - max(eymin, o.ymin)
+            if h <= 0.0:
+                continue
+            after += w * h
+            w = min(t.xmax, o.xmax) - max(t.xmin, o.xmin)
+            if w > 0.0:
+                h = min(t.ymax, o.ymax) - max(t.ymin, o.ymin)
+                if h > 0.0:
+                    before += w * h
         return after - before
 
     # ------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.parallel.partition import (
     gather_items,
     tile_boundaries,
 )
+from repro.resilience import StaleStreamError
 
 from tests.conftest import brute_force_distances, random_rects
 
@@ -312,3 +313,31 @@ class TestParallelIncremental:
         assert stream.next_batch(10) == []
         stats = stream.stats()
         assert stats.results == 70 * 70
+
+    def test_stream_refuses_to_serve_after_a_delete(self):
+        # A later stage would re-run on the written trees and skip the
+        # prefix already yielded, which no longer lines up with it: the
+        # stream would serve pairs naming deleted objects.
+        items_s = random_points(3000, seed=12)
+        tree_r = RTree.bulk_load(random_points(3000, seed=11))
+        tree_s = RTree.bulk_load(items_s)
+        config = JoinConfig(parallel=2, parallel_mode="serial")
+        stream = parallel_incremental_join(tree_r, tree_s, config)
+        assert len(stream.next_batch(50)) == 50
+        for rect, oid in items_s[:500]:
+            assert tree_s.delete(rect, oid)
+        with pytest.raises(StaleStreamError):
+            stream.next_batch(2000)
+        assert stream.next_batch(10) == []
+
+    def test_iterating_stream_refuses_after_an_insert_into_r(self):
+        tree_r = RTree.bulk_load(random_points(300, seed=13), max_entries=8)
+        tree_s = RTree.bulk_load(random_points(300, seed=14), max_entries=8)
+        config = JoinConfig(parallel=2, parallel_mode="serial", initial_k=40)
+        with parallel_incremental_join(tree_r, tree_s, config) as stream:
+            pairs = iter(stream)
+            for _ in range(5):
+                next(pairs)
+            tree_r.insert(Rect.from_point(500.0, 500.0), 10_000)
+            with pytest.raises(StaleStreamError):
+                next(pairs)

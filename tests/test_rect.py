@@ -31,6 +31,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="inverted"):
             Rect(0, 5, 1, 0)
 
+    @pytest.mark.parametrize("coords", [
+        (math.nan, 0.0, 1.0, 1.0),
+        (0.0, math.nan, 1.0, 1.0),
+        (0.0, 0.0, math.nan, 1.0),
+        (0.0, 0.0, 1.0, math.nan),
+    ])
+    def test_nan_rejected(self, coords):
+        # Every comparison with NaN is false, so a NaN rect would slip
+        # past an "is it inverted?" test and be lost inside a tree.
+        with pytest.raises(ValueError, match="NaN"):
+            Rect(*coords)
+
     def test_from_point_is_degenerate(self):
         p = Rect.from_point(3.5, -1.0)
         assert p.is_point

@@ -1,13 +1,15 @@
 """Tests for R* insertion internals: split selection and the inserter."""
 
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geometry.rect import Rect
 from repro.rtree.entries import Entry
-from repro.rtree.rstar import choose_split
+from repro.rtree.node import Node
+from repro.rtree.rstar import RStarInserter, choose_split
 from repro.rtree.tree import RTree
 
 from tests.conftest import random_rects
@@ -15,6 +17,160 @@ from tests.conftest import random_rects
 
 def entries_from(rects: list[Rect]) -> list[Entry]:
     return [Entry(r, i) for i, r in enumerate(rects)]
+
+
+# ----------------------------------------------------------------------
+# Brute-force ChooseSubtree: the oracle for the lazy leaf-parent rule
+# ----------------------------------------------------------------------
+
+
+def reference_overlap_enlargement(
+    entries: list[Entry], target: Entry, rect: Rect
+) -> float:
+    """Overlap enlargement from the ``Rect`` methods, siblings in order."""
+    enlarged = target.rect.union(rect)
+    before = 0.0
+    after = 0.0
+    for other in entries:
+        if other is target:
+            continue
+        before += target.rect.intersection_area(other.rect)
+        after += enlarged.intersection_area(other.rect)
+    return after - before
+
+
+def reference_choose_subtree(self, node: Node, rect: Rect, target_level: int) -> Entry:
+    """R* ChooseSubtree scoring every entry (first minimum wins ties)."""
+    entries = node.entries
+    if node.level - 1 == 0 and target_level == 0:
+        return min(
+            entries,
+            key=lambda e: (
+                reference_overlap_enlargement(entries, e, rect),
+                e.rect.enlargement(rect),
+                e.rect.area(),
+            ),
+        )
+    return min(entries, key=lambda e: (e.rect.enlargement(rect), e.rect.area()))
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def grid_rects() -> st.SearchStrategy[Rect]:
+    """Rects on a coarse grid: duplicates, nesting and exact ties abound;
+    a zero side gives zero-width or zero-height rects and points."""
+    cell = st.integers(0, 12).map(float)
+    side = st.integers(0, 4).map(float)
+    return st.builds(lambda x, y, w, h: Rect(x, y, x + w, y + h), cell, cell, side, side)
+
+
+def float_rects() -> st.SearchStrategy[Rect]:
+    coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    side = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+    return st.builds(lambda x, y, w, h: Rect(x, y, x + w, y + h), coord, coord, side, side)
+
+
+@st.composite
+def leaf_parent_nodes(draw) -> tuple[list[Entry], Rect]:
+    """2-102 entries (some exact duplicates) and a rect to insert."""
+    rects = st.one_of(grid_rects(), float_rects())
+    base = draw(st.lists(rects, min_size=1, max_size=60))
+    duplicates = draw(st.lists(st.sampled_from(base), min_size=1, max_size=42))
+    shuffled = draw(st.permutations(base + duplicates))
+    new = draw(st.one_of(st.sampled_from(shuffled), rects))
+    return [Entry(r, i) for i, r in enumerate(shuffled)], new
+
+
+#: 35 entries whose enlargement to the origin sweeps across the last one,
+#: which has the largest area enlargement but no overlap enlargement: the
+#: R* paper's shortcut, scoring only the 32 least-enlargement entries,
+#: would miss it.
+BEYOND_32 = (
+    [Entry(Rect(-3.0, -0.1, -2.0, 0.1), i) for i in range(35)]
+    + [Entry(Rect(-1.0, -1.0, -0.5, 1.0), 35)],
+    Rect.from_point(0.0, 0.0),
+)
+
+
+class TestLazyChooseSubtree:
+    @settings(max_examples=150, deadline=None)
+    @given(leaf_parent_nodes())
+    @example(BEYOND_32)
+    def test_matches_brute_force(self, case):
+        entries, rect = case
+        for entry in entries:
+            got = RStarInserter._overlap_enlargement(entries, entry, rect)
+            assert bits(got) == bits(reference_overlap_enlargement(entries, entry, rect))
+        node = Node(page_id=0, level=1, entries=entries)
+        chosen = RStarInserter(RTree())._choose_subtree(node, rect, 0)
+        assert chosen is reference_choose_subtree(None, node, rect, 0)
+
+    def test_builds_the_brute_force_tree(self, monkeypatch):
+        def run() -> tuple[int, dict[int, tuple[int, list[Entry]]]]:
+            rng = random.Random(2024)
+            tree = RTree(max_entries=8)
+            live: dict[int, Rect] = {}
+            for oid in range(2000):
+                x, y = rng.randrange(200) * 0.5, rng.randrange(200) * 0.5
+                kind = oid % 4
+                if kind == 0:
+                    rect = Rect.from_point(x, y)
+                elif kind == 1:
+                    rect = Rect(x, y, x + rng.randrange(1, 6), y)
+                elif kind == 2 or not live:
+                    rect = Rect(x, y, x + rng.randrange(1, 6), y + rng.randrange(1, 6))
+                else:
+                    rect = live[rng.choice(sorted(live))]
+                tree.insert(rect, oid)
+                live[oid] = rect
+                if oid % 4 == 3:
+                    gone = rng.choice(sorted(live))
+                    assert tree.delete(live.pop(gone), gone)
+            tree.validate()
+            pages = {pid: tree.store.read(pid) for pid in tree.store.page_ids()}
+            return tree.root_id, {
+                pid: (node.level, list(node.entries)) for pid, node in pages.items()
+            }
+
+        calls = {"_split": 0, "_force_reinsert": 0, "insert_entry": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _real=getattr(RStarInserter, name)):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(RStarInserter, name, counted)
+        lazy = run()
+        assert calls["_split"] and calls["_force_reinsert"]
+        # Every insert is one insert_entry; the rest are CondenseTree orphans.
+        assert calls["insert_entry"] > 2000
+        monkeypatch.setattr(RStarInserter, "_choose_subtree", reference_choose_subtree)
+        assert run() == lazy
+
+    def test_scores_only_the_entry_containing_the_rect(self, monkeypatch):
+        tree = RTree(max_entries=8)
+        tree.insert_all(random_rects(30, seed=9, max_side=0.0))
+        root = tree.root
+        assert root.level == 1 and len(root.entries) > 2
+        target, point = next(
+            (entry, center)
+            for entry in root.entries
+            if len(tree._get_node(entry.ref)) < tree.max_entries
+            for center in [Rect.from_point(*entry.rect.center())]
+            if [e for e in root.entries if e.rect.contains(center)] == [entry]
+        )
+        scored = []
+        real = RStarInserter._overlap_enlargement
+
+        def counted(entries, entry, rect):
+            scored.append(entry)
+            return real(entries, entry, rect)
+
+        monkeypatch.setattr(RStarInserter, "_overlap_enlargement", staticmethod(counted))
+        tree.insert(point, 999)
+        assert scored == [target]
+        tree.validate()
 
 
 class TestChooseSplit:

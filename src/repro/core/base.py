@@ -10,11 +10,13 @@ so runs are isolated and their metrics comparable.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 from repro.core import estimation
 from repro.core.pairs import Item, PairPayload
 from repro.core.stats import Instruments, JoinStats
+from repro.kernels.arena import per_version
 from repro.queues.main_queue import MainQueue
 from repro.resilience.deadline import NULL_DEADLINE
 from repro.rtree.tree import RTree, TreeAccessor
@@ -25,6 +27,16 @@ from repro.storage.cost import (
     DEFAULT_QUEUE_MEMORY,
 )
 from repro.storage.disk import SimulatedDisk
+
+#: tree -> (version, {page id: child Items}), see
+#: :func:`~repro.kernels.arena.per_version`: one dict per tree version,
+#: shared by every join over it (:meth:`JoinContext._children`).
+_CHILD_LISTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _no_lists(tree: RTree) -> dict[int, list[Item]]:
+    """A new tree version's child-list dict, empty until joins fill it."""
+    return {}
 
 
 @dataclass(slots=True)
@@ -67,7 +79,9 @@ class EngineOptions:
     flat:
         Serve sorted/packed child sides from a flat tree arena
         (:mod:`repro.kernels.flat`) over each tree's image, re-serialized
-        only after a write.  On by default; turning it off restores the
+        only after a write, in every sweeping engine: B-KDJ, AM-KDJ,
+        AM-IDJ, SJ-SORT and the within-distance join (and HS's packed
+        child blocks).  On by default; turning it off restores the
         per-expansion object walk (the benchmark baseline).
     """
 
@@ -120,7 +134,11 @@ class JoinContext:
             live=live,
         )
         self.rho = rho if rho is not None else self.default_rho()
-        self._child_cache: dict[tuple[bool, int], list[Item]] = {}
+        # Child lists outlive the join: one dict per tree version, so a
+        # join over unchanged trees reuses every list an earlier one
+        # built, and a self-join shares one dict.
+        self._lists_r = per_version(_CHILD_LISTS, tree_r, _no_lists)
+        self._lists_s = per_version(_CHILD_LISTS, tree_s, _no_lists)
         self.queue_memory = queue_memory
         # The Equation (3) density model pre-places the hybrid queue's
         # segment boundaries; disabling it (the ablation benchmark) makes
@@ -144,10 +162,8 @@ class JoinContext:
         # one attribute read and allocates nothing.
         self.checkpoint = checkpoint
         # Flat hot path (repro.kernels.flat), built lazily on first use:
-        # engines that never ask for it must not pay the arena
-        # serialization.  NLJ never sweeps; SJ-SORT sweeps every node
-        # pair, but on the object-graph body (its PlaneSweeper gets no
-        # ``flat``).
+        # engines that never ask for it (NLJ never sweeps) must not pay
+        # the arena serialization.
         self._flat = None
         self._flat_built = False
 
@@ -235,11 +251,11 @@ class JoinContext:
 
     def children_r(self, item: Item) -> list[Item]:
         """Children of an R-side item (the item itself if an object)."""
-        return self._children(item, self.accessor_r, True)
+        return self._children(item, self.accessor_r, self._lists_r)
 
     def children_s(self, item: Item) -> list[Item]:
         """Children of an S-side item (the item itself if an object)."""
-        return self._children(item, self.accessor_s, False)
+        return self._children(item, self.accessor_s, self._lists_s)
 
     def touch_r(self, item: Item) -> None:
         """Count a (re-)access of an R-side node, e.g. in compensation."""
@@ -276,36 +292,33 @@ class JoinContext:
         self.accessor_r.buffer.warm(state["r"])
         self.accessor_s.buffer.warm(state["s"])
 
-    #: Materialized-children memo bound; cleared wholesale when full.
-    _CHILD_CACHE_MAX = 1 << 18
-
     def _children(
-        self, item: Item, accessor: TreeAccessor, side_r: bool
+        self, item: Item, accessor: TreeAccessor, lists: dict[int, list[Item]]
     ) -> list[Item]:
-        """Children of ``item``, metered, memoized per node.
+        """Children of ``item``, metered, memoized per node and tree version.
 
-        The trees are immutable for the duration of a join and
-        :class:`Item` is frozen, so the materialized child list of a node
-        can be built once and shared across every expansion that revisits
-        the node (HS revisits constantly).  The ``accessor.get`` call
-        still runs on every invocation, so node-access counters and
-        buffer-pool charging are exactly what an unmemoized walk reports.
-        Callers must treat the returned list as read-only.
+        A node's child list depends only on its entries, which change
+        only through writes, and every write bumps ``RTree.version``.
+        :class:`Item` is frozen, so ``lists`` (the tree version's page id
+        -> child list dict) builds each node's list once and every later
+        expansion and join over the same version shares it (HS revisits
+        nodes constantly, and repeated joins over unchanged trees rebuild
+        nothing).
+        The ``accessor.get`` call still runs on every invocation, so
+        node-access counters and buffer-pool charging are exactly what an
+        unmemoized walk reports.  Callers must treat the returned list as
+        read-only.
         """
         if item.is_object:
             return [item]
         node = accessor.get(item.ref)
-        key = (side_r, item.ref)
-        items = self._child_cache.get(key)
-        if items is not None:
-            return items
-        if node.is_leaf:
-            items = [Item.object(e.rect, e.ref) for e in node.entries]
-        else:
-            items = [Item.node(e.rect, e.ref, node.level - 1) for e in node.entries]
-        if len(self._child_cache) >= self._CHILD_CACHE_MAX:
-            self._child_cache.clear()
-        self._child_cache[key] = items
+        items = lists.get(item.ref)
+        if items is None:
+            if node.is_leaf:
+                items = [Item.object(e.rect, e.ref) for e in node.entries]
+            else:
+                items = [Item.node(e.rect, e.ref, node.level - 1) for e in node.entries]
+            lists[item.ref] = items
         return items
 
     # ------------------------------------------------------------------

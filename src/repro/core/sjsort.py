@@ -35,7 +35,8 @@ def spatial_join_within(ctx: JoinContext, dmax: float) -> Iterator[ResultPair]:
     if roots is None:
         return
     sweeper = PlaneSweeper(
-        ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction
+        ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction,
+        flat=ctx.flat_path(),
     )
     limit = static_cutoff(dmax)
 
@@ -122,6 +123,8 @@ def sj_sort(
     """Spatial join within ``dmax``, external sort, first k pairs."""
     if k <= 0:
         raise ValueError("k must be positive")
+    if not dmax >= 0.0:  # also rejects NaN, for which ``dmax < 0`` is False
+        raise ValueError("dmax must be non-negative")
     sorter = ExternalSorter(ctx.disk, ctx.queue_memory)
     candidates = 0
     if ctx.instr.live is not None:

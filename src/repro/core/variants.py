@@ -40,7 +40,7 @@ def within_distance_join(
     an externally-owned observability pipeline (the parallel engine's
     workers trace through here).
     """
-    if dmax < 0:
+    if not dmax >= 0.0:  # also rejects NaN, for which ``dmax < 0`` is False
         raise ValueError("dmax must be non-negative")
     if order not in ("none", "distance"):
         raise ValueError("order must be 'none' or 'distance'")

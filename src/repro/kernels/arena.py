@@ -172,19 +172,29 @@ def serialize_tree_indexed(
     return layout, buf, index_of
 
 
-#: tree -> (version, image): weak keys free an image with its tree.  No
-#: lock: racing threads at worst serialize one version twice.
+def per_version(memo: "weakref.WeakKeyDictionary", tree: "RTree", build):
+    """``build(tree)``, memoized in ``memo`` per tree and ``RTree.version``.
+
+    ``memo`` maps tree -> (version, value).  Every write bumps the
+    version, so a write rebuilds only the written tree's value, and weak
+    keys free a value with its tree.  No lock: racing threads at worst
+    build one version twice.
+    """
+    hit = memo.get(tree)
+    if hit is not None and hit[0] == tree.version:
+        return hit[1]
+    value = build(tree)
+    memo[tree] = (tree.version, value)
+    return value
+
+
+#: tree -> (version, image), see :func:`per_version`.
 _IMAGES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def tree_image(tree: "RTree") -> tuple[TreeLayout, bytearray, dict[int, int]]:
     """The tree's :func:`serialize_tree_indexed` image, memoized per version."""
-    hit = _IMAGES.get(tree)
-    if hit is not None and hit[0] == tree.version:
-        return hit[1]
-    image = serialize_tree_indexed(tree)
-    _IMAGES[tree] = (tree.version, image)
-    return image
+    return per_version(_IMAGES, tree, serialize_tree_indexed)
 
 
 class SharedTreeView:

@@ -49,9 +49,8 @@ except ImportError:  # pragma: no cover
 #: wasted drain work) grows; fixed widths may exceed this.
 MAX_BATCH = 64
 
-#: Bound on cached sorted sides; cleared wholesale when exceeded (same
-#: policy as ``JoinContext._CHILD_CACHE_MAX``).  At most ``4 * nodes``
-#: entries exist, so ordinary joins never reach it.
+#: Bound on cached sorted sides; cleared wholesale when exceeded.  At
+#: most ``4 * nodes`` entries exist, so ordinary joins never reach it.
 _SIDE_CACHE_MAX = 1 << 18
 
 

@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from repro import JoinConfig, JoinRunner, Rect, RTree
-from repro.kernels.flat import BatchController, resolve_batch_size
+from repro import JoinConfig, JoinRunner, Rect, RTree, within_distance_join
+from repro.kernels.flat import BatchController, FlatHotPath, resolve_batch_size
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.errors import JoinInterrupted
 from repro.resilience.recovery import load_checkpoint
@@ -114,6 +114,93 @@ def test_env_batch_matches_explicit(seeded_trees, monkeypatch):
     from_env = run(seeded_trees, "bkdj")
     assert stream(from_env) == stream(explicit)
     assert_rows_match(explicit.stats.as_row(), from_env.stats.as_row())
+
+
+# ----------------------------------------------------------------------
+# SJ-SORT and the within-distance join: flat body == object-graph body
+# ----------------------------------------------------------------------
+
+#: The flat body needs a batched backend; the suite also runs under
+#: ``REPRO_KERNELS=python``.
+SWEEP_FLAT = dict(kernels="numpy")
+SWEEP_OBJECT_GRAPH = dict(kernels="numpy", flat=False)
+
+
+@pytest.fixture(scope="module")
+def touching_trees():
+    """Rects on a coarse grid: hundreds of pairs touch or overlap."""
+    rng = random.Random(31)
+    sides = []
+    for n in (380, 300):
+        items = []
+        for i in range(n):
+            x, y = rng.randrange(0, 60) * 2.5, rng.randrange(0, 60) * 2.5
+            w, h = rng.randrange(0, 3) * 2.5, rng.randrange(0, 3) * 2.5
+            items.append((Rect(x, y, x + w, y + h), i))
+        sides.append(RTree.bulk_load(items, max_entries=16))
+    return tuple(sides)
+
+
+@pytest.fixture
+def flat_served(monkeypatch):
+    """Node sides the flat body sorted (``FlatHotPath.sorted_side`` hits)."""
+    pytest.importorskip("numpy")
+    served = []
+    real = FlatHotPath.sorted_side
+
+    def counting(self, *args):
+        side = real(self, *args)
+        if side is not None:
+            served.append(side)
+        return side
+
+    monkeypatch.setattr(FlatHotPath, "sorted_side", counting)
+    return served
+
+
+def assert_same_run(got, ref):
+    """Same stream, same counters, and the simulated clock bit for bit."""
+    assert stream(got) == stream(ref)
+    want, have = ref.stats.as_row(), got.stats.as_row()
+    del want["wall_time"], have["wall_time"]
+    assert have == want
+    assert (got.stats.io_time, got.stats.cpu_time) == (ref.stats.io_time, ref.stats.cpu_time)
+
+
+def sjsort_flat_and_object_graph(trees, k, dmax, served):
+    ref = JoinRunner(*trees, JoinConfig(**SWEEP_OBJECT_GRAPH)).kdj(k, "sjsort", dmax)
+    assert not served
+    got = JoinRunner(*trees, JoinConfig(**SWEEP_FLAT)).kdj(k, "sjsort", dmax)
+    assert served, "SJ-SORT did not sweep on the flat body"
+    return got, ref
+
+
+def test_sjsort_flat_equals_object_graph_at_oracle_dmax(seeded_trees, flat_served):
+    dmax = JoinRunner(*seeded_trees).true_dmax(60)
+    assert dmax > 0.0
+    flat_served.clear()
+    got, ref = sjsort_flat_and_object_graph(seeded_trees, 60, dmax, flat_served)
+    assert len(got) == 60
+    assert_same_run(got, ref)
+
+
+def test_sjsort_flat_equals_object_graph_over_touching_pairs(
+    touching_trees, flat_served
+):
+    got, ref = sjsort_flat_and_object_graph(touching_trees, 10_000, 0.0, flat_served)
+    assert len(got) > 100
+    assert {p.distance for p in got.results} == {0.0}
+    assert_same_run(got, ref)
+
+
+@pytest.mark.parametrize("dmax", [0.0, 6.0])
+def test_within_join_flat_equals_object_graph(touching_trees, flat_served, dmax):
+    ref = within_distance_join(*touching_trees, dmax, JoinConfig(**SWEEP_OBJECT_GRAPH))
+    assert not flat_served
+    got = within_distance_join(*touching_trees, dmax, JoinConfig(**SWEEP_FLAT))
+    assert flat_served, "the within-join did not sweep on the flat body"
+    assert len(got) > 100
+    assert_same_run(got, ref)
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,25 @@
 """Joins over trees that are written between (and during) joins.
 
-Each tree's flat image is memoized per ``RTree.version``: a write must
-re-serialize exactly the tree it changed, every flat join must see the
-tree as it is now, and a dropped tree must take its image with it.  An
-open incremental stream cannot follow a write at all, so it must refuse
-to go on (``StaleStreamError``) instead of serving pairs that name
-deleted objects.
+Each tree's flat image and its nodes' child lists are memoized per
+``RTree.version``: a write must rebuild exactly the tree it changed,
+every join must see the tree as it is now, joins over unchanged trees
+must share what earlier joins built, and a dropped tree must take both
+memos with it.  An open incremental stream cannot follow a write at
+all, so it must refuse to go on (``StaleStreamError``) instead of
+serving pairs that name deleted objects.
 """
 
 import gc
 import random
+import sys
+import threading
 import weakref
 
 import pytest
 
 from repro import JoinConfig, JoinRunner, Rect, RTree
+from repro.core import base as base_mod
+from repro.core.base import JoinContext
 from repro.geometry.distances import min_distance
 from repro.kernels import arena as arena_mod
 from repro.kernels.arena import TreeArena
@@ -24,7 +29,7 @@ from repro.rtree import FileRTree
 pytest.importorskip("numpy")
 
 #: Engines the flat path serves; ``nlj`` is the brute-force oracle.
-FLAT_KDJ = ("amkdj", "bkdj", "hs")
+FLAT_KDJ = ("amkdj", "bkdj", "hs", "sjsort")
 #: Explicit NumPy kernels: the flat path needs a batched backend, and
 #: the suite also runs under ``REPRO_KERNELS=python``.
 FLAT = dict(kernels="numpy")
@@ -137,6 +142,171 @@ def test_dropped_tree_frees_its_image():
     gc.collect()
     assert alive() is None
     assert len(arena_mod._IMAGES) == before
+
+
+# ----------------------------------------------------------------------
+# Per-version child lists
+# ----------------------------------------------------------------------
+
+
+def child_lists(ctx, side_r):
+    """page id -> child list of every node of one side, through ``ctx``."""
+    children = ctx.children_r if side_r else ctx.children_s
+    lists = {}
+    pending = [ctx.root_items()[0 if side_r else 1]]
+    while pending:
+        item = pending.pop()
+        lists[item.ref] = children(item)
+        pending.extend(child for child in lists[item.ref] if not child.is_object)
+    return lists
+
+
+def objects(lists):
+    """oid -> rect of every object Item in a side's child lists."""
+    return {
+        child.ref: child.rect
+        for items in lists.values() for child in items if child.is_object
+    }
+
+
+def test_joins_over_unchanged_trees_share_child_lists():
+    tree_r = RTree.bulk_load(quantized_rects(300, seed=81), max_entries=8)
+    tree_s = RTree.bulk_load(quantized_rects(200, seed=82), max_entries=8)
+    with JoinContext(tree_r, tree_s) as first:
+        lists_r = child_lists(first, True)
+        lists_s = child_lists(first, False)
+    with JoinContext(tree_r, tree_s) as second:
+        again_r = child_lists(second, True)
+        again_s = child_lists(second, False)
+    # Metering does not depend on the memo: the warm walk counts and
+    # charges every access the cold one did (+2: each walk's root_items
+    # reads both roots).
+    for ctx in (first, second):
+        assert ctx.accessor_r.logical_accesses == len(lists_r) + 2
+        assert ctx.accessor_s.logical_accesses == len(lists_s) + 2
+    assert second.disk.stats == first.disk.stats
+    assert second.disk.clock == first.disk.clock
+    assert again_r.keys() == lists_r.keys()
+    assert all(again_r[page] is lists_r[page] for page in lists_r)
+    assert all(again_s[page] is lists_s[page] for page in lists_s)
+
+
+def test_self_join_sides_share_child_lists():
+    tree = RTree.bulk_load(quantized_rects(200, seed=83), max_entries=8)
+    with JoinContext(tree, tree) as ctx:
+        lists_r = child_lists(ctx, True)
+        lists_s = child_lists(ctx, False)
+    assert all(lists_s[page] is lists_r[page] for page in lists_r)
+
+
+def test_writes_rebuild_only_the_written_trees_child_lists():
+    items_r = quantized_rects(300, seed=84)
+    items_s = quantized_rects(250, seed=85)
+    tree_r = RTree.bulk_load(items_r, max_entries=8)
+    tree_s = RTree.bulk_load(items_s, max_entries=8)
+    live_r = {oid: rect for rect, oid in items_r}
+    live_s = {oid: rect for rect, oid in items_s}
+    runner = JoinRunner(tree_r, tree_s)
+    for algorithm in FLAT_KDJ:
+        runner.kdj(100, algorithm)
+    with JoinContext(tree_r, tree_s) as ctx:
+        before_r = child_lists(ctx, True)
+        before_s = child_lists(ctx, False)
+    assert objects(before_s) == live_s
+
+    rng = random.Random(86)
+    moved, deleted = rng.sample(sorted(live_s), 2)
+    assert tree_s.delete(live_s[moved], moved)
+    live_s[moved] = Rect(1005.0, 1005.0, 1007.5, 1005.0)
+    tree_s.insert(live_s[moved], moved)
+    for oid in rng.sample(sorted(set(live_s) - {moved}), 40) + [deleted]:
+        assert tree_s.delete(live_s.pop(oid), oid)
+
+    with JoinContext(tree_r, tree_s) as ctx:
+        after_r = child_lists(ctx, True)
+        after_s = child_lists(ctx, False)
+    assert objects(after_s) == live_s
+    assert moved in objects(after_s) and deleted not in objects(after_s)
+    assert all(after_r[page] is before_r[page] for page in before_r)
+    assert not any(after_s[page] is before_s.get(page) for page in after_s)
+    oracle = runner.kdj(100, "nlj")
+    for algorithm in FLAT_KDJ:
+        assert_matches_oracle(runner.kdj(100, algorithm), oracle, live_r, live_s)
+
+
+def test_dropped_tree_frees_its_child_lists():
+    gc.collect()
+    before = len(base_mod._CHILD_LISTS)
+    tree = RTree.bulk_load(quantized_rects(200, seed=87), max_entries=8)
+    result = JoinRunner(tree, tree).kdj(20, "bkdj")
+    assert len(result) == 20
+    assert len(base_mod._CHILD_LISTS) == before + 1
+    alive = weakref.ref(tree)
+    del tree, result
+    gc.collect()
+    assert alive() is None
+    assert len(base_mod._CHILD_LISTS) == before
+
+
+def test_op_sequence_matches_fresh_trees_op_for_op():
+    # Every op over shared (long-lived) trees must be the op a fresh
+    # process would run: same stream, counters and simulated clock bits,
+    # whatever earlier ops left in the memos.
+    items_r = quantized_rects(400, seed=88)
+    items_s = quantized_rects(300, seed=89)
+    runner = JoinRunner(
+        RTree.bulk_load(items_r, max_entries=16),
+        RTree.bulk_load(items_s, max_entries=16),
+    )
+    ladder = [("amkdj", 40), ("bkdj", 40), ("hs", 40), ("sjsort", 40),
+              ("sjsort", 150), ("hs", 150), ("bkdj", 150), ("amkdj", 150)]
+    for algorithm, k in ladder:
+        got = runner.kdj(k, algorithm)
+        fresh = JoinRunner(
+            RTree.bulk_load(items_r, max_entries=16),
+            RTree.bulk_load(items_s, max_entries=16),
+        ).kdj(k, algorithm)
+        assert stream(got) == stream(fresh), (algorithm, k)
+        assert row(got) == row(fresh), (algorithm, k)
+        for clock in ("response_time", "io_time", "cpu_time"):
+            assert getattr(got.stats, clock) == getattr(fresh.stats, clock)
+
+
+def test_threads_racing_on_the_child_memo_still_agree():
+    # Joins in threads share one tree version's lists; a race may build
+    # a node's list twice, but every join must still be the lone join.
+    items_r = quantized_rects(300, seed=90)
+    items_s = quantized_rects(250, seed=91)
+    trees = (RTree.bulk_load(items_r, max_entries=8),
+             RTree.bulk_load(items_s, max_entries=8))
+    reference = {
+        algorithm: JoinRunner(
+            RTree.bulk_load(items_r, max_entries=8),
+            RTree.bulk_load(items_s, max_entries=8),
+        ).kdj(80, algorithm)
+        for algorithm in FLAT_KDJ
+    }
+    results = {}
+
+    def join(i):
+        algorithm = FLAT_KDJ[i % len(FLAT_KDJ)]
+        results[i] = (algorithm, JoinRunner(*trees).kdj(80, algorithm))
+
+    threads = [threading.Thread(target=join, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == list(range(8))
+    for algorithm, got in results.values():
+        assert stream(got) == stream(reference[algorithm]), algorithm
+        assert row(got) == row(reference[algorithm]), algorithm
 
 
 # ----------------------------------------------------------------------

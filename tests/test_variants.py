@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro import RTree, all_nearest_neighbors, within_distance_join
-from repro.core.api import JoinConfig
+from repro.core.api import JoinConfig, JoinRunner
 from repro.geometry.distances import min_distance
 
 from tests.conftest import brute_force_within, random_rects
@@ -41,6 +41,15 @@ class TestWithinDistanceJoin:
         *_, tree_r, tree_s = datasets
         with pytest.raises(ValueError):
             within_distance_join(tree_r, tree_s, -1.0)
+
+    @pytest.mark.parametrize("dmax", [math.nan, -5.0])
+    def test_nan_or_negative_dmax_rejected_by_both_entry_points(self, datasets, dmax):
+        # NaN fails every comparison, so a ``dmax < 0`` check lets it through.
+        *_, tree_r, tree_s = datasets
+        with pytest.raises(ValueError, match="dmax must be non-negative"):
+            within_distance_join(tree_r, tree_s, dmax)
+        with pytest.raises(ValueError, match="dmax must be non-negative"):
+            JoinRunner(tree_r, tree_s).kdj(10, "sjsort", dmax)
 
     def test_bad_order_rejected(self, datasets):
         *_, tree_r, tree_s = datasets

@@ -37,7 +37,7 @@ from repro.core.stats import JoinStats
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import StaleStreamError
 from repro.resilience.faults import FaultPlan
-from repro.rtree.tree import RTree
+from repro.rtree.tree import RTree, check_k
 from repro.storage.cost import (
     CostModel,
     DEFAULT_BUFFER_MEMORY,
@@ -335,8 +335,10 @@ class JoinRunner:
         """k-distance join with the chosen algorithm.
 
         ``dmax`` is only consulted by ``sjsort`` (its favorable a-priori
-        cutoff); when omitted it is computed by the exact oracle.
+        cutoff); when omitted it is computed by the exact oracle.  ``k``
+        must be a positive integer (``ValueError`` otherwise).
         """
+        check_k(k)
         if algorithm not in KDJ_ALGORITHMS:
             raise ValueError(
                 f"unknown KDJ algorithm {algorithm!r}; pick one of {KDJ_ALGORITHMS}"
@@ -637,8 +639,7 @@ def k_self_distance_join(
     results (both orderings appear), so the required stream length is
     not known up front.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    check_k(k)
     stream = JoinRunner(tree, tree, config).idj(algorithm)
     results: list[ResultPair] = []
     for pair in stream:

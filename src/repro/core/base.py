@@ -34,7 +34,7 @@ from repro.storage.disk import SimulatedDisk
 _CHILD_LISTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _no_lists(tree: RTree) -> dict[int, list[Item]]:
+def _no_lists(tree: RTree, previous: object) -> dict[int, list[Item]]:
     """A new tree version's child-list dict, empty until joins fill it."""
     return {}
 
@@ -78,7 +78,7 @@ class EngineOptions:
         streams and identical counters.
     flat:
         Serve sorted/packed child sides from a flat tree arena
-        (:mod:`repro.kernels.flat`) over each tree's image, re-serialized
+        (:mod:`repro.kernels.flat`) over each tree's image, patched
         only after a write, in every sweeping engine: B-KDJ, AM-KDJ,
         AM-IDJ, SJ-SORT and the within-distance join (and HS's packed
         child blocks).  On by default; turning it off restores the
@@ -163,7 +163,7 @@ class JoinContext:
         self.checkpoint = checkpoint
         # Flat hot path (repro.kernels.flat), built lazily on first use:
         # engines that never ask for it (NLJ never sweeps) must not pay
-        # the arena serialization.
+        # for the arena.
         self._flat = None
         self._flat_built = False
 
@@ -171,7 +171,7 @@ class JoinContext:
         """The run's :class:`~repro.kernels.flat.FlatHotPath`, or ``None``.
 
         Built on first request (two views over the trees' memoized
-        images; a tree written since is serialized again) and shared by
+        images; a tree written since has its image patched) and shared by
         the sweeper and the tagged-batch cache; memoized, including a
         ``None`` when the options or the backend rule it out.
         """

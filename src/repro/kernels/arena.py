@@ -2,29 +2,39 @@
 
 PR 7 built this layout for the shared-memory work-stealing engine; the
 sequential engines now run over the very same flat buffers (the "flat
-hot path"), so the layout, serializer and views live here in
+hot path"), so the layout, image builder and views live here in
 :mod:`repro.kernels` where both sides can import them without touching
 any ``multiprocessing`` machinery.  Constructing a plain-buffer
 :class:`TreeArena` (``use_shm=False``) imports nothing process-related:
 no shared-memory segment, no resource tracker.
 
-Layout (all fields 8 bytes, so one contiguous buffer needs no padding):
+Layout (all fields 8 bytes, so one contiguous buffer needs no padding).
+Rows are page ids: row ``p`` describes page ``p``, and its entries sit
+in the fixed slots ``[p*M, p*M + count)``, where ``M`` is the tree's
+``max_entries`` (the layout's slot width).  A node's bytes therefore
+never move when another node changes.
 
-- per node: ``lvl`` (0 = leaf), ``lo``/``hi`` (the node's entry range,
+- per row: ``lvl`` (0 = leaf), ``lo``/``hi`` (the node's slot range,
   half-open), ``cnt`` (leaf entries under the subtree — the work
   estimator's currency), and the node MBR ``nxmin/nymin/nxmax/nymax``;
-- per entry: the entry MBR ``exmin/eymin/exmax/eymax`` and ``eref`` —
-  for a directory entry the *flat index* of the child node (page ids
-  are remapped at serialization time), for a leaf entry the object id.
+- per slot: the entry MBR ``exmin/eymin/exmax/eymax`` and ``eref`` — for
+  a directory entry the child's page id, which is its row, for a leaf
+  entry the object id.
 
-Nodes are stored in BFS order, so the root is node 0 and every child
-index is greater than its parent's — subtree counts are computed by one
-reverse pass.
+There is one row per page id the store ever handed out (``id_bound``),
+and :class:`TreeLayout` records the root's row and the slot width.  A
+free row (a freed page, such as the bootstrap root a bulk load discards)
+and every vacated slot are zero, so a free row's range is empty.
 
-Backings: each tree's image is memoized per ``RTree.version``
-(:func:`tree_image`), so a write re-serializes only the tree it changed,
-and an image is never written after serialization.  In shm mode
-:class:`TreeArena` copies both images into one
+Versions: each tree's image is memoized per ``RTree.version``
+(:func:`tree_image`).  A tree's first image is a full build.  Every
+later version is copy-on-write: the previous image is copied section by
+section into a new buffer, and only the rows that writes stamped since
+(``RTree.changed_since``) are rewritten, by the same row writer a full
+build uses.  A published image is never written, so an arena opened
+before a write keeps reading the tree as it was.
+
+Backings: in shm mode :class:`TreeArena` copies both images into one
 ``multiprocessing.shared_memory`` segment whose name travels to workers
 inside a picklable ``ArenaDescriptor`` (:mod:`repro.parallel.shm`);
 otherwise its read-only views sit straight on the images.
@@ -36,8 +46,10 @@ kernels evaluate directly over shared-buffer slices.
 
 from __future__ import annotations
 
+import functools
 import os
 import secrets
+import struct
 import weakref
 from typing import TYPE_CHECKING
 from dataclasses import dataclass
@@ -56,8 +68,8 @@ except ImportError:  # pragma: no cover
 #: leak check greps ``/dev/shm`` for it.
 SHM_PREFIX = "repro-shm"
 
-#: Buffer field order: (name, kind) with kind "qn"/"dn" per node and
-#: "qe"/"de" per entry ("q" = int64, "d" = float64).
+#: Buffer field order: (name, kind) with kind "qn"/"dn" per row and
+#: "qe"/"de" per entry slot ("q" = int64, "d" = float64).
 _FIELDS = (
     ("lvl", "qn"),
     ("lo", "qn"),
@@ -74,116 +86,157 @@ _FIELDS = (
     ("eref", "qe"),
 )
 
+_ROW_FIELDS = sum(1 for _, kind in _FIELDS if kind[1] == "n")
+_SLOT_FIELDS = len(_FIELDS) - _ROW_FIELDS
+
 
 @dataclass(frozen=True, slots=True)
 class TreeLayout:
-    """Shape of one serialized tree: enough to rebuild every view."""
+    """Shape of one tree image: enough to rebuild every view.
 
-    n_nodes: int
-    n_entries: int
+    ``rows`` is the store's page-id bound and ``slots`` the entry slots
+    per row (``max_entries``); ``root`` is the root's row.
+    """
+
+    rows: int
+    slots: int
+    root: int
     height: int
     size: int
 
     @property
     def nbytes(self) -> int:
-        per_node = sum(8 for _, kind in _FIELDS if kind[1] == "n")
-        per_entry = sum(8 for _, kind in _FIELDS if kind[1] == "e")
-        return self.n_nodes * per_node + self.n_entries * per_entry
+        return 8 * self.rows * (_ROW_FIELDS + _SLOT_FIELDS * self.slots)
+
+    def sections(self):
+        """``(name, typecode, start, stop)``: each field's byte range."""
+        pos = 0
+        for name, kind in _FIELDS:
+            stop = pos + 8 * self.rows * (1 if kind[1] == "n" else self.slots)
+            yield name, kind[0], pos, stop
+            pos = stop
 
 
-def serialize_tree_indexed(
-    tree: "RTree",
-) -> tuple[TreeLayout, bytearray, dict[int, int]]:
-    """Flatten a tree into the struct-of-arrays buffer described above.
+def _build_image(
+    tree: "RTree", previous: "tuple[int, tuple[TreeLayout, bytearray]] | None"
+) -> tuple[TreeLayout, bytearray]:
+    """The tree's image at its current version.
 
-    Also returns the page-id → flat-index map: the flat hot path's key
-    from ``Item.ref`` (a page id) to the arena node whose entry window
-    holds that node's children.
+    With no ``previous`` ``(version, image)`` this is a full build: every
+    live page's row, written into a zeroed buffer.  Otherwise the
+    previous image is copied into a new buffer (it may sit under open
+    arenas, so it is never written) and only the rows stamped after its
+    version are rewritten.  Rows only grow: page ids are never reused.
     """
-    import array
-
-    nodes = []
-    index_of: dict[int, int] = {}
-    pending = [tree.root_id]
-    while pending:
-        nxt: list[int] = []
-        for page_id in pending:
-            node = tree._get_node(page_id)
-            index_of[page_id] = len(nodes)
-            nodes.append(node)
-            if not node.is_leaf:
-                nxt.extend(entry.ref for entry in node.entries)
-        pending = nxt
-
-    n = len(nodes)
-    lvl = array.array("q", bytes(8 * n))
-    lo = array.array("q", bytes(8 * n))
-    hi = array.array("q", bytes(8 * n))
-    cnt = array.array("q", bytes(8 * n))
-    nxmin = array.array("d", bytes(8 * n))
-    nymin = array.array("d", bytes(8 * n))
-    nxmax = array.array("d", bytes(8 * n))
-    nymax = array.array("d", bytes(8 * n))
-    exmin = array.array("d")
-    eymin = array.array("d")
-    exmax = array.array("d")
-    eymax = array.array("d")
-    eref = array.array("q")
-
-    offset = 0
-    for i, node in enumerate(nodes):
-        lvl[i] = node.level
-        lo[i] = offset
-        hi[i] = offset + len(node.entries)
-        offset = hi[i]
-        if node.entries:
-            mbr = node.mbr()
-            nxmin[i], nymin[i] = mbr.xmin, mbr.ymin
-            nxmax[i], nymax[i] = mbr.xmax, mbr.ymax
-        for entry in node.entries:
-            rect = entry.rect
-            exmin.append(rect.xmin)
-            eymin.append(rect.ymin)
-            exmax.append(rect.xmax)
-            eymax.append(rect.ymax)
-            eref.append(
-                entry.ref if node.is_leaf else index_of[entry.ref]
-            )
-
-    # BFS order puts children after parents: one reverse pass fills the
-    # subtree leaf-entry counts the work estimator splits tasks by.
-    for i in range(n - 1, -1, -1):
-        if lvl[i] == 0:
-            cnt[i] = hi[i] - lo[i]
-        else:
-            cnt[i] = sum(cnt[eref[j]] for j in range(lo[i], hi[i]))
-
     layout = TreeLayout(
-        n_nodes=n, n_entries=offset, height=tree.height, size=tree.size
+        rows=tree.store.id_bound,
+        slots=tree.max_entries,
+        root=tree.root_id,
+        height=tree.height,
+        size=tree.size,
     )
     buf = bytearray(layout.nbytes)
-    pos = 0
-    for name, _ in _FIELDS:
-        arr = locals()[name]
-        raw = arr.tobytes()
-        buf[pos : pos + len(raw)] = raw
-        pos += len(raw)
-    assert pos == layout.nbytes
-    return layout, buf, index_of
+    if previous is None:
+        pages = tree.store.page_ids()
+    else:
+        version, (old, old_buf) = previous
+        src = memoryview(old_buf)
+        dst = memoryview(buf)
+        for (_, _, start, stop), (_, _, at, _) in zip(
+            old.sections(), layout.sections()
+        ):
+            dst[at : at + stop - start] = src[start:stop]
+        pages = tree.changed_since(version)
+    _write_rows(tree, layout, buf, pages)
+    return layout, buf
+
+
+def _write_rows(tree: "RTree", layout: TreeLayout, buf: bytearray, pages) -> None:
+    """Rewrite the rows of ``pages`` from the tree's nodes, then their ``cnt``.
+
+    The one row writer, for full builds and patches alike.  A live
+    page's row gets its level, slot range, MBR and entries; a freed
+    page's row becomes all zero; either way the slots the row held
+    beyond its new count are zeroed.  Directory ``cnt`` follows in
+    ascending level, summing children that are either rewritten already
+    or unchanged.  That is exact because every ancestor of a changed
+    subtree count is stamped too: each write rewrites the parent entry
+    of every node on its path.
+    """
+    m = layout.slots
+    sections = list(layout.sections())
+    mv = memoryview(buf)
+    lvl, lo, hi, cnt, nxmin, nymin, nxmax, nymax = (
+        mv[start:stop].cast(code) for _, code, start, stop in sections[:_ROW_FIELDS]
+    )
+    # exmin, eymin, exmax, eymax, eref: (typecode, byte offset) of each.
+    slot_fields = [(code, start) for _, code, start, _ in sections[_ROW_FIELDS:]]
+    zeros = bytes(8 * m)
+    store = tree.store
+    directory: list[tuple[int, int, list[int]]] = []
+    for page in pages:
+        first = page * m
+        held = hi[page] - lo[page]
+        if page in store:
+            node = store.read(page)
+            entries = node.entries
+            n = len(entries)
+            rects = [entry.rect for entry in entries]
+            refs = [entry.ref for entry in entries]
+            xmins = [r.xmin for r in rects]
+            ymins = [r.ymin for r in rects]
+            xmaxs = [r.xmax for r in rects]
+            ymaxs = [r.ymax for r in rects]
+            if n:
+                for (code, start), column in zip(
+                    slot_fields, (xmins, ymins, xmaxs, ymaxs, refs)
+                ):
+                    _packer(code, n).pack_into(buf, start + 8 * first, *column)
+                # min/max keep the first extreme, as Node.mbr() does.
+                nxmin[page], nymin[page] = min(xmins), min(ymins)
+                nxmax[page], nymax[page] = max(xmaxs), max(ymaxs)
+            else:
+                nxmin[page] = nymin[page] = nxmax[page] = nymax[page] = 0.0
+            lvl[page] = node.level
+            lo[page] = first
+            hi[page] = first + n
+            if node.level:
+                directory.append((node.level, page, refs))
+            else:
+                cnt[page] = n
+        else:
+            n = 0
+            lvl[page] = lo[page] = hi[page] = cnt[page] = 0
+            nxmin[page] = nymin[page] = nxmax[page] = nymax[page] = 0.0
+        if held > n:
+            for _, start in slot_fields:
+                at = start + 8 * (first + n)
+                mv[at : at + 8 * (held - n)] = zeros[: 8 * (held - n)]
+    directory.sort(key=lambda row: row[0])
+    for _, page, refs in directory:
+        cnt[page] = sum(cnt[child] for child in refs)
+
+
+@functools.lru_cache(maxsize=1024)
+def _packer(code: str, n: int) -> struct.Struct:
+    """Native-order packer of ``n`` values of one field's typecode."""
+    return struct.Struct(f"{n}{code}")
 
 
 def per_version(memo: "weakref.WeakKeyDictionary", tree: "RTree", build):
-    """``build(tree)``, memoized in ``memo`` per tree and ``RTree.version``.
+    """``build(tree, previous)``, memoized in ``memo`` per tree and version.
 
-    ``memo`` maps tree -> (version, value).  Every write bumps the
-    version, so a write rebuilds only the written tree's value, and weak
-    keys free a value with its tree.  No lock: racing threads at worst
-    build one version twice.
+    ``memo`` maps tree -> (version, value), and ``previous`` is the
+    tree's last memoized ``(version, value)`` or ``None``, so a build may
+    patch the value it replaces (the flat image does; the child lists
+    ignore it).  Every write bumps ``RTree.version``, so a write rebuilds
+    only the written tree's value, and weak keys free a value with its
+    tree.  No lock: racing threads at worst build one version twice.
     """
     hit = memo.get(tree)
     if hit is not None and hit[0] == tree.version:
         return hit[1]
-    value = build(tree)
+    value = build(tree, hit)
     memo[tree] = (tree.version, value)
     return value
 
@@ -192,13 +245,18 @@ def per_version(memo: "weakref.WeakKeyDictionary", tree: "RTree", build):
 _IMAGES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def tree_image(tree: "RTree") -> tuple[TreeLayout, bytearray, dict[int, int]]:
-    """The tree's :func:`serialize_tree_indexed` image, memoized per version."""
-    return per_version(_IMAGES, tree, serialize_tree_indexed)
+def tree_image(tree: "RTree") -> tuple[TreeLayout, bytearray]:
+    """The tree's flat ``(layout, buffer)`` image, memoized per version.
+
+    The first call builds the image in full; after a write the next call
+    patches a copy of the previous image (see the module docstring).
+    Callers must not write to the buffer.
+    """
+    return per_version(_IMAGES, tree, _build_image)
 
 
 class SharedTreeView:
-    """Read-only struct-of-arrays view of one serialized tree.
+    """Read-only struct-of-arrays view of one tree image.
 
     Attribute arrays are NumPy views over the backing buffer when NumPy
     is importable (zero-copy, sliceable into ``PackedRects``), else
@@ -215,17 +273,13 @@ class SharedTreeView:
     def __init__(self, layout: TreeLayout, buf) -> None:
         self.layout = layout
         self._mv = memoryview(buf)
-        pos = 0
-        for name, kind in _FIELDS:
-            count = layout.n_nodes if kind[1] == "n" else layout.n_entries
-            nbytes = 8 * count
-            window = self._mv[pos : pos + nbytes]
-            pos += nbytes
+        for name, code, start, stop in layout.sections():
+            window = self._mv[start:stop]
             if _np is not None:
-                dtype = _np.int64 if kind[0] == "q" else _np.float64
+                dtype = _np.int64 if code == "q" else _np.float64
                 setattr(self, name, _np.frombuffer(window, dtype=dtype))
             else:
-                setattr(self, name, window.cast(kind[0]))
+                setattr(self, name, window.cast(code))
         # Coordinate blocks the kernels slice per expansion — built once
         # per view, never per expansion (the tentpole's zero-copy claim).
         self.entries = _CoordBlock(self.exmin, self.eymin, self.exmax, self.eymax)
@@ -297,7 +351,9 @@ def _segment_name() -> str:
 class TreeArena:
     """Both trees' flat views for one join run, over their memoized images.
 
-    Only a tree written since its last arena is serialized here.
+    A tree written since its last arena has its image patched here (see
+    :func:`tree_image`); rows are page ids, so callers index a node's
+    row by its page id and find the root at ``layout_r.root``.
     ``use_shm=True`` copies the images into one shared-memory segment
     (process workers attach by name); ``use_shm=False`` puts a read-only
     view straight on each image — in-process users (thread/serial
@@ -306,10 +362,8 @@ class TreeArena:
     """
 
     def __init__(self, tree_r: "RTree", tree_s: "RTree", use_shm: bool) -> None:
-        #: ``index_r``/``index_s``: page id -> flat node index, one map per
-        #: side (the sequential flat hot path translates ``Item.ref``).
-        layout_r, buf_r, self.index_r = tree_image(tree_r)
-        layout_s, buf_s, self.index_s = tree_image(tree_s)
+        layout_r, buf_r = tree_image(tree_r)
+        layout_s, buf_s = tree_image(tree_s)
         self.layout_r = layout_r
         self.layout_s = layout_s
         self._shm = None

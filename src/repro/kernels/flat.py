@@ -9,10 +9,11 @@ gives the sequential path the same flat treatment:
 - :class:`FlatHotPath` — built per join over a plain-buffer
   :class:`~repro.kernels.arena.TreeArena` (views on each tree's
   memoized image, so only a tree written since the last join is
-  serialized again), it caches each node's sorted child order
-  per (axis, direction) and gathers the packed coordinate arrays
-  straight out of the arena (one fancy-index per array), so a node
-  re-expanded against many partners sorts and packs exactly once;
+  patched), it caches each node's sorted child order per (axis,
+  direction) and gathers the packed coordinate arrays straight out of
+  the arena (one fancy-index per array), so a node re-expanded against
+  many partners sorts and packs exactly once.  Image rows are page ids,
+  so ``Item.ref`` is the node's row;
 - :class:`BatchController` — the adaptive bulk-pop width policy: stay at
   width 1 while the pruning cutoff is still moving between batches (so
   the run is exactly the unbatched run while bookkeeping is volatile),
@@ -155,16 +156,18 @@ class _FlatPack:
 
 
 class FlatHotPath:
-    """Per-join cache of arena-backed sorted sides and entry blocks."""
+    """Per-join cache of arena-backed sorted sides and entry blocks.
 
-    __slots__ = ("arena", "_kernels", "_index_r", "_index_s",
-                 "_view_r", "_view_s", "_sides", "_closed")
+    A node item's page id (``Item.ref``) is its arena row.  A row is
+    used only when it is in range and its entry count matches the
+    caller's child count; a free row's empty range fails that check.
+    """
+
+    __slots__ = ("arena", "_kernels", "_view_r", "_view_s", "_sides", "_closed")
 
     def __init__(self, arena: TreeArena, kernels) -> None:
         self.arena = arena
         self._kernels = kernels
-        self._index_r = arena.index_r
-        self._index_s = arena.index_s
         self._view_r = arena.view_r
         self._view_s = arena.view_s
         #: (side_r, ref, axis, forward) -> (sorted_items, keys, pack)
@@ -177,7 +180,7 @@ class FlatHotPath:
 
         Requires NumPy (the gathers and the stable argsort are the whole
         point) and a batched backend; empty datasets never expand a
-        node, so they skip the serialization cost too.
+        node, so they skip the image cost too.
         """
         if _np is None or not getattr(kernels, "batched", False):
             return None
@@ -191,7 +194,7 @@ class FlatHotPath:
         """Sorted child list, sweep keys and pack for one node side.
 
         Returns ``None`` when the item is not an arena node (object
-        items never map; a stale child list is rejected by the span
+        items never map; a stale child list is rejected by the count
         check) — the caller falls back to the object-path sort.  The
         result is exactly ``PlaneSweeper._sort_side`` plus the lazy
         pack: same item objects, same stable tie order, same key floats.
@@ -203,18 +206,10 @@ class FlatHotPath:
         cached = self._sides.get(key)
         if cached is not None:
             return cached
-        if side_r:
-            node = self._index_r.get(ref)
-            view = self._view_r
-        else:
-            node = self._index_s.get(ref)
-            view = self._view_s
-        if node is None:
+        row = self._row(side_r, ref, len(children))
+        if row is None:
             return None
-        lo = int(view.lo[node])
-        hi = int(view.hi[node])
-        if hi - lo != len(children):
-            return None
+        view, lo, hi = row
         if forward:
             keys = view.exmin[lo:hi] if axis == 0 else view.eymin[lo:hi]
         else:
@@ -250,19 +245,26 @@ class FlatHotPath:
         ):
             return None
         side_r, ref = tag
-        if side_r:
-            node = self._index_r.get(ref)
-            view = self._view_r
-        else:
-            node = self._index_s.get(ref)
-            view = self._view_s
-        if node is None:
+        row = self._row(side_r, ref, n)
+        if row is None:
             return None
-        lo = int(view.lo[node])
-        hi = int(view.hi[node])
+        view, lo, hi = row
+        return view.entries.slice(lo, hi)
+
+    def _row(self, side_r: bool, ref: int, n: int):
+        """``(view, lo, hi)`` of page ``ref``'s row holding ``n`` entries.
+
+        ``None`` when ``ref`` is out of the image's rows or the row's
+        entry count differs (a free row, or a stale child list).
+        """
+        view = self._view_r if side_r else self._view_s
+        if not 0 <= ref < view.layout.rows:
+            return None
+        lo = int(view.lo[ref])
+        hi = int(view.hi[ref])
         if hi - lo != n:
             return None
-        return view.entries.slice(lo, hi)
+        return view, lo, hi
 
     def close(self) -> None:
         """Release this join's side cache and arena views.  Idempotent.

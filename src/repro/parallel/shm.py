@@ -1,7 +1,7 @@
 """Shared-memory attachment and worker telemetry for the shm engine.
 
 The flat struct-of-arrays tree layout itself — ``TreeLayout``,
-``serialize_tree_indexed``, ``SharedTreeView``, ``TreeArena`` — lives in
+``tree_image``, ``SharedTreeView``, ``TreeArena`` — lives in
 :mod:`repro.kernels.arena` now, where the *sequential* flat hot path
 imports it without touching any ``multiprocessing`` machinery.  This
 module keeps the parts only the process-mode parallel engine needs:
@@ -33,7 +33,7 @@ from repro.kernels.arena import (  # noqa: F401  (re-exported)
     _CoordBlock,
     _FIELDS,
     _segment_name,
-    serialize_tree_indexed,
+    tree_image,
 )
 
 

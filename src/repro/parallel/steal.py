@@ -325,12 +325,14 @@ def _build_frontier(
     during splitting (leaf trees) land in ``out`` directly.  Returned
     tasks are sorted closest-first for dispatch.
     """
-    root_dist = min_distance(vr.node_rect(0), vs.node_rect(0))
+    root_r, root_s = vr.layout.root, vs.layout.root
+    root_dist = min_distance(vr.node_rect(root_r), vs.node_rect(root_s))
     ctr.real += 1
     if root_dist > delta:
         return []
     seq = itertools.count()
-    heap = [(-_est_pairs(vr, vs, 0, 0, delta), next(seq), root_dist, 0, 0)]
+    heap = [(-_est_pairs(vr, vs, root_r, root_s, delta), next(seq), root_dist,
+             root_r, root_s)]
     tasks: list[tuple[float, int, int]] = []
     splits = 0
     while heap:

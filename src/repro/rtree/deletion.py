@@ -27,6 +27,8 @@ class _TreeLike(Protocol):
 
     def _get_node(self, page_id: int) -> Node: ...
 
+    def _touch(self, page_id: int) -> None: ...
+
 
 def delete(tree, rect: Rect, oid: int) -> bool:
     """Remove the data entry ``(rect, oid)``; True when it was found.
@@ -37,6 +39,10 @@ def delete(tree, rect: Rect, oid: int) -> bool:
     path = _find_leaf(tree, tree.root_id, rect, oid, [])
     if path is None:
         return False
+    # The leaf loses an entry, and _condense rewrites or removes each
+    # ancestor's entry for the path node below it: the whole path changes.
+    for node in path:
+        tree._touch(node.page_id)
     leaf = path[-1]
     leaf.remove_ref(oid)
     orphans: list[tuple[Entry, int]] = []
@@ -92,5 +98,6 @@ def _shrink_root(tree) -> None:
         if root.is_leaf or len(root.entries) != 1:
             return
         child_id = root.entries[0].ref
+        tree._touch(tree.root_id)
         tree.store.free(tree.root_id)
         tree.root_id = child_id

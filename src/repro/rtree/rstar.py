@@ -26,8 +26,10 @@ Seeger (SIGMOD 1990):
 
 The inserter is deliberately independent of :class:`repro.rtree.tree.RTree`
 — it talks to a small duck-typed surface (`_get_node`, `_alloc_node`,
-``root_id``, ``max_entries``, ``min_entries``) so it can be unit tested
-against a trivial in-memory harness.
+``_touch``, ``root_id``, ``max_entries``, ``min_entries``) so it can be
+unit tested against a trivial in-memory harness.  It stamps (``_touch``)
+every node on an insert path and every new sibling, so the flat image
+knows which rows to rewrite.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class _TreeLike(Protocol):
     def _get_node(self, page_id: int) -> Node: ...
 
     def _alloc_node(self, level: int) -> Node: ...
+
+    def _touch(self, page_id: int) -> None: ...
 
     def _grow_root(self, first: Entry, second: Entry, level: int) -> None: ...
 
@@ -100,6 +104,7 @@ class RStarInserter:
         split, else ``None``.  The caller is responsible for refreshing
         its directory entry for ``node`` (done below on the way up).
         """
+        self._tree._touch(node.page_id)
         if node.level == target_level:
             node.add(entry)
         else:
@@ -208,6 +213,7 @@ class RStarInserter:
         )
         node.entries = group_a
         sibling = self._tree._alloc_node(node.level)
+        self._tree._touch(sibling.page_id)
         sibling.entries = group_b
         return Entry(sibling.mbr(), sibling.page_id)
 

@@ -19,6 +19,7 @@ processing, not index building.
 from __future__ import annotations
 
 import io
+import numbers
 import struct
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -39,6 +40,18 @@ _FILE_HEADER = struct.Struct("<4siiiii")
 
 #: R*-tree minimum fill, as a fraction of the maximum fanout.
 MIN_FILL_RATIO = 0.4
+
+
+def check_k(k: object) -> None:
+    """Raise ``ValueError`` unless ``k`` is a positive integer.
+
+    The public k-queries (``RTree.nearest``, ``JoinRunner.kdj``,
+    ``k_self_distance_join``) call this first: a fractional or NaN ``k``
+    would otherwise be read differently by each engine.
+    ``numbers.Integral`` admits NumPy integers; ``bool`` is rejected.
+    """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k <= 0:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
 
 
 class RTree:
@@ -64,8 +77,12 @@ class RTree:
         self.root_id = root.page_id
         self.size = 0
         #: Mutation counter, bumped by every insert/delete: the memoized
-        #: flat image re-serializes and open incremental streams go stale.
+        #: flat image is patched and open incremental streams go stale.
         self.version = 0
+        #: page id -> version of the write that last changed, allocated or
+        #: freed that page (see :meth:`_touch`); the flat image rewrites
+        #: only the rows stamped after its previous version.
+        self._stamps: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -129,8 +146,23 @@ class RTree:
     def _get_node(self, page_id: int) -> Node:
         return self.store.read(page_id)
 
+    def _touch(self, page_id: int) -> None:
+        """Stamp a page the running write changes, allocates or frees.
+
+        The stamp is the version the write will publish.  Every write
+        path stamps through here (R* insert paths and splits, deletion
+        paths, root growth and shrinking); bulk loads and file loads
+        stamp nothing, because a new tree's first image is a full build.
+        """
+        self._stamps[page_id] = self.version + 1
+
+    def changed_since(self, version: int) -> list[int]:
+        """Page ids some write after ``version`` changed, allocated or freed."""
+        return [page for page, stamp in self._stamps.items() if stamp > version]
+
     def _grow_root(self, first: Entry, second: Entry, level: int) -> None:
         new_root = self._alloc_node(level)
+        self._touch(new_root.page_id)
         new_root.add(first)
         new_root.add(second)
         self.root_id = new_root.page_id
@@ -245,8 +277,7 @@ class RTree:
         point.  Returns ``(distance, object_id)`` pairs in increasing
         distance order; fewer than k only when the tree is smaller.
         """
-        if k <= 0:
-            raise ValueError("k must be positive")
+        check_k(k)
         if self.size == 0:
             return []
         from repro.queues.binary_heap import MinHeap
@@ -275,30 +306,34 @@ class RTree:
 
         Checks: containment (Lemma 1's prerequisite), level consistency,
         fanout bounds (except the root), and that the number of reachable
-        data entries equals ``size``.
+        data entries equals ``size``.  The checks are explicit raises, not
+        ``assert`` statements, so they run under ``python -O`` too.
         """
         if self.size == 0:
-            assert len(self.root.entries) == 0, "empty tree with a non-empty root"
+            if len(self.root.entries) != 0:
+                raise AssertionError("empty tree with a non-empty root")
             return
         data_entries = 0
         stack: list[tuple[int, Rect | None, int]] = [(self.root_id, None, -1)]
         while stack:
             page_id, parent_rect, expected_level = stack.pop()
             node = self._get_node(page_id)
-            if expected_level >= 0:
-                assert node.level == expected_level, (
+            if expected_level >= 0 and node.level != expected_level:
+                raise AssertionError(
                     f"node {page_id}: level {node.level} != expected {expected_level}"
                 )
-            assert node.entries, f"node {page_id} is empty"
-            if page_id != self.root_id:
-                assert len(node.entries) >= self.min_entries, (
+            if not node.entries:
+                raise AssertionError(f"node {page_id} is empty")
+            if page_id != self.root_id and len(node.entries) < self.min_entries:
+                raise AssertionError(
                     f"node {page_id}: underfull ({len(node.entries)} entries)"
                 )
-            assert len(node.entries) <= self.max_entries, (
-                f"node {page_id}: overfull ({len(node.entries)} entries)"
-            )
-            if parent_rect is not None:
-                assert parent_rect.contains(node.mbr()), (
+            if len(node.entries) > self.max_entries:
+                raise AssertionError(
+                    f"node {page_id}: overfull ({len(node.entries)} entries)"
+                )
+            if parent_rect is not None and not parent_rect.contains(node.mbr()):
+                raise AssertionError(
                     f"node {page_id}: MBR not contained in parent entry"
                 )
             if node.is_leaf:
@@ -306,9 +341,10 @@ class RTree:
             else:
                 for entry in node.entries:
                     stack.append((entry.ref, entry.rect, node.level - 1))
-        assert data_entries == self.size, (
-            f"reachable data entries {data_entries} != size {self.size}"
-        )
+        if data_entries != self.size:
+            raise AssertionError(
+                f"reachable data entries {data_entries} != size {self.size}"
+            )
 
     # ------------------------------------------------------------------
     # Persistence

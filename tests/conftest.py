@@ -7,10 +7,29 @@ import math
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.geometry.distances import min_distance
 from repro.geometry.rect import Rect
 from repro.rtree.tree import RTree
+
+
+#: ``--hypothesis-profile fuzz``: the seeded write fuzzers
+#: (``test_image_contract.py``, ``test_write_differential.py``) at the
+#: seed budget of their own CI step.  Other suites set their own counts.
+settings.register_profile("fuzz", max_examples=150, deadline=None)
+
+
+def seed_budget(tier1: int) -> settings:
+    """Settings for a seeded fuzzer.
+
+    ``tier1`` derandomized examples in a plain run, so tier-1 is
+    repeatable; under ``--hypothesis-profile fuzz`` the profile's larger,
+    randomized budget.
+    """
+    if settings.get_current_profile_name() == "fuzz":
+        return settings(deadline=None)
+    return settings(max_examples=tier1, derandomize=True, deadline=None)
 
 
 def brute_force_distances(
@@ -59,18 +78,18 @@ def assert_distances_close(got: list[float], expected: list[float]) -> None:
 
 
 @pytest.fixture
-def serializations(monkeypatch):
-    """Every tree the flat-image serializer runs on, in call order."""
+def image_builds(monkeypatch):
+    """``(tree, "build" | "patch")`` for every flat image made, in order."""
     from repro.kernels import arena
 
     calls = []
-    real = arena.serialize_tree_indexed
+    real = arena._build_image
 
-    def counting(tree):
-        calls.append(tree)
-        return real(tree)
+    def counting(tree, previous):
+        calls.append((tree, "build" if previous is None else "patch"))
+        return real(tree, previous)
 
-    monkeypatch.setattr(arena, "serialize_tree_indexed", counting)
+    monkeypatch.setattr(arena, "_build_image", counting)
     return calls
 
 

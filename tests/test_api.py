@@ -12,6 +12,7 @@ from repro import (
     incremental_distance_join,
     k_distance_join,
 )
+from repro.core.api import KDJ_ALGORITHMS, k_self_distance_join
 
 from tests.conftest import brute_force_distances, random_rects
 
@@ -59,6 +60,45 @@ class TestConvenienceFunctions:
             runner.kdj(5, "nope")
         with pytest.raises(ValueError, match="unknown IDJ"):
             runner.idj("nope")
+
+
+#: Not a positive integer: fractional, NaN, integral float, bool.
+BAD_KS = [2.5, math.nan, 10.0, True, 0, -3]
+
+
+class TestKMustBeAPositiveInteger:
+    """Every public k-query rejects a k that is not a positive integer
+    before any engine reads it (the engines used to disagree on 2.5 and
+    NaN)."""
+
+    @pytest.mark.parametrize("k", BAD_KS, ids=repr)
+    @pytest.mark.parametrize("algorithm", KDJ_ALGORITHMS)
+    def test_kdj(self, trees, algorithm, k):
+        tree_r, tree_s, *_ = trees
+        with pytest.raises(ValueError, match="positive integer"):
+            JoinRunner(tree_r, tree_s).kdj(k, algorithm)
+
+    @pytest.mark.parametrize("k", BAD_KS, ids=repr)
+    def test_parallel_kdj(self, trees, k):
+        tree_r, tree_s, *_ = trees
+        runner = JoinRunner(tree_r, tree_s, JoinConfig(parallel=2))
+        with pytest.raises(ValueError, match="positive integer"):
+            runner.kdj(k, "amkdj")
+
+    @pytest.mark.parametrize("k", BAD_KS, ids=repr)
+    def test_self_join_and_nearest(self, trees, k):
+        tree_r, *_ = trees
+        with pytest.raises(ValueError, match="positive integer"):
+            k_self_distance_join(tree_r, k)
+        with pytest.raises(ValueError, match="positive integer"):
+            tree_r.nearest(500.0, 500.0, k)
+
+    def test_numpy_integers_are_accepted(self, trees):
+        np = pytest.importorskip("numpy")
+        tree_r, tree_s, *_ = trees
+        assert len(JoinRunner(tree_r, tree_s).kdj(np.int64(3), "bkdj")) == 3
+        assert len(k_self_distance_join(tree_r, np.int32(2))) == 2
+        assert len(tree_r.nearest(500.0, 500.0, np.int64(4))) == 4
 
 
 class TestJoinResult:

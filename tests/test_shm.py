@@ -22,7 +22,7 @@ from repro.parallel.shm import (
     SharedTreeView,
     TreeArena,
     active_segments,
-    serialize_tree_indexed,
+    tree_image,
 )
 from repro.resilience.faults import FaultPlan
 from repro.rtree.tree import RTree
@@ -65,48 +65,89 @@ def sequential(point_trees):
     return JoinRunner(tree_r, tree_s, JoinConfig()).kdj(400, "amkdj")
 
 
+def _walk(view):
+    """Rows reachable from the layout's root, parents before children."""
+    rows, pending = [], [view.layout.root]
+    while pending:
+        row = pending.pop()
+        rows.append(row)
+        if int(view.lvl[row]):
+            lo, hi = view.span(row)
+            pending.extend(int(view.eref[j]) for j in range(lo, hi))
+    return rows
+
+
 class TestSerialization:
     def test_layout_roundtrip(self):
         tree = RTree.bulk_load(_points(300, 5))
-        layout, buf, _ = serialize_tree_indexed(tree)
+        layout, buf = tree_image(tree)
         assert layout.size == tree.size
         assert layout.height == tree.height
+        assert layout.root == tree.root_id
+        assert layout.rows == tree.store.id_bound
+        assert layout.slots == tree.max_entries
         assert len(buf) == layout.nbytes
         view = SharedTreeView(layout, memoryview(buf))
-        # Root is node 0 and its subtree count covers every object.
-        assert int(view.cnt[0]) == tree.size
-        assert view.node_rect(0) == tree.bounds()
+        root = layout.root
+        # The root's subtree count covers every object.
+        assert int(view.cnt[root]) == tree.size
+        assert view.node_rect(root) == tree.bounds()
         # Level decreases root-to-leaf; leaves are level 0.
-        assert int(view.lvl[0]) == tree.height - 1
+        assert int(view.lvl[root]) == tree.height - 1
+        view.release()
+
+    def test_rows_are_page_ids_and_free_rows_are_zero(self):
+        tree = RTree.bulk_load(_points(400, 6), max_entries=8)
+        layout, buf = tree_image(tree)
+        view = SharedTreeView(layout, memoryview(buf))
+        m = layout.slots
+        live = set(tree.store.page_ids())
+        # Page 0 is the bootstrap root a bulk load frees: never row 0.
+        assert 0 not in live and layout.root != 0
+        for row in range(layout.rows):
+            lo, hi = view.span(row)
+            if row in live:
+                assert (lo, hi) == (row * m, row * m + len(tree._get_node(row)))
+                vacated = range(hi, (row + 1) * m)
+            else:
+                assert (lo, hi) == (0, 0)
+                assert int(view.cnt[row]) == int(view.lvl[row]) == 0
+                assert view.node_rect(row) == Rect(0.0, 0.0, 0.0, 0.0)
+                vacated = range(row * m, (row + 1) * m)
+            for j in vacated:
+                assert int(view.eref[j]) == 0
+                assert view.entry_rect(j) == Rect(0.0, 0.0, 0.0, 0.0)
         view.release()
 
     def test_children_follow_parents(self):
         tree = RTree.bulk_load(_points(400, 6))
-        layout, buf, _ = serialize_tree_indexed(tree)
+        layout, buf = tree_image(tree)
         view = SharedTreeView(layout, memoryview(buf))
-        for node in range(layout.n_nodes):
-            if int(view.lvl[node]) == 0:
+        rows = _walk(view)
+        assert sorted(rows) == sorted(tree.store.page_ids())
+        for row in rows:
+            if int(view.lvl[row]) == 0:
                 continue
-            lo, hi = view.span(node)
+            lo, hi = view.span(row)
             for j in range(lo, hi):
                 child = int(view.eref[j])
-                assert child > node, "BFS order must place children after parents"
-                # A directory entry's MBR is its child node's MBR.
+                assert int(view.lvl[child]) == int(view.lvl[row]) - 1
+                # A directory entry's MBR is its child row's node MBR.
                 assert view.entry_rect(j) == view.node_rect(child)
         view.release()
 
     def test_leaf_entries_carry_object_ids(self):
         items = _points(64, 7)
         tree = RTree.bulk_load(items)
-        layout, buf, _ = serialize_tree_indexed(tree)
+        layout, buf = tree_image(tree)
         view = SharedTreeView(layout, memoryview(buf))
-        seen = set()
-        for node in range(layout.n_nodes):
-            if int(view.lvl[node]) != 0:
+        seen = []
+        for row in _walk(view):
+            if int(view.lvl[row]) != 0:
                 continue
-            lo, hi = view.span(node)
-            seen.update(int(view.eref[j]) for j in range(lo, hi))
-        assert seen == {oid for _, oid in items}
+            lo, hi = view.span(row)
+            seen.extend(int(view.eref[j]) for j in range(lo, hi))
+        assert sorted(seen) == sorted(oid for _, oid in items)
         view.release()
 
     def test_arena_local_and_shm_byte_equal(self):
@@ -119,7 +160,9 @@ class TestSerialization:
             assert descriptor is not None
             assert local.descriptor() is None
             attached = AttachedArena(descriptor)
-            assert attached.view_r.node_rect(0) == local.view_r.node_rect(0)
+            assert attached.view_r.layout == local.view_r.layout
+            root = local.layout_r.root
+            assert attached.view_r.node_rect(root) == local.view_r.node_rect(root)
             assert bytes(attached.view_r.eref) == bytes(local.view_r.eref)
             attached.close()
         finally:
@@ -147,8 +190,8 @@ class TestSerialization:
         try:
             vr, vs = arena.view_r, arena.view_s
             kern = resolve_backend(None)
-            rect = vr.entry_rect(0)
-            lo, hi = vs.span(0)
+            rect = vr.entry_rect(vr.span(vr.layout.root)[0])
+            lo, hi = vs.span(vs.layout.root)
             hits = kern.block_within(rect, vs.entries.slice(lo, hi), math.inf)
             assert hits, "unbounded query must hit every entry"
             for j, dist in hits:
@@ -320,26 +363,28 @@ class TestCrashRecovery:
 
 
 class TestMutatedTree:
-    """A write to S re-serializes S alone; R's cached image is reused."""
+    """A write to S patches S's image alone; R's image is reused."""
 
     @pytest.mark.parametrize("mode", ["shm-serial", "shm-process"])
-    def test_mode_tracks_write_and_reuses_r_image(self, mode, serializations):
+    def test_mode_tracks_write_and_reuses_r_image(self, mode, image_builds):
         tree_r = RTree.bulk_load(_points(800, 41))
         items_s = _points(800, 42)
         tree_s = RTree.bulk_load(items_s)
         TreeArena(tree_r, tree_s, use_shm=False).close()  # cache both images
+        image_r = tree_image(tree_r)
         rng = random.Random(43)
         for rect, oid in items_s[:40]:
             assert tree_s.delete(rect, oid)
             tree_s.insert(
                 Rect.from_point(rng.uniform(0, 1000), rng.uniform(0, 1000)), oid
             )
-        del serializations[:]
+        del image_builds[:]
         # flat=False: the sequential reference builds no arena, so every
-        # serialization below is the parallel run's.
+        # image below is the parallel run's.
         seq = JoinRunner(tree_r, tree_s, JoinConfig(flat=False)).kdj(300, "amkdj")
         config = JoinConfig(parallel=2, parallel_mode=mode)
         result = parallel_kdj(tree_r, tree_s, 300, config=config)
         assert _stream(result) == _stream(seq)
-        assert len(serializations) == 1 and serializations[0] is tree_s
+        assert image_builds == [(tree_s, "patch")]
+        assert tree_image(tree_r) is image_r
         assert active_segments() == []

@@ -1,7 +1,14 @@
 """Tests for the RTree facade: queries, validation, persistence, access."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.geometry.rect import Rect
 from repro.rtree.entries import Entry
 from repro.rtree.tree import RTree, TreeAccessor
@@ -65,6 +72,39 @@ class TestValidationDetectsCorruption:
         tree.size = 49
         with pytest.raises(AssertionError):
             tree.validate()
+
+    def test_checks_run_under_python_dash_o(self):
+        # The checks are explicit raises: ``-O`` strips assert statements
+        # (the script's own first line proves it ran with ``-O``).
+        script = textwrap.dedent(
+            """
+            import random
+            from repro import Rect, RTree
+
+            assert False, "this process must run with -O"
+            rng = random.Random(5)
+            tree = RTree.bulk_load(
+                [(Rect.from_point(rng.uniform(0, 100), rng.uniform(0, 100)), i)
+                 for i in range(500)],
+                max_entries=8,
+            )
+            leaf = next(node for node in tree.iter_nodes() if node.is_leaf)
+            leaf.entries.clear()
+            try:
+                tree.validate()
+            except AssertionError as exc:
+                print("caught:", exc)
+            else:
+                print("validate() passed a corrupt tree")
+            """
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        ).stdout
+        assert out.startswith("caught: node ") and out.rstrip().endswith("is empty")
 
 
 class TestPersistence:

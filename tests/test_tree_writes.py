@@ -1,9 +1,10 @@
 """Joins over trees that are written between (and during) joins.
 
 Each tree's flat image and its nodes' child lists are memoized per
-``RTree.version``: a write must rebuild exactly the tree it changed,
+``RTree.version``: a write must patch exactly the tree it changed,
 every join must see the tree as it is now, joins over unchanged trees
-must share what earlier joins built, and a dropped tree must take both
+must share what earlier joins built, an arena opened before a write
+must keep reading the old version, and a dropped tree must take both
 memos with it.  An open incremental stream cannot follow a write at
 all, so it must refuse to go on (``StaleStreamError``) instead of
 serving pairs that name deleted objects.
@@ -22,7 +23,7 @@ from repro.core import base as base_mod
 from repro.core.base import JoinContext
 from repro.geometry.distances import min_distance
 from repro.kernels import arena as arena_mod
-from repro.kernels.arena import TreeArena
+from repro.kernels.arena import TreeArena, tree_image
 from repro.resilience import StaleStreamError
 from repro.rtree import FileRTree
 
@@ -66,18 +67,12 @@ def assert_matches_oracle(result, oracle, live_r, live_s):
         assert min_distance(live_r[p.ref_r], live_s[p.ref_s]) == p.distance
 
 
-def count(calls, tree):
-    return sum(1 for seen in calls if seen is tree)
-
-
 # ----------------------------------------------------------------------
 # Per-tree images
 # ----------------------------------------------------------------------
 
 
-def test_flat_joins_follow_writes_and_reserialize_only_the_written_tree(
-    serializations,
-):
+def test_flat_joins_follow_writes_and_patch_only_the_written_tree(image_builds):
     items_r = quantized_rects(400, seed=61)
     items_s = quantized_rects(300, seed=62)
     tree_r = RTree.bulk_load(items_r, max_entries=16)
@@ -85,8 +80,8 @@ def test_flat_joins_follow_writes_and_reserialize_only_the_written_tree(
     live_r = {oid: rect for rect, oid in items_r}
     live_s = {oid: rect for rect, oid in items_s}
     rng = random.Random(63)
-    steps = 4
-    for step in range(steps + 1):
+    image_r = None
+    for step in range(5):
         if step:
             # One update step: move 10 S objects (delete + insert).
             for oid in rng.sample(sorted(live_s), 10):
@@ -94,6 +89,7 @@ def test_flat_joins_follow_writes_and_reserialize_only_the_written_tree(
                 x, y = rng.randrange(0, 400) * 2.5, rng.randrange(0, 400) * 2.5
                 live_s[oid] = Rect(x, y, x, y)
                 tree_s.insert(live_s[oid], oid)
+        del image_builds[:]
         runner = JoinRunner(tree_r, tree_s, JoinConfig(**FLAT))
         baseline = JoinRunner(tree_r, tree_s, JoinConfig(**NO_FLAT))
         oracle = baseline.kdj(120, "nlj")
@@ -103,20 +99,75 @@ def test_flat_joins_follow_writes_and_reserialize_only_the_written_tree(
             assert stream(flat) == stream(ref), (step, algorithm)
             assert row(flat) == row(ref), (step, algorithm)
             assert_matches_oracle(flat, oracle, live_r, live_s)
-    assert count(serializations, tree_r) == 1
-    assert count(serializations, tree_s) == steps + 1
+        if step:
+            # The first join after the writes patches S once; the other
+            # joins reuse that image, and R's image object is reused.
+            assert image_builds == [(tree_s, "patch")], step
+            assert tree_image(tree_r) is image_r
+        else:
+            assert image_builds == [(tree_r, "build"), (tree_s, "build")]
+            image_r = tree_image(tree_r)
 
 
-def test_self_join_arena_serializes_once(serializations):
+def test_self_join_arena_builds_once_and_patches_once(image_builds):
     tree = RTree.bulk_load(quantized_rects(200, seed=64), max_entries=8)
     arena = TreeArena(tree, tree, use_shm=False)
     try:
-        assert serializations == [tree]
+        assert image_builds == [(tree, "build")]
         assert bytes(arena.view_r.eref) == bytes(arena.view_s.eref)
     finally:
         arena.close()
     TreeArena(tree, tree, use_shm=False).close()
-    assert serializations == [tree]
+    assert image_builds == [(tree, "build")]
+    tree.insert(Rect(1.0, 1.0, 3.5, 2.5), 10_000)
+    with TreeArena(tree, tree, use_shm=False) as arena:
+        assert arena.view_r.layout is arena.view_s.layout
+    assert image_builds == [(tree, "build"), (tree, "patch")]
+
+
+def test_arena_opened_before_a_write_keeps_its_version():
+    # Copy-on-write: a patch copies the image it replaces, so views on
+    # the old image (an open stream's arena, another thread's join) read
+    # the pre-write coordinates after the write and after the patch.
+    items = quantized_rects(300, seed=67)
+    tree = RTree.bulk_load(items, max_entries=8)
+    rect, oid = items[17]
+    arena = TreeArena(tree, tree, use_shm=False)
+    try:
+        view = arena.view_r
+        before = bytes(view._mv)
+        slot = next(
+            j
+            for row in tree.store.page_ids()
+            if int(view.lvl[row]) == 0
+            for j in range(*view.span(row))
+            if int(view.eref[j]) == oid
+        )
+        assert view.entry_rect(slot) == rect
+        assert tree.delete(rect, oid)
+        moved = Rect(1002.5, 1002.5, 1002.5, 1002.5)
+        tree.insert(moved, oid)
+        assert bytes(view._mv) == before
+        result = JoinRunner(tree, tree, JoinConfig(**FLAT)).kdj(30, "amkdj")
+        assert len(result) == 30
+        assert bytes(view._mv) == before
+        assert view.entry_rect(slot) == rect
+        layout, buf = tree_image(tree)
+        assert layout.size == view.layout.size
+        fresh = arena_mod.SharedTreeView(layout, memoryview(buf).toreadonly())
+        try:
+            slots = [
+                j
+                for row in tree.store.page_ids()
+                if int(fresh.lvl[row]) == 0
+                for j in range(*fresh.span(row))
+                if int(fresh.eref[j]) == oid
+            ]
+            assert [fresh.entry_rect(j) for j in slots] == [moved]
+        finally:
+            fresh.release()
+    finally:
+        arena.close()
 
 
 def test_arena_views_are_read_only():

@@ -65,8 +65,8 @@ class JoinConfig:
 
     ``batch_size`` sets the sequential engines' bulk-pop expansion width
     (``0`` = adaptive, ``1`` = single pops, ``None`` defers to
-    ``REPRO_BATCH`` then adaptive) and ``flat`` toggles the flat-arena
-    hot path; like the kernel backend, both change wall-clock time only.
+    ``REPRO_BATCH`` then adaptive); like the kernel backend, it changes
+    wall-clock time only.
 
     ``parallel`` switches k-distance joins to the partitioned parallel
     engine (:mod:`repro.parallel`) with that many workers;
@@ -133,7 +133,6 @@ class JoinConfig:
     hs_insert_pruning: bool = True
     kernels: str | None = None
     batch_size: int | None = None
-    flat: bool = True
     edmax: float | None = None
     adaptive_edmax: bool = False
     model_queue_boundaries: bool = True
@@ -169,7 +168,6 @@ class JoinConfig:
             hs_insert_pruning=self.hs_insert_pruning,
             kernels=self.kernels,
             batch_size=self.batch_size,
-            flat=self.flat,
         )
 
 

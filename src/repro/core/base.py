@@ -76,13 +76,6 @@ class EngineOptions:
         (adaptive — width follows cutoff stability); ``1`` is the pure
         single-pop path.  Every width yields byte-identical result
         streams and identical counters.
-    flat:
-        Serve sorted/packed child sides from a flat tree arena
-        (:mod:`repro.kernels.flat`) over each tree's image, patched
-        only after a write, in every sweeping engine: B-KDJ, AM-KDJ,
-        AM-IDJ, SJ-SORT and the within-distance join (and HS's packed
-        child blocks).  On by default; turning it off restores the
-        per-expansion object walk (the benchmark baseline).
     """
 
     optimize_axis: bool = True
@@ -92,7 +85,6 @@ class EngineOptions:
     hs_insert_pruning: bool = True
     kernels: str | None = None
     batch_size: int | None = None
-    flat: bool = True
 
 
 class JoinContext:
@@ -172,19 +164,18 @@ class JoinContext:
 
         Built on first request (two views over the trees' memoized
         images; a tree written since has its image patched) and shared by
-        the sweeper and the tagged-batch cache; memoized, including a
-        ``None`` when the options or the backend rule it out.
+        the sweeper and the tagged-batch cache; memoized, including the
+        ``None`` an empty dataset gets.
         """
         if not self._flat_built:
             self._flat_built = True
-            if self.options.flat:
-                from repro.kernels.flat import FlatHotPath
+            from repro.kernels.flat import FlatHotPath
 
-                self._flat = FlatHotPath.build(
-                    self.tree_r, self.tree_s, self.instr.kernels
-                )
-                if self._flat is not None:
-                    self.instr.flat = self._flat
+            self._flat = FlatHotPath.build(
+                self.tree_r, self.tree_s, self.instr.kernels
+            )
+            if self._flat is not None:
+                self.instr.flat = self._flat
         return self._flat
 
     def batch_size(self) -> int:

@@ -11,17 +11,25 @@ The implementation is a classic block nested-loop join: the outer
 relation is processed in memory-sized blocks, the inner relation is
 rescanned once per block (that is the I/O the simulated disk is charged
 for — sequential, since a real BNL streams pages).  Distance kernels are
-vectorized with NumPy; the distance-computation *count* is exact
-(|R| x |S|), they are just not executed one Python call at a time.
+vectorized with NumPy when it is importable, else each pair runs the
+scalar :func:`~repro.geometry.distances.min_distance` (bit-identical);
+the distance-computation *count* is exact (|R| x |S|) either way.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import heapq
+import itertools
 
 from repro.core.base import JoinContext
 from repro.core.pairs import ResultPair
 from repro.core.stats import JoinStats
+from repro.geometry.distances import min_distance
+
+try:  # NumPy is optional: without it the scan runs the scalar distance
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
+    _np = None
 
 #: Inner-relation chunk height for the vectorized kernel (bounds the
 #: temporary distance matrix to block * chunk doubles).
@@ -34,7 +42,7 @@ def nested_loop_kdj(ctx: JoinContext, k: int) -> tuple[list[ResultPair], JoinSta
         raise ValueError("k must be positive")
     rects_r, ids_r = _gather(ctx.tree_r)
     rects_s, ids_s = _gather(ctx.tree_s)
-    if len(ids_r) == 0 or len(ids_s) == 0:
+    if not ids_r or not ids_s:
         return [], ctx.make_stats("nlj", k, 0)
 
     tracer = ctx.instr.tracer
@@ -56,9 +64,7 @@ def nested_loop_kdj(ctx: JoinContext, k: int) -> tuple[list[ResultPair], JoinSta
     passes = -(-len(ids_r) // block)
     ctx.disk.sequential_read(pages_s * passes)
 
-    best_d = np.empty(0)
-    best_i = np.empty(0, dtype=np.int64)
-    best_j = np.empty(0, dtype=np.int64)
+    best = (_ArrayBest if _np is not None else _ScalarBest)(rects_r, rects_s, k)
     total_pairs = 0
     deadline = ctx.deadline
     ckpt = ctx.checkpoint
@@ -81,43 +87,27 @@ def nested_loop_kdj(ctx: JoinContext, k: int) -> tuple[list[ResultPair], JoinSta
             # Once per outer block — the natural stage boundary of a
             # block nested-loop scan.
             ckpt.barrier(lambda: build_checkpoint(r_start))
-        r_rects = rects_r[r_start : r_start + block]
+        r_stop = min(r_start + block, len(ids_r))
         for s_start in range(0, len(ids_s), INNER_CHUNK):
-            # One explicit check per vectorized chunk: iterations are few
-            # but heavy, so the strided tick would react too slowly.
+            # One explicit check per chunk: iterations are few but
+            # heavy, so the strided tick would react too slowly.
             deadline.check()
-            s_rects = rects_s[s_start : s_start + INNER_CHUNK]
-            d = _min_distances(r_rects, s_rects)
-            total_pairs += d.size
-            flat = d.ravel()
-            if flat.size > k:
-                keep = np.argpartition(flat, k - 1)[:k]
-            else:
-                keep = np.arange(flat.size)
-            cand_d = flat[keep]
-            cand_i = keep // len(s_rects) + r_start
-            cand_j = keep % len(s_rects) + s_start
-            best_d = np.concatenate([best_d, cand_d])
-            best_i = np.concatenate([best_i, cand_i])
-            best_j = np.concatenate([best_j, cand_j])
-            if best_d.size > k:
-                top = np.argpartition(best_d, k - 1)[:k]
-                best_d, best_i, best_j = best_d[top], best_i[top], best_j[top]
+            s_stop = min(s_start + INNER_CHUNK, len(ids_s))
+            best.scan(r_start, r_stop, s_start, s_stop)
+            total_pairs += (r_stop - r_start) * (s_stop - s_start)
         if live is not None:
             # One update per outer block: scanned fraction of R drives
             # the bar; the k-th best-so-far is the effective cutoff.
-            live.set_results(min(int(best_d.size), k))
-            if best_d.size >= k:
-                cutoff = float(best_d.max())
+            held, cutoff = best.held()  # count, worst held distance
+            live.set_results(min(held, k))
+            if held >= k:
                 live.set_cutoffs(cutoff, cutoff)
 
     ctx.instr.real_distance_computations += total_pairs
     ctx.disk.charge_cpu(total_pairs * ctx.cost_model.cpu_real_distance)
 
-    order = np.lexsort((best_j, best_i, best_d))
     results = [
-        ResultPair(float(best_d[m]), int(ids_r[best_i[m]]), int(ids_s[best_j[m]]))
-        for m in order
+        ResultPair(distance, ids_r[i], ids_s[j]) for distance, i, j in best.ordered()
     ]
     if ctx.instr.metrics is not None:
         hist = ctx.instr.metrics.histogram("result_distance")
@@ -129,26 +119,82 @@ def nested_loop_kdj(ctx: JoinContext, k: int) -> tuple[list[ResultPair], JoinSta
     return results, stats
 
 
-def _gather(tree) -> tuple[np.ndarray, np.ndarray]:
-    """All leaf entries as (n, 4) rect array plus object ids."""
-    rects: list[tuple[float, float, float, float]] = []
-    ids: list[int] = []
-    for entry in tree.iter_leaf_entries():
-        rects.append(entry.rect.as_tuple())
-        ids.append(entry.ref)
-    if not ids:
-        return np.empty((0, 4)), np.empty(0, dtype=np.int64)
-    return np.asarray(rects), np.asarray(ids, dtype=np.int64)
+def _gather(tree) -> tuple[list, list[int]]:
+    """All leaf entries' rects and object ids, in leaf order."""
+    entries = list(tree.iter_leaf_entries())
+    return [entry.rect for entry in entries], [entry.ref for entry in entries]
 
 
-def _min_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+class _ArrayBest:
+    """The k best pairs so far, in NumPy arrays.
+
+    Each chunk's distance matrix is cut to its k smallest before it
+    joins the running best; :meth:`ordered` sorts by (distance, R
+    position, S position).
+    """
+
+    def __init__(self, rects_r, rects_s, k: int) -> None:
+        self.r = _np.asarray([rect.as_tuple() for rect in rects_r])
+        self.s = _np.asarray([rect.as_tuple() for rect in rects_s])
+        self.k = k
+        self.d = _np.empty(0)
+        self.i = self.j = _np.empty(0, dtype=_np.int64)
+
+    def scan(self, r_start: int, r_stop: int, s_start: int, s_stop: int) -> None:
+        k = self.k
+        flat = _min_distances(self.r[r_start:r_stop], self.s[s_start:s_stop]).ravel()
+        if flat.size > k:
+            keep = _np.argpartition(flat, k - 1)[:k]
+        else:
+            keep = _np.arange(flat.size)
+        width = s_stop - s_start
+        d = _np.concatenate([self.d, flat[keep]])
+        i = _np.concatenate([self.i, keep // width + r_start])
+        j = _np.concatenate([self.j, keep % width + s_start])
+        if d.size > k:
+            top = _np.argpartition(d, k - 1)[:k]
+            d, i, j = d[top], i[top], j[top]
+        self.d, self.i, self.j = d, i, j
+
+    def held(self) -> tuple[int, float]:
+        return int(self.d.size), float(self.d.max())
+
+    def ordered(self):
+        order = _np.lexsort((self.j, self.i, self.d))
+        return zip(self.d[order].tolist(), self.i[order].tolist(), self.j[order].tolist())
+
+
+class _ScalarBest:
+    """The k smallest (distance, R position, S position) triples, without NumPy."""
+
+    def __init__(self, rects_r, rects_s, k: int) -> None:
+        self.r, self.s, self.k = rects_r, rects_s, k
+        self.pairs: list[tuple[float, int, int]] = []
+
+    def scan(self, r_start: int, r_stop: int, s_start: int, s_stop: int) -> None:
+        r, s = self.r, self.s
+        chunk = (
+            (min_distance(r[i], s[j]), i, j)
+            for i in range(r_start, r_stop)
+            for j in range(s_start, s_stop)
+        )
+        self.pairs = heapq.nsmallest(self.k, itertools.chain(self.pairs, chunk))
+
+    def held(self) -> tuple[int, float]:
+        return len(self.pairs), self.pairs[-1][0]
+
+    def ordered(self):
+        return self.pairs
+
+
+def _min_distances(a, b):
     """Pairwise minimum rectangle distances, ``(len(a), len(b))``."""
     ax_min, ay_min, ax_max, ay_max = (a[:, i : i + 1] for i in range(4))
     bx_min, by_min, bx_max, by_max = (b[None, :, i] for i in range(4))
-    dx = np.maximum(np.maximum(ax_min - bx_max, bx_min - ax_max), 0.0)
-    dy = np.maximum(np.maximum(ay_min - by_max, by_min - ay_max), 0.0)
+    dx = _np.maximum(_np.maximum(ax_min - bx_max, bx_min - ax_max), 0.0)
+    dy = _np.maximum(_np.maximum(ay_min - by_max, by_min - ay_max), 0.0)
     # Mirror the scalar min_distance exactly (including its dx==0/dy==0
     # shortcuts): np.hypot rounds differently from the naive sqrt form,
     # and results must be bit-identical to the scalar engines'.
-    d = np.sqrt(dx * dx + dy * dy)
-    return np.where(dx == 0.0, dy, np.where(dy == 0.0, dx, d))
+    d = _np.sqrt(dx * dx + dy * dy)
+    return _np.where(dx == 0.0, dy, _np.where(dy == 0.0, dx, d))

@@ -37,7 +37,6 @@ from repro.core.pairs import Item
 from repro.core.stats import Instruments
 from repro.geometry.distances import min_distance
 from repro.geometry.rect import Rect
-from repro.kernels.plan_cache import SweepPlanCache, plan_key
 
 #: Signature of the pair consumer: (item_from_R, item_from_S, distance).
 EmitFn = Callable[[Item, Item, float], None]
@@ -299,9 +298,11 @@ class ExpansionRecord:
     *safe* (done with qDmax) and never needs revisiting.
 
     ``keys_r``/``keys_s`` are the child lists' sweep-order coordinates
-    and ``batch_r``/``batch_s`` the kernels backend's packed coordinate
-    arrays — both computed in stage one, so compensation batches its
-    window evaluation without re-deriving either.
+    and ``batch_r``/``batch_s`` their lazily gathered packs
+    (:class:`~repro.kernels.flat._FlatPack`; ``None`` when the backend
+    is not batched or the side did not come from the arena) — both from
+    stage one, so compensation batches its window evaluation without
+    re-deriving either.
     """
 
     a: Item
@@ -333,46 +334,6 @@ class ExpansionRecord:
 # ----------------------------------------------------------------------
 
 
-def _unpickled_lazy_pack() -> None:
-    """Stand-in for a :class:`_LazyPack` crossing a pickle boundary."""
-    return None
-
-
-class _LazyPack:
-    """Defers backend packing until a window actually needs it.
-
-    Most anchors fail the cheap min-window pre-check, and whole
-    expansions often produce no batchable window at all (tight cutoffs,
-    short child lists) — eagerly packing both sides on every expansion
-    would charge the array-building overhead for nothing.  The memoized
-    result also rides along in an :class:`ExpansionRecord`, so
-    compensation stages reuse the arrays instead of re-packing.
-    """
-
-    __slots__ = ("_kernels", "_items", "_keys", "_packed", "_done")
-
-    def __init__(self, kernels, items, keys) -> None:
-        self._kernels = kernels
-        self._items = items
-        self._keys = keys
-        self._packed = None
-        self._done = False
-
-    def get(self):
-        if not self._done:
-            self._packed = self._kernels.pack(self._items, self._keys)
-            self._done = True
-        return self._packed
-
-    def __reduce__(self):
-        # A pack cache holds a kernels backend and packed arrays — both
-        # process-local performance state, neither safely picklable.  A
-        # checkpointed ExpansionRecord therefore sheds its batch caches:
-        # it unpickles as None, and the sweeper's window evaluation falls
-        # back to the bit-identical scalar path when a batch is missing.
-        return (_unpickled_lazy_pack, ())
-
-
 class PlaneSweeper:
     """Performs (and compensates) bidirectional plane-sweep expansions.
 
@@ -389,9 +350,7 @@ class PlaneSweeper:
     backend carried by ``instr`` (see :mod:`repro.kernels`): a batched
     backend evaluates each anchor's candidate window in one call, the
     pure-Python backend keeps the scalar per-pair path.  Either way every
-    logical distance is counted and charged identically, and (axis,
-    direction) plans are memoized per node pair and cutoff bucket in a
-    :class:`~repro.kernels.plan_cache.SweepPlanCache`.
+    logical distance is counted and charged identically.
     """
 
     def __init__(
@@ -403,16 +362,11 @@ class PlaneSweeper:
     ) -> None:
         self._instr = instr
         self._kernels = instr.kernels
-        self._plans = SweepPlanCache()
-        # The run's stats snapshot exports plan-cache eviction counts;
-        # registration keeps that wiring in Instruments.fill like every
-        # other counter.
-        instr.plan_caches.append(self._plans)
         #: Optional :class:`repro.kernels.flat.FlatHotPath`.  When set,
-        #: node sides are sorted/packed once per (node, axis, direction)
-        #: out of the tree arena instead of per expansion; the fallback
-        #: object path below stays bit-identical, so mixing them (object
-        #: items, arena misses) is safe.
+        #: node sides are sorted (and, for a batched backend, packed)
+        #: once per (node, axis, direction) out of the tree arena instead
+        #: of per expansion; :meth:`_sort_side` serves everything else
+        #: with the same items, keys and tie order.
         self._flat = flat
         self.optimize_axis = optimize_axis
         self.optimize_direction = optimize_direction
@@ -484,21 +438,7 @@ class PlaneSweeper:
         )
 
     def _plan(self, a: Item, b: Item, select_cutoff: float) -> tuple[int, bool]:
-        """(axis, forward) for a pair, memoized per cutoff bucket.
-
-        A compensation stage revisiting a pair whose cutoff is still in
-        the same power-of-two bucket reuses the stored plan instead of
-        re-running the index integrator and the direction rule; a cutoff
-        that crossed a bucket boundary misses and the plan is recomputed
-        (cache-invalidation-by-key).
-        """
-        if not (self.optimize_axis or self.optimize_direction):
-            return 0, True
-        key = plan_key(a, b, select_cutoff)
-        plan = self._plans.get(key)
-        if plan is not None:
-            self._instr.count_plan_cache(hit=True)
-            return plan
+        """(axis, forward) for a pair: Sections 3.2 and 3.3, once per expansion."""
         axis = (
             choose_axis(self._instr, a.rect, b.rect, select_cutoff)
             if self.optimize_axis
@@ -507,8 +447,6 @@ class PlaneSweeper:
         forward = (
             choose_direction(a.rect, b.rect, axis) if self.optimize_direction else True
         )
-        self._instr.count_plan_cache(hit=False)
-        self._plans.put(key, (axis, forward))
         return axis, forward
 
     def compensate(
@@ -550,8 +488,9 @@ class PlaneSweeper:
                 other_keys = record.keys_r
                 other_batch = record.batch_r
             anchor = own[scan.anchor_pos]
-            anchor_end = self._end(anchor, axis, forward)
             anchor_rect = anchor.rect
+            # The anchor's far edge in sweep coordinates.
+            anchor_end = anchor_rect.hi(axis) if forward else -anchor_rect.lo(axis)
             begin = scan.start if old_real is not None else scan.resume
             old_resume = scan.resume
             n = len(other)
@@ -593,9 +532,6 @@ class PlaneSweeper:
 
     # -- internals ------------------------------------------------------
 
-    def _sorted(self, items: list[Item], axis: int, forward: bool) -> list[Item]:
-        return self._sort_side(items, axis, forward)[0]
-
     def _side(
         self, item: Item, children: list[Item], side_r: bool,
         axis: int, forward: bool
@@ -603,11 +539,11 @@ class PlaneSweeper:
         """One expansion side: sorted children, sweep keys, pack handle.
 
         The flat hot path serves node sides from its per-(node, axis,
-        direction) cache — stable argsort over arena coordinates, same
+        direction) cache — a stable sort over arena coordinates, same
         tie order and key floats as :meth:`_sort_side` — and the sort
         CPU charge is applied either way, so the simulated clock cannot
-        tell the paths apart.  Everything else (object items, arena
-        misses, no flat path) takes the per-expansion object sort.
+        tell the two apart.  Single-object sides, arena misses and
+        sweepers built without a flat path sort here, with no pack.
         """
         flat = self._flat
         if flat is not None:
@@ -616,8 +552,6 @@ class PlaneSweeper:
                 self._instr.charge_sort(len(children))
                 return cached
         sorted_items, keys = self._sort_side(children, axis, forward)
-        if self._kernels.batched:
-            return sorted_items, keys, _LazyPack(self._kernels, sorted_items, keys)
         return sorted_items, keys, None
 
     def _sort_side(
@@ -685,16 +619,6 @@ class PlaneSweeper:
         return window, wn
 
     @staticmethod
-    def _key(item: Item, axis: int, forward: bool) -> float:
-        """Sweep-order coordinate (negated for backward sweeps)."""
-        return item.rect.lo(axis) if forward else -item.rect.hi(axis)
-
-    @staticmethod
-    def _end(item: Item, axis: int, forward: bool) -> float:
-        """Far edge of the item in sweep coordinates."""
-        return item.rect.hi(axis) if forward else -item.rect.lo(axis)
-
-    @staticmethod
     def _emit_oriented(
         anchor: Item, m: Item, real: float, anchor_from_r: bool, emit: EmitFn
     ) -> None:
@@ -721,41 +645,13 @@ class PlaneSweeper:
     ) -> None:
         """Algorithm 1's PlaneSweep loop over both sorted child lists.
 
-        Two observably identical bodies, chosen by hot path.  The legacy
-        object-graph path (``flat=None``) delegates each anchor to
-        :meth:`_scan`, exactly the loop every release so far has run —
-        preserved verbatim so the fallback stays bit- and
-        performance-compatible, and so the flat/legacy benchmark
-        baseline is the real legacy code, not a detuned copy.  The flat
-        hot path runs :meth:`_scan` inlined — the sweep fires once per
-        anchor across every expansion, and at the ~2-pair average scan
-        length the call overhead (argument packing, the window
-        pre-checks, attribute reloads) dominates.  Any semantic change
-        must land in both bodies and in :meth:`_scan` (``compensate``
-        resumes through it); the three must stay observably identical.
+        Each anchor's SweepPruning scan runs inline: the sweep fires once
+        per anchor across every expansion, and at the ~2-pair average
+        scan length a per-anchor call (argument packing, the window
+        pre-checks, attribute reloads) would dominate.  :meth:`compensate`
+        resumes the recorded anchors through its own loop; the two must
+        stay observably identical.
         """
-        if self._flat is None:
-            i = j = 0
-            n_r, n_s = len(sorted_r), len(sorted_s)
-            while i < n_r and j < n_s:
-                from_r = keys_r[i] <= keys_s[j]
-                if from_r:
-                    anchor, own_pos = sorted_r[i], i
-                    start = j
-                    other, other_keys, other_batch = sorted_s, keys_s, batch_s
-                    i += 1
-                else:
-                    anchor, own_pos = sorted_s[j], j
-                    start = i
-                    other, other_keys, other_batch = sorted_r, keys_r, batch_r
-                    j += 1
-                resume = self._scan(
-                    anchor, other, other_keys, other_batch, start, axis,
-                    forward, axis_limit, real_limit, emit, from_r,
-                )
-                if anchors is not None:
-                    anchors.append(AnchorScan(from_r, own_pos, start, resume))
-            return
         i = j = 0
         n_r, n_s = len(sorted_r), len(sorted_s)
         min_window = self._kernels.min_window
@@ -809,6 +705,9 @@ class PlaneSweeper:
             stop = n
             broke = False
             for idx in range(start, n):
+                # Unclamped gap: for the nonnegative limits the engines
+                # pass, ``raw > limit`` and ``max(0, raw) > limit`` are the
+                # same test.
                 if other_keys[idx] - anchor_end > axis_lim:
                     stop = idx
                     broke = True
@@ -843,10 +742,9 @@ class PlaneSweeper:
                         emit(m, anchor, real)
                     axis_lim = axis_limit()
                     real_lim = axis_lim if same_limit else real_limit()
-            # Per-anchor flush, in :meth:`_scan`'s exact order: the
-            # simulated clock is a float accumulator, so aggregating the
-            # charges across anchors would drift from the legacy path at
-            # the ulp level.
+            # Per-anchor flush, in ``count_axis`` + ``count_real`` order:
+            # the simulated clock is a float accumulator, so aggregating
+            # the charges across anchors would drift at the ulp level.
             scanned = stop - start
             n_axis = scanned + 1 if broke else scanned
             instr.axis_distance_computations += n_axis
@@ -856,62 +754,3 @@ class PlaneSweeper:
                 charge(scanned * c_real)
             if anchors is not None:
                 anchors.append(AnchorScan(from_r, own_pos, start, stop))
-
-    def _scan(
-        self,
-        anchor: Item,
-        other: list[Item],
-        other_keys: list[float],
-        other_batch,
-        start: int,
-        axis: int,
-        forward: bool,
-        axis_limit: CutoffFn,
-        real_limit: CutoffFn,
-        emit: EmitFn,
-        anchor_from_r: bool,
-    ) -> int:
-        """SweepPruning: pair the anchor with nodes within the cutoff.
-
-        Real distances come from the batched window when the kernels
-        backend packed one (bit-identical to the scalar path).  Both
-        cutoffs are cached as floats and refreshed only after an emit —
-        exact, because only the emit callback can move them (see
-        :meth:`expand`) — so the scan stops, emits and counts exactly
-        as a per-pair re-reading sweep does.
-
-        Returns the index of the first node *not* examined (the resume
-        position for compensation), ``len(other)`` when the scan
-        exhausted the list.
-        """
-        instr = self._instr
-        anchor_end = self._end(anchor, axis, forward)
-        anchor_rect = anchor.rect
-        n = len(other)
-        axis_lim = axis_limit()
-        real_lim = real_limit()
-        window, wn = self._window(
-            other_batch, other_keys, start, n, anchor_end, anchor_rect, axis_lim
-        )
-        axis_checked = 0
-        real_done = 0
-        stop = n
-        for idx in range(start, n):
-            axis_checked += 1
-            # Unclamped gap: for the nonnegative limits the engines pass,
-            # ``raw > limit`` and ``max(0, raw) > limit`` are the same test.
-            if other_keys[idx] - anchor_end > axis_lim:
-                stop = idx
-                break
-            off = idx - start
-            real = (
-                window[off] if off < wn else min_distance(anchor_rect, other[idx].rect)
-            )
-            real_done += 1
-            if real <= real_lim:
-                self._emit_oriented(anchor, other[idx], real, anchor_from_r, emit)
-                axis_lim = axis_limit()
-                real_lim = real_limit()
-        instr.count_axis(axis_checked)
-        instr.count_real(real_done)
-        return stop

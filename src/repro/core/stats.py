@@ -181,11 +181,6 @@ class Instruments:
         self.kernels = kernels
         self.kernel_batches = 0
         self.kernel_batched_pairs = 0
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        # Sweep-plan caches register here (PlaneSweeper.__init__) so the
-        # stats snapshot can export their eviction counts.
-        self.plan_caches: list = []
         # Optional FlatHotPath (repro.kernels.flat), attached by
         # JoinContext.flat_path(): tagged batches then resolve to
         # zero-copy arena entry blocks instead of freshly packed copies.
@@ -348,13 +343,6 @@ class Instruments:
         if self.metrics is not None:
             self.metrics.histogram("kernel_batch_size").observe(float(n))
 
-    def count_plan_cache(self, hit: bool) -> None:
-        """Record a sweep-plan cache lookup."""
-        if hit:
-            self.plan_cache_hits += 1
-        else:
-            self.plan_cache_misses += 1
-
     # -- sorting --------------------------------------------------------
 
     def charge_sort(self, n: int) -> None:
@@ -397,12 +385,6 @@ class Instruments:
             # parallel workers' kernel telemetry aggregates correctly.
             stats.extra["kernels.batches"] = float(self.kernel_batches)
             stats.extra["kernels.batched_pairs"] = float(self.kernel_batched_pairs)
-        if self.plan_cache_hits or self.plan_cache_misses:
-            stats.extra["kernels.plan_cache_hits"] = float(self.plan_cache_hits)
-            stats.extra["kernels.plan_cache_misses"] = float(self.plan_cache_misses)
-        plan_evictions = sum(cache.evictions for cache in self.plan_caches)
-        if plan_evictions:
-            stats.extra["kernels.plan_cache_evictions"] = float(plan_evictions)
         if self.pack_cache_evictions:
             stats.extra["kernels.pack_cache_evictions"] = float(
                 self.pack_cache_evictions

@@ -9,6 +9,11 @@ one call instead.  Two backends implement the same kernel API:
 - :class:`~repro.kernels.python_backend.PythonKernels` — a pure-Python
   fallback that keeps the library dependency-free.
 
+Both backends sweep over the same flat tree images
+(:mod:`repro.kernels.arena`): :mod:`repro.kernels.flat` serves every
+node side from the arena, sorted with NumPy or in pure Python, and only
+a batched backend gets packed windows.
+
 Backends are *numerically interchangeable*: every kernel computes
 minimum distances as ``sqrt(dx*dx + dy*dy)`` with the same ``dx == 0`` /
 ``dy == 0`` shortcuts as the scalar
@@ -28,13 +33,9 @@ from __future__ import annotations
 
 import os
 
-from repro.kernels.plan_cache import SweepPlanCache, cutoff_bucket, plan_key
 from repro.kernels.python_backend import PythonKernels
 
 __all__ = [
-    "SweepPlanCache",
-    "cutoff_bucket",
-    "plan_key",
     "resolve_backend",
     "mindist_batch",
     "maxdist_batch",
@@ -51,7 +52,7 @@ def _numpy_available() -> bool:
             import numpy  # noqa: F401
 
             _NUMPY_AVAILABLE = True
-        except ImportError:  # pragma: no cover - image always has numpy
+        except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
             _NUMPY_AVAILABLE = False
     return _NUMPY_AVAILABLE
 

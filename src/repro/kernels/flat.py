@@ -1,19 +1,17 @@
 """Flat-arena hot path for the sequential engines.
 
-The shm workers (PR 7) already evaluate kernels over zero-copy slices of
-a flat struct-of-arrays tree image; the sequential engines still paid a
-per-expansion object walk — ``sorted()`` over the child ``Item`` list and
-four Python list comprehensions to pack the rectangles.  This module
-gives the sequential path the same flat treatment:
+The shm workers evaluate kernels over zero-copy slices of a flat
+struct-of-arrays tree image; the sequential engines sweep over the same
+images instead of walking ``Item`` objects per expansion:
 
 - :class:`FlatHotPath` — built per join over a plain-buffer
   :class:`~repro.kernels.arena.TreeArena` (views on each tree's
   memoized image, so only a tree written since the last join is
   patched), it caches each node's sorted child order per (axis,
-  direction) and gathers the packed coordinate arrays straight out of
-  the arena (one fancy-index per array), so a node re-expanded against
-  many partners sorts and packs exactly once.  Image rows are page ids,
-  so ``Item.ref`` is the node's row;
+  direction), so a node re-expanded against many partners sorts once.
+  For a batched backend it also gathers the packed coordinate arrays
+  straight out of the arena (one fancy-index per array).  Image rows
+  are page ids, so ``Item.ref`` is the node's row;
 - :class:`BatchController` — the adaptive bulk-pop width policy: stay at
   width 1 while the pruning cutoff is still moving between batches (so
   the run is exactly the unbatched run while bookkeeping is volatile),
@@ -21,12 +19,12 @@ gives the sequential path the same flat treatment:
 - :func:`resolve_batch_size` — config/env resolution for the
   ``batch_size`` knob (``0`` = adaptive).
 
-Exactness: the cached sort uses a *stable* argsort over the same keys
-``PlaneSweeper._sort_side`` computes (entry coordinates round-trip the
-arena bit-for-bit, and IEEE negation matches for backward sweeps), so
-ties break by original child index exactly like the decorate-sort the
-object path runs.  Every cache hit still charges the sort CPU cost, so
-the simulated clock and all counters are path-invariant.
+Exactness: the cached sort is a *stable* sort (NumPy's argsort, else
+Python's ``sorted``) over the keys ``PlaneSweeper._sort_side`` computes
+(entry coordinates round-trip the arena bit-for-bit, and IEEE negation
+matches for backward sweeps), so ties break by original child index
+exactly like its decorate-sort.  Every cache hit still charges the sort
+CPU cost, so the simulated clock and all counters are path-invariant.
 """
 
 from __future__ import annotations
@@ -40,9 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pairs import Item
     from repro.rtree.tree import RTree
 
-try:  # pragma: no cover - the image ships numpy; fallback is for parity
+try:  # NumPy is optional: without it sides sort in pure Python
     import numpy as _np
-except ImportError:  # pragma: no cover
+except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
     _np = None
 
 #: Upper bound of the adaptive bulk-pop width.  Past ~64 heads the heap
@@ -112,12 +110,12 @@ def _unpickled_flat_pack() -> None:
 class _FlatPack:
     """Packed coordinate arrays for one cached sorted side, gathered lazily.
 
-    Mirrors ``planesweep._LazyPack``: ``get()`` memoizes (``None`` below
-    the backend's ``min_pack``, exactly like ``kernels.pack``), and the
-    memo is shared by every expansion that hits the cache entry.  Rides
-    in ExpansionRecords; pickling sheds it (checkpoints must not carry
-    process-local arrays), unpickling as ``None`` so window evaluation
-    falls back to the bit-identical scalar path.
+    ``get()`` memoizes a :class:`~repro.kernels.numpy_backend.PackedItems`
+    (``None`` below the backend's ``min_pack``), shared by every
+    expansion that hits the cache entry.  Rides in ExpansionRecords;
+    pickling sheds it (checkpoints must not carry process-local arrays),
+    unpickling as ``None`` so window evaluation falls back to the
+    bit-identical scalar path.
     """
 
     __slots__ = ("_view", "_lo", "_hi", "_order", "_keys", "_min_pack",
@@ -176,14 +174,11 @@ class FlatHotPath:
 
     @classmethod
     def build(cls, tree_r: "RTree", tree_s: "RTree", kernels) -> "FlatHotPath | None":
-        """Arena + hot path for a join, or ``None`` when it cannot help.
+        """Arena + hot path for a join, or ``None`` for an empty dataset.
 
-        Requires NumPy (the gathers and the stable argsort are the whole
-        point) and a batched backend; empty datasets never expand a
-        node, so they skip the image cost too.
+        Serves every backend, with or without NumPy.  Empty datasets
+        never expand a node, so they skip the image cost.
         """
-        if _np is None or not getattr(kernels, "batched", False):
-            return None
         if tree_r.size == 0 or tree_s.size == 0:
             return None
         return cls(TreeArena(tree_r, tree_s, use_shm=False), kernels)
@@ -195,9 +190,10 @@ class FlatHotPath:
 
         Returns ``None`` when the item is not an arena node (object
         items never map; a stale child list is rejected by the count
-        check) — the caller falls back to the object-path sort.  The
-        result is exactly ``PlaneSweeper._sort_side`` plus the lazy
-        pack: same item objects, same stable tie order, same key floats.
+        check) — the caller falls back to ``PlaneSweeper._sort_side``.
+        The sorted list and keys are exactly that method's: same item
+        objects, same stable tie order, same key floats.  The pack is a
+        :class:`_FlatPack` for a batched backend, else ``None``.
         """
         if item.is_object:
             return None
@@ -211,19 +207,30 @@ class FlatHotPath:
             return None
         view, lo, hi = row
         if forward:
-            keys = view.exmin[lo:hi] if axis == 0 else view.eymin[lo:hi]
+            column = view.exmin if axis == 0 else view.eymin
         else:
-            keys = -(view.exmax[lo:hi] if axis == 0 else view.eymax[lo:hi])
-        # Stable argsort == decorate-sort on (key, index): ties keep the
-        # original child order, so the sorted list is byte-identical to
-        # the object path's.
-        order = _np.argsort(keys, kind="stable")
-        keys_sorted = keys[order]
-        items = children  # entry order == child order by construction
-        sorted_items = [items[i] for i in order.tolist()]
-        pack = _FlatPack(view, lo, hi, order, keys_sorted,
-                         self._kernels.min_pack)
-        entry = (sorted_items, keys_sorted.tolist(), pack)
+            column = view.exmax if axis == 0 else view.eymax
+        # A stable sort == decorate-sort on (key, index): ties keep the
+        # original child order (entry order == child order), so the
+        # sorted list is byte-identical to ``_sort_side``'s.
+        if _np is not None:
+            column = column[lo:hi] if forward else -column[lo:hi]
+            order = _np.argsort(column, kind="stable")
+            pack_order, pack_keys = order, column[order]
+            order, keys = order.tolist(), pack_keys.tolist()
+        else:
+            column = column[lo:hi].tolist()
+            if not forward:
+                column = [-value for value in column]
+            order = sorted(range(hi - lo), key=column.__getitem__)
+            keys = [column[i] for i in order]
+            pack_order, pack_keys = order, keys
+        pack = None
+        if self._kernels.batched:
+            pack = _FlatPack(
+                view, lo, hi, pack_order, pack_keys, self._kernels.min_pack
+            )
+        entry = ([children[i] for i in order], keys, pack)
         if len(self._sides) >= _SIDE_CACHE_MAX:
             self._sides.clear()
         self._sides[key] = entry

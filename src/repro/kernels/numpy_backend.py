@@ -1,9 +1,11 @@
 """NumPy kernels backend: vectorized sweep-window distance evaluation.
 
-A sorted child list is *packed* once per expansion into coordinate
-arrays (struct-of-arrays); each anchor's window — the contiguous slice
-of the other list within the current axis cutoff — is then evaluated in
-one vectorized call instead of one scalar ``min_distance`` per pair.
+A node's sorted child list is *packed* into coordinate arrays
+(struct-of-arrays) once per (node, axis, direction), gathered straight
+out of the tree arena (:class:`repro.kernels.flat.FlatHotPath`); each
+anchor's window — the contiguous slice of the other list within the
+current axis cutoff — is then evaluated in one vectorized call instead
+of one scalar ``min_distance`` per pair.
 
 Bitwise contract: distances are ``sqrt(dx*dx + dy*dy)`` with the same
 ``dx == 0`` / ``dy == 0`` shortcuts as the scalar
@@ -18,26 +20,13 @@ import numpy as np
 
 
 class PackedItems:
-    """Struct-of-arrays snapshot of one sorted child list."""
+    """Struct-of-arrays snapshot of one sorted child list and its keys."""
 
     __slots__ = ("keys", "xmin", "ymin", "xmax", "ymax")
 
-    def __init__(self, items, keys) -> None:
-        self.keys = np.asarray(keys, dtype=np.float64)
-        rects = [item.rect for item in items]
-        self.xmin = np.array([r.xmin for r in rects], dtype=np.float64)
-        self.ymin = np.array([r.ymin for r in rects], dtype=np.float64)
-        self.xmax = np.array([r.xmax for r in rects], dtype=np.float64)
-        self.ymax = np.array([r.ymax for r in rects], dtype=np.float64)
-
     @classmethod
     def from_arrays(cls, keys, xmin, ymin, xmax, ymax) -> "PackedItems":
-        """Adopt existing coordinate arrays without re-deriving them.
-
-        The flat hot path gathers a node's sorted coordinates straight
-        out of the tree arena (one fancy-index per array) — no Python
-        rect walk, no per-expansion rebuild.
-        """
+        """Adopt coordinate arrays gathered straight out of the tree arena."""
         packed = cls.__new__(cls)
         packed.keys = keys
         packed.xmin = xmin
@@ -98,12 +87,6 @@ class NumpyKernels:
     #: empirical sweep on the Figure-10 KDJ workload puts break-even
     #: near 32 pairs.
     min_window = 32
-
-    def pack(self, items, keys) -> PackedItems | None:
-        """Pack a sorted child list (with its sweep keys) for windowing."""
-        if len(items) < self.min_pack:
-            return None
-        return PackedItems(items, keys)
 
     def pack_rects(self, rects) -> PackedRects:
         """Pack a bare rect list for (repeated) ``mindist_packed`` calls."""

@@ -1,8 +1,8 @@
 """Pure-Python kernels backend.
 
 The fallback when NumPy is unavailable (or ``REPRO_KERNELS=python``).
-There is nothing to vectorize with, so :meth:`PythonKernels.pack`
-returns ``None`` and the sweeper keeps its scalar per-pair path; the
+There is nothing to vectorize with, so the backend is not ``batched``:
+the sweep gets no packs and keeps its scalar per-pair path, and the
 batch entry points are plain comprehensions over the scalar distance
 functions, which makes backend equivalence true by construction.
 """
@@ -18,8 +18,8 @@ class PythonKernels:
     """Scalar reference implementation of the kernel API."""
 
     name = "python"
-    #: Whether :meth:`pack` produces windows the sweeper can evaluate in
-    #: one call.  False here: sweeps run their scalar fallback per pair.
+    #: Whether sweeps get packed windows to evaluate in one call.  False
+    #: here: sweeps run their scalar path per pair.
     batched = False
     #: Smallest window worth batching (unused — kept for API parity).
     min_window = 0
@@ -113,7 +113,3 @@ class PythonKernels:
 
     def maxdist_batch(self, rect, rects) -> list[float]:
         return [max_distance(rect, other) for other in rects]
-
-    def pack(self, items, keys):
-        """No packed representation; the sweeper stays scalar."""
-        return None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -77,6 +78,22 @@ def assert_distances_close(got: list[float], expected: list[float]) -> None:
         assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-9), (i, a, b)
 
 
+def fingerprint(pairs, stats) -> tuple[str, str, float]:
+    """``(stream sha256, row sha256, response_time)`` of one join run.
+
+    The row is ``stats.as_row()`` without ``wall_time``: every Table-2
+    counter, and the simulated clock as an exact float.
+    """
+    stream = [(p.distance, p.ref_r, p.ref_s) for p in pairs]
+    row = stats.as_row()
+    del row["wall_time"]
+    return (
+        hashlib.sha256(repr(stream).encode()).hexdigest(),
+        hashlib.sha256(repr(sorted(row.items())).encode()).hexdigest(),
+        stats.response_time,
+    )
+
+
 @pytest.fixture
 def image_builds(monkeypatch):
     """``(tree, "build" | "patch")`` for every flat image made, in order."""
@@ -91,6 +108,24 @@ def image_builds(monkeypatch):
 
     monkeypatch.setattr(arena, "_build_image", counting)
     return calls
+
+
+@pytest.fixture
+def flat_served(monkeypatch):
+    """Node sides the flat body sorted (``FlatHotPath.sorted_side`` hits)."""
+    from repro.kernels.flat import FlatHotPath
+
+    served = []
+    real = FlatHotPath.sorted_side
+
+    def counting(self, *args):
+        side = real(self, *args)
+        if side is not None:
+            served.append(side)
+        return side
+
+    monkeypatch.setattr(FlatHotPath, "sorted_side", counting)
+    return served
 
 
 @pytest.fixture(scope="session")

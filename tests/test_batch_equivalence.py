@@ -1,11 +1,13 @@
 """Bulk-pop batched expansion is invisible in results and counters.
 
-The flat hot path and the batched expansion loop are pure mechanics: at
-any batch width (adaptive or fixed), with or without the arena-backed
-flat path, every exact engine must produce the byte-identical result
-stream and the same paper counters as single-pop execution.  The
-checkpoint cases pin the drain-at-barrier property: a checkpoint taken
-while batching was active resumes into the identical remaining stream.
+The batched expansion loop is pure mechanics: at any batch width
+(adaptive or fixed) every exact engine must produce the byte-identical
+result stream and the same paper counters as single-pop execution.
+SJ-SORT and the within-distance join must sweep on the arena-backed
+flat body and reproduce the recorded output of the object-graph body it
+replaced.  The checkpoint cases pin the drain-at-barrier property: a
+checkpoint taken while batching was active resumes into the identical
+remaining stream.
 """
 
 import random
@@ -13,22 +15,22 @@ import random
 import pytest
 
 from repro import JoinConfig, JoinRunner, Rect, RTree, within_distance_join
-from repro.kernels.flat import BatchController, FlatHotPath, resolve_batch_size
+from repro.kernels.flat import BatchController, resolve_batch_size
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.errors import JoinInterrupted
 from repro.resilience.recovery import load_checkpoint
 
+from tests.conftest import brute_force_within, fingerprint
+
 EXACT_KDJ = ["hs", "bkdj", "amkdj"]
 IDJ = ["amidj", "hs"]
 
-# Baseline: no flat path, strict single pops — the code path every
-# previous release ran.
-BASELINE = dict(flat=False, batch_size=1)
+# Baseline: strict single pops.
+BASELINE = dict(batch_size=1)
 VARIANTS = {
     "adaptive": dict(batch_size=0),
     "fixed16": dict(batch_size=16),
     "fixed3": dict(batch_size=3),
-    "noflat-adaptive": dict(flat=False, batch_size=0),
 }
 
 
@@ -79,7 +81,7 @@ def assert_rows_match(ref_row, row, *, skip=("wall_time",)):
 
 
 # ----------------------------------------------------------------------
-# k-distance joins: every width, every flat setting, same everything
+# k-distance joins: every width, same everything
 # ----------------------------------------------------------------------
 
 
@@ -120,14 +122,40 @@ def test_env_batch_matches_explicit(seeded_trees, monkeypatch):
 # SJ-SORT and the within-distance join: flat body == object-graph body
 # ----------------------------------------------------------------------
 
-#: The flat body needs a batched backend; the suite also runs under
-#: ``REPRO_KERNELS=python``.
-SWEEP_FLAT = dict(kernels="numpy")
-SWEEP_OBJECT_GRAPH = dict(kernels="numpy", flat=False)
+#: Fingerprints (see ``tests.conftest.fingerprint``) of the object-graph
+#: sweep body's runs, which the flat body must reproduce bit for bit:
+#: stream, Table-2 row and simulated clock.  Recorded with both bodies
+#: and both kernel backends agreeing.
+OBJECT_GRAPH = {
+    ("sjsort", 5): (
+        "ceaceba70c44e373432b9ef0b73c6cc5ec8fb952e1a79375677c1426db790fd1",
+        "6898239bc1bce81ad8ea36d1e5d1fb594169c1254a03e3974811c6ae96393b9c",
+        0.6018369539504211,
+    ),
+    ("sjsort", 17): (
+        "dd7198ec7d6584aac801c80f6c9ace80af4e123254ab7a9f17238d57d642c224",
+        "28ea09ff6a5806359529a24eadd2bbb538e2e28b7d78121d96c5e92361b2d243",
+        0.601391655101493,
+    ),
+    ("sjsort", "touching"): (
+        "9399419d2d8efef9734a764ae4d12c5775313a8fdbaf2be82f9c998382db3669",
+        "fc8af9c7e87663cf5561e8164772e4b6a8ae3a4e43601be5e8d7560ce90cd7aa",
+        0.6032074800797541,
+    ),
+    ("within", 0.0): (
+        "9399419d2d8efef9734a764ae4d12c5775313a8fdbaf2be82f9c998382db3669",
+        "705c735010fae16b85a3ea4850febcad0ea60c26c89fcb063dde1673962ebe59",
+        0.6020454184992142,
+    ),
+    ("within", 6.0): (
+        "326404b44928e48cb79c1660072b95eefe30a2c3bf5f38987e156ceb9a2d62ca",
+        "6102c5c4979ce8b67028182c2a3a6a8f172b5a337a2d47644c3dbd0800aebead",
+        0.61235095137987,
+    ),
+}
 
 
-@pytest.fixture(scope="module")
-def touching_trees():
+def touching_items():
     """Rects on a coarse grid: hundreds of pairs touch or overlap."""
     rng = random.Random(31)
     sides = []
@@ -137,70 +165,51 @@ def touching_trees():
             x, y = rng.randrange(0, 60) * 2.5, rng.randrange(0, 60) * 2.5
             w, h = rng.randrange(0, 3) * 2.5, rng.randrange(0, 3) * 2.5
             items.append((Rect(x, y, x + w, y + h), i))
-        sides.append(RTree.bulk_load(items, max_entries=16))
+        sides.append(items)
     return tuple(sides)
 
 
-@pytest.fixture
-def flat_served(monkeypatch):
-    """Node sides the flat body sorted (``FlatHotPath.sorted_side`` hits)."""
-    pytest.importorskip("numpy")
-    served = []
-    real = FlatHotPath.sorted_side
-
-    def counting(self, *args):
-        side = real(self, *args)
-        if side is not None:
-            served.append(side)
-        return side
-
-    monkeypatch.setattr(FlatHotPath, "sorted_side", counting)
-    return served
+@pytest.fixture(scope="module")
+def touching_trees():
+    return tuple(
+        RTree.bulk_load(items, max_entries=16) for items in touching_items()
+    )
 
 
-def assert_same_run(got, ref):
-    """Same stream, same counters, and the simulated clock bit for bit."""
-    assert stream(got) == stream(ref)
-    want, have = ref.stats.as_row(), got.stats.as_row()
-    del want["wall_time"], have["wall_time"]
-    assert have == want
-    assert (got.stats.io_time, got.stats.cpu_time) == (ref.stats.io_time, ref.stats.cpu_time)
+def pairs(result):
+    return {(p.ref_r, p.ref_s) for p in result.results}
 
 
-def sjsort_flat_and_object_graph(trees, k, dmax, served):
-    ref = JoinRunner(*trees, JoinConfig(**SWEEP_OBJECT_GRAPH)).kdj(k, "sjsort", dmax)
-    assert not served
-    got = JoinRunner(*trees, JoinConfig(**SWEEP_FLAT)).kdj(k, "sjsort", dmax)
-    assert served, "SJ-SORT did not sweep on the flat body"
-    return got, ref
-
-
-def test_sjsort_flat_equals_object_graph_at_oracle_dmax(seeded_trees, flat_served):
-    dmax = JoinRunner(*seeded_trees).true_dmax(60)
+def test_sjsort_flat_equals_object_graph_at_oracle_dmax(
+    request, seeded_trees, flat_served
+):
+    seed = request.node.callspec.params["seeded_trees"]
+    oracle = JoinRunner(*seeded_trees).kdj(60, "nlj")
+    dmax = oracle.results[-1].distance
     assert dmax > 0.0
-    flat_served.clear()
-    got, ref = sjsort_flat_and_object_graph(seeded_trees, 60, dmax, flat_served)
-    assert len(got) == 60
-    assert_same_run(got, ref)
+    got = JoinRunner(*seeded_trees).kdj(60, "sjsort", dmax)
+    assert flat_served, "SJ-SORT did not sweep on the flat body"
+    assert got.distances == oracle.distances
+    assert fingerprint(got.results, got.stats) == OBJECT_GRAPH["sjsort", seed]
 
 
 def test_sjsort_flat_equals_object_graph_over_touching_pairs(
     touching_trees, flat_served
 ):
-    got, ref = sjsort_flat_and_object_graph(touching_trees, 10_000, 0.0, flat_served)
+    got = JoinRunner(*touching_trees).kdj(10_000, "sjsort", 0.0)
+    assert flat_served, "SJ-SORT did not sweep on the flat body"
     assert len(got) > 100
-    assert {p.distance for p in got.results} == {0.0}
-    assert_same_run(got, ref)
+    assert pairs(got) == brute_force_within(*touching_items(), 0.0)
+    assert fingerprint(got.results, got.stats) == OBJECT_GRAPH["sjsort", "touching"]
 
 
 @pytest.mark.parametrize("dmax", [0.0, 6.0])
 def test_within_join_flat_equals_object_graph(touching_trees, flat_served, dmax):
-    ref = within_distance_join(*touching_trees, dmax, JoinConfig(**SWEEP_OBJECT_GRAPH))
-    assert not flat_served
-    got = within_distance_join(*touching_trees, dmax, JoinConfig(**SWEEP_FLAT))
+    got = within_distance_join(*touching_trees, dmax)
     assert flat_served, "the within-join did not sweep on the flat body"
     assert len(got) > 100
-    assert_same_run(got, ref)
+    assert pairs(got) == brute_force_within(*touching_items(), dmax)
+    assert fingerprint(got.results, got.stats) == OBJECT_GRAPH["within", dmax]
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,22 @@
-"""Tests for the batched distance kernels and the sweep-plan cache."""
+"""Tests for the batched distance kernels.
+
+Tests of the NumPy backend itself skip when NumPy is not importable; the
+rest run under the pure-Python backend alone.
+"""
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.api import JoinConfig, JoinRunner
-from repro.core.pairs import Item
-from repro.core.planesweep import PlaneSweeper, static_cutoff
 from repro.core.stats import Instruments
 from repro.datagen.tiger import synthetic_tiger
 from repro.geometry.distances import max_distance, min_distance
 from repro.geometry.rect import Rect
-from repro.kernels import cutoff_bucket, maxdist_batch, mindist_batch, resolve_backend
-from repro.kernels.numpy_backend import NumpyKernels
+from repro.kernels import maxdist_batch, mindist_batch, resolve_backend
+from repro.kernels.flat import _FlatPack
 from repro.kernels.python_backend import PythonKernels
 from repro.rtree.tree import RTree, TreeAccessor
 from repro.storage.disk import SimulatedDisk
@@ -36,6 +39,35 @@ def random_rects(rng: random.Random, n: int) -> list[Rect]:
     return out
 
 
+@pytest.fixture
+def needs_numpy():
+    pytest.importorskip("numpy")
+
+
+def numpy_kernels():
+    from repro.kernels.numpy_backend import NumpyKernels
+
+    return NumpyKernels()
+
+
+def packed_items(items):
+    """Struct-of-arrays pack of ``(rect, key)`` pairs, in list order."""
+    import numpy as np
+
+    from repro.kernels.numpy_backend import PackedItems
+
+    def column(values):
+        return np.array(values, dtype=np.float64)
+
+    return PackedItems.from_arrays(
+        column([key for _, key in items]),
+        column([rect.xmin for rect, _ in items]),
+        column([rect.ymin for rect, _ in items]),
+        column([rect.xmax for rect, _ in items]),
+        column([rect.ymax for rect, _ in items]),
+    )
+
+
 def make_instruments(kernels=None) -> Instruments:
     disk = SimulatedDisk()
     dummy = RTree.bulk_load([(Rect(0, 0, 1, 1), 0)])
@@ -49,24 +81,29 @@ def make_instruments(kernels=None) -> Instruments:
 
 
 class TestResolution:
+    @pytest.mark.usefixtures("needs_numpy")
     def test_explicit_names(self):
         assert resolve_backend("python").name == "python"
         assert resolve_backend("numpy").name == "numpy"
 
+    @pytest.mark.usefixtures("needs_numpy")
     def test_singletons(self):
         assert resolve_backend("python") is resolve_backend("python")
         assert resolve_backend("numpy") is resolve_backend("numpy")
 
+    @pytest.mark.usefixtures("needs_numpy")
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "python")
         assert resolve_backend().name == "python"
         monkeypatch.setenv("REPRO_KERNELS", "numpy")
         assert resolve_backend().name == "numpy"
 
+    @pytest.mark.usefixtures("needs_numpy")
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "python")
         assert resolve_backend("numpy").name == "numpy"
 
+    @pytest.mark.usefixtures("needs_numpy")
     def test_default_prefers_numpy(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNELS", raising=False)
         assert resolve_backend().name == "numpy"  # numpy ships in the test env
@@ -95,22 +132,24 @@ class TestResolution:
 
 
 class TestBitwiseEquivalence:
+    @pytest.mark.usefixtures("needs_numpy")
     def test_mindist_batch_1k_pairs(self):
         rng = random.Random(12345)
         anchors = random_rects(rng, 50)
         others = random_rects(rng, 1000)
-        py, np_ = PythonKernels(), NumpyKernels()
+        py, np_ = PythonKernels(), numpy_kernels()
         for anchor in anchors:
             a = py.mindist_batch(anchor, others)
             b = np_.mindist_batch(anchor, others)
             assert a == b  # exact float equality, not isclose
             assert all(isinstance(v, float) for v in b)
 
+    @pytest.mark.usefixtures("needs_numpy")
     def test_maxdist_batch_1k_pairs(self):
         rng = random.Random(54321)
         anchor = random_rects(rng, 1)[0]
         others = random_rects(rng, 1000)
-        assert PythonKernels().maxdist_batch(anchor, others) == NumpyKernels().maxdist_batch(anchor, others)
+        assert PythonKernels().maxdist_batch(anchor, others) == numpy_kernels().maxdist_batch(anchor, others)
 
     def test_batches_match_scalar_functions(self):
         rng = random.Random(7)
@@ -119,31 +158,46 @@ class TestBitwiseEquivalence:
         assert mindist_batch(anchor, others) == [min_distance(anchor, o) for o in others]
         assert maxdist_batch(anchor, others) == [max_distance(anchor, o) for o in others]
 
+    @pytest.mark.usefixtures("needs_numpy")
     def test_window_mindist_matches_scalar(self):
         rng = random.Random(99)
-        items = [Item.object(r, i) for i, r in enumerate(random_rects(rng, 64))]
-        keys = sorted(r.rect.xmin for r in items)
-        items.sort(key=lambda it: it.rect.xmin)
-        backend = NumpyKernels()
-        packed = backend.pack(items, keys)
+        rects = sorted(random_rects(rng, 64), key=lambda r: r.xmin)
+        backend = numpy_kernels()
+        packed = packed_items([(r, r.xmin) for r in rects])
         anchor = random_rects(rng, 1)[0]
         got = backend.window_mindist(packed, 5, 40, anchor)
-        assert got == [min_distance(anchor, it.rect) for it in items[5:40]]
+        assert got == [min_distance(anchor, r) for r in rects[5:40]]
 
+    @pytest.mark.usefixtures("needs_numpy")
     def test_window_stop_is_upper_bound(self):
-        backend = NumpyKernels()
-        items = [Item.object(Rect.from_point(float(i), 0.0), i) for i in range(32)]
-        packed = backend.pack(items, [float(i) for i in range(32)])
+        backend = numpy_kernels()
+        packed = packed_items(
+            [(Rect.from_point(float(i), 0.0), float(i)) for i in range(32)]
+        )
         assert backend.window_stop(packed, 10.5) == 11
         assert backend.window_stop(packed, 10.0) == 11  # side="right": key == hi kept
         assert backend.window_stop(packed, -1.0) == 0
         assert backend.window_stop(packed, math.inf) == 32
 
+    @pytest.mark.usefixtures("needs_numpy")
     def test_small_lists_are_not_packed(self):
-        backend = NumpyKernels()
-        items = [Item.object(Rect.from_point(0.0, 0.0), 0)]
-        assert backend.pack(items, [0.0]) is None
-        assert PythonKernels().pack(items, [0.0]) is None
+        import numpy as np
+
+        min_pack = numpy_kernels().min_pack
+        coords = np.arange(64, dtype=np.float64)
+        view = SimpleNamespace(
+            exmin=coords, eymin=coords, exmax=coords + 1.0, eymax=coords + 1.0
+        )
+        for n in (1, min_pack - 1, min_pack):
+            order = np.arange(n)[::-1]
+            pack = _FlatPack(view, 0, n, order, coords[:n][order], min_pack)
+            packed = pack.get()
+            if n < min_pack:
+                assert packed is None, n
+            else:
+                # Gathered in sorted-side order, straight from the view.
+                assert packed.xmin.tolist() == coords[:n][::-1].tolist()
+            assert pack.get() is packed  # memoized
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +212,7 @@ def small_trees():
 
 
 class TestEngineEquivalence:
+    @pytest.mark.usefixtures("needs_numpy")
     @pytest.mark.parametrize("algorithm", ["hs", "bkdj", "amkdj", "sjsort"])
     def test_identical_results_and_costs(self, small_trees, algorithm):
         tree_r, tree_s = small_trees
@@ -178,6 +233,7 @@ class TestEngineEquivalence:
         ):
             assert getattr(py.stats, field) == getattr(np_.stats, field), field
 
+    @pytest.mark.usefixtures("needs_numpy")
     def test_incremental_stream_identical(self, small_trees):
         tree_r, tree_s = small_trees
         batches = {}
@@ -187,6 +243,7 @@ class TestEngineEquivalence:
             stream.close()
         assert batches["python"] == batches["numpy"]
 
+    @pytest.mark.usefixtures("needs_numpy")
     def test_numpy_backend_reports_batches(self, small_trees):
         tree_r, tree_s = small_trees
         stats = JoinRunner(tree_r, tree_s, JoinConfig(kernels="numpy")).kdj(400, "bkdj").stats
@@ -198,6 +255,7 @@ class TestEngineEquivalence:
         stats = JoinRunner(tree_r, tree_s, JoinConfig(kernels="python")).kdj(400, "bkdj").stats
         assert "kernels.batches" not in stats.extra
 
+    @pytest.mark.usefixtures("needs_numpy")
     def test_batch_size_histogram_when_metrics_on(self, small_trees):
         tree_r, tree_s = small_trees
         stats = JoinRunner(
@@ -209,73 +267,6 @@ class TestEngineEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Sweep-plan cache
-# ----------------------------------------------------------------------
-
-
-class TestPlanCache:
-    def test_cutoff_bucket_powers_of_two(self):
-        assert cutoff_bucket(1.0) == cutoff_bucket(1.9)
-        assert cutoff_bucket(1.0) != cutoff_bucket(2.5)
-        assert cutoff_bucket(0.0) == cutoff_bucket(-3.0)
-        assert cutoff_bucket(math.inf) != cutoff_bucket(1e300)
-
-    def _expand(self, sweeper, cutoff):
-        a = Item.node(Rect(0, 0, 10, 10), 1, 1)
-        b = Item.node(Rect(12, 0, 22, 10), 2, 1)
-        items_r = [Item.object(Rect.from_point(float(i), float(i % 3)), i) for i in range(10)]
-        items_s = [Item.object(Rect.from_point(12.0 + i, float(i % 3)), i) for i in range(10)]
-        sweeper.expand(
-            a, b, items_r, items_s,
-            axis_limit=static_cutoff(cutoff), real_limit=static_cutoff(cutoff),
-            emit=lambda *_: None,
-        )
-
-    def test_same_bucket_hits(self):
-        instr = make_instruments()
-        sweeper = PlaneSweeper(instr)
-        self._expand(sweeper, 5.0)
-        assert (instr.plan_cache_hits, instr.plan_cache_misses) == (0, 1)
-        self._expand(sweeper, 5.5)  # same pair, same power-of-two bucket
-        assert (instr.plan_cache_hits, instr.plan_cache_misses) == (1, 1)
-
-    def test_bucket_change_invalidates(self):
-        instr = make_instruments()
-        sweeper = PlaneSweeper(instr)
-        self._expand(sweeper, 5.0)
-        self._expand(sweeper, 2.0)  # cutoff crossed a bucket boundary
-        assert (instr.plan_cache_hits, instr.plan_cache_misses) == (0, 2)
-        self._expand(sweeper, 2.2)  # back in the new bucket
-        assert (instr.plan_cache_hits, instr.plan_cache_misses) == (1, 2)
-
-    def test_cache_hit_skips_choose_axis_charge(self):
-        instr = make_instruments()
-        sweeper = PlaneSweeper(instr)
-        self._expand(sweeper, 5.0)
-        clock_after_miss = instr.disk.cpu_time
-        instr2 = make_instruments()
-        sweeper2 = PlaneSweeper(instr2)
-        self._expand(sweeper2, 5.0)
-        self._expand(sweeper2, 5.0)
-        # Second (cached) expansion charges sweep work but not the axis
-        # integrator, so it is strictly cheaper than two cold expansions.
-        assert instr2.disk.cpu_time < 2 * clock_after_miss
-
-    def test_disabled_optimizations_bypass_cache(self):
-        instr = make_instruments()
-        sweeper = PlaneSweeper(instr, optimize_axis=False, optimize_direction=False)
-        self._expand(sweeper, 5.0)
-        self._expand(sweeper, 5.0)
-        assert (instr.plan_cache_hits, instr.plan_cache_misses) == (0, 0)
-
-    def test_fresh_sweeper_fresh_cache(self):
-        instr = make_instruments()
-        self._expand(PlaneSweeper(instr), 5.0)
-        self._expand(PlaneSweeper(instr), 5.0)  # new sweeper: no carry-over
-        assert (instr.plan_cache_hits, instr.plan_cache_misses) == (0, 2)
-
-
-# ----------------------------------------------------------------------
 # Cost-model invariance of the counted batch entry point
 # ----------------------------------------------------------------------
 
@@ -283,6 +274,8 @@ class TestPlanCache:
 class TestCountedBatches:
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_mindist_batch_counts_and_charges(self, backend):
+        if backend == "numpy":
+            pytest.importorskip("numpy")
         instr = make_instruments(kernels=backend)
         rng = random.Random(3)
         anchor = random_rects(rng, 1)[0]
@@ -295,6 +288,7 @@ class TestCountedBatches:
             charged, 100 * instr.disk.cost_model.cpu_real_distance, rel_tol=1e-12
         )
 
+    @pytest.mark.usefixtures("needs_numpy")
     def test_scalar_and_batch_charge_identically(self):
         rng = random.Random(4)
         anchor = random_rects(rng, 1)[0]

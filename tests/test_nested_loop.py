@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from repro.core import nested_loop
 from repro.core.api import JoinConfig, JoinRunner
+from repro.geometry.distances import min_distance
 from repro.rtree.tree import RTree
 
 from tests.conftest import (
@@ -66,3 +68,29 @@ def test_agreement_with_index_algorithms(runner_and_items):
     nlj = runner.kdj(300, "nlj").distances
     amkdj = runner.kdj(300, "amkdj").distances
     assert all(math.isclose(a, b, abs_tol=1e-9) for a, b in zip(nlj, amkdj))
+
+
+@pytest.mark.parametrize("k", [1, 13, 400, 5000])
+def test_scan_without_numpy_matches_brute_force(runner_and_items, monkeypatch, k):
+    # Without NumPy the same block scan runs the scalar distance and
+    # keeps the k smallest by (distance, R position, S position), with
+    # the same charges as the vectorized scan.
+    runner, items_r, items_s = runner_and_items
+    reference = runner.kdj(k, "nlj")
+    monkeypatch.setattr(nested_loop, "_np", None)
+    scalar = runner.kdj(k, "nlj")
+    assert scalar.distances == brute_force_distances(items_r, items_s, k)
+    leaves_r = list(runner.tree_r.iter_leaf_entries())
+    leaves_s = list(runner.tree_s.iter_leaf_entries())
+    keyed = sorted(
+        (min_distance(a.rect, b.rect), i, j)
+        for i, a in enumerate(leaves_r)
+        for j, b in enumerate(leaves_s)
+    )[:k]
+    assert [(p.distance, p.ref_r, p.ref_s) for p in scalar.results] == [
+        (d, leaves_r[i].ref, leaves_s[j].ref) for d, i, j in keyed
+    ]
+    want, got = reference.stats.as_row(), scalar.stats.as_row()
+    del want["wall_time"], got["wall_time"]
+    assert got == want
+    assert scalar.stats.extra["outer_passes"] == reference.stats.extra["outer_passes"]

@@ -379,12 +379,12 @@ class TestMutatedTree:
                 Rect.from_point(rng.uniform(0, 1000), rng.uniform(0, 1000)), oid
             )
         del image_builds[:]
-        # flat=False: the sequential reference builds no arena, so every
-        # image below is the parallel run's.
-        seq = JoinRunner(tree_r, tree_s, JoinConfig(flat=False)).kdj(300, "amkdj")
         config = JoinConfig(parallel=2, parallel_mode=mode)
         result = parallel_kdj(tree_r, tree_s, 300, config=config)
-        assert _stream(result) == _stream(seq)
         assert image_builds == [(tree_s, "patch")]
+        # The sequential reference reuses the patched image.
+        seq = JoinRunner(tree_r, tree_s).kdj(300, "amkdj")
+        assert image_builds == [(tree_s, "patch")]
+        assert _stream(result) == _stream(seq)
         assert tree_image(tree_r) is image_r
         assert active_segments() == []

@@ -27,14 +27,8 @@ from repro.kernels.arena import TreeArena, tree_image
 from repro.resilience import StaleStreamError
 from repro.rtree import FileRTree
 
-pytest.importorskip("numpy")
-
 #: Engines the flat path serves; ``nlj`` is the brute-force oracle.
 FLAT_KDJ = ("amkdj", "bkdj", "hs", "sjsort")
-#: Explicit NumPy kernels: the flat path needs a batched backend, and
-#: the suite also runs under ``REPRO_KERNELS=python``.
-FLAT = dict(kernels="numpy")
-NO_FLAT = dict(kernels="numpy", flat=False)
 
 
 def quantized_rects(n, seed):
@@ -72,7 +66,9 @@ def assert_matches_oracle(result, oracle, live_r, live_s):
 # ----------------------------------------------------------------------
 
 
-def test_flat_joins_follow_writes_and_patch_only_the_written_tree(image_builds):
+def test_flat_joins_follow_writes_and_patch_only_the_written_tree(
+    image_builds, tmp_path
+):
     items_r = quantized_rects(400, seed=61)
     items_s = quantized_rects(300, seed=62)
     tree_r = RTree.bulk_load(items_r, max_entries=16)
@@ -90,15 +86,9 @@ def test_flat_joins_follow_writes_and_patch_only_the_written_tree(image_builds):
                 live_s[oid] = Rect(x, y, x, y)
                 tree_s.insert(live_s[oid], oid)
         del image_builds[:]
-        runner = JoinRunner(tree_r, tree_s, JoinConfig(**FLAT))
-        baseline = JoinRunner(tree_r, tree_s, JoinConfig(**NO_FLAT))
-        oracle = baseline.kdj(120, "nlj")
-        for algorithm in FLAT_KDJ:
-            flat = runner.kdj(120, algorithm)
-            ref = baseline.kdj(120, algorithm)
-            assert stream(flat) == stream(ref), (step, algorithm)
-            assert row(flat) == row(ref), (step, algorithm)
-            assert_matches_oracle(flat, oracle, live_r, live_s)
+        runner = JoinRunner(tree_r, tree_s)
+        oracle = runner.kdj(120, "nlj")
+        results = {algorithm: runner.kdj(120, algorithm) for algorithm in FLAT_KDJ}
         if step:
             # The first join after the writes patches S once; the other
             # joins reuse that image, and R's image object is reused.
@@ -107,6 +97,18 @@ def test_flat_joins_follow_writes_and_patch_only_the_written_tree(image_builds):
         else:
             assert image_builds == [(tree_r, "build"), (tree_s, "build")]
             image_r = tree_image(tree_r)
+        # Reference: the written trees saved and loaded back, so each
+        # copy gets a full image build and an empty child-list memo.
+        tree_r.save(tmp_path / "r.rt")
+        tree_s.save(tmp_path / "s.rt")
+        copies = RTree.load(tmp_path / "r.rt"), RTree.load(tmp_path / "s.rt")
+        baseline = JoinRunner(*copies)
+        for algorithm, got in results.items():
+            ref = baseline.kdj(120, algorithm)
+            assert stream(got) == stream(ref), (step, algorithm)
+            assert row(got) == row(ref), (step, algorithm)
+            assert_matches_oracle(got, oracle, live_r, live_s)
+        assert image_builds[-2:] == [(copies[0], "build"), (copies[1], "build")]
 
 
 def test_self_join_arena_builds_once_and_patches_once(image_builds):
@@ -148,7 +150,7 @@ def test_arena_opened_before_a_write_keeps_its_version():
         moved = Rect(1002.5, 1002.5, 1002.5, 1002.5)
         tree.insert(moved, oid)
         assert bytes(view._mv) == before
-        result = JoinRunner(tree, tree, JoinConfig(**FLAT)).kdj(30, "amkdj")
+        result = JoinRunner(tree, tree).kdj(30, "amkdj")
         assert len(result) == 30
         assert bytes(view._mv) == before
         assert view.entry_rect(slot) == rect
@@ -185,7 +187,7 @@ def test_dropped_tree_frees_its_image():
     gc.collect()
     before = len(arena_mod._IMAGES)
     tree = RTree.bulk_load(quantized_rects(200, seed=66), max_entries=8)
-    result = JoinRunner(tree, tree, JoinConfig(**FLAT)).kdj(20, "amkdj")
+    result = JoinRunner(tree, tree).kdj(20, "amkdj")
     assert len(result) == 20
     assert len(arena_mod._IMAGES) == before + 1
     alive = weakref.ref(tree)

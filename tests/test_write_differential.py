@@ -24,10 +24,12 @@ from repro.geometry.distances import min_distance
 
 from tests.conftest import seed_budget
 
-# The nlj oracle runs on NumPy.
-pytest.importorskip("numpy")
-
-BACKENDS = ("python", "numpy")
+try:  # the NumPy backend runs only where NumPy imports
+    import numpy  # noqa: F401
+except ImportError:
+    BACKENDS = ("python",)
+else:
+    BACKENDS = ("python", "numpy")
 STEPS = 6
 
 

@@ -30,11 +30,7 @@ from repro.core.api import (
 )
 from repro.core.pairs import ResultPair
 from repro.core.variants import all_nearest_neighbors, within_distance_join
-from repro.parallel.engine import (
-    ParallelIncrementalJoin,
-    parallel_incremental_join,
-    parallel_kdj,
-)
+from repro.parallel.engine import parallel_kdj
 from repro.core.stats import JoinStats
 from repro.geometry.rect import Rect
 from repro.resilience import (
@@ -43,7 +39,6 @@ from repro.resilience import (
     FaultSpec,
     FaultSpecError,
     JoinDeadlineExceeded,
-    PartitionFailedError,
     ReproError,
     SpillCorruptionError,
     SpillError,
@@ -65,12 +60,9 @@ __all__ = [
     "JoinResult",
     "JoinRunner",
     "JoinStats",
-    "PartitionFailedError",
     "ReproError",
     "SpillCorruptionError",
     "SpillError",
-    "ParallelIncrementalJoin",
-    "parallel_incremental_join",
     "parallel_kdj",
     "Rect",
     "ResultPair",

@@ -34,6 +34,7 @@ import pathlib
 import sys
 
 from repro import JoinConfig, JoinRunner, RTree
+from repro.core.api import PARALLEL_MODES
 from repro.datagen.tiger import synthetic_tiger
 from repro.resilience.errors import JoinInterrupted, ReproError
 from repro.resilience.faults import FaultPlan
@@ -85,8 +86,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
         collect_metrics=args.json,
         deadline_s=args.deadline,
         worker_timeout_s=args.worker_timeout,
-        worker_retries=args.worker_retries,
-        retry_backoff_s=args.retry_backoff,
         fault_plan=fault_plan,
         status_path=args.status_file,
         status_interval_s=args.status_interval,
@@ -213,13 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--show", type=int, default=20,
                       help="result rows to print")
     join.add_argument("--parallel", type=int, default=1,
-                      help="worker count for the partitioned engine")
-    join.add_argument("--parallel-mode", default="process",
-                      choices=["process", "thread", "serial",
-                               "shm-process", "shm-thread", "shm-serial"],
-                      help="parallel executor: tiled partitions "
-                           "(process/thread/serial) or the zero-copy "
-                           "shared-memory work-stealing engine (shm-*)")
+                      help="worker count of the parallel engine; N > 1 "
+                           "runs amkdj on it, the other algorithms run "
+                           "sequentially")
+    join.add_argument("--parallel-mode", default="shm-process",
+                      choices=list(PARALLEL_MODES),
+                      help="where the parallel engine's workers run: "
+                           "processes on a shared-memory arena "
+                           "(shm-process, default), threads (shm-thread) "
+                           "or the calling thread (shm-serial)")
     join.add_argument("--spill-dir", metavar="DIR", default=None,
                       help="directory for real main-queue spill files "
                            "(default: simulated spill only)")
@@ -228,14 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "aborts the join with exit code 75")
     join.add_argument("--worker-timeout", type=float, default=None,
                       metavar="SECONDS",
-                      help="per-partition-worker timeout for the parallel "
-                           "engine (default: no timeout)")
-    join.add_argument("--worker-retries", type=int, default=2,
-                      help="retries per failed partition worker before "
-                           "degrading to in-process execution (default 2)")
-    join.add_argument("--retry-backoff", type=float, default=0.05,
-                      metavar="SECONDS",
-                      help="base delay of the exponential retry backoff")
+                      help="how long a parallel worker may stay silent or "
+                           "take to start before its tasks go to the "
+                           "survivors (default: no timeout)")
     join.add_argument("--inject-faults", metavar="SPEC", default=None,
                       help="deterministic fault injection, e.g. "
                            "'worker_crash:@1,seed=7' or 'spill_write:@0' "

@@ -46,6 +46,8 @@ from repro.storage.cost import (
 
 KDJ_ALGORITHMS = ("hs", "bkdj", "amkdj", "sjsort", "nlj")
 IDJ_ALGORITHMS = ("hs", "amidj")
+#: Where the parallel engine's workers run (``JoinConfig.parallel_mode``).
+PARALLEL_MODES = ("shm-process", "shm-thread", "shm-serial")
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,12 +70,14 @@ class JoinConfig:
     ``REPRO_BATCH`` then adaptive); like the kernel backend, it changes
     wall-clock time only.
 
-    ``parallel`` switches k-distance joins to the partitioned parallel
-    engine (:mod:`repro.parallel`) with that many workers;
-    ``parallel_mode`` picks the executor (``"process"`` for CPU-bound
-    sweeps, ``"thread"`` for simulated-I/O runs, ``"serial"`` for
-    deterministic in-process debugging) and ``parallel_partitions``
-    overrides the number of space tiles (default: two per worker).
+    ``parallel`` (N > 1) runs AM-KDJ on the parallel engine
+    (:mod:`repro.parallel`) with N workers; the other k-distance joins
+    run sequentially whatever its value.  ``parallel_mode`` picks where
+    the engine's workers run: ``"shm-process"`` (the default; processes
+    attached zero-copy to a shared-memory arena), ``"shm-thread"``
+    (threads over plain buffers) or ``"shm-serial"`` (the calling
+    thread drains every task; deterministic debugging).  Any other
+    value raises ``ValueError``.
 
     ``trace_path`` turns on the :mod:`repro.obs` tracing subsystem for
     every run of the runner: structured events (stage spans, eDmax
@@ -99,14 +103,13 @@ class JoinConfig:
     run's wall time — every engine's expansion loop checks it
     cooperatively and raises the typed
     :class:`~repro.resilience.errors.JoinDeadlineExceeded` on expiry.
-    ``worker_timeout_s`` bounds one partition worker of the parallel
-    engine; a worker that crashes or times out is retried up to
-    ``worker_retries`` times (exponential backoff from
-    ``retry_backoff_s``) and then degrades to in-process serial
-    execution, so the partitioned join returns the same answer or a
-    typed error — never a silently incomplete top-k.  ``fault_plan``
-    arms the deterministic fault-injection harness
-    (:class:`~repro.resilience.faults.FaultPlan`).
+    ``worker_timeout_s`` bounds how long a parallel worker may go
+    silent (or take to come up); a worker that crashes, is killed or
+    times out loses its tasks to the survivors, and the parent drains
+    them itself once no worker is left, so the parallel join returns
+    the same answer or a typed error — never a silently incomplete
+    top-k.  ``fault_plan`` arms the deterministic fault-injection
+    harness (:class:`~repro.resilience.faults.FaultPlan`).
 
     Checkpoint/resume (:mod:`repro.resilience.checkpoint`):
     ``checkpoint_path`` makes the run snapshot its full join state to
@@ -140,8 +143,7 @@ class JoinConfig:
     initial_k: int = 1000
     edmax_schedule: tuple[float, ...] | None = None
     parallel: int = 1
-    parallel_mode: str = "process"
-    parallel_partitions: int | None = None
+    parallel_mode: str = "shm-process"
     trace_path: str | None = None
     trace_format: str | None = None
     collect_metrics: bool = False
@@ -151,13 +153,18 @@ class JoinConfig:
     profile_path: str | None = None
     deadline_s: float | None = None
     worker_timeout_s: float | None = None
-    worker_retries: int = 2
-    retry_backoff_s: float = 0.05
     fault_plan: "FaultPlan | None" = None
     checkpoint_path: str | None = None
     checkpoint_every_pairs: int | None = None
     checkpoint_every_s: float | None = None
     resume_from: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.parallel_mode not in PARALLEL_MODES:
+            raise ValueError(
+                f"unknown parallel_mode {self.parallel_mode!r}; "
+                f"pick one of {PARALLEL_MODES}"
+            )
 
     def engine_options(self) -> EngineOptions:
         return EngineOptions(
@@ -201,22 +208,15 @@ class JoinRunner:
         tree_r: RTree,
         tree_s: RTree,
         config: JoinConfig | None = None,
-        tracer=None,
     ) -> None:
         self.tree_r = tree_r
         self.tree_s = tree_s
         self.config = config or JoinConfig()
-        # An externally-owned tracer (the parallel engine hands workers
-        # collecting tracers this way); ``config.trace_path`` builds a
-        # per-run file tracer instead, owned and closed by the run.
-        self._tracer = tracer
 
     # ------------------------------------------------------------------
 
     def _open_tracer(self):
         """(tracer, owned) for one run; ``owned`` means the run closes it."""
-        if self._tracer is not None:
-            return self._tracer, False
         if self.config.trace_path is not None:
             from repro.obs import tracer_for
 
@@ -334,24 +334,19 @@ class JoinRunner:
 
         ``dmax`` is only consulted by ``sjsort`` (its favorable a-priori
         cutoff); when omitted it is computed by the exact oracle.  ``k``
-        must be a positive integer (``ValueError`` otherwise).
+        must be a positive integer (``ValueError`` otherwise).  AM-KDJ
+        with ``config.parallel > 1`` runs on the parallel engine; every
+        other algorithm runs sequentially.
         """
         check_k(k)
         if algorithm not in KDJ_ALGORITHMS:
             raise ValueError(
                 f"unknown KDJ algorithm {algorithm!r}; pick one of {KDJ_ALGORITHMS}"
             )
-        if self.config.parallel > 1:
+        if algorithm == "amkdj" and self.config.parallel > 1:
             from repro.parallel.engine import parallel_kdj
 
-            return parallel_kdj(
-                self.tree_r,
-                self.tree_s,
-                k,
-                config=self.config,
-                algorithm=algorithm,
-                dmax=dmax,
-            )
+            return parallel_kdj(self.tree_r, self.tree_s, k, self.config)
         tracer, owned = self._open_tracer()
         plane = self._open_plane()
         if plane is not None:
@@ -605,7 +600,7 @@ def k_distance_join(
 ) -> JoinResult:
     """One-shot k nearest pairs of ``tree_r`` x ``tree_s``.
 
-    ``parallel=N`` (N > 1) runs the partitioned parallel engine with N
+    ``parallel=N`` (N > 1) runs AM-KDJ on the parallel engine with N
     workers; it returns the same result set as the sequential run.
     """
     if parallel is not None:

@@ -375,14 +375,14 @@ class Instruments:
             stats.queue_swap_ins = queue_stats.swap_ins
             stats.queue_spilled_entries = queue_stats.spilled_entries
             if queue_stats.spill_write_failures:
-                # extras merge key-wise (summed), so worker failures
-                # aggregate like the other resilience counters.
+                # extras merge key-wise (summed), so merged runs'
+                # failures aggregate like the other resilience counters.
                 stats.extra["spill_write_failures"] = float(
                     queue_stats.spill_write_failures
                 )
         if self.kernel_batches:
             # Sum-mergeable (JoinStats.merge adds numeric extras), so
-            # parallel workers' kernel telemetry aggregates correctly.
+            # merged runs' kernel telemetry aggregates correctly.
             stats.extra["kernels.batches"] = float(self.kernel_batches)
             stats.extra["kernels.batched_pairs"] = float(self.kernel_batched_pairs)
         if self.pack_cache_evictions:

@@ -29,23 +29,20 @@ def within_distance_join(
     dmax: float,
     config: JoinConfig | None = None,
     order: str = "none",
-    tracer=None,
-    metrics=None,
 ) -> JoinResult:
     """All object pairs with ``dist(r, s) <= dmax``.
 
     ``order`` is ``"none"`` (traversal order, cheapest), or
     ``"distance"`` (ascending, via an in-memory sort — the result is
-    materialized either way).  ``tracer``/``metrics`` plug the run into
-    an externally-owned observability pipeline (the parallel engine's
-    workers trace through here).
+    materialized either way).
     """
     if not dmax >= 0.0:  # also rejects NaN, for which ``dmax < 0`` is False
         raise ValueError("dmax must be non-negative")
     if order not in ("none", "distance"):
         raise ValueError("order must be 'none' or 'distance'")
     cfg = config or JoinConfig()
-    if metrics is None and (tracer is not None or cfg.collect_metrics):
+    metrics = None
+    if cfg.collect_metrics:
         from repro.obs.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
@@ -60,7 +57,6 @@ def within_distance_join(
         rho=cfg.rho,
         options=cfg.engine_options(),
         spill_dir=cfg.spill_dir,
-        tracer=tracer,
         metrics=metrics,
         deadline=Deadline(cfg.deadline_s) if cfg.deadline_s is not None else None,
         faults=cfg.fault_plan,

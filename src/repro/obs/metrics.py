@@ -210,8 +210,8 @@ def histogram_names(extra: dict[str, float]) -> list[str]:
 class MetricsRegistry:
     """Named instruments, created on first use, snapshotted flat.
 
-    One registry serves one join run; the parallel engine gives each
-    worker its own and relies on the sum-mergeable snapshot fields.
+    One registry serves one join run; its snapshot fields are
+    sum-mergeable, so :meth:`JoinStats.merge` can fold runs together.
     """
 
     def __init__(self, prefix: str = "obs") -> None:

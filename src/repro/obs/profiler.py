@@ -146,7 +146,7 @@ def flame_from_trace(records: Iterable[dict[str, Any]]) -> dict[str, int]:
     reconstruction Chrome's viewer does); each span contributes its
     *self* time — duration minus child durations — in microseconds to
     the stack path of its ancestors.  Tracks get a ``trackN`` root frame
-    so parallel workers stay distinguishable.
+    so they stay distinguishable.
     """
     from repro.obs.report import collect_spans
 

@@ -8,9 +8,8 @@ Three sinks cover the use cases:
   ``trace_event`` JSON document on close, loadable in
   ``chrome://tracing`` and https://ui.perfetto.dev — each track becomes
   a thread row, spans nest, counters chart;
-- :class:`CollectSink` appends records to an in-memory list; the
-  parallel engine's workers use it to ship their events back to the
-  parent, which re-emits them with per-worker track ids.
+- :class:`CollectSink` appends records to an in-memory list, for
+  in-process consumers and tests.
 
 :func:`open_sink` picks the format from the file extension (``.json`` →
 Chrome trace, anything else → JSONL) unless told explicitly.

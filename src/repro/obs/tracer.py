@@ -119,14 +119,13 @@ class Tracer:
         Objects with ``write(record)`` and ``close()``; see
         :mod:`repro.obs.sinks`.
     track:
-        Default track id stamped on every record (the parallel engine
-        gives each worker its own track, rendered as a separate Chrome
-        trace thread).
+        Default track id stamped on every record (each track renders
+        as a separate Chrome trace thread).
     epoch_origin:
-        ``time.time()`` value corresponding to ``ts == 0``.  Worker
-        tracers in other processes report theirs so the parent can shift
-        their records onto its own timeline (``perf_counter`` origins
-        are not comparable across processes; the epoch clock is).
+        ``time.time()`` value corresponding to ``ts == 0``, so records
+        of tracers in different processes can be shifted onto one
+        timeline (``perf_counter`` origins are not comparable across
+        processes; the epoch clock is).
     """
 
     enabled = True

@@ -1,36 +1,21 @@
-"""Parallel partitioned distance-join processing.
+"""Parallel k-distance join processing.
 
 The sequential engines in :mod:`repro.core` process one candidate space
-with one main queue.  This package tiles the data space into disjoint
-partitions derived from the two R-trees' top levels, runs an independent
-join worker per partition (process pool for CPU-bound sweeps, thread
-pool for simulated-I/O runs, or inline for deterministic debugging),
-shares the global pruning bound ``qDmax`` across workers, and merges the
-per-partition result streams through a k-way heap.
+with one main queue.  This package answers AM-KDJ's query as a bounded
+sweep over zero-copy flat tree images: the ``(root, root)`` node pair
+is split into cost-model-sized tasks that work-stealing workers drain
+depth-first, sharing the global pruning bound ``qDmax`` through one
+cell, and a stage that comes up short widens its cap and re-runs.
 
-Entry points:
+Entry point: :func:`repro.parallel.engine.parallel_kdj`, also reached
+through ``JoinConfig(parallel=N)`` / ``k_distance_join(..., parallel=N)``
+for AM-KDJ with N > 1.  ``JoinConfig.parallel_mode`` picks where the
+workers run (``"shm-process"``, ``"shm-thread"`` or ``"shm-serial"``).
 
-- :func:`repro.parallel.engine.parallel_kdj` — partitioned k-distance
-  join, also reachable through ``JoinConfig(parallel=N)`` /
-  ``k_distance_join(..., parallel=N)``;
-- :class:`repro.parallel.engine.ParallelIncrementalJoin` — staged
-  incremental stream over the same machinery.
-
-See ``docs/internals.md`` for the partitioning scheme and the
-boundary-strip correctness argument.
+See ``docs/internals.md`` for the traversal, the steal protocol and the
+stage verification argument.
 """
 
-from repro.parallel.engine import (
-    ParallelIncrementalJoin,
-    parallel_incremental_join,
-    parallel_kdj,
-)
-from repro.parallel.partition import Partition, build_partitions
+from repro.parallel.engine import parallel_kdj
 
-__all__ = [
-    "Partition",
-    "ParallelIncrementalJoin",
-    "build_partitions",
-    "parallel_incremental_join",
-    "parallel_kdj",
-]
+__all__ = ["parallel_kdj"]

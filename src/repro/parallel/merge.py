@@ -1,92 +1,38 @@
-"""Merging per-partition result streams into one global answer.
+"""Merging worker result batches into one global answer.
 
-Workers return their results sorted by ``(distance, ref_r, ref_s)``;
-:func:`merge_sorted` lazily k-way-merges those runs through a heap
-(``heapq.merge``) and :func:`merge_topk` materializes the k smallest.
-The tie-break on object ids makes the merged order a deterministic
-function of the result *set*, independent of partition count, worker
-scheduling, or executor mode.
-
-:class:`GlobalBound` is the shared global ``qDmax`` of the parallel
-engine: the parent (or, in thread/serial mode, the workers directly)
-feeds every confirmed pair distance into a k-bounded
-:class:`~repro.queues.distance_queue.DistanceQueue`, and its cutoff caps
-how deep later workers need to sweep.  Distances always belong to real
-object pairs, so the cutoff is a safe upper bound on the true k-th
-distance at all times — exactly the property ``qDmax`` has inside the
-sequential engines.
+:class:`PairwiseBound` is the parallel engine's shared global ``qDmax``:
+the parent commits every batch a worker flushes into a k-bounded
+:class:`~repro.queues.distance_queue.DistanceQueue`, and its cutoff
+caps how deep every worker still needs to sweep.  Distances always
+belong to real object pairs, so the cutoff is a safe upper bound on the
+true k-th distance at all times — exactly the property ``qDmax`` has
+inside the sequential engines.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Iterable, Iterator
 
-from repro.core.pairs import ResultPair
 from repro.queues.distance_queue import DistanceQueue
 
 
-def pair_key(pair: ResultPair) -> tuple[float, int, int]:
-    """Total order on result pairs: distance, then both object ids."""
-    return (pair.distance, pair.ref_r, pair.ref_s)
+class PairwiseBound:
+    """The global ``qDmax``, fed once per distinct object pair.
 
-
-def merge_sorted(runs: Iterable[list[ResultPair]]) -> Iterator[ResultPair]:
-    """Lazy k-way merge of sorted runs (heap of stream heads)."""
-    return heapq.merge(*runs, key=pair_key)
-
-
-def dedupe_sorted(pairs: Iterable[ResultPair]) -> Iterator[ResultPair]:
-    """Drop exact repeats from a stream sorted by :func:`pair_key`.
-
-    A pair's distance is a function of its object ids, so two workers
-    that both discovered a pair (overlapping boundary strips, a
-    crash-recovery re-run) produced *identical* triples — and in a
-    sorted stream identical triples are adjacent, so one-step lookback
-    removes them without any extra state.
-    """
-    prev: tuple[float, int, int] | None = None
-    for pair in pairs:
-        key = (pair.distance, pair.ref_r, pair.ref_s)
-        if key == prev:
-            continue
-        prev = key
-        yield pair
-
-
-def merge_topk(
-    runs: Iterable[list[ResultPair]], k: int, dedupe: bool = False
-) -> list[ResultPair]:
-    """The k smallest pairs across all runs, in merged order.
-
-    ``dedupe=True`` drops exact repeats across runs first (see
-    :func:`dedupe_sorted`), so replication between workers can never
-    surface the same pair twice in the answer.
-    """
-    merged: Iterator[ResultPair] = merge_sorted(runs)
-    if dedupe:
-        merged = dedupe_sorted(merged)
-    return [pair for _, pair in zip(range(k), merged)]
-
-
-class GlobalBound:
-    """Shared global ``qDmax`` across partition workers.
-
-    Thin wrapper over :class:`DistanceQueue` that tolerates fewer than k
-    offers (cutoff ``inf``) and exposes a read-only snapshot.  Updates
-    are parent-mediated: process-mode workers receive a frozen snapshot
-    at submission time, thread/serial-mode workers hold a reference and
-    re-read :attr:`cutoff` live between result pulls.  Single writers
-    plus atomic float reads mean no lock is needed.
+    Tolerates fewer than k offers (cutoff ``inf``).  The work-stealing
+    engine re-enqueues a crashed worker's tasks, and a re-run task can
+    re-discover pairs a shed subtask already committed.  Offering the
+    same pair's distance twice into a k-bounded queue would deflate the
+    cutoff below the true k-th distance — an unsafe bound — so offers
+    are keyed by pair identity: the first offer of a pair counts,
+    repeats are rejected (and the caller drops the duplicate result
+    with them).  Only the parent writes it; workers see the cutoff
+    through a shared cell the parent republishes after every commit.
     """
 
     def __init__(self, k: int) -> None:
         self._queue = DistanceQueue(k)
-
-    def offer(self, distances: Iterable[float]) -> None:
-        for distance in distances:
-            self._queue.insert(distance)
+        self._seen: set[tuple[int, int]] = set()
 
     @property
     def cutoff(self) -> float:
@@ -99,23 +45,6 @@ class GlobalBound:
     @property
     def insertions(self) -> int:
         return self._queue.insertions
-
-
-class PairwiseBound(GlobalBound):
-    """A :class:`GlobalBound` that ignores duplicate pair offers.
-
-    The work-stealing engine re-enqueues a crashed worker's tasks, and a
-    re-run task can re-discover pairs a shed subtask already committed.
-    Offering the same pair's distance twice into a k-bounded queue would
-    deflate the cutoff below the true k-th distance — an unsafe bound —
-    so this variant keys offers by pair identity: the first offer of a
-    pair counts, repeats are rejected (and the caller drops the
-    duplicate result with them).
-    """
-
-    def __init__(self, k: int) -> None:
-        super().__init__(k)
-        self._seen: set[tuple[int, int]] = set()
 
     def offer_pair(self, distance: float, ref_r: int, ref_s: int) -> bool:
         """Offer one pair; ``False`` means it was already accounted for."""

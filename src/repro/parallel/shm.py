@@ -1,11 +1,13 @@
-"""Shared-memory attachment and worker telemetry for the shm engine.
+"""Shared-memory attachment and worker telemetry for the parallel engine.
 
 The flat struct-of-arrays tree layout itself — ``TreeLayout``,
 ``tree_image``, ``SharedTreeView``, ``TreeArena`` — lives in
 :mod:`repro.kernels.arena` now, where the *sequential* flat hot path
 imports it without touching any ``multiprocessing`` machinery.  This
-module keeps the parts only the process-mode parallel engine needs:
+module keeps the parts only the parallel engine's workers need:
 
+- :func:`_mp_context` — the platform-safe start method for process
+  workers;
 - :class:`ArenaDescriptor` — the picklable ticket a spawned worker uses
   to attach to the parent's segment by name;
 - :class:`AttachedArena` — the worker-side zero-copy attachment, with
@@ -20,7 +22,9 @@ The moved names are re-exported so existing imports keep working.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -35,6 +39,21 @@ from repro.kernels.arena import (  # noqa: F401  (re-exported)
     _segment_name,
     tree_image,
 )
+
+
+def _mp_context() -> multiprocessing.context.BaseContext:
+    """Start method for process workers: fork on Linux, spawn elsewhere.
+
+    Fork is the cheap path (workers inherit the parent's imports), but
+    it is unsafe next to threads on macOS and is no longer the default
+    anywhere but Linux; everywhere else — and on any platform where fork
+    is unavailable — fall back to spawn, which the module-level worker
+    function and the picklable :class:`ArenaDescriptor` support
+    unchanged.
+    """
+    if sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context("spawn")
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,31 +151,19 @@ class WorkerTelemetry:
     publisher reads :meth:`snapshot` on its own thread with no locks.
     """
 
-    __slots__ = ("workers", "arr", "claim")
+    __slots__ = ("workers", "arr")
 
     def __init__(self, workers: int, ctx: Any = None) -> None:
         self.workers = workers
         if ctx is not None:
             self.arr = ctx.Array("d", workers * _WF, lock=False)
-            #: Slot-claim counter for pool initializers (the tiled
-            #: engine's executors assign worker ids on first spin-up).
-            self.claim = ctx.Value("i", 0)
         else:
             import array
-            import multiprocessing
 
             self.arr = array.array("d", bytes(8 * workers * _WF))
-            self.claim = multiprocessing.Value("i", 0)
 
     def slot(self, wid: int) -> "WorkerSlot":
         return WorkerSlot(self.arr, wid)
-
-    def claim_slot(self) -> "WorkerSlot":
-        """Claim the next free slot (pool workers with no fixed id)."""
-        with self.claim.get_lock():
-            wid = self.claim.value
-            self.claim.value += 1
-        return WorkerSlot(self.arr, wid % self.workers)
 
     def snapshot(self) -> list[dict[str, Any]]:
         """One JSON-safe row per worker, for the status file."""

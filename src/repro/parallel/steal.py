@@ -1,43 +1,28 @@
-"""Work-stealing shared-memory parallel k-distance join.
+"""Work-stealing execution of the parallel engine's bounded sweep.
 
-The zero-copy sibling of the legacy tiled engine
-(:mod:`repro.parallel.engine`).  One :func:`shm_parallel_kdj` call:
+The stage loop lives in :func:`repro.parallel.engine.parallel_kdj`;
+this module holds what runs inside one stage:
 
-1. **Serialize once** — both trees flatten into a
-   :class:`~repro.parallel.shm.TreeArena` (a shared-memory segment in
-   ``shm-process`` mode, a plain buffer otherwise).  Workers attach
-   zero-copy; nothing is pickled per task and no partition-local trees
-   are ever rebuilt.
-2. **Adaptive task split** — the parent splits the ``(root, root)``
-   node pair into a frontier of candidate node pairs until each task's
-   estimated work (candidate pairs, from subtree counts and grown-MBR
-   overlap) drops under the cost-model threshold
-   (:meth:`~repro.storage.cost.CostModel.shm_split_threshold`).  Tasks
-   dispatch closest-first, so the global cutoff tightens early.
-3. **Steal-half workers** — each worker drains its task as a DFS over
-   node pairs with the PR 5 kernels evaluating whole blocks against
-   shared-buffer slices.  When the parent runs out of tasks and another
-   worker still has a deep stack, it asks that worker to *shed*: the
-   worker gives up the bottom (largest, farthest) half of its stack,
-   which the parent re-dispatches to the idle workers.
-4. **Batched qDmax exchange** — workers flush result batches; the
-   parent commits them into a duplicate-rejecting
-   :class:`~repro.parallel.merge.PairwiseBound` and publishes the new
-   cutoff through one shared ``double`` cell.  Workers re-read the cell
-   between expansions: no per-pair synchronization anywhere.
-5. **Verify & widen** — stage loop identical in spirit to the legacy
-   engine: a stage is complete when the merged k-th distance fits under
-   the sweep cap ``delta`` (or ``delta`` already covers the space);
-   otherwise ``delta`` at least doubles and the stage re-runs against
-   the same arena.
+- the **block traversal** over shared tree views — :func:`_expand`
+  crosses two node blocks under the cap with the batched kernels,
+  :func:`_run_pairs` drains a DFS stack of candidate node pairs
+  closest-first, and :func:`_build_frontier` splits ``(root, root)``
+  into cost-model-sized tasks;
+- the **worker loop** (:func:`_shm_worker`) — attach zero-copy, drain
+  tasks, flush result batches, and *shed* the bottom (largest,
+  farthest) half of the stack when the parent asks for work to steal;
+- the **parent scheduler** (:class:`_StageRuntime`,
+  :func:`_run_stage_pool`) — dispatch with prefetch, steal requests,
+  batch commits, liveness and per-worker timeouts — and the inline
+  drain (:func:`_drain_inline`) that ``shm-serial`` runs and that
+  absorbs the leftovers when every worker died.
 
-Resilience: a worker that crashes, is killed, times out, or reports an
-injected fault has its uncommitted buffers discarded and its tasks
-(assigned *and* stolen-but-unfinished) re-enqueued for the survivors;
-with no survivors the parent drains the queue inline.  The pair-keyed
-bound makes re-runs safe: re-discovered pairs are rejected at commit,
-so neither the answer nor the cutoff can be corrupted.  The arena is
-closed (and its segment unlinked) in a ``finally`` on every exit path.
+Resilience: a worker that crashes, is killed, times out (also before it
+ever came up), or reports an injected fault has its uncommitted buffers
+discarded and its tasks (assigned *and* prefetched) re-enqueued for the
+survivors.  The pair-keyed bound makes re-runs safe: re-discovered
+pairs are rejected at commit, so neither the answer nor the cutoff can
+be corrupted.
 """
 
 from __future__ import annotations
@@ -52,32 +37,25 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.core import estimation
-from repro.core.pairs import ResultPair
 from repro.core.planesweep import sweeping_index
-from repro.core.stats import JoinStats
 from repro.geometry.distances import min_distance
 from repro.kernels import resolve_backend
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.parallel.merge import PairwiseBound
+from repro.obs.tracer import Tracer
 from repro.parallel.shm import (
     ArenaDescriptor,
     AttachedArena,
     TreeArena,
     WorkerSlot,
     WorkerTelemetry,
+    _mp_context,
 )
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import trip_worker_faults
-from repro.storage.cost import DEFAULT_COST_MODEL
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.api import JoinConfig, JoinResult
+    from repro.core.api import JoinConfig
     from repro.parallel.shm import SharedTreeView
-
-#: The shared-memory executor modes (``JoinConfig.parallel_mode``).
-SHM_MODES = ("shm-process", "shm-thread", "shm-serial")
 
 #: Result pairs a worker buffers before flushing a batch to the parent.
 FLUSH_PAIRS = 4096
@@ -89,13 +67,6 @@ POLL_EXPANSIONS = 8
 #: Hard ceiling on the initial frontier size (adaptive splitting stops
 #: here even if estimates stay above threshold).
 MAX_TASKS = 512
-
-#: Initial sweep cap: the Equation (3) eDmax estimate times this safety
-#: factor.  Tighter than the tiled engine's strip margin — a block
-#: traversal that comes up short only re-sweeps (one extra stage, same
-#: arena), it doesn't re-partition, so undershooting is cheap and every
-#: bit of margin is real distances the sequential run never computes.
-DELTA_SAFETY = 1.05
 
 #: Seconds between repeated steal requests to the same busy worker.
 STEAL_ASK_INTERVAL = 0.02
@@ -517,14 +488,11 @@ class _StageRuntime:
     ) -> None:
         self.mode = mode
         self.workers = workers
-        self.delta = delta
         self.procs: dict[int, Any] = {}
         self.inboxes: dict[int, Any] = {}
         self.dead: set[int] = set()
         tele_arr = telemetry.arr if telemetry is not None else None
         if mode == "shm-process":
-            from repro.parallel.engine import _mp_context
-
             ctx = _mp_context()
             self.cell = ctx.Value("d", math.inf, lock=False)
             self.outbox = ctx.Queue()
@@ -574,16 +542,24 @@ class _StageRuntime:
                 pass
 
     def shutdown(self) -> None:
-        """Stop every worker; never block on a wedged one."""
-        for wid, inbox in self.inboxes.items():
-            if wid not in self.dead:
-                try:
-                    inbox.put(("stop",))
-                except Exception:  # pragma: no cover
-                    pass
+        """Stop every worker; never block on a wedged one.
+
+        Dead workers get the stop message too: an abandoned thread (one
+        that timed out) keeps running until it reads its inbox, and
+        must find a stop there rather than block forever.
+        """
+        for inbox in self.inboxes.values():
+            try:
+                inbox.put(("stop",))
+            except Exception:  # pragma: no cover
+                pass
         for wid, handle in self.procs.items():
-            handle.join(timeout=1.0 if self.mode == "shm-process" else 0.2)
-            if self.mode == "shm-process" and handle.is_alive():
+            if self.mode != "shm-process":
+                if wid not in self.dead:
+                    handle.join(timeout=0.2)
+                continue
+            handle.join(timeout=1.0)
+            if handle.is_alive():
                 try:
                     handle.terminate()
                 except Exception:  # pragma: no cover
@@ -614,6 +590,11 @@ def _run_stage_pool(
     them inline); an empty list means the stage completed.  ``work``
     (when given) accumulates scheduling units for the live progress
     plane: ``done`` per completed task, ``total`` grown by shed splits.
+
+    With ``config.worker_timeout_s`` set, a worker times out when it
+    holds work and stays silent that long, or when it has not come up
+    that long after the spawn; the stage also waits for every worker to
+    come up or time out, so none is left starting when it shuts down.
     """
     pending: deque[tuple[float, int, int]] = deque(tasks)
     buffers: dict[int, list[tuple[float, int, int]]] = {}
@@ -645,7 +626,10 @@ def _run_stage_pool(
         if tracer.enabled:
             tracer.event("shm_worker_failed", worker=wid, reason=reason)
 
-    while pending or any(outstanding.values()):
+    def starting() -> bool:
+        return timeout_s is not None and any(w not in ready for w in alive_workers())
+
+    while pending or any(outstanding.values()) or starting():
         if deadline is not None:
             deadline.check()
         now = time.monotonic()
@@ -660,15 +644,16 @@ def _run_stage_pool(
                     worker_failed(wid, "died")
         if timeout_s is not None:
             for wid in alive_workers():
-                if outstanding[wid] and now - last_life[wid] >= timeout_s:
+                if wid in ready:
+                    stalled = outstanding[wid] and now - last_life[wid] >= timeout_s
+                else:
+                    # Never came up (e.g. stalled on entry): it times
+                    # out on its own, whatever the other workers do.
+                    stalled = now - spawned >= timeout_s
+                if stalled:
                     counters["worker_timeouts"] += 1
                     runtime.kill(wid)
                     worker_failed(wid, "timeout")
-            if not ready and now - spawned >= timeout_s:
-                # Nobody ever came up (e.g. every worker stalled on
-                # entry): stop waiting for ready messages.
-                for wid in alive_workers():
-                    runtime.kill(wid)
         if not alive_workers():
             # No survivors: hand the leftovers back for an inline drain.
             leftovers = list(pending)
@@ -788,291 +773,3 @@ def _drain_inline(
         if out:
             commit(out)
             del out[:]
-
-
-# ----------------------------------------------------------------------
-# The engine
-# ----------------------------------------------------------------------
-
-
-def shm_parallel_kdj(
-    tree_r,
-    tree_s,
-    k: int,
-    config: "JoinConfig",
-    algorithm: str,
-    workers: int,
-    started: float,
-) -> "JoinResult":
-    """Zero-copy work-stealing k-distance join (``shm-*`` modes).
-
-    Same contract as :func:`repro.parallel.engine.parallel_kdj`: the
-    result stream is identical to the sequential run's, stats aggregate
-    the per-worker work, scheduling detail lands in ``stats.extra``.
-    """
-    from repro.core.api import JoinResult
-
-    mode = config.parallel_mode
-    cost = config.cost_model or DEFAULT_COST_MODEL
-    space = tree_r.bounds().union(tree_s.bounds())
-    delta_max = math.hypot(space.width, space.height)
-    rho = config.rho or estimation.rho_for_datasets(
-        tree_r.bounds(), tree_s.bounds(), tree_r.size, tree_s.size
-    )
-    delta = min(delta_max, estimation.initial_edmax(k, rho) * DELTA_SAFETY)
-    if delta <= 0.0:
-        delta = delta_max
-
-    total = JoinStats(algorithm=f"parallel-{algorithm}", k=k)
-    metrics = MetricsRegistry()
-    counters: Counter = Counter()
-    ctr = SweepCounters()
-    worker_busy: dict[int, float] = {}
-    kern = resolve_backend(config.kernels)
-    threshold = cost.shm_split_threshold(workers)
-    deadline = Deadline(config.deadline_s) if config.deadline_s is not None else None
-    tracer = NULL_TRACER
-    owned_tracer: Tracer | None = None
-    if config.trace_path is not None:
-        from repro.obs import tracer_for
-
-        tracer = owned_tracer = tracer_for(config.trace_path, config.trace_format)
-    from repro.obs.live import LivePlane
-
-    plane = LivePlane.from_config(config)
-    live = plane.progress if plane is not None else None
-    work = {"done": 0.0, "total": 0.0}
-    telemetry: WorkerTelemetry | None = None
-    if plane is not None:
-        profiled = plane.ensure_tracer(tracer)
-        if profiled is not tracer:
-            # Sink-less tracer: span names for the profiler, no events.
-            tracer = owned_tracer = profiled
-        plane.attach_metrics(metrics)
-        plane.set_work_source(lambda: (work["done"], work["total"]))
-        if mode != "shm-serial":
-            if mode == "shm-process":
-                from repro.parallel.engine import _mp_context
-
-                telemetry = WorkerTelemetry(workers, ctx=_mp_context())
-            else:
-                telemetry = WorkerTelemetry(workers)
-            plane.attach_workers(telemetry)
-        live.start(f"parallel-{algorithm}", k)
-        plane.start(tracer)
-    if deadline is not None:
-        deadline.bind_tracer(tracer)
-
-    final: list[ResultPair] = []
-    stages = 0
-    partitions = 0
-    bound = PairwiseBound(k)
-    checkpoint = None
-    if config.checkpoint_path is not None or config.resume_from is not None:
-        from repro.resilience.checkpoint import CheckpointManager, join_fingerprint
-
-        fingerprint = join_fingerprint(tree_r, tree_s, algorithm, k)
-        if config.resume_from is not None:
-            from repro.resilience.recovery import load_checkpoint, validate_checkpoint
-
-            payload = load_checkpoint(config.resume_from, faults=config.fault_plan)
-            validate_checkpoint(
-                payload, algorithm=algorithm, k=k,
-                fingerprint=fingerprint, modes=("shm",),
-            )
-            engine_state = payload["engine"]
-            delta = engine_state["delta"]
-            stages = engine_state["stages"]
-            final = [ResultPair._make(pair) for pair in engine_state["acc"]]
-            # Work counters continue on top of the pre-crash totals.
-            ctr.absorb(engine_state["ctr"])
-        checkpoint = CheckpointManager.from_config(
-            config, algorithm=algorithm, k=k, fingerprint=fingerprint,
-            tracer=tracer if tracer is not NULL_TRACER else None,
-        )
-        if checkpoint is not None:
-            checkpoint.note_emit(len(final))
-            checkpoint._last_emit_mark = checkpoint.emitted
-            if plane is not None:
-                plane.attach_checkpoint(checkpoint)
-
-    # After the resume load: a bad checkpoint must not strand the
-    # shared-memory arena (its views pin the mapping until close()).
-    arena = TreeArena(tree_r, tree_s, use_shm=(mode == "shm-process"))
-
-    def build_checkpoint() -> dict:
-        # Drain-barrier snapshot: the stage pool has joined (workers
-        # quiesced), the stage's accumulator is already sorted and cut
-        # to the merged top-k.  Inter-stage state is small by design —
-        # every widened stage re-discovers its pairs from the arena.
-        snapshot = JoinStats(algorithm=total.algorithm, k=k)
-        snapshot.results = len(final)
-        snapshot.real_distance_computations = ctr.real
-        snapshot.axis_distance_computations = ctr.axis
-        snapshot.node_accesses = ctr.nodes
-        snapshot.node_accesses_unbuffered = ctr.nodes
-        snapshot.distance_queue_insertions = bound.insertions
-        return {
-            "mode": "shm",
-            "engine": {
-                "delta": delta,
-                "stages": stages,
-                "acc": [tuple(pair) for pair in final],
-                "ctr": ctr.as_dict(),
-            },
-            "stats": snapshot,
-        }
-
-    run_started = time.monotonic()
-    try:
-        tracer.begin(
-            f"join:parallel-{algorithm}",
-            k=k, workers=workers, mode=mode,
-        )
-        while True:
-            stages += 1
-            stage_name = f"stage:parallel-{stages}"
-            if live is not None:
-                live.set_stage(f"parallel-{stages}")
-                live.set_cutoffs(delta, bound.cutoff)
-            tracer.begin(stage_name, delta=delta)
-            # Fresh bound and accumulator per stage: a widened re-run
-            # re-discovers every pair, and the pair-keyed bound must not
-            # treat those re-discoveries as duplicates of a prior stage.
-            bound = PairwiseBound(k)
-            # Plain (distance, ref_r, ref_s) tuples: their natural sort
-            # order IS pair_key order, and skipping per-pair ResultPair
-            # construction keeps the parent's commit loop off the
-            # critical path.  ResultPair is minted only for the final k.
-            acc: list[tuple[float, int, int]] = []
-            prune_floor = max(4 * k, 4096)
-
-            runtime: _StageRuntime | None = None
-            cell = _LocalCell()
-
-            def commit(pairs: list[tuple[float, int, int]]) -> None:
-                # Bulk path: dedupe once, then one heapq-merge insertion
-                # into the global bound instead of a per-pair offer loop.
-                acc.extend(bound.offer_pairs(pairs))
-                cell.value = bound.cutoff
-                if live is not None:
-                    # Per committed batch, not per pair: the estimate
-                    # (delta) vs the merged safe bound is the paper's
-                    # own convergence signal.
-                    live.set_results(min(len(acc), k))
-                    live.set_cutoffs(delta, bound.cutoff)
-                if len(acc) > prune_floor and bound.is_finite:
-                    cutoff = bound.cutoff
-                    acc[:] = [pair for pair in acc if pair[0] <= cutoff]
-
-            stage_out: list[tuple[float, int, int]] = []
-            tasks = _build_frontier(
-                arena.view_r, arena.view_s, delta, threshold, kern, ctr,
-                stage_out, metrics,
-            )
-            partitions = max(partitions, len(tasks))
-            work["total"] += float(len(tasks))
-            commit(stage_out)
-            if deadline is not None:
-                deadline.check()
-            if mode == "shm-serial" or not tasks:
-                _drain_inline(
-                    arena, tasks, delta, cell, commit, kern, ctr, deadline
-                )
-            else:
-                runtime = _StageRuntime(
-                    mode, workers, arena, delta, config, telemetry
-                )
-                cell = runtime.cell
-                cell.value = bound.cutoff
-                try:
-                    leftovers = _run_stage_pool(
-                        runtime, tasks, commit, ctr, counters, metrics,
-                        worker_busy, config, deadline, tracer, work,
-                    )
-                finally:
-                    runtime.shutdown()
-                if leftovers:
-                    # Every worker died: the parent absorbs what's left.
-                    counters["worker_fallbacks"] += 1
-                    if tracer.enabled:
-                        tracer.event("shm_inline_fallback", tasks=len(leftovers))
-                    _drain_inline(
-                        arena, leftovers, delta, cell, commit, kern, ctr, deadline
-                    )
-            acc.sort()
-            del acc[k:]
-            final = [ResultPair._make(pair) for pair in acc]
-            tracer.end(stage_name, results=len(final))
-            if live is not None:
-                live.stage_done()
-                # Inline drains and dead-worker fallbacks bypass the
-                # per-task accounting: square the books at stage end.
-                work["done"] = work["total"]
-            if delta >= delta_max:
-                # The sweep covered the whole space: nothing was pruned
-                # by the cap, so the answer is complete (even if < k).
-                break
-            if len(final) == k and final[-1].distance <= delta:
-                break
-            needed = final[-1].distance if len(final) == k else 0.0
-            new_delta = min(delta_max, max(delta * 2.0, needed))
-            if tracer.enabled:
-                tracer.event("delta_widen", old=delta, new=new_delta, needed=needed)
-            delta = new_delta
-            if checkpoint is not None:
-                # Stage boundary = drain barrier: the captured delta is
-                # the widened one, so a resume re-enters at exactly the
-                # stage this run was about to start.
-                checkpoint.note_emit(len(final) - checkpoint.emitted)
-                checkpoint.barrier(build_checkpoint)
-        tracer.end(f"join:parallel-{algorithm}", results=len(final), stages=stages)
-        if tracer.enabled:
-            # Final registry snapshot into the trace so offline report
-            # rendering can derive distribution percentiles.
-            tracer.counter("metrics:final", **metrics.snapshot())
-    finally:
-        # Plane first: its final snapshot still reads the work dict,
-        # registry and telemetry array.
-        if plane is not None:
-            plane.close()
-        if checkpoint is not None:
-            checkpoint.close()
-        arena.close()
-        if owned_tracer is not None:
-            owned_tracer.close()
-
-    elapsed = max(time.monotonic() - run_started, 1e-9)
-    for wid, busy_s in sorted(worker_busy.items()):
-        metrics.gauge(f"shm.occupancy.w{wid}").set(min(busy_s / elapsed, 1.0))
-
-    total.results = len(final)
-    total.real_distance_computations = ctr.real
-    total.axis_distance_computations = ctr.axis
-    total.node_accesses = ctr.nodes
-    total.node_accesses_unbuffered = ctr.nodes
-    total.distance_queue_insertions = bound.insertions
-    total.cpu_time = (
-        ctr.real * cost.cpu_real_distance + ctr.axis * cost.cpu_axis_distance
-    )
-    total.response_time = total.cpu_time  # in-memory: no simulated I/O
-    total.wall_time = time.perf_counter() - started
-    total.extra.update(
-        {
-            "parallel_workers": workers,
-            "parallel_mode": mode,
-            "parallel_partitions": partitions,
-            "parallel_stages": stages,
-            "parallel_delta": delta,
-            "parallel_qdmax": bound.cutoff if bound.is_finite else None,
-            "shm.stack_pushes": float(ctr.pushes),
-            "kernels.batches": float(ctr.batches),
-            "kernels.batched_pairs": float(ctr.batched_pairs),
-        }
-    )
-    total.extra.update(metrics.snapshot())
-    if counters:
-        total.extra.update(
-            {f"resilience_{name}": float(value) for name, value in counters.items()}
-        )
-    return JoinResult(final, total)

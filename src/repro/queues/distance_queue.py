@@ -59,7 +59,7 @@ class DistanceQueue:
         heap is still filling, offers are collected and sifted in one
         ``heapify`` pass instead of k pushes; past that point each
         surviving offer is a single ``heapreplace``.  Used by the flat
-        hot path and the shm engine's pair-exchange commit.
+        hot path and the parallel engine's pair-exchange commit.
         """
         neg = self._neg
         k = self.k

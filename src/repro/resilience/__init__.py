@@ -30,7 +30,6 @@ from repro.resilience.errors import (
     InjectedWorkerCrash,
     JoinDeadlineExceeded,
     JoinInterrupted,
-    PartitionFailedError,
     ReproError,
     SpillCorruptionError,
     SpillError,
@@ -54,7 +53,6 @@ __all__ = [
     "JoinInterrupted",
     "NULL_DEADLINE",
     "NullDeadline",
-    "PartitionFailedError",
     "ReproError",
     "SpillCorruptionError",
     "SpillError",

@@ -20,8 +20,8 @@ checkpoint.
 
 Capture discipline: engines call :meth:`CheckpointManager.note_emit`
 per produced result and :meth:`CheckpointManager.barrier` at their
-stage boundaries (sequential engines: top of the expansion loop;
-parallel engines: the drain barrier between stages, with all workers
+stage boundaries (sequential engines: top of the expansion loop; the
+parallel engine: the drain barrier between stages, with all workers
 quiesced and partial top-k merged).  ``barrier`` is a no-op until the
 pair/time cadence makes a checkpoint due; on a graceful-shutdown
 request (SIGINT/SIGTERM via :meth:`install_signal_handlers`) it writes
@@ -203,7 +203,7 @@ class CheckpointManager:
         """Capture point: snapshot when due, stop on shutdown request.
 
         ``build()`` must return the engine's payload body — a dict with
-        ``mode`` (``"exact"``/``"replay"``/``"tiled"``/``"shm"``),
+        ``mode`` (``"exact"``/``"replay"``/``"shm"``),
         ``engine`` (engine-specific state) and ``stats`` (the run's
         :class:`JoinStats` prefix as of this barrier).  It is only
         invoked when a checkpoint is actually written, so the hot path

@@ -25,7 +25,6 @@ __all__ = [
     "InjectedWorkerCrash",
     "JoinDeadlineExceeded",
     "JoinInterrupted",
-    "PartitionFailedError",
     "ReproError",
     "SpillCorruptionError",
     "SpillError",
@@ -44,28 +43,6 @@ class FaultSpecError(ReproError, ValueError):
     """A ``--inject-faults`` specification could not be parsed."""
 
     exit_code = 64  # EX_USAGE
-
-
-class PartitionFailedError(ReproError):
-    """A partition worker failed even after retries and serial fallback.
-
-    The original worker exception is chained as ``__cause__``.
-    """
-
-    exit_code = 73  # EX_CANTCREAT (re-used: partition could not be produced)
-
-    def __init__(self, partition: int, attempts: int, message: str = "") -> None:
-        self.partition = partition
-        self.attempts = attempts
-        self.detail = message or "worker failed"
-        super().__init__(
-            f"partition {partition} failed after {attempts} attempt(s): {self.detail}"
-        )
-
-    def __reduce__(self):
-        # Survive pickling: default exception pickling would replay the
-        # formatted message into (partition, attempts, message).
-        return (type(self), (self.partition, self.attempts, self.detail))
 
 
 class SpillError(ReproError):
@@ -101,8 +78,8 @@ class JoinDeadlineExceeded(ReproError):
         )
 
     def __reduce__(self):
-        # Survive the process-pool boundary: default exception pickling
-        # would replay the formatted message into (budget_s, elapsed_s).
+        # Survive pickling: default exception pickling would replay the
+        # formatted message into (budget_s, elapsed_s).
         return (type(self), (self.budget_s, self.elapsed_s))
 
 
@@ -168,6 +145,6 @@ class InjectedWorkerCrash(RuntimeError):
     """Deliberate worker failure raised by the fault-injection harness.
 
     Intentionally a plain ``RuntimeError`` subclass: it stands in for an
-    arbitrary bug inside a partition worker, so the retry machinery must
-    treat it exactly like one.
+    arbitrary bug inside a parallel worker, so the recovery machinery
+    must treat it exactly like one.
     """

@@ -1,15 +1,15 @@
 """Deterministic, seeded fault-injection harness.
 
 A :class:`FaultPlan` travels on ``JoinConfig.fault_plan`` (it pickles,
-so process-pool workers inherit it) and is consulted at seven injection
+so process workers inherit it) and is consulted at seven injection
 *sites*:
 
-- ``worker_crash`` — a partition worker raises
+- ``worker_crash`` — a parallel worker raises
   :class:`~repro.resilience.errors.InjectedWorkerCrash` on entry;
-- ``worker_kill`` — a partition worker hard-exits (``os._exit``) so a
-  process pool observes ``BrokenProcessPool``; degraded to a crash in
-  thread/serial workers, where a hard exit would kill the whole run;
-- ``worker_stall`` — a partition worker sleeps ``stall_s`` seconds on
+- ``worker_kill`` — a parallel worker process hard-exits (``os._exit``),
+  as an OOM kill would; degraded to a crash in a thread worker, where a
+  hard exit would kill the whole run;
+- ``worker_stall`` — a parallel worker sleeps ``stall_s`` seconds on
   entry, long enough to trip a configured per-worker timeout;
 - ``spill_write`` — the main queue's next spill write raises
   ``OSError(ENOSPC)``;
@@ -24,8 +24,8 @@ so process-pool workers inherit it) and is consulted at seven injection
   :class:`~repro.resilience.errors.CheckpointCorruptionError`.
 
 Determinism: whether a site fires is a pure function of the plan's
-``seed``, the site name, and the *occurrence index* — the partition
-index for worker sites, a per-plan running counter for queue sites.  No
+``seed``, the site name, and the *occurrence index* — the worker id
+for worker sites, a per-plan running counter for queue sites.  No
 global state, no wall clock; the same plan against the same workload
 fires the same faults.
 
@@ -34,7 +34,7 @@ tokens::
 
     worker_crash            fire on every occurrence
     worker_crash:0.5        fire with probability 0.5 (seeded)
-    worker_crash:@2         fire only on occurrence/partition index 2
+    worker_crash:@2         fire only on occurrence index (worker id) 2
     spill_write:@0          first spill write fails with ENOSPC
     stall_s=0.4             stall duration (default 0.25)
     seed=7                  RNG seed (default 0)
@@ -47,11 +47,11 @@ import multiprocessing
 import os
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.resilience.errors import FaultSpecError, InjectedWorkerCrash
 
-__all__ = ["FAULT_SITES", "WORKER_SITES", "FaultPlan", "FaultSpec", "trip_worker_faults"]
+__all__ = ["FAULT_SITES", "FaultPlan", "FaultSpec", "trip_worker_faults"]
 
 #: Every valid injection-site name.
 FAULT_SITES = frozenset(
@@ -65,10 +65,6 @@ FAULT_SITES = frozenset(
         "checkpoint_read",
     }
 )
-
-#: Sites stripped by :meth:`FaultPlan.without_worker_faults` when a
-#: partition degrades to in-process serial execution.
-WORKER_SITES = frozenset({"worker_crash", "worker_kill", "worker_stall"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,11 +147,6 @@ class FaultPlan:
         if not specs:
             raise FaultSpecError(f"no fault sites in spec {text!r}")
         return cls(specs=tuple(specs), seed=seed, stall_s=stall_s)
-
-    def without_worker_faults(self) -> "FaultPlan":
-        """A copy with the worker-entry sites disarmed (serial fallback)."""
-        kept = tuple(s for s in self.specs if s.site not in WORKER_SITES)
-        return replace(self, specs=kept, _counts={})
 
     def __reduce__(self):
         # Occurrence counters are instance state: a pickled copy (as
@@ -242,7 +233,7 @@ class FaultPlan:
 
 
 def trip_worker_faults(plan: FaultPlan, index: int) -> None:
-    """Run the worker-entry injection sites for partition ``index``.
+    """Run the worker-entry injection sites for worker ``index``.
 
     Stall first (so a stalled worker can still crash afterwards, the
     nastier ordering), then hard-kill, then crash.
@@ -252,6 +243,6 @@ def trip_worker_faults(plan: FaultPlan, index: int) -> None:
     if plan.armed("worker_kill") and plan.should_fire("worker_kill", index):
         if multiprocessing.parent_process() is not None:
             os._exit(13)  # child process: simulate a hard crash/OOM kill
-        raise InjectedWorkerCrash(f"injected kill in partition {index}")
+        raise InjectedWorkerCrash(f"injected kill in worker {index}")
     if plan.armed("worker_crash") and plan.should_fire("worker_crash", index):
-        raise InjectedWorkerCrash(f"injected crash in partition {index}")
+        raise InjectedWorkerCrash(f"injected crash in worker {index}")

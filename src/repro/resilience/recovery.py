@@ -106,8 +106,8 @@ def validate_checkpoint(
 
     ``modes`` names the resume strategies the caller can execute
     (e.g. ``("exact",)`` for a sequential engine, ``("shm",)`` for the
-    shared-memory engine); a checkpoint written by another engine family
-    is a mismatch, not corruption.
+    parallel engine); a checkpoint written by another engine family is a
+    mismatch, not corruption.
     """
     if payload.get("algorithm") != algorithm:
         raise CheckpointMismatchError(

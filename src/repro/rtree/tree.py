@@ -46,8 +46,9 @@ def check_k(k: object) -> None:
     """Raise ``ValueError`` unless ``k`` is a positive integer.
 
     The public k-queries (``RTree.nearest``, ``JoinRunner.kdj``,
-    ``k_self_distance_join``) call this first: a fractional or NaN ``k``
-    would otherwise be read differently by each engine.
+    ``parallel_kdj``, ``k_self_distance_join``) call this first: a
+    fractional or NaN ``k`` would otherwise be read differently by each
+    engine.
     ``numbers.Integral`` admits NumPy integers; ``bool`` is rejected.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k <= 0:
@@ -198,47 +199,6 @@ class RTree:
         for node in self.iter_nodes():
             if node.is_leaf:
                 yield from node.entries
-
-    def top_level_entries(self, min_count: int = 2) -> tuple[list[Entry], int]:
-        """Entries of the shallowest level with at least ``min_count``.
-
-        Descends from the root until one level holds ``min_count``
-        entries (or the leaf level is reached), and returns ``(entries,
-        child_level)`` where ``child_level`` is the level of the nodes
-        the entries reference (``-1`` when they are data objects).  This
-        is the partition-extraction hook of the parallel join engine:
-        each returned entry names one disjoint subtree, and together they
-        cover the whole dataset exactly once.
-        """
-        if min_count < 1:
-            raise ValueError("min_count must be positive")
-        node_level = self.root.level
-        entries = list(self.root.entries)
-        while node_level > 0 and len(entries) < min_count:
-            entries = [
-                child
-                for entry in entries
-                for child in self._get_node(entry.ref).entries
-            ]
-            node_level -= 1
-        return entries, node_level - 1
-
-    def subtree_leaf_entries(self, ref: int, entry_level: int) -> Iterator[Entry]:
-        """Data entries under one subtree named by ``top_level_entries``.
-
-        ``ref``/``entry_level`` are an entry's reference and the level
-        reported alongside it; ``entry_level == -1`` means the entry
-        already is a data object and cannot be descended.
-        """
-        if entry_level < 0:
-            raise ValueError("entry references a data object, not a subtree")
-        stack = [ref]
-        while stack:
-            node = self._get_node(stack.pop())
-            if node.is_leaf:
-                yield from node.entries
-            else:
-                stack.extend(entry.ref for entry in node.entries)
 
     def bounds(self) -> Rect:
         """MBR of the whole dataset."""

@@ -11,6 +11,7 @@ from repro import (
     Rect,
     incremental_distance_join,
     k_distance_join,
+    parallel_kdj,
 )
 from repro.core.api import KDJ_ALGORITHMS, k_self_distance_join
 
@@ -81,9 +82,16 @@ class TestKMustBeAPositiveInteger:
     @pytest.mark.parametrize("k", BAD_KS, ids=repr)
     def test_parallel_kdj(self, trees, k):
         tree_r, tree_s, *_ = trees
-        runner = JoinRunner(tree_r, tree_s, JoinConfig(parallel=2))
+        config = JoinConfig(parallel=2)
+        runner = JoinRunner(tree_r, tree_s, config)
         with pytest.raises(ValueError, match="positive integer"):
             runner.kdj(k, "amkdj")
+        # The engine checks k itself when called directly, at any
+        # worker count.
+        for workers in (1, 2):
+            config = JoinConfig(parallel=workers, parallel_mode="shm-serial")
+            with pytest.raises(ValueError, match="positive integer"):
+                parallel_kdj(tree_r, tree_s, k, config)
 
     @pytest.mark.parametrize("k", BAD_KS, ids=repr)
     def test_self_join_and_nearest(self, trees, k):

@@ -233,7 +233,7 @@ def test_signal_handler_latches_shutdown():
 
 
 # ----------------------------------------------------------------------
-# Parallel engines: drain-barrier checkpoints
+# Parallel engine: drain-barrier checkpoints
 # ----------------------------------------------------------------------
 
 
@@ -251,7 +251,7 @@ def staged_trees():
     return tree_r, tree_s
 
 
-@pytest.mark.parametrize("mode", ["serial", "shm-serial"])
+@pytest.mark.parametrize("mode", ["shm-serial", "shm-thread", "shm-process"])
 def test_parallel_checkpoint_and_resume(staged_trees, tmp_path, mode):
     tree_r, tree_s = staged_trees
     k = 120
@@ -269,7 +269,7 @@ def test_parallel_checkpoint_and_resume(staged_trees, tmp_path, mode):
     )
     assert stream(ckpt) == stream(ref)
     payload = load_checkpoint(path)
-    assert payload["mode"] == ("shm" if mode.startswith("shm") else "tiled")
+    assert payload["mode"] == "shm"
     resumed = parallel_kdj(
         tree_r, tree_s, k,
         config=JoinConfig(

@@ -304,12 +304,6 @@ class TestWorkerTelemetry:
         assert rows[0]["tasks_done"] == 1
         assert rows[0]["heartbeat_age_s"] is not None
 
-    def test_claim_slot_wraps_around(self):
-        telemetry = WorkerTelemetry(2)
-        slots = [telemetry.claim_slot() for _ in range(3)]
-        slots[2].task_done()
-        assert telemetry.snapshot()[0]["tasks_done"] == 1  # 2 % 2 == 0
-
     def test_field_order_is_stable(self):
         # WorkerSlot hard-codes offsets; lock the layout.
         assert WORKER_FIELDS == (
@@ -416,6 +410,23 @@ class TestEngineWiring:
         assert sum(w["tasks_done"] for w in workers) > 0
         assert all(w["heartbeat_age_s"] is not None for w in workers)
 
+    def test_shm_process_join_publishes_status(self, tmp_path, par_trees):
+        # Worker processes write their rows into the shared telemetry
+        # array; the parent's status file must carry them.
+        tree_r, tree_s = par_trees
+        path = tmp_path / "status.json"
+        cfg = JoinConfig(
+            parallel=2, parallel_mode="shm-process",
+            status_path=str(path), status_interval_s=0.02,
+        )
+        result = k_distance_join(tree_r, tree_s, 100, config=cfg)
+        assert result.stats.extra["parallel_workers"] == 2
+        status = read_status(path)
+        assert status["progress"]["done"] is True
+        workers = status["workers"]
+        assert len(workers) == 2
+        assert sum(w["tasks_done"] for w in workers) > 0
+
     def test_live_fraction_monotone_during_shm_join(self, tmp_path, par_trees):
         tree_r, tree_s = par_trees
         path = tmp_path / "status.json"
@@ -447,20 +458,6 @@ class TestEngineWiring:
         assert fractions, "no status snapshots observed during the join"
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
         assert fractions[-1] == 1.0
-
-    def test_tiled_parallel_join_publishes_status(self, tmp_path, par_trees):
-        tree_r, tree_s = par_trees
-        path = tmp_path / "status.json"
-        cfg = JoinConfig(
-            parallel=2, parallel_mode="thread",
-            status_path=str(path), status_interval_s=0.02,
-        )
-        result = k_distance_join(tree_r, tree_s, 100, config=cfg)
-        status = read_status(path)
-        if result.stats.extra.get("parallel_fallback"):
-            pytest.skip("dataset below the parallel threshold")
-        assert status["progress"]["done"] is True
-        assert len(status["workers"]) == 2
 
     def test_metrics_port_serves_during_join(self, tmp_path, small_trees):
         # Ephemeral-port plumbing is covered in TestPrometheus; here only
@@ -514,7 +511,7 @@ class TestEngineWiring:
 
 @pytest.fixture(scope="module")
 def par_trees():
-    """Trees big enough to clear MIN_PARALLEL_OBJECTS and yield tasks."""
+    """Trees big enough to split into several worker tasks."""
     import random
 
     from repro.geometry.rect import Rect

@@ -1,113 +1,38 @@
-"""Direct coverage for the parallel merge layer (k-way merge, dedupe,
-shared bounds).
+"""Direct coverage for the parallel engine's global bound.
 
-The merge is the one place where every parallel executor's output
-converges; its ordering and dedupe behavior is what makes the parallel
-result stream byte-identical to the sequential one, so it gets tested
-on its own, not just through whole-join runs.
+Every worker batch the parent commits goes through
+:class:`PairwiseBound`; its cutoff is the ``qDmax`` that caps every
+worker's sweep, so it must stay a true upper bound on the k-th distance
+even when crash recovery re-offers pairs already seen.
 """
 
 import math
 
-import pytest
-
-from repro.core.pairs import ResultPair
-from repro.parallel.merge import (
-    GlobalBound,
-    PairwiseBound,
-    dedupe_sorted,
-    merge_sorted,
-    merge_topk,
-    pair_key,
-)
-
-
-def _run(*triples):
-    return [ResultPair(d, r, s) for d, r, s in triples]
-
-
-class TestMergeSorted:
-    def test_k_way_merge_interleaves_runs(self):
-        runs = [
-            _run((1.0, 1, 1), (4.0, 4, 4)),
-            _run((2.0, 2, 2), (5.0, 5, 5)),
-            _run((3.0, 3, 3)),
-        ]
-        merged = list(merge_sorted(runs))
-        assert [p.distance for p in merged] == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_duplicate_distances_order_by_ref_ids(self):
-        # Three pairs at the exact same distance, spread across runs:
-        # the merged order must be (distance, ref_r, ref_s), regardless
-        # of which run they came from.
-        runs = [
-            _run((2.0, 9, 1)),
-            _run((2.0, 3, 7)),
-            _run((2.0, 3, 2), (2.0, 9, 0)),
-        ]
-        merged = list(merge_sorted(runs))
-        assert merged == _run((2.0, 3, 2), (2.0, 3, 7), (2.0, 9, 0), (2.0, 9, 1))
-
-    def test_exact_tie_ordering_is_run_count_invariant(self):
-        # The same result set split 2 ways and 4 ways merges identically.
-        pairs = _run(
-            (1.0, 5, 5), (1.0, 5, 6), (1.5, 0, 0), (1.5, 0, 1),
-            (1.5, 1, 0), (2.0, 2, 2), (2.5, 3, 3), (2.5, 3, 4),
-        )
-        two_way = [sorted(pairs[0::2], key=pair_key), sorted(pairs[1::2], key=pair_key)]
-        four_way = [sorted(pairs[i::4], key=pair_key) for i in range(4)]
-        assert list(merge_sorted(two_way)) == list(merge_sorted(four_way))
-
-    def test_empty_runs_are_harmless(self):
-        assert list(merge_sorted([[], _run((1.0, 0, 0)), []])) == _run((1.0, 0, 0))
-
-
-class TestDedupe:
-    def test_dedupe_drops_adjacent_exact_repeats(self):
-        stream = _run((1.0, 0, 0), (1.0, 0, 0), (2.0, 1, 1), (2.0, 1, 1), (2.0, 1, 2))
-        assert list(dedupe_sorted(stream)) == _run((1.0, 0, 0), (2.0, 1, 1), (2.0, 1, 2))
-
-    def test_dedupe_keeps_distance_ties_of_distinct_pairs(self):
-        # Same distance, different object ids: both must survive.
-        stream = _run((3.0, 1, 2), (3.0, 1, 3), (3.0, 2, 2))
-        assert list(dedupe_sorted(stream)) == stream
-
-    def test_merge_topk_dedupe_across_runs(self):
-        # The same pair discovered by two workers (boundary replication)
-        # must not occupy two of the k result slots.
-        runs = [
-            _run((1.0, 0, 0), (2.0, 1, 1)),
-            _run((1.0, 0, 0), (3.0, 2, 2)),
-        ]
-        assert merge_topk(runs, 3, dedupe=True) == _run(
-            (1.0, 0, 0), (2.0, 1, 1), (3.0, 2, 2)
-        )
-        # Without dedupe the duplicate wins a slot — the flag matters.
-        assert merge_topk(runs, 3) == _run((1.0, 0, 0), (1.0, 0, 0), (2.0, 1, 1))
-
-    def test_merge_topk_truncates_to_k(self):
-        runs = [_run((1.0, 0, 0), (2.0, 1, 1), (3.0, 2, 2))]
-        assert len(merge_topk(runs, 2)) == 2
+from repro.parallel.merge import PairwiseBound
 
 
 class TestGlobalBound:
+    """The k-bounded global ``qDmax`` half of :class:`PairwiseBound`."""
+
     def test_cutoff_inf_until_k_offers(self):
-        bound = GlobalBound(3)
-        bound.offer([5.0, 1.0])
+        bound = PairwiseBound(3)
+        assert bound.offer_pairs([(5.0, 0, 0), (1.0, 1, 1)]) == [
+            (5.0, 0, 0), (1.0, 1, 1),
+        ]
         assert math.isinf(bound.cutoff)
         assert not bound.is_finite
-        bound.offer([3.0])
+        bound.offer_pairs([(3.0, 2, 2)])
         assert bound.cutoff == 5.0
         assert bound.is_finite
 
     def test_cutoff_tightens_with_better_offers(self):
-        bound = GlobalBound(2)
-        bound.offer([4.0, 3.0, 2.0, 1.0])
+        bound = PairwiseBound(2)
+        bound.offer_pairs([(4.0, 0, 0), (3.0, 1, 1), (2.0, 2, 2), (1.0, 3, 3)])
         assert bound.cutoff == 2.0
 
     def test_insertions_counted(self):
-        bound = GlobalBound(2)
-        bound.offer([1.0, 2.0, 3.0])
+        bound = PairwiseBound(2)
+        bound.offer_pairs([(1.0, 0, 0), (2.0, 1, 1), (3.0, 2, 2)])
         assert bound.insertions == 3
 
 
@@ -117,6 +42,9 @@ class TestPairwiseBound:
         assert bound.offer_pair(1.0, 7, 8)
         assert not bound.offer_pair(1.0, 7, 8)
         assert bound.insertions == 1
+        # A re-run task's batch: only the unseen pair is kept.
+        assert bound.offer_pairs([(1.0, 7, 8), (2.0, 7, 9)]) == [(2.0, 7, 9)]
+        assert bound.insertions == 2
 
     def test_duplicate_offers_cannot_deflate_cutoff(self):
         # k=2 with one real pair offered three times: a plain k-queue

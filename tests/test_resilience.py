@@ -1,5 +1,7 @@
-"""Tests for the resilience subsystem: fault injection, worker
-retry/fallback, spill hardening, deadlines, and the typed error CLI."""
+"""Tests for the resilience subsystem: fault injection, worker crash
+recovery, spill hardening, deadlines, and the typed error CLI.  The
+parallel engine's own recovery mechanics (stalls, segment cleanup, the
+all-workers-dead inline drain) are tested in ``test_shm.py``."""
 
 import math
 import os
@@ -17,7 +19,6 @@ from repro import (
     JoinConfig,
     JoinDeadlineExceeded,
     JoinRunner,
-    PartitionFailedError,
     Rect,
     ReproError,
     RTree,
@@ -25,8 +26,7 @@ from repro import (
     SpillError,
     parallel_kdj,
 )
-from repro.parallel import engine as parallel_engine
-from repro.parallel.merge import GlobalBound
+from repro.parallel import shm as parallel_shm
 from repro.queues.main_queue import MainQueue
 from repro.resilience import (
     NULL_DEADLINE,
@@ -116,13 +116,6 @@ class TestFaultPlan:
         assert not all(decide(3))
         assert decide(3) != decide(4)
 
-    def test_without_worker_faults_keeps_spill_sites(self):
-        plan = FaultPlan.parse("worker_crash,worker_stall,spill_read,seed=5")
-        stripped = plan.without_worker_faults()
-        assert {s.site for s in stripped.specs} == {"spill_read"}
-        assert stripped.seed == 5
-        assert not stripped.armed("worker_crash")
-
     def test_spill_write_raises_enospc(self):
         plan = FaultPlan.parse("spill_write")
         with pytest.raises(OSError) as info:
@@ -143,7 +136,7 @@ class TestFaultPlan:
         plan = FaultPlan.parse("worker_crash:@0")
         with pytest.raises(InjectedWorkerCrash):
             trip_worker_faults(plan, 0)
-        trip_worker_faults(plan, 1)  # other partitions untouched
+        trip_worker_faults(plan, 1)  # other workers untouched
 
     def test_kill_degrades_to_crash_outside_child_process(self):
         # In the parent process a hard exit would kill the test run;
@@ -209,11 +202,6 @@ class TestDeadline:
     def test_deadline_exceeded_pickles(self):
         error = pickle.loads(pickle.dumps(JoinDeadlineExceeded(1.5, 2.5)))
         assert (error.budget_s, error.elapsed_s) == (1.5, 2.5)
-
-    def test_partition_failed_pickles(self):
-        error = pickle.loads(pickle.dumps(PartitionFailedError(3, 2, "boom")))
-        assert (error.partition, error.attempts) == (3, 2)
-        assert "boom" in str(error)
 
 
 # ----------------------------------------------------------------------
@@ -328,112 +316,53 @@ class TestSpillHardening:
 # ----------------------------------------------------------------------
 
 
-def par_config(**kwargs) -> JoinConfig:
-    kwargs.setdefault("parallel", 2)
-    kwargs.setdefault("parallel_partitions", 4)
-    kwargs.setdefault("retry_backoff_s", 0.01)
-    return JoinConfig(**kwargs)
-
-
 class TestParallelResilience:
     def test_process_mode_regression(self, point_trees, baseline_distances):
-        """mode='process' works with the platform-selected start method
-        (fork is no longer hardcoded)."""
-        result = parallel_kdj(
-            *point_trees, 30, par_config(parallel_mode="process")
-        )
+        """mode='shm-process' works with the platform-selected start
+        method (fork is not hardcoded)."""
+        config = JoinConfig(parallel=2, parallel_mode="shm-process")
+        result = parallel_kdj(*point_trees, 30, config)
         assert_distances_close(result.distances, baseline_distances)
+        assert result.stats.extra["parallel_workers"] == 2
 
     def test_thread_crash_recovers_identically(self, point_trees, baseline_distances):
-        config = par_config(
-            parallel_mode="thread",
+        config = JoinConfig(
+            parallel=2,
+            parallel_mode="shm-thread",
             fault_plan=FaultPlan.parse("worker_crash:@1"),
         )
         result = parallel_kdj(*point_trees, 30, config)
         assert_distances_close(result.distances, baseline_distances)
         extra = result.stats.extra
         assert extra["resilience_worker_failures"] >= 1
-        assert extra["resilience_worker_fallbacks"] >= 1
-
-    def test_thread_crash_with_retries_disabled(self, point_trees, baseline_distances):
-        config = par_config(
-            parallel_mode="thread",
-            worker_retries=0,
-            fault_plan=FaultPlan.parse("worker_crash:@0;2"),
-        )
-        result = parallel_kdj(*point_trees, 30, config)
-        assert_distances_close(result.distances, baseline_distances)
-        assert result.stats.extra["resilience_worker_fallbacks"] >= 2
-        assert "resilience_worker_retries" not in result.stats.extra
-
-    def test_serial_mode_crash_falls_back(self, point_trees, baseline_distances):
-        config = par_config(
-            parallel_mode="serial",
-            fault_plan=FaultPlan.parse("worker_crash:@0"),
-        )
-        result = parallel_kdj(*point_trees, 30, config)
-        assert_distances_close(result.distances, baseline_distances)
-        assert result.stats.extra["resilience_worker_fallbacks"] >= 1
+        # The surviving worker takes the crashed one's share: the parent
+        # never has to drain a stage inline.
+        assert "resilience_worker_fallbacks" not in extra
 
     def test_process_kill_rebuilds_pool(self, point_trees, baseline_distances):
-        """A hard worker exit breaks the process pool; the engine rebuilds
-        it and still produces the exact answer."""
-        config = par_config(
-            parallel_mode="process",
-            worker_retries=1,
+        """A hard worker exit takes one process down; the survivor
+        finishes the stage, every later stage starts on a fresh pool (so
+        the plan kills a new worker 0 there too), and the answer is
+        still exact."""
+        config = JoinConfig(
+            parallel=2,
+            parallel_mode="shm-process",
             fault_plan=FaultPlan.parse("worker_kill:@0"),
         )
         result = parallel_kdj(*point_trees, 30, config)
         assert_distances_close(result.distances, baseline_distances)
         extra = result.stats.extra
-        assert extra["resilience_pool_rebuilds"] >= 1
-        assert extra["resilience_worker_fallbacks"] >= 1
-
-    def test_thread_stall_times_out_and_recovers(
-        self, point_trees, baseline_distances
-    ):
-        config = par_config(
-            parallel_mode="thread",
-            worker_timeout_s=0.2,
-            worker_retries=0,
-            fault_plan=FaultPlan.parse("worker_stall:@1,stall_s=1.5"),
-        )
-        result = parallel_kdj(*point_trees, 30, config)
-        assert_distances_close(result.distances, baseline_distances)
-        extra = result.stats.extra
-        assert extra["resilience_worker_timeouts"] >= 1
-        assert extra["resilience_worker_fallbacks"] >= 1
-
-    def test_worker_spill_corruption_propagates_typed(self, point_trees, tmp_path):
-        """A typed error inside a pool worker is not retried: it aborts
-        the join promptly with all futures drained (satellite: no
-        unguarded future.result())."""
-        config = par_config(
-            parallel_mode="thread",
-            queue_memory=1024,
-            spill_dir=tmp_path,
-            fault_plan=FaultPlan.parse("spill_read"),
-        )
-        with pytest.raises(SpillCorruptionError):
-            parallel_kdj(*point_trees, 300, config, algorithm="bkdj")
-
-    def test_fallback_failure_surfaces_partition_error(self, monkeypatch):
-        def boom(task, live_bound=None):
-            raise ValueError("synthetic")
-
-        monkeypatch.setattr(parallel_engine, "_run_partition", boom)
-        task = {"index": 5, "cap": 1.0, "config": JoinConfig()}
-        with pytest.raises(PartitionFailedError) as info:
-            list(
-                parallel_engine._dispatch_serial([task], GlobalBound(5), 1.0, 1)
-            )
-        assert info.value.partition == 5
-        assert "synthetic" in str(info.value)
+        assert extra["parallel_stages"] >= 2
+        assert extra["resilience_worker_failures"] == extra["parallel_stages"]
+        assert "resilience_worker_fallbacks" not in extra
+        assert parallel_shm.active_segments() == []
 
     def test_parallel_deadline_enforced(self, point_trees):
-        config = par_config(parallel_mode="serial", deadline_s=1e-9)
-        with pytest.raises(JoinDeadlineExceeded):
-            parallel_kdj(*point_trees, 30, config)
+        for mode in ("shm-serial", "shm-thread", "shm-process"):
+            config = JoinConfig(parallel=2, parallel_mode=mode, deadline_s=1e-9)
+            with pytest.raises(JoinDeadlineExceeded):
+                parallel_kdj(*point_trees, 30, config)
+        assert parallel_shm.active_segments() == []
 
 
 class TestStartMethod:
@@ -446,12 +375,12 @@ class TestStartMethod:
             if "fork" in multiprocessing.get_all_start_methods()
             else "spawn"
         )
-        assert parallel_engine._mp_context().get_start_method() == expected
+        assert parallel_shm._mp_context().get_start_method() == expected
 
     @pytest.mark.parametrize("platform", ["darwin", "win32"])
     def test_non_linux_uses_spawn(self, monkeypatch, platform):
         monkeypatch.setattr(sys, "platform", platform)
-        assert parallel_engine._mp_context().get_start_method() == "spawn"
+        assert parallel_shm._mp_context().get_start_method() == "spawn"
 
 
 # ----------------------------------------------------------------------
@@ -509,12 +438,11 @@ class TestCli:
             for cls in (
                 ReproError,
                 FaultSpecError,
-                PartitionFailedError,
                 SpillError,
                 SpillCorruptionError,
                 JoinDeadlineExceeded,
                 StaleStreamError,
             )
         }
-        assert len(codes) == 7
+        assert len(codes) == 6
         assert all(code != 0 for code in codes)

@@ -1,8 +1,9 @@
-"""Zero-copy shared-memory parallel engine: serialization, identity,
-work stealing, and crash recovery.
+"""The parallel engine: serialization, identity, work stealing, and
+crash recovery.
 
-Identity is the load-bearing property: every ``shm-*`` mode must return
-the byte-identical result stream the sequential engine produces, with or
+Identity is the load-bearing property: every mode, at one worker as at
+two, must return the result set the sequential engine produces (and
+agree tie-aware with the ``nlj`` oracle on adversarial inputs), with or
 without injected faults.  The serialization tests pin the flat-buffer
 layout; the fault tests additionally assert that no ``/dev/shm`` segment
 outlives a run.
@@ -10,6 +11,7 @@ outlives a run.
 
 import math
 import random
+import threading
 
 import pytest
 
@@ -200,15 +202,20 @@ class TestSerialization:
             arena.close()
 
 
+MODES = ["shm-serial", "shm-thread", "shm-process"]
+
+
 class TestIdentity:
-    @pytest.mark.parametrize("mode", ["shm-serial", "shm-thread", "shm-process"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_modes_identical_to_sequential(self, point_trees, sequential, mode):
         tree_r, tree_s = point_trees
-        config = JoinConfig(parallel=2, parallel_mode=mode)
-        result = parallel_kdj(tree_r, tree_s, 400, config=config)
-        assert _stream(result) == _stream(sequential)
-        assert result.stats.extra["parallel_mode"] == mode
-        assert result.stats.extra["parallel_stages"] >= 1
+        for workers in (1, 2):
+            config = JoinConfig(parallel=workers, parallel_mode=mode)
+            result = parallel_kdj(tree_r, tree_s, 400, config=config)
+            assert _stream(result) == _stream(sequential)
+            assert result.stats.extra["parallel_workers"] == workers
+            assert result.stats.extra["parallel_mode"] == mode
+            assert result.stats.extra["parallel_stages"] >= 1
 
     def test_rect_data_with_distance_ties(self):
         tree_r = RTree.bulk_load(_rects(600, 31))
@@ -224,21 +231,16 @@ class TestIdentity:
         result = parallel_kdj(tree_r, tree_s, 400, config=config)
         assert _stream(result) == _stream(sequential)
 
-    def test_amidj_routes_through_shm(self, point_trees, sequential):
+    def test_exact_algorithms_run_sequentially(self, point_trees):
+        # Only AM-KDJ has a parallel engine: an exact baseline asked for
+        # workers runs the sequential code, the engine never starts.
         tree_r, tree_s = point_trees
         config = JoinConfig(parallel=2, parallel_mode="shm-serial")
-        result = parallel_kdj(tree_r, tree_s, 400, config=config, algorithm="amidj")
-        assert _stream(result) == _stream(sequential)
-
-    def test_exact_algorithms_fall_back_to_tiled(self, point_trees):
-        # Non-sweep algorithms strip the shm- prefix and run the legacy
-        # tiled executor — still identical, different machinery.
-        tree_r, tree_s = point_trees
-        config = JoinConfig(parallel=2, parallel_mode="shm-serial")
-        result = parallel_kdj(tree_r, tree_s, 50, config=config, algorithm="hs")
+        result = JoinRunner(tree_r, tree_s, config).kdj(50, "hs")
         seq = JoinRunner(tree_r, tree_s, JoinConfig()).kdj(50, "hs")
         assert _stream(result) == _stream(seq)
         assert "obs.shm.tasks" not in result.stats.extra
+        assert "parallel_workers" not in result.stats.extra
 
     def test_widening_reruns_stage_on_clustered_data(self):
         # Two tight clusters far apart: the uniform-density eDmax
@@ -265,6 +267,53 @@ class TestIdentity:
         result = parallel_kdj(tree_r, tree_s, 80 * 80 + 5, config=config)
         assert _stream(result) == _stream(seq)
         assert len(result.results) == 80 * 80
+
+
+#: (|R|, |S|, generator, seed, k): adversarial shapes for the ``nlj``
+#: oracle; S is drawn with ``seed + 1``.
+ORACLE_CASES = {
+    "one-by-one": (1, 1, _points, 61, 1),
+    "one-by-500": (1, 500, _points, 63, 7),
+    "unequal-heights": (20, 3000, _points, 65, 50),
+    "exact-ties": (400, 400, _rects, 67, 300),
+    "k-above-pair-count": (12, 9, _points, 69, 200),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_runs():
+    """Per case: the trees, the objects by id, and the ``nlj`` answer."""
+    runs = {}
+    for name, (n_r, n_s, make, seed, k) in ORACLE_CASES.items():
+        items_r, items_s = make(n_r, seed), make(n_s, seed + 1)
+        tree_r, tree_s = RTree.bulk_load(items_r), RTree.bulk_load(items_s)
+        oracle = JoinRunner(tree_r, tree_s).kdj(k, "nlj")
+        runs[name] = (tree_r, tree_s, dict((i, r) for r, i in items_r),
+                      dict((i, r) for r, i in items_s), k, oracle)
+    return runs
+
+
+class TestOracle:
+    """Tie-aware agreement with ``nlj``: equal distance multisets, every
+    pair's distance that of its two objects, no pair twice."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_agrees_with_nlj(self, oracle_runs, case, mode, workers):
+        tree_r, tree_s, rects_r, rects_s, k, oracle = oracle_runs[case]
+        config = JoinConfig(parallel=workers, parallel_mode=mode)
+        result = parallel_kdj(tree_r, tree_s, k, config)
+        assert result.stats.extra["parallel_workers"] == workers
+        assert len(result.results) == min(k, tree_r.size * tree_s.size)
+        assert sorted(result.distances) == sorted(oracle.distances)
+        pairs = [(p.ref_r, p.ref_s) for p in result.results]
+        assert len(set(pairs)) == len(pairs)
+        for pair in result.results:
+            assert pair.distance == min_distance(
+                rects_r[pair.ref_r], rects_s[pair.ref_s]
+            )
+        assert active_segments() == []
 
 
 class TestScheduler:
@@ -348,6 +397,27 @@ class TestCrashRecovery:
         assert _stream(result) == _stream(sequential)
         assert result.stats.extra["resilience_worker_failures"] == 2
         assert result.stats.extra["resilience_worker_fallbacks"] >= 1
+        assert active_segments() == []
+
+    @pytest.mark.parametrize("mode", ["shm-thread", "shm-process"])
+    def test_stall_times_out_and_recovers(self, point_trees, sequential, mode):
+        # Worker 1 sleeps on entry far past the timeout: it times out on
+        # its own (worker 0 came up fine), its share goes to worker 0,
+        # and the stop message it finds on waking ends an abandoned
+        # thread.
+        tree_r, tree_s = point_trees
+        plan = FaultPlan.parse("worker_stall:@1,stall_s=1.5")
+        config = JoinConfig(
+            parallel=2, parallel_mode=mode, worker_timeout_s=0.2, fault_plan=plan
+        )
+        result = parallel_kdj(tree_r, tree_s, 400, config=config)
+        assert _stream(result) == _stream(sequential)
+        assert result.stats.extra["resilience_worker_timeouts"] >= 1
+        assert result.stats.extra["resilience_worker_failures"] >= 1
+        workers = [t for t in threading.enumerate() if "_shm_worker" in t.name]
+        for thread in workers:
+            thread.join(plan.stall_s + 1.0)
+        assert not [t for t in workers if t.is_alive()]
         assert active_segments() == []
 
     def test_segments_cleaned_after_faulted_runs(self, point_trees):

@@ -58,17 +58,14 @@ class JoinConfig:
     R-tree buffer sizes (512 KB defaults), the plane-sweep optimizations,
     the eDmax override for Figure 14, and the cost model.
 
-    ``kernels`` selects the batched distance-kernel backend
-    (:mod:`repro.kernels`): ``"numpy"`` evaluates whole sweep windows
-    vectorized, ``"python"`` is the dependency-free scalar fallback.
-    ``None`` defers to ``REPRO_KERNELS`` and then auto-detection.  The
-    backend changes wall-clock time only — results and every simulated
-    cost counter are identical either way.
+    No field picks the distance-kernel backend: HS's child-list
+    batches and the parallel engine's block crosses run on NumPy when it
+    imports, else in pure Python (:mod:`repro.kernels`), with identical
+    results and simulated costs either way.
 
     ``batch_size`` sets the sequential engines' bulk-pop expansion width
     (``0`` = adaptive, ``1`` = single pops, ``None`` defers to
-    ``REPRO_BATCH`` then adaptive); like the kernel backend, it changes
-    wall-clock time only.
+    ``REPRO_BATCH`` then adaptive); it changes wall-clock time only.
 
     ``parallel`` (N > 1) runs AM-KDJ on the parallel engine
     (:mod:`repro.parallel`) with N workers; the other k-distance joins
@@ -134,7 +131,6 @@ class JoinConfig:
     distance_queue_all_pairs: bool = False
     expansion_policy: str = "level"
     hs_insert_pruning: bool = True
-    kernels: str | None = None
     batch_size: int | None = None
     edmax: float | None = None
     adaptive_edmax: bool = False
@@ -173,7 +169,6 @@ class JoinConfig:
             distance_queue_all_pairs=self.distance_queue_all_pairs,
             expansion_policy=self.expansion_policy,
             hs_insert_pruning=self.hs_insert_pruning,
-            kernels=self.kernels,
             batch_size=self.batch_size,
         )
 

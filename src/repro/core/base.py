@@ -64,12 +64,6 @@ class EngineOptions:
         charitable reading of the baseline) or prunes only at dequeue
         (off — inflates the queue, closer to the blow-ups the paper
         reports for previous work).
-    kernels:
-        Batched distance-kernel backend (``"numpy"`` or ``"python"``;
-        see :mod:`repro.kernels`).  ``None`` defers to the
-        ``REPRO_KERNELS`` environment variable, then auto-detection.
-        Backends produce bit-identical results and identical simulated
-        costs; only wall-clock time differs.
     batch_size:
         Bulk-pop expansion width for the sequential engines.  ``None``
         defers to the ``REPRO_BATCH`` environment variable, then ``0``
@@ -83,7 +77,6 @@ class EngineOptions:
     distance_queue_all_pairs: bool = False
     expansion_policy: str = "level"
     hs_insert_pruning: bool = True
-    kernels: str | None = None
     batch_size: int | None = None
 
 
@@ -122,8 +115,7 @@ class JoinContext:
         # only fans them out to the instrumented components.
         self.instr = Instruments(
             self.disk, self.accessor_r, self.accessor_s,
-            tracer=tracer, metrics=metrics, kernels=self.options.kernels,
-            live=live,
+            tracer=tracer, metrics=metrics, live=live,
         )
         self.rho = rho if rho is not None else self.default_rho()
         # Child lists outlive the join: one dict per tree version, so a
@@ -171,9 +163,7 @@ class JoinContext:
             self._flat_built = True
             from repro.kernels.flat import FlatHotPath
 
-            self._flat = FlatHotPath.build(
-                self.tree_r, self.tree_s, self.instr.kernels
-            )
+            self._flat = FlatHotPath.build(self.tree_r, self.tree_s)
             if self._flat is not None:
                 self.instr.flat = self._flat
         return self._flat

@@ -193,8 +193,10 @@ def _min_distances(a, b):
     bx_min, by_min, bx_max, by_max = (b[None, :, i] for i in range(4))
     dx = _np.maximum(_np.maximum(ax_min - bx_max, bx_min - ax_max), 0.0)
     dy = _np.maximum(_np.maximum(ay_min - by_max, by_min - ay_max), 0.0)
-    # Mirror the scalar min_distance exactly (including its dx==0/dy==0
-    # shortcuts): np.hypot rounds differently from the naive sqrt form,
-    # and results must be bit-identical to the scalar engines'.
+    # Mirror the scalar min_distance exactly (its dx==0/dy==0 shortcuts,
+    # and max(dx, dy) where both squares underflow): np.hypot rounds
+    # differently from the naive sqrt form, and results must be
+    # bit-identical to the scalar engines'.
     d = _np.sqrt(dx * dx + dy * dy)
-    return _np.where(dx == 0.0, dy, _np.where(dy == 0.0, dx, d))
+    exact = _np.where(dx == 0.0, dy, _np.where(dy == 0.0, dx, d))
+    return _np.where(exact == 0.0, _np.maximum(dx, dy), exact)

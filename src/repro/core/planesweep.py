@@ -298,11 +298,8 @@ class ExpansionRecord:
     *safe* (done with qDmax) and never needs revisiting.
 
     ``keys_r``/``keys_s`` are the child lists' sweep-order coordinates
-    and ``batch_r``/``batch_s`` their lazily gathered packs
-    (:class:`~repro.kernels.flat._FlatPack`; ``None`` when the backend
-    is not batched or the side did not come from the arena) — both from
-    stage one, so compensation batches its window evaluation without
-    re-deriving either.
+    from stage one, so compensation resumes each scan without
+    re-deriving them.
     """
 
     a: Item
@@ -317,8 +314,6 @@ class ExpansionRecord:
     real_cutoff: float | None
     keys_r: list[float]
     keys_s: list[float]
-    batch_r: object | None = None
-    batch_s: object | None = None
 
     def fully_swept(self) -> bool:
         """True when no anchor has unexamined positions left."""
@@ -346,11 +341,9 @@ class PlaneSweeper:
         off fixes the sweep to the x axis, forward — the configuration
         the paper uses as the Figure 11 baseline.
 
-    Distance evaluation inside sweep windows goes through the kernels
-    backend carried by ``instr`` (see :mod:`repro.kernels`): a batched
-    backend evaluates each anchor's candidate window in one call, the
-    pure-Python backend keeps the scalar per-pair path.  Either way every
-    logical distance is counted and charged identically.
+    Every real distance is computed per pair, inline, whatever the
+    kernels backend: an anchor's scan averages about two pairs, too
+    short for a vector call to pay (see :mod:`repro.kernels`).
     """
 
     def __init__(
@@ -361,12 +354,11 @@ class PlaneSweeper:
         flat=None,
     ) -> None:
         self._instr = instr
-        self._kernels = instr.kernels
         #: Optional :class:`repro.kernels.flat.FlatHotPath`.  When set,
-        #: node sides are sorted (and, for a batched backend, packed)
-        #: once per (node, axis, direction) out of the tree arena instead
-        #: of per expansion; :meth:`_sort_side` serves everything else
-        #: with the same items, keys and tie order.
+        #: node sides are sorted once per (node, axis, direction) out of
+        #: the tree arena instead of per expansion; :meth:`_sort_side`
+        #: serves everything else with the same items, keys and tie
+        #: order.
         self._flat = flat
         self.optimize_axis = optimize_axis
         self.optimize_direction = optimize_direction
@@ -409,12 +401,12 @@ class PlaneSweeper:
         """
         select_cutoff = min(axis_limit(), real_limit())
         axis, forward = self._plan(a, b, select_cutoff)
-        sorted_r, keys_r, batch_r = self._side(a, children_r, True, axis, forward)
-        sorted_s, keys_s, batch_s = self._side(b, children_s, False, axis, forward)
+        sorted_r, keys_r = self._side(a, children_r, True, axis, forward)
+        sorted_s, keys_s = self._side(b, children_s, False, axis, forward)
 
         anchors: list[AnchorScan] | None = [] if keep_record else None
         self._merge_sweep(
-            sorted_r, keys_r, batch_r, sorted_s, keys_s, batch_s,
+            sorted_r, keys_r, sorted_s, keys_s,
             axis, forward, axis_limit, real_limit, emit, anchors,
         )
         if not keep_record:
@@ -433,8 +425,6 @@ class PlaneSweeper:
             real_cutoff=record_real_cutoff,
             keys_r=keys_r,
             keys_s=keys_s,
-            batch_r=batch_r,
-            batch_s=batch_s,
         )
 
     def _plan(self, a: Item, b: Item, select_cutoff: float) -> tuple[int, bool]:
@@ -481,12 +471,10 @@ class PlaneSweeper:
                 own = record.sorted_r
                 other = record.sorted_s
                 other_keys = record.keys_s
-                other_batch = record.batch_s
             else:
                 own = record.sorted_s
                 other = record.sorted_r
                 other_keys = record.keys_r
-                other_batch = record.batch_r
             anchor = own[scan.anchor_pos]
             anchor_rect = anchor.rect
             # The anchor's far edge in sweep coordinates.
@@ -494,9 +482,6 @@ class PlaneSweeper:
             begin = scan.start if old_real is not None else scan.resume
             old_resume = scan.resume
             n = len(other)
-            window, wn = self._window(
-                other_batch, other_keys, begin, n, anchor_end, anchor_rect, axis_lim
-            )
             axis_checked = 0
             real_done = 0
             new_resume = n
@@ -505,12 +490,7 @@ class PlaneSweeper:
                 if other_keys[idx] - anchor_end > axis_lim:
                     new_resume = idx
                     break
-                off = idx - begin
-                real = (
-                    window[off]
-                    if off < wn
-                    else min_distance(anchor_rect, other[idx].rect)
-                )
+                real = min_distance(anchor_rect, other[idx].rect)
                 real_done += 1
                 if idx < old_resume:
                     # Examined before: recover only what the old (unsafe)
@@ -535,15 +515,15 @@ class PlaneSweeper:
     def _side(
         self, item: Item, children: list[Item], side_r: bool,
         axis: int, forward: bool
-    ) -> tuple[list[Item], list[float], object | None]:
-        """One expansion side: sorted children, sweep keys, pack handle.
+    ) -> tuple[list[Item], list[float]]:
+        """One expansion side: sorted children and their sweep keys.
 
         The flat hot path serves node sides from its per-(node, axis,
         direction) cache — a stable sort over arena coordinates, same
         tie order and key floats as :meth:`_sort_side` — and the sort
         CPU charge is applied either way, so the simulated clock cannot
         tell the two apart.  Single-object sides, arena misses and
-        sweepers built without a flat path sort here, with no pack.
+        sweepers built without a flat path sort here.
         """
         flat = self._flat
         if flat is not None:
@@ -551,8 +531,7 @@ class PlaneSweeper:
             if cached is not None:
                 self._instr.charge_sort(len(children))
                 return cached
-        sorted_items, keys = self._sort_side(children, axis, forward)
-        return sorted_items, keys, None
+        return self._sort_side(children, axis, forward)
 
     def _sort_side(
         self, items: list[Item], axis: int, forward: bool
@@ -562,8 +541,7 @@ class PlaneSweeper:
         Decorate-sort-undecorate on (key, original index): ties order by
         index, which is exactly the stable order ``sorted(key=...)``
         produces, and each key is computed once instead of per
-        comparison.  The keys list is what the scan loops and the packed
-        kernels index into.
+        comparison.  The keys list is what the scan loops index into.
         """
         self._instr.charge_sort(len(items))
         if forward:
@@ -571,52 +549,6 @@ class PlaneSweeper:
         else:
             keyed = sorted((-it.rect.hi(axis), i) for i, it in enumerate(items))
         return [items[i] for _, i in keyed], [k for k, _ in keyed]
-
-    def _window(
-        self,
-        batch,
-        keys: list[float],
-        start: int,
-        n: int,
-        anchor_end: float,
-        anchor_rect: Rect,
-        limit: float,
-    ) -> tuple[list[float] | None, int]:
-        """Precompute one anchor's window distances, when worth batching.
-
-        The window is planned with the axis cutoff as of anchor entry;
-        cutoffs only tighten during a sweep, so the plan can overshoot
-        the final stop position (wasted arithmetic, never charged) but
-        the scan loop still decides every stop per pair.  Pairs past the
-        planned window fall back to the scalar kernel, which is
-        bit-identical.
-
-        Before touching the backend, a single Python list lookup checks
-        whether even ``min_window`` pairs can fall inside the cutoff —
-        most anchors fail this and skip the per-call kernel overhead
-        (searchsorted plus array slicing) entirely.
-        """
-        if batch is None:
-            return None, 0
-        probe = start + self._kernels.min_window
-        hi_key = anchor_end + limit
-        if probe > n or keys[probe - 1] > hi_key:
-            return None, 0
-        packed = batch.get()
-        if packed is None:
-            return None, 0
-        if math.isinf(limit):
-            stop = n
-        else:
-            stop = self._kernels.window_stop(packed, hi_key)
-            if stop > n:
-                stop = n
-        wn = stop - start
-        if wn < self._kernels.min_window:
-            return None, 0
-        window = self._kernels.window_mindist(packed, start, stop, anchor_rect)
-        self._instr.count_kernel_batch(wn)
-        return window, wn
 
     @staticmethod
     def _emit_oriented(
@@ -632,10 +564,8 @@ class PlaneSweeper:
         self,
         sorted_r: list[Item],
         keys_r: list[float],
-        batch_r,
         sorted_s: list[Item],
         keys_s: list[float],
-        batch_s,
         axis: int,
         forward: bool,
         axis_limit: CutoffFn,
@@ -647,14 +577,13 @@ class PlaneSweeper:
 
         Each anchor's SweepPruning scan runs inline: the sweep fires once
         per anchor across every expansion, and at the ~2-pair average
-        scan length a per-anchor call (argument packing, the window
-        pre-checks, attribute reloads) would dominate.  :meth:`compensate`
-        resumes the recorded anchors through its own loop; the two must
-        stay observably identical.
+        scan length a per-anchor call (argument packing, attribute
+        reloads) would dominate.  :meth:`compensate` resumes the
+        recorded anchors through its own loop; the two must stay
+        observably identical.
         """
         i = j = 0
         n_r, n_s = len(sorted_r), len(sorted_s)
-        min_window = self._kernels.min_window
         sqrt = math.sqrt
         # The cutoff closures may only move via ``emit`` (see
         # :meth:`expand`); when both are the same callable (B-KDJ passes
@@ -674,12 +603,12 @@ class PlaneSweeper:
             if from_r:
                 anchor, own_pos = sorted_r[i], i
                 start = j
-                other, other_keys, other_batch = sorted_s, keys_s, batch_s
+                other, other_keys = sorted_s, keys_s
                 i += 1
             else:
                 anchor, own_pos = sorted_s[j], j
                 start = i
-                other, other_keys, other_batch = sorted_r, keys_r, batch_r
+                other, other_keys = sorted_r, keys_r
                 j += 1
             anchor_rect = anchor.rect
             a_xmin = anchor_rect.xmin
@@ -693,15 +622,6 @@ class PlaneSweeper:
             n = len(other)
             axis_lim = axis_limit()
             real_lim = axis_lim if same_limit else real_limit()
-            window = None
-            wn = 0
-            if other_batch is not None:
-                probe = start + min_window
-                if probe <= n and other_keys[probe - 1] <= anchor_end + axis_lim:
-                    window, wn = self._window(
-                        other_batch, other_keys, start, n,
-                        anchor_end, anchor_rect, axis_lim,
-                    )
             stop = n
             broke = False
             for idx in range(start, n):
@@ -712,29 +632,27 @@ class PlaneSweeper:
                     stop = idx
                     broke = True
                     break
-                off = idx - start
                 m = other[idx]
-                if off < wn:
-                    real = window[off]
+                # ``min_distance`` inlined (same operations, same order,
+                # bit-identical result): the call overhead on a ~2-entry
+                # average scan is measurable.
+                m_rect = m.rect
+                dx = a_xmin - m_rect.xmax
+                gap = m_rect.xmin - a_xmax
+                if gap > dx:
+                    dx = gap
+                dy = a_ymin - m_rect.ymax
+                gap = m_rect.ymin - a_ymax
+                if gap > dy:
+                    dy = gap
+                if dx <= 0.0:
+                    real = dy if dy > 0.0 else 0.0
+                elif dy <= 0.0:
+                    real = dx
                 else:
-                    # ``min_distance`` inlined (same operations, same
-                    # order, bit-identical result): the call overhead on
-                    # a ~2-entry average scan is measurable.
-                    m_rect = m.rect
-                    dx = a_xmin - m_rect.xmax
-                    gap = m_rect.xmin - a_xmax
-                    if gap > dx:
-                        dx = gap
-                    dy = a_ymin - m_rect.ymax
-                    gap = m_rect.ymin - a_ymax
-                    if gap > dy:
-                        dy = gap
-                    if dx <= 0.0:
-                        real = dy if dy > 0.0 else 0.0
-                    elif dy <= 0.0:
-                        real = dx
-                    else:
-                        real = sqrt(dx * dx + dy * dy)
+                    # Both gaps positive: apart, even when the squares
+                    # underflow to 0.0.
+                    real = sqrt(dx * dx + dy * dy) or max(dx, dy)
                 if real <= real_lim:
                     if from_r:
                         emit(anchor, m, real)

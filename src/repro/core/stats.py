@@ -147,6 +147,16 @@ class JoinStats:
         }
 
 
+def _within(rect: Rect, rects: list[Rect], bound: float) -> list[tuple[int, float]]:
+    """The scalar batch: ``(index, distance)`` for each rect within ``bound``."""
+    out = []
+    for i, other in enumerate(rects):
+        real = min_distance(rect, other)
+        if real <= bound:
+            out.append((i, real))
+    return out
+
+
 class Instruments:
     """Counted, clock-charging operations shared by all join engines.
 
@@ -163,7 +173,6 @@ class Instruments:
         accessor_s: "TreeAccessor",
         tracer: "Tracer | NullTracer | None" = None,
         metrics: "MetricsRegistry | None" = None,
-        kernels=None,
         live=None,
     ) -> None:
         self.disk = disk
@@ -172,13 +181,11 @@ class Instruments:
         self.real_distance_computations = 0
         self.axis_distance_computations = 0
         self.main_queue = None  # attached by JoinContext once built
-        # The batched-kernels backend (repro.kernels).  A backend only
-        # changes *how* distance arithmetic runs; every logical distance
-        # is still counted and charged here, so the simulated cost model
-        # is backend-invariant.
-        if kernels is None or isinstance(kernels, str):
-            kernels = resolve_backend(kernels)
-        self.kernels = kernels
+        # The kernels backend (repro.kernels) for HS's child-list
+        # batches.  A backend only changes *how* distance arithmetic
+        # runs; every logical distance is still counted and charged
+        # here, so the simulated cost model is backend-invariant.
+        self.kernels = resolve_backend()
         self.kernel_batches = 0
         self.kernel_batched_pairs = 0
         # Optional FlatHotPath (repro.kernels.flat), attached by
@@ -257,10 +264,9 @@ class Instruments:
         """
         n = len(rects)
         self.count_real(n)
-        if self.kernels.batched and n >= self.kernels.min_window:
-            self.count_kernel_batch(n)
+        if self._vector_call(n):
             return self.kernels.mindist_packed(rect, self._packed_for(rects, tag))
-        return self.kernels.mindist_batch(rect, rects)
+        return [min_distance(rect, other) for other in rects]
 
     def mindist_within(
         self, rect: Rect, rects: list[Rect], bound: float, tag: object = None
@@ -274,26 +280,25 @@ class Instruments:
         """
         n = len(rects)
         self.count_real(n)
-        if self.kernels.batched and n >= self.kernels.min_window:
-            self.count_kernel_batch(n)
+        if self._vector_call(n):
             return self.kernels.mindist_packed_within(
                 rect, self._packed_for(rects, tag), bound
             )
-        return self.kernels.mindist_within(rect, rects, bound)
+        return _within(rect, rects, bound)
 
     def mindist_within_items(
         self, rect: Rect, items, bound: float, tag: object = None
     ) -> list[tuple[int, float]]:
         """:meth:`mindist_within` over ``.rect``-bearing items.
 
-        Extracting the rect list is deferred until a backend actually
-        needs it, so a tagged pack-cache hit — the common case when a
-        node is re-expanded against many partners — touches no item at
-        all.
+        HS's whole-child-list batch.  Extracting the rect list is
+        deferred until a backend actually needs it, so a tagged
+        pack-cache hit — the common case when a node is re-expanded
+        against many partners — touches no item at all.
         """
         n = len(items)
         self.count_real(n)
-        if self.kernels.batched and n >= self.kernels.min_window:
+        if self._vector_call(n):
             packed = self._pack_get(tag) if tag is not None else None
             if packed is None:
                 if self.flat is not None:
@@ -304,11 +309,23 @@ class Instruments:
                     packed = self.kernels.pack_rects([item.rect for item in items])
                 if tag is not None:
                     self._pack_put(tag, packed)
-            self.count_kernel_batch(n)
             return self.kernels.mindist_packed_within(rect, packed, bound)
-        return self.kernels.mindist_within(
-            rect, [item.rect for item in items], bound
-        )
+        return _within(rect, [item.rect for item in items], bound)
+
+    def _vector_call(self, n: int) -> bool:
+        """True, and counted, when ``n`` distances go to the backend at once.
+
+        False sends the caller to the scalar loop: the pure-Python
+        backend never takes a batch, NumPy only from ``min_window`` on.
+        """
+        kernels = self.kernels
+        if not (kernels.batched and n >= kernels.min_window):
+            return False
+        self.kernel_batches += 1
+        self.kernel_batched_pairs += n
+        if self.metrics is not None:
+            self.metrics.histogram("kernel_batch_size").observe(float(n))
+        return True
 
     def _pack_get(self, tag: object):
         packs = self._packs
@@ -335,13 +352,6 @@ class Instruments:
             packed = self.kernels.pack_rects(rects)
             self._pack_put(tag, packed)
         return packed
-
-    def count_kernel_batch(self, n: int) -> None:
-        """Record one vectorized kernel call covering ``n`` pairs."""
-        self.kernel_batches += 1
-        self.kernel_batched_pairs += n
-        if self.metrics is not None:
-            self.metrics.histogram("kernel_batch_size").observe(float(n))
 
     # -- sorting --------------------------------------------------------
 

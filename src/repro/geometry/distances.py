@@ -25,8 +25,9 @@ def min_distance(a: Rect, b: Rect) -> float:
     ``math.hypot``: the batched kernels (:mod:`repro.kernels`) must
     produce bit-identical distances from NumPy, and ``np.hypot`` rounds
     differently from ``math.hypot`` while the naive form agrees exactly.
-    Coordinates here are far from the overflow range where ``hypot``'s
-    extra care would matter.
+    When both gaps are positive but their squares underflow (gaps below
+    about 1e-162) the sum reads 0.0; the rectangles do not touch, so the
+    larger gap stands in, as in :meth:`Rect.min_dist`.
     """
     dx = max(a.xmin - b.xmax, b.xmin - a.xmax, 0.0)
     dy = max(a.ymin - b.ymax, b.ymin - a.ymax, 0.0)
@@ -34,7 +35,7 @@ def min_distance(a: Rect, b: Rect) -> float:
         return dy
     if dy == 0.0:
         return dx
-    return math.sqrt(dx * dx + dy * dy)
+    return math.sqrt(dx * dx + dy * dy) or max(dx, dy)
 
 
 def max_distance(a: Rect, b: Rect) -> float:
@@ -46,7 +47,7 @@ def max_distance(a: Rect, b: Rect) -> float:
     """
     dx = max(a.xmax - b.xmin, b.xmax - a.xmin)
     dy = max(a.ymax - b.ymin, b.ymax - a.ymin)
-    # Naive sqrt form, matching min_distance and the batched kernels.
+    # Naive sqrt form, matching min_distance.
     return math.sqrt(dx * dx + dy * dy)
 
 

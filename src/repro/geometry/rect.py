@@ -177,7 +177,7 @@ class Rect:
 
         Uses the naive ``sqrt(dx*dx + dy*dy)`` form in lockstep with
         :func:`repro.geometry.distances.min_distance` and the batched
-        kernels (bit-for-bit unless both squares underflow to 0.0).
+        kernels, bit for bit.
         """
         dx = max(self.xmin - other.xmax, other.xmin - self.xmax, 0.0)
         dy = max(self.ymin - other.ymax, other.ymin - self.ymax, 0.0)

@@ -40,8 +40,8 @@ inside a picklable ``ArenaDescriptor`` (:mod:`repro.parallel.shm`);
 otherwise its read-only views sit straight on the images.
 Either way :class:`SharedTreeView` exposes the same API, with NumPy
 views (``np.frombuffer``) when NumPy is importable and
-``memoryview.cast`` fallbacks otherwise, so the PR 5 ``PackedRects``
-kernels evaluate directly over shared-buffer slices.
+``memoryview.cast`` fallbacks otherwise, so the block kernels evaluate
+directly over shared-buffer slices.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ class SharedTreeView:
     """Read-only struct-of-arrays view of one tree image.
 
     Attribute arrays are NumPy views over the backing buffer when NumPy
-    is importable (zero-copy, sliceable into ``PackedRects``), else
+    is importable (zero-copy, sliced into coordinate blocks), else
     ``memoryview.cast`` windows — same indexing, no dependency.
     """
 

@@ -8,10 +8,9 @@ images instead of walking ``Item`` objects per expansion:
   :class:`~repro.kernels.arena.TreeArena` (views on each tree's
   memoized image, so only a tree written since the last join is
   patched), it caches each node's sorted child order per (axis,
-  direction), so a node re-expanded against many partners sorts once.
-  For a batched backend it also gathers the packed coordinate arrays
-  straight out of the arena (one fancy-index per array).  Image rows
-  are page ids, so ``Item.ref`` is the node's row;
+  direction), so a node re-expanded against many partners sorts once,
+  and hands HS its nodes' entry blocks as zero-copy arena slices.
+  Image rows are page ids, so ``Item.ref`` is the node's row;
 - :class:`BatchController` — the adaptive bulk-pop width policy: stay at
   width 1 while the pruning cutoff is still moving between batches (so
   the run is exactly the unbatched run while bookkeeping is volatile),
@@ -102,57 +101,6 @@ class BatchController:
         return self._width
 
 
-def _unpickled_flat_pack() -> None:
-    """Stand-in for a :class:`_FlatPack` crossing a pickle boundary."""
-    return None
-
-
-class _FlatPack:
-    """Packed coordinate arrays for one cached sorted side, gathered lazily.
-
-    ``get()`` memoizes a :class:`~repro.kernels.numpy_backend.PackedItems`
-    (``None`` below the backend's ``min_pack``), shared by every
-    expansion that hits the cache entry.  Rides in ExpansionRecords;
-    pickling sheds it (checkpoints must not carry process-local arrays),
-    unpickling as ``None`` so window evaluation falls back to the
-    bit-identical scalar path.
-    """
-
-    __slots__ = ("_view", "_lo", "_hi", "_order", "_keys", "_min_pack",
-                 "_packed", "_done")
-
-    def __init__(self, view, lo, hi, order, keys, min_pack) -> None:
-        self._view = view
-        self._lo = lo
-        self._hi = hi
-        self._order = order
-        self._keys = keys
-        self._min_pack = min_pack
-        self._packed = None
-        self._done = False
-
-    def get(self):
-        if not self._done:
-            self._done = True
-            lo, hi = self._lo, self._hi
-            if hi - lo >= self._min_pack:
-                from repro.kernels.numpy_backend import PackedItems
-
-                view = self._view
-                order = self._order
-                self._packed = PackedItems.from_arrays(
-                    self._keys,
-                    view.exmin[lo:hi][order],
-                    view.eymin[lo:hi][order],
-                    view.exmax[lo:hi][order],
-                    view.eymax[lo:hi][order],
-                )
-        return self._packed
-
-    def __reduce__(self):
-        return (_unpickled_flat_pack, ())
-
-
 class FlatHotPath:
     """Per-join cache of arena-backed sorted sides and entry blocks.
 
@@ -161,39 +109,37 @@ class FlatHotPath:
     caller's child count; a free row's empty range fails that check.
     """
 
-    __slots__ = ("arena", "_kernels", "_view_r", "_view_s", "_sides", "_closed")
+    __slots__ = ("arena", "_view_r", "_view_s", "_sides", "_closed")
 
-    def __init__(self, arena: TreeArena, kernels) -> None:
+    def __init__(self, arena: TreeArena) -> None:
         self.arena = arena
-        self._kernels = kernels
         self._view_r = arena.view_r
         self._view_s = arena.view_s
-        #: (side_r, ref, axis, forward) -> (sorted_items, keys, pack)
+        #: (side_r, ref, axis, forward) -> (sorted_items, keys)
         self._sides: dict[tuple, tuple] = {}
         self._closed = False
 
     @classmethod
-    def build(cls, tree_r: "RTree", tree_s: "RTree", kernels) -> "FlatHotPath | None":
+    def build(cls, tree_r: "RTree", tree_s: "RTree") -> "FlatHotPath | None":
         """Arena + hot path for a join, or ``None`` for an empty dataset.
 
-        Serves every backend, with or without NumPy.  Empty datasets
-        never expand a node, so they skip the image cost.
+        Works with or without NumPy.  Empty datasets never expand a
+        node, so they skip the image cost.
         """
         if tree_r.size == 0 or tree_s.size == 0:
             return None
-        return cls(TreeArena(tree_r, tree_s, use_shm=False), kernels)
+        return cls(TreeArena(tree_r, tree_s, use_shm=False))
 
     def sorted_side(
         self, side_r: bool, item: "Item", children: list, axis: int, forward: bool
-    ) -> tuple[list, list[float], object] | None:
-        """Sorted child list, sweep keys and pack for one node side.
+    ) -> tuple[list, list[float]] | None:
+        """Sorted child list and sweep keys for one node side.
 
         Returns ``None`` when the item is not an arena node (object
         items never map; a stale child list is rejected by the count
         check) — the caller falls back to ``PlaneSweeper._sort_side``.
         The sorted list and keys are exactly that method's: same item
-        objects, same stable tie order, same key floats.  The pack is a
-        :class:`_FlatPack` for a batched backend, else ``None``.
+        objects, same stable tie order, same key floats.
         """
         if item.is_object:
             return None
@@ -216,21 +162,15 @@ class FlatHotPath:
         if _np is not None:
             column = column[lo:hi] if forward else -column[lo:hi]
             order = _np.argsort(column, kind="stable")
-            pack_order, pack_keys = order, column[order]
-            order, keys = order.tolist(), pack_keys.tolist()
+            keys = column[order].tolist()
+            order = order.tolist()
         else:
             column = column[lo:hi].tolist()
             if not forward:
                 column = [-value for value in column]
             order = sorted(range(hi - lo), key=column.__getitem__)
             keys = [column[i] for i in order]
-            pack_order, pack_keys = order, keys
-        pack = None
-        if self._kernels.batched:
-            pack = _FlatPack(
-                view, lo, hi, pack_order, pack_keys, self._kernels.min_pack
-            )
-        entry = ([children[i] for i in order], keys, pack)
+        entry = ([children[i] for i in order], keys)
         if len(self._sides) >= _SIDE_CACHE_MAX:
             self._sides.clear()
         self._sides[key] = entry

@@ -1,59 +1,32 @@
 """Pure-Python kernels backend.
 
-The fallback when NumPy is unavailable (or ``REPRO_KERNELS=python``).
-There is nothing to vectorize with, so the backend is not ``batched``:
-the sweep gets no packs and keeps its scalar per-pair path, and the
-batch entry points are plain comprehensions over the scalar distance
-functions, which makes backend equivalence true by construction.
+The fallback when NumPy is not importable.  There is nothing to
+vectorize with, so the backend is not ``batched``: HS's child-list
+batches take :class:`~repro.core.stats.Instruments`' scalar loop, and
+only the shared-memory engine's block calls live here, written with the
+arithmetic of the scalar ``min_distance`` so that the distances match
+the NumPy backend's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.geometry.distances import max_distance, min_distance
-
 
 class PythonKernels:
-    """Scalar reference implementation of the kernel API."""
+    """Scalar implementation of the shared-memory engine's block calls."""
 
     name = "python"
-    #: Whether sweeps get packed windows to evaluate in one call.  False
-    #: here: sweeps run their scalar path per pair.
+    #: Whether HS's child-list batches go through the backend.  False
+    #: here: :class:`~repro.core.stats.Instruments` runs them per pair.
     batched = False
-    #: Smallest window worth batching (unused — kept for API parity).
-    min_window = 0
-
-    def mindist_batch(self, rect, rects) -> list[float]:
-        return [min_distance(rect, other) for other in rects]
-
-    def pack_rects(self, rects):
-        """No packing: the scalar path iterates the list as-is."""
-        return rects
-
-    def mindist_packed(self, rect, packed) -> list[float]:
-        return [min_distance(rect, other) for other in packed]
-
-    def mindist_within(self, rect, rects, bound) -> list[tuple[int, float]]:
-        """``(index, distance)`` for every rect within ``bound``."""
-        out = []
-        for i, other in enumerate(rects):
-            real = min_distance(rect, other)
-            if real <= bound:
-                out.append((i, real))
-        return out
-
-    def mindist_packed_within(self, rect, packed, bound) -> list[tuple[int, float]]:
-        return self.mindist_within(rect, packed, bound)
 
     def block_within(self, rect, block, bound) -> list[tuple[int, float]]:
         """``(index, distance)`` for block rects within ``bound`` of ``rect``.
 
         ``block`` is a struct-of-arrays coordinate block (the
         shared-memory engine's zero-copy slices expose indexable
-        ``xmin``/``ymin``/``xmax``/``ymax`` sequences); the arithmetic
-        mirrors the scalar ``min_distance`` exactly, so the distances
-        are bitwise identical to the NumPy backend's.
+        ``xmin``/``ymin``/``xmax``/``ymax`` sequences).
         """
         rxmin, rymin, rxmax, rymax = rect.xmin, rect.ymin, rect.xmax, rect.ymax
         bxmin, bymin, bxmax, bymax = block.xmin, block.ymin, block.xmax, block.ymax
@@ -63,7 +36,11 @@ class PythonKernels:
             dy = max(rymin - bymax[i], bymin[i] - rymax, 0.0)
             if dx > bound or dy > bound:
                 continue
-            real = dy if dx == 0.0 else (dx if dy == 0.0 else math.sqrt(dx * dx + dy * dy))
+            real = (
+                dy if dx == 0.0
+                else dx if dy == 0.0
+                else math.sqrt(dx * dx + dy * dy) or max(dx, dy)
+            )
             if real <= bound:
                 out.append((i, float(real)))
         return out
@@ -103,7 +80,9 @@ class PythonKernels:
                 if not (x_ok and y_ok):
                     continue
                 real = (
-                    dy if dx == 0.0 else (dx if dy == 0.0 else math.sqrt(dx * dx + dy * dy))
+                    dy if dx == 0.0
+                    else dx if dy == 0.0
+                    else math.sqrt(dx * dx + dy * dy) or max(dx, dy)
                 )
                 if real <= bound:
                     rows.append(i)
@@ -111,5 +90,3 @@ class PythonKernels:
                     dists.append(float(real))
         return rows, cols, dists, in_x, in_y
 
-    def maxdist_batch(self, rect, rects) -> list[float]:
-        return [max_distance(rect, other) for other in rects]

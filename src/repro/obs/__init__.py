@@ -76,6 +76,6 @@ __all__ = [
 ]
 
 
-def tracer_for(path, fmt=None, track: int = 0) -> Tracer:
+def tracer_for(path, fmt=None) -> Tracer:
     """A tracer writing to ``path`` (format inferred from extension)."""
-    return Tracer([open_sink(path, fmt)], track=track)
+    return Tracer([open_sink(path, fmt)])

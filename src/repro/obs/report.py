@@ -154,8 +154,7 @@ def render_timeline(records: list[dict[str, Any]], width: int = 48) -> str:
             current_track = span.track
             batch_rows = 0
             batch_skipped = 0
-            label = "main" if span.track == 0 else f"worker-{span.track}"
-            lines.append(f"track {span.track} ({label})")
+            lines.append(f"track {span.track}")
         is_batch = span.name.startswith("expand")
         if is_batch:
             batch_rows += 1

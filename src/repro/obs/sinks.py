@@ -50,9 +50,8 @@ class ChromeTraceSink:
 
     The mapping is direct: our ``ph`` letters are Chrome's, ``track``
     becomes the thread id (all on one process), and timestamps convert
-    from seconds to the format's microseconds.  Thread-name metadata
-    events label each track so Perfetto shows ``main`` / ``worker-N``
-    instead of bare numbers.
+    from seconds to the format's microseconds.  A thread-name metadata
+    event labels track 0 ``main`` in Perfetto.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -67,16 +66,14 @@ class ChromeTraceSink:
         if self._closed:
             return
         self._closed = True
-        tracks = sorted({record.get("track", 0) for record in self._records})
         events: list[dict[str, Any]] = [
             {
                 "ph": "M",
                 "name": "thread_name",
                 "pid": 0,
-                "tid": track,
-                "args": {"name": "main" if track == 0 else f"worker-{track}"},
+                "tid": 0,
+                "args": {"name": "main"},
             }
-            for track in tracks
         ]
         for record in self._records:
             event: dict[str, Any] = {

@@ -118,28 +118,16 @@ class Tracer:
     sinks:
         Objects with ``write(record)`` and ``close()``; see
         :mod:`repro.obs.sinks`.
-    track:
-        Default track id stamped on every record (each track renders
-        as a separate Chrome trace thread).
-    epoch_origin:
-        ``time.time()`` value corresponding to ``ts == 0``, so records
-        of tracers in different processes can be shifted onto one
-        timeline (``perf_counter`` origins are not comparable across
-        processes; the epoch clock is).
+
+    Every record is stamped ``"track": 0``: the joins trace on one
+    track, the calling thread's.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        sinks: list[Any],
-        track: int = 0,
-        epoch_origin: float | None = None,
-    ) -> None:
+    def __init__(self, sinks: list[Any]) -> None:
         self._sinks = list(sinks)
-        self.track = track
         self._origin = time.perf_counter()
-        self.epoch_origin = time.time() if epoch_origin is None else epoch_origin
         self._closed = False
         #: Names of the currently open spans, outermost first.  The
         #: sampling profiler snapshots this from its own thread to
@@ -161,7 +149,7 @@ class Tracer:
 
     def _record(self, ph: str, name: str, args: dict[str, Any]) -> None:
         self.emit(
-            {"ts": self.now(), "ph": ph, "name": name, "track": self.track,
+            {"ts": self.now(), "ph": ph, "name": name, "track": 0,
              "args": args}
         )
 
@@ -192,7 +180,7 @@ class Tracer:
     def complete(self, name: str, start: float, duration: float, **args: Any) -> None:
         """A span with explicit timing (used by :class:`SpanBatcher`)."""
         self.emit(
-            {"ts": start, "ph": "X", "name": name, "track": self.track,
+            {"ts": start, "ph": "X", "name": name, "track": 0,
              "dur": duration, "args": args}
         )
 

@@ -118,7 +118,7 @@ def parallel_kdj(
     counters: Counter = Counter()
     ctr = SweepCounters()
     worker_busy: dict[int, float] = {}
-    kern = resolve_backend(config.kernels)
+    kern = resolve_backend()
     threshold = cost.shm_split_threshold(workers)
     deadline = Deadline(config.deadline_s) if config.deadline_s is not None else None
     tracer = NULL_TRACER

@@ -46,15 +46,6 @@ class PairwiseBound:
     def insertions(self) -> int:
         return self._queue.insertions
 
-    def offer_pair(self, distance: float, ref_r: int, ref_s: int) -> bool:
-        """Offer one pair; ``False`` means it was already accounted for."""
-        key = (ref_r, ref_s)
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self._queue.insert(distance)
-        return True
-
     def offer_pairs(
         self, pairs: list[tuple[float, int, int]]
     ) -> list[tuple[float, int, int]]:
@@ -62,8 +53,8 @@ class PairwiseBound:
 
         Dedupes against all prior offers first, then feeds the fresh
         distances through :meth:`DistanceQueue.push_many` in one bulk
-        insertion.  The retained multiset (and so the cutoff) matches a
-        per-pair :meth:`offer_pair` loop exactly — the k smallest
+        insertion.  The retained multiset (and so the cutoff) matches
+        offering the pairs one at a time exactly — the k smallest
         distances seen are order independent.
         """
         seen = self._seen

@@ -341,7 +341,6 @@ def _shm_worker(
     outbox,
     cutoff_cell,
     delta: float,
-    kernels_name: str | None,
     fault_plan,
     telemetry=None,
 ) -> None:
@@ -368,7 +367,7 @@ def _shm_worker(
             vr, vs = attached.view_r, attached.view_s
         else:
             vr, vs = source
-        kern = resolve_backend(kernels_name)
+        kern = resolve_backend()
         # Process mode pays pickling per message: flat-array encode.
         encode = _pack if attached is not None else (lambda triples: triples)
         outbox.put(("ready", wid))
@@ -503,7 +502,7 @@ class _StageRuntime:
                     target=_shm_worker,
                     args=(
                         wid, source, inbox, self.outbox, self.cell,
-                        delta, config.kernels, config.fault_plan, tele_arr,
+                        delta, config.fault_plan, tele_arr,
                     ),
                     daemon=True,
                 )
@@ -520,7 +519,7 @@ class _StageRuntime:
                     target=_shm_worker,
                     args=(
                         wid, source, inbox, self.outbox, self.cell,
-                        delta, config.kernels, config.fault_plan, tele_arr,
+                        delta, config.fault_plan, tele_arr,
                     ),
                     daemon=True,
                 )
@@ -545,8 +544,10 @@ class _StageRuntime:
         """Stop every worker; never block on a wedged one.
 
         Dead workers get the stop message too: an abandoned thread (one
-        that timed out) keeps running until it reads its inbox, and
-        must find a stop there rather than block forever.
+        that timed out or never came up) keeps running until it reads
+        its inbox, and must find a stop there rather than block forever.
+        A killed process was terminated already, so its join returns as
+        soon as it has exited.
         """
         for inbox in self.inboxes.values():
             try:
@@ -595,6 +596,8 @@ def _run_stage_pool(
     holds work and stays silent that long, or when it has not come up
     that long after the spawn; the stage also waits for every worker to
     come up or time out, so none is left starting when it shuts down.
+    Without it, a worker still not up when the stage's work is done is
+    killed then (``worker_unstarted``).
     """
     pending: deque[tuple[float, int, int]] = deque(tasks)
     buffers: dict[int, list[tuple[float, int, int]]] = {}
@@ -739,6 +742,12 @@ def _run_stage_pool(
                 msg = runtime.outbox.get_nowait()
             except queue_mod.Empty:
                 msg = None
+    # A worker that never came up (no timeout set) holds no task at
+    # stage end: stop it now instead of letting shutdown wait on it.
+    for wid in alive_workers():
+        if wid not in ready:
+            counters["worker_unstarted"] += 1
+            runtime.kill(wid)
     return []
 
 

@@ -54,7 +54,8 @@ MAGIC = b"RPCKPT"
 
 #: Bumped whenever the payload schema changes incompatibly; a mismatch
 #: raises :class:`~repro.resilience.errors.CheckpointVersionError`.
-FORMAT_VERSION = 1
+#: Version 2: expansion records no longer carry packed sweep windows.
+FORMAT_VERSION = 2
 
 #: Time cadence used when a checkpoint path is set but neither
 #: ``checkpoint_every_pairs`` nor ``checkpoint_every_s`` is.

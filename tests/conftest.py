@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import math
@@ -14,6 +15,14 @@ from repro.geometry.distances import min_distance
 from repro.geometry.rect import Rect
 from repro.rtree.tree import RTree
 
+
+try:  # the NumPy backend runs only where NumPy imports
+    import numpy  # noqa: F401
+except ImportError:
+    #: The kernels backends this interpreter can run.
+    BACKENDS: tuple[str, ...] = ("python",)
+else:
+    BACKENDS = ("python", "numpy")
 
 #: ``--hypothesis-profile fuzz``: the seeded write fuzzers
 #: (``test_image_contract.py``, ``test_write_differential.py``) at the
@@ -108,6 +117,34 @@ def image_builds(monkeypatch):
 
     monkeypatch.setattr(arena, "_build_image", counting)
     return calls
+
+
+@pytest.fixture(scope="session")
+def kernels_backend():
+    """``with kernels_backend(name): ...`` runs the block on one backend.
+
+    Swaps the backend :func:`repro.kernels.resolve_backend` caches, so
+    the pure-Python backend runs even where NumPy is installed; for
+    ``"numpy"`` the test skips where NumPy is not importable.  Yields
+    the backend.
+    """
+    from repro import kernels
+    from repro.kernels.python_backend import PythonKernels
+
+    @contextlib.contextmanager
+    def use(name):
+        if name == "numpy":
+            backend = pytest.importorskip("repro.kernels.numpy_backend").NumpyKernels()
+        else:
+            backend = PythonKernels()
+        saved = kernels._BACKEND
+        kernels._BACKEND = backend
+        try:
+            yield backend
+        finally:
+            kernels._BACKEND = saved
+
+    return use
 
 
 @pytest.fixture

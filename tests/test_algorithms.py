@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.api import JoinConfig, JoinRunner
 from repro.core.base import JoinContext
 from repro.core.sjsort import spatial_join_within
+from repro.geometry.rect import Rect
+from repro.parallel.engine import parallel_kdj
 from repro.rtree.tree import RTree
 
 from tests.conftest import (
@@ -249,3 +251,42 @@ def test_kdj_random_datasets(seed, k, algorithm):
     )
     expected = brute_force_distances(items_r, items_s, k)
     assert_distances_close(runner.kdj(k, algorithm).distances, expected)
+
+
+class TestUnderflowingGaps:
+    """Gaps whose squares underflow still read as apart, on every engine.
+
+    R is the point (0, 0); S holds 40 points ``(i * 1e-170, i * 1e-170)``,
+    so every pair's ``sqrt(dx*dx + dy*dy)`` is 0.0 and the distance is
+    the larger gap, ``i * 1e-170``.  Forty children put HS's batch on the
+    NumPy backend's vector path, where NumPy imports.
+    """
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        tree_r = RTree.bulk_load([(Rect.from_point(0.0, 0.0), 0)])
+        tree_s = RTree.bulk_load(
+            [(Rect.from_point(i * 1e-170, i * 1e-170), i) for i in range(1, 41)],
+            max_entries=64,
+        )
+        return tree_r, tree_s
+
+    @pytest.mark.parametrize("k", [1, 40])
+    @pytest.mark.parametrize("algorithm", ["nlj", *KDJ_ALGS])
+    def test_kdj_engines(self, trees, algorithm, k):
+        dmax = k * 1e-170 if algorithm == "sjsort" else None
+        result = JoinRunner(*trees).kdj(k, algorithm, dmax)
+        assert result.distances == [i * 1e-170 for i in range(1, k + 1)]
+        assert result.distances[0] == 1e-170
+        assert [p.ref_s for p in result.results] == list(range(1, k + 1))
+
+    @pytest.mark.parametrize("k", [1, 40])
+    def test_parallel_engine(self, trees, k):
+        config = JoinConfig(parallel=2, parallel_mode="shm-serial")
+        result = parallel_kdj(*trees, k, config)
+        assert result.distances == [i * 1e-170 for i in range(1, k + 1)]
+
+    def test_amidj_pull(self, trees):
+        with JoinRunner(*trees).idj("amidj") as stream:
+            pairs = stream.next_batch(40)
+        assert [p.distance for p in pairs] == [i * 1e-170 for i in range(1, 41)]

@@ -333,6 +333,18 @@ def test_load_version_mismatch_is_typed(valid_checkpoint, tmp_path):
         load_checkpoint(future)
 
 
+def test_format_1_checkpoint_is_a_version_error(valid_checkpoint, tmp_path):
+    # Format 1 pickled expansion records that carried packed sweep
+    # windows; such a file must fail as a version mismatch, not as
+    # corruption.
+    assert FORMAT_VERSION == 2
+    magic, _, crc, blob = pickle.loads(valid_checkpoint.read_bytes())
+    old = tmp_path / "v1.ckpt"
+    old.write_bytes(pickle.dumps((magic, 1, crc, blob)))
+    with pytest.raises(CheckpointVersionError):
+        load_checkpoint(old)
+
+
 def test_load_crc_mismatch_is_corruption(valid_checkpoint, tmp_path):
     magic, version, crc, blob = pickle.loads(valid_checkpoint.read_bytes())
     flipped = bytes([blob[0] ^ 0xFF]) + blob[1:]

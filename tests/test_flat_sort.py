@@ -5,7 +5,7 @@
 objects in the same stable tie order, and the same key floats, whether
 it sorts with NumPy's stable argsort or in pure Python.  Under the
 pure-Python backend the sweeping engines must still be served from the
-arena, with no packs.
+arena.
 """
 
 import random
@@ -13,8 +13,8 @@ import struct
 
 import pytest
 
-from repro import JoinConfig, JoinRunner, Rect, RTree
-from repro.core.base import EngineOptions, JoinContext
+from repro import JoinRunner, Rect, RTree
+from repro.core.base import JoinContext
 from repro.core.planesweep import PlaneSweeper
 from repro.kernels import flat as flat_mod
 
@@ -73,18 +73,15 @@ def bits(keys):
 @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
 def test_sorted_side_equals_sort_side(trees, sort_path, axis, forward):
     ties = signed_zeros = 0
-    with JoinContext(*trees, options=EngineOptions(kernels="python")) as ctx:
+    with JoinContext(*trees) as ctx:
         flat = ctx.flat_path()
         sweeper = PlaneSweeper(ctx.instr)
         for side_r in (True, False):
             for item, children in node_sides(ctx, side_r):
-                items, keys, pack = flat.sorted_side(
-                    side_r, item, children, axis, forward
-                )
+                items, keys = flat.sorted_side(side_r, item, children, axis, forward)
                 want_items, want_keys = sweeper._sort_side(children, axis, forward)
                 assert [id(x) for x in items] == [id(x) for x in want_items]
                 assert bits(keys) == bits(want_keys)
-                assert pack is None
                 ties += len(set(keys)) < len(keys)
                 signed_zeros += len({bits([k])[0] for k in keys if k == 0.0}) == 2
     # The data must exercise what the sort has to get right.
@@ -93,10 +90,12 @@ def test_sorted_side_equals_sort_side(trees, sort_path, axis, forward):
 
 
 @pytest.mark.parametrize("algorithm", ["bkdj", "sjsort"])
-def test_python_backend_sweeps_from_the_arena(trees, flat_served, algorithm):
-    runner = JoinRunner(*trees, JoinConfig(kernels="python"))
+def test_python_backend_sweeps_from_the_arena(
+    trees, flat_served, kernels_backend, algorithm
+):
+    runner = JoinRunner(*trees)
     oracle = runner.kdj(200, "nlj")
-    result = runner.kdj(200, algorithm, oracle.results[-1].distance)
+    with kernels_backend("python"):
+        result = runner.kdj(200, algorithm, oracle.results[-1].distance)
     assert flat_served, f"{algorithm} did not sweep on the flat body"
-    assert all(pack is None for _, _, pack in flat_served)
     assert sorted(result.distances) == oracle.distances

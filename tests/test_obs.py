@@ -47,7 +47,7 @@ class TestTracer:
 
     def test_records_have_normalized_shape(self):
         sink = CollectSink()
-        tracer = Tracer([sink], track=2)
+        tracer = Tracer([sink])
         tracer.begin("join:x", k=5)
         tracer.event("edmax", old=math.inf, new=3.0, actual=math.inf)
         tracer.counter("stage:one", dist_comps=10.0)
@@ -56,7 +56,7 @@ class TestTracer:
         phases = [record["ph"] for record in sink.records]
         assert phases == ["B", "i", "C", "E"]
         for record in sink.records:
-            assert record["track"] == 2
+            assert record["track"] == 0
             assert record["ts"] >= 0.0
         assert sink.records[1]["args"]["new"] == 3.0
 
@@ -139,17 +139,6 @@ class TestSinks:
         instant = next(e for e in events if e["ph"] == "i")
         assert instant["s"] == "t"
         assert all(e.get("pid", 0) == 0 for e in events)
-
-    def test_chrome_trace_worker_thread_names(self, tmp_path):
-        path = tmp_path / "trace.json"
-        sink = ChromeTraceSink(path)
-        tracer = Tracer([sink])
-        tracer.event("x")
-        tracer.emit({"ts": 0.5, "ph": "i", "name": "y", "track": 3, "args": {}})
-        tracer.close()
-        events = json.loads(path.read_text())["traceEvents"]
-        names = {e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
-        assert names == {0: "main", 3: "worker-3"}
 
     def test_open_sink_inference(self, tmp_path):
         assert isinstance(open_sink(tmp_path / "a.json"), ChromeTraceSink)

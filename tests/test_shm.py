@@ -29,6 +29,8 @@ from repro.parallel.shm import (
 from repro.resilience.faults import FaultPlan
 from repro.rtree.tree import RTree
 
+from tests.conftest import BACKENDS
+
 
 def _points(n, seed, span=1000.0):
     rng = random.Random(seed)
@@ -191,7 +193,7 @@ class TestSerialization:
         arena = TreeArena(tree_r, tree_s, use_shm=False)
         try:
             vr, vs = arena.view_r, arena.view_s
-            kern = resolve_backend(None)
+            kern = resolve_backend()
             rect = vr.entry_rect(vr.span(vr.layout.root)[0])
             lo, hi = vs.span(vs.layout.root)
             hits = kern.block_within(rect, vs.entries.slice(lo, hi), math.inf)
@@ -225,11 +227,18 @@ class TestIdentity:
         result = parallel_kdj(tree_r, tree_s, 250, config=config)
         assert _stream(result) == _stream(seq)
 
-    def test_python_kernels_identical(self, point_trees, sequential):
+    def test_python_kernels_identical(self, point_trees, sequential, kernels_backend):
         tree_r, tree_s = point_trees
-        config = JoinConfig(parallel=2, parallel_mode="shm-serial", kernels="python")
-        result = parallel_kdj(tree_r, tree_s, 400, config=config)
-        assert _stream(result) == _stream(sequential)
+        config = JoinConfig(parallel=2, parallel_mode="shm-serial")
+        rows = set()
+        for backend in BACKENDS:
+            with kernels_backend(backend):
+                result = parallel_kdj(tree_r, tree_s, 400, config=config)
+            assert _stream(result) == _stream(sequential), backend
+            row = result.stats.as_row()
+            del row["wall_time"]
+            rows.add(repr(sorted(row.items())))
+        assert len(rows) == 1
 
     def test_exact_algorithms_run_sequentially(self, point_trees):
         # Only AM-KDJ has a parallel engine: an exact baseline asked for
@@ -414,6 +423,24 @@ class TestCrashRecovery:
         assert _stream(result) == _stream(sequential)
         assert result.stats.extra["resilience_worker_timeouts"] >= 1
         assert result.stats.extra["resilience_worker_failures"] >= 1
+        workers = [t for t in threading.enumerate() if "_shm_worker" in t.name]
+        for thread in workers:
+            thread.join(plan.stall_s + 1.0)
+        assert not [t for t in workers if t.is_alive()]
+        assert active_segments() == []
+
+    @pytest.mark.parametrize("mode", ["shm-thread", "shm-process"])
+    def test_unstarted_worker_is_stopped_at_stage_end(self, point_trees, sequential, mode):
+        # No timeout set: worker 1 sleeps on entry while worker 0 does
+        # the whole stage.  The stage then ends it without a grace join
+        # and counts it.
+        tree_r, tree_s = point_trees
+        plan = FaultPlan.parse("worker_stall:@1,stall_s=2.0")
+        config = JoinConfig(parallel=2, parallel_mode=mode, fault_plan=plan)
+        result = parallel_kdj(tree_r, tree_s, 400, config=config)
+        assert _stream(result) == _stream(sequential)
+        assert result.stats.extra["resilience_worker_unstarted"] >= 1
+        assert "resilience_worker_timeouts" not in result.stats.extra
         workers = [t for t in threading.enumerate() if "_shm_worker" in t.name]
         for thread in workers:
             thread.join(plan.stall_s + 1.0)

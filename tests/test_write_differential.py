@@ -22,14 +22,8 @@ from hypothesis import example, given, strategies as st
 from repro import JoinConfig, JoinRunner, Rect, RTree
 from repro.geometry.distances import min_distance
 
-from tests.conftest import seed_budget
+from tests.conftest import BACKENDS, seed_budget
 
-try:  # the NumPy backend runs only where NumPy imports
-    import numpy  # noqa: F401
-except ImportError:
-    BACKENDS = ("python",)
-else:
-    BACKENDS = ("python", "numpy")
 STEPS = 6
 
 
@@ -82,25 +76,25 @@ def assert_agrees(pairs, oracle, live_r, live_s, label):
         assert got == pair.distance, (label, key)
 
 
-def check_engines(tree_r, tree_s, live_r, live_s, k, step):
+def check_engines(tree_r, tree_s, live_r, live_s, k, step, kernels_backend):
     oracle = sorted(
         pair.distance for pair in JoinRunner(tree_r, tree_s).kdj(k, "nlj").results
     )
     dmax = oracle[-1]
     for backend in BACKENDS:
-        runner = JoinRunner(tree_r, tree_s, JoinConfig(kernels=backend))
-        runs = {
-            algorithm: runner.kdj(k, algorithm).results
-            for algorithm in ("hs", "bkdj", "amkdj")
-        }
-        runs["sjsort"] = runner.kdj(k, "sjsort", dmax=dmax).results
-        with runner.idj("amidj") as stream:
-            runs["amidj"] = stream.next_batch(k)
-        shm = JoinRunner(
-            tree_r, tree_s,
-            JoinConfig(kernels=backend, parallel=2, parallel_mode="shm-serial"),
-        )
-        runs["shm-serial"] = shm.kdj(k, "amkdj").results
+        with kernels_backend(backend):
+            runner = JoinRunner(tree_r, tree_s)
+            runs = {
+                algorithm: runner.kdj(k, algorithm).results
+                for algorithm in ("hs", "bkdj", "amkdj")
+            }
+            runs["sjsort"] = runner.kdj(k, "sjsort", dmax=dmax).results
+            with runner.idj("amidj") as stream:
+                runs["amidj"] = stream.next_batch(k)
+            shm = JoinRunner(
+                tree_r, tree_s, JoinConfig(parallel=2, parallel_mode="shm-serial")
+            )
+            runs["shm-serial"] = shm.kdj(k, "amkdj").results
         for name, pairs in runs.items():
             assert_agrees(pairs, oracle, live_r, live_s, (step, backend, name))
 
@@ -112,7 +106,9 @@ def check_engines(tree_r, tree_s, live_r, live_s, k, step):
     max_entries=st.integers(4, 16),
 )
 @example(seed=0, target="self", max_entries=4)
-def test_every_engine_agrees_with_nlj_after_each_write_step(seed, target, max_entries):
+def test_every_engine_agrees_with_nlj_after_each_write_step(
+    kernels_backend, seed, target, max_entries
+):
     rng = random.Random(seed)
     tree_r, live_r = build(rng, max_entries)
     if target == "self":
@@ -125,13 +121,13 @@ def test_every_engine_agrees_with_nlj_after_each_write_step(seed, target, max_en
         if step:
             write_step(tree, live, rng)
         k = rng.randrange(1, 151)
-        check_engines(tree_r, tree_s, live_r, live_s, k, step)
+        check_engines(tree_r, tree_s, live_r, live_s, k, step, kernels_backend)
     tree_r.validate()
     tree_s.validate()
 
 
 @pytest.mark.parametrize("k", [1, 7])
-def test_one_object_trees_after_writes(k):
+def test_one_object_trees_after_writes(kernels_backend, k):
     # The smallest trees the steps can reach, one object each side; at
     # k = 7 the k exceeds |R|*|S| and every pair is the answer.
     rng = random.Random(11)
@@ -145,4 +141,4 @@ def test_one_object_trees_after_writes(k):
     for oid in range(1, 30):
         assert tree_r.delete(live_r.pop(oid), oid)
         assert tree_s.delete(live_s.pop(oid), oid)
-    check_engines(tree_r, tree_s, live_r, live_s, k, step=0)
+    check_engines(tree_r, tree_s, live_r, live_s, k, 0, kernels_backend)

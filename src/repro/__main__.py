@@ -77,7 +77,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
     config = JoinConfig(
         queue_memory=args.queue_kb * 1024,
         buffer_memory=args.buffer_kb * 1024,
-        batch_size=args.batch_size,
         parallel=args.parallel,
         parallel_mode=args.parallel_mode,
         spill_dir=pathlib.Path(args.spill_dir) if args.spill_dir else None,
@@ -205,10 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     join.add_argument("--queue-kb", type=int, default=512)
     join.add_argument("--buffer-kb", type=int, default=512)
-    join.add_argument("--batch-size", type=int, default=None, metavar="N",
-                      help="bulk-pop expansion width: 0 = adaptive "
-                           "(default, also via REPRO_BATCH), 1 = single "
-                           "pops; results are identical at every width")
     join.add_argument("--show", type=int, default=20,
                       help="result rows to print")
     join.add_argument("--parallel", type=int, default=1,

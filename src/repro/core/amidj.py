@@ -35,10 +35,10 @@ from repro.core.base import JoinContext
 from repro.core.pairs import Item, PairPayload, ResultPair
 from repro.core.planesweep import ExpansionRecord, PlaneSweeper, static_cutoff
 from repro.geometry.distances import max_distance
-from repro.kernels.flat import BatchController
 from repro.obs.metrics import StageMeter
 
-#: Stage-target growth when the user keeps asking for more results.
+#: Stage-target growth when the user keeps asking for more results
+#: (capped at |R| x |S|, see :func:`_pairs`).
 TARGET_GROWTH = 2.0
 
 #: Minimum multiplicative growth of the cutoff between stages, so a run
@@ -197,7 +197,9 @@ def amidj(
         old_edmax = edmax
         new_edmax = _next_stage(ctx, state, schedule, produced, last_distance,
                                 target_k, edmax)
-        target_k = max(int(target_k * TARGET_GROWTH), produced + initial_k)
+        target_k = min(
+            max(int(target_k * TARGET_GROWTH), produced + initial_k), _pairs(ctx)
+        )
         if tracer.enabled:
             tracer.event("edmax", reason="stage", old=old_edmax, new=new_edmax,
                          actual=last_distance)
@@ -213,49 +215,7 @@ def amidj(
         return new_edmax
 
     deadline = ctx.deadline
-    controller = BatchController(ctx.batch_size())
-
-    def handle_node(distance: float, payload: PairPayload) -> None:
-        """Expand (or compensate) one non-object head under ``edmax``."""
-        cutoff_now = edmax
-        no_real_filter = static_cutoff(math.inf)
-        if payload.record is not None:
-            # Sorted child lists live in the record: no refetch, no re-sort.
-            record = payload.record
-            sweeper.compensate(
-                record,
-                axis_limit=lambda: cutoff_now,
-                real_limit=no_real_filter,
-                emit=emit,
-                new_record_real_cutoff=None,
-            )
-            if staged:
-                queue.push_many(staged)
-                staged.clear()
-            batch.tick(resumed=1)
-        else:
-            record = sweeper.expand(
-                payload.a,
-                payload.b,
-                ctx.children_r(payload.a),
-                ctx.children_s(payload.b),
-                axis_limit=lambda: cutoff_now,
-                real_limit=no_real_filter,
-                emit=emit,
-                keep_record=True,
-                pair_distance=distance,
-                record_real_cutoff=None,
-            )
-            assert record is not None
-            if staged:
-                queue.push_many(staged)
-                staged.clear()
-            batch.tick(fresh=1)
-        if not _exhausted(ctx, record, cutoff_now):
-            records.append(record)
-            if len(records) > state.comp_records_peak:
-                state.comp_records_peak = len(records)
-
+    no_real_filter = static_cutoff(math.inf)
     try:
         while True:
             deadline.tick()
@@ -266,51 +226,6 @@ def amidj(
                     return  # dataset exhausted: every pair has been produced
                 edmax = advance_stage()
                 records = []
-                continue
-
-            width = controller.width(edmax)
-            if width > 1 and queue.pop_heads(width):
-                # Bulk pop under the stage cutoff: the eDmax guard is
-                # re-checked per drained head, and ``peek_head`` ends the
-                # batch when an emitted child would pop first, so stage
-                # boundaries land exactly where the unbatched run puts
-                # them.  (eDmax is constant within a stage.)
-                advance = False
-                while True:
-                    if ckpt is not None and ckpt.shutdown_requested:
-                        # A latched shutdown must not wait out the rest
-                        # of the batch: a caller pulling one more result
-                        # from a suspended stream expects the interrupt.
-                        # Breaking only shortens the batch (flush_heads
-                        # restores the drained tail), so the barrier
-                        # below snapshots the exact unbatched state.
-                        break
-                    head = queue.peek_head()
-                    if head is None:
-                        break
-                    distance, payload = head
-                    queue.consume_head()
-                    if distance > edmax and records:
-                        queue.insert(distance, payload)
-                        advance = True
-                        break
-                    if payload.is_object_pair:
-                        produced += 1
-                        last_distance = distance
-                        state.produced = produced
-                        if ckpt is not None:
-                            ckpt.note_emit()
-                        if result_hist is not None:
-                            result_hist.observe(distance)
-                        if live is not None:
-                            live.note_result()
-                        yield ResultPair(distance, payload.a.ref, payload.b.ref)
-                        continue
-                    handle_node(distance, payload)
-                queue.flush_heads()
-                if advance:
-                    edmax = advance_stage()
-                    records = []
                 continue
 
             distance, payload = queue.pop()
@@ -335,7 +250,43 @@ def amidj(
                 yield ResultPair(distance, payload.a.ref, payload.b.ref)
                 continue
 
-            handle_node(distance, payload)
+            cutoff_now = edmax
+            if payload.record is not None:
+                # Sorted child lists live in the record: no refetch, no re-sort.
+                record = payload.record
+                sweeper.compensate(
+                    record,
+                    axis_limit=lambda: cutoff_now,
+                    real_limit=no_real_filter,
+                    emit=emit,
+                    new_record_real_cutoff=None,
+                )
+                if staged:
+                    queue.push_many(staged)
+                    staged.clear()
+                batch.tick(resumed=1)
+            else:
+                record = sweeper.expand(
+                    payload.a,
+                    payload.b,
+                    ctx.children_r(payload.a),
+                    ctx.children_s(payload.b),
+                    axis_limit=lambda: cutoff_now,
+                    real_limit=no_real_filter,
+                    emit=emit,
+                    keep_record=True,
+                    pair_distance=distance,
+                    record_real_cutoff=None,
+                )
+                assert record is not None
+                if staged:
+                    queue.push_many(staged)
+                    staged.clear()
+                batch.tick(fresh=1)
+            if not _exhausted(ctx, record, cutoff_now):
+                records.append(record)
+                if len(records) > state.comp_records_peak:
+                    state.comp_records_peak = len(records)
     finally:
         # Runs at exhaustion or when the caller abandons the stream
         # (GeneratorExit): close the open spans so the trace stays
@@ -359,7 +310,7 @@ def _next_stage(
     """Pick the next stage's cutoff: schedule, else corrected estimate."""
     state.stage += 1
     state.compensations += 1
-    next_target = max(int(target_k * TARGET_GROWTH), produced + 1)
+    next_target = min(max(int(target_k * TARGET_GROWTH), produced + 1), _pairs(ctx))
     if schedule:
         candidate = schedule.pop(0)
     elif ctx.rho is not None and produced > 0:
@@ -402,6 +353,15 @@ def _exhausted(ctx: JoinContext, record: ExpansionRecord, cutoff: float) -> bool
     if record.real_cutoff is None:
         return True
     return cutoff >= max_distance(record.a.rect, record.b.rect)
+
+
+def _pairs(ctx: JoinContext) -> int:
+    """|R| x |S|, the cap on stage targets.
+
+    No stage needs more pairs than exist, and a target doubled for the
+    ~1,000 stages a far-apart pull can take would overflow to ``inf``.
+    """
+    return ctx.tree_r.size * ctx.tree_s.size
 
 
 def _space_diameter(ctx: JoinContext) -> float:

@@ -38,7 +38,6 @@ from repro.core.base import JoinContext
 from repro.core.pairs import Item, PairPayload, ResultPair
 from repro.core.planesweep import PlaneSweeper
 from repro.core.stats import JoinStats
-from repro.kernels.flat import BatchController
 from repro.obs.metrics import StageMeter
 from repro.queues.compensation import CompensationQueue
 from repro.queues.distance_queue import DistanceQueue
@@ -191,12 +190,11 @@ def amkdj(
     if resume_stage == 1:
         estimate_active = resume["estimate_active"]
     deadline = ctx.deadline
-    controller = BatchController(ctx.batch_size())
-
-    def step_aggressive(distance: float, payload: PairPayload) -> bool:
-        """One stage-one head; False switches to compensation (line 9)."""
-        nonlocal need_compensation, edmax_value, min_unsafe_cutoff
-        nonlocal next_milestone, estimate_active
+    while resume_stage != 2 and len(results) < k and queue:
+        deadline.tick()
+        if ckpt is not None:
+            ckpt.barrier(lambda: build_checkpoint(1))
+        distance, payload = queue.pop()
         if distance > min_unsafe_cutoff:
             # Line 9 (corrected): anything at this distance — including an
             # object pair, which enters the queue under qDmax rather than
@@ -204,7 +202,7 @@ def amkdj(
             # compensation stage before producing it.
             queue.insert(distance, payload)
             need_compensation = True
-            return False
+            break
         if payload.is_object_pair:
             results.append(ResultPair(distance, payload.a.ref, payload.b.ref))
             if ckpt is not None:
@@ -220,7 +218,7 @@ def amkdj(
                                  new=corrected, actual=distance)
                 edmax_value = corrected
                 next_milestone += max(k // 4, 1)
-            return True
+            continue
         safe_bound = qdmax()
         if safe_bound <= edmax_value:
             # Line 8: the safe bound has caught up; the estimate is moot
@@ -257,32 +255,6 @@ def amkdj(
             staged.clear()
         comp_queue.enqueue(record)
         batch.tick(children=len(children_r) + len(children_s))
-        return True
-
-    stop = False
-    while not stop and resume_stage != 2 and len(results) < k and queue:
-        deadline.tick()
-        if ckpt is not None:
-            ckpt.barrier(lambda: build_checkpoint(1))
-        width = controller.width((edmax_value, qdmax()))
-        if width > 1 and queue.pop_heads(width):
-            # Bulk pop under the stage guards: every drained head is
-            # re-checked per head (min_unsafe_cutoff, child pre-emption
-            # via peek_head), so the stream and the switch point match
-            # the unbatched run exactly.
-            while len(results) < k:
-                head = queue.peek_head()
-                if head is None:
-                    break
-                queue.consume_head()
-                if not step_aggressive(head[0], head[1]):
-                    stop = True
-                    break
-            queue.flush_heads()
-        else:
-            distance, payload = queue.pop()
-            if not step_aggressive(distance, payload):
-                break
 
     batch.flush()
     tracer.end("stage:aggressive", results=len(results))
@@ -310,7 +282,11 @@ def amkdj(
         for record in comp_queue.drain():
             queue.insert(record.distance, PairPayload(record.a, record.b, record))
 
-        def step_compensation(distance: float, payload: PairPayload) -> None:
+        while len(results) < k and queue:
+            deadline.tick()
+            if ckpt is not None:
+                ckpt.barrier(lambda: build_checkpoint(2))
+            distance, payload = queue.pop()
             if payload.is_object_pair:
                 results.append(ResultPair(distance, payload.a.ref, payload.b.ref))
                 if ckpt is not None:
@@ -319,7 +295,7 @@ def amkdj(
                     result_hist.observe(distance)
                 if live is not None:
                     live.note_result()
-                return
+                continue
             if payload.record is not None:
                 # The record kept the child lists sorted in stage one, so
                 # compensation needs no node refetch and no re-sort —
@@ -349,23 +325,6 @@ def amkdj(
                     queue.push_many(staged)
                     staged.clear()
                 batch.tick(fresh=1)
-
-        while len(results) < k and queue:
-            deadline.tick()
-            if ckpt is not None:
-                ckpt.barrier(lambda: build_checkpoint(2))
-            width = controller.width(qdmax())
-            if width > 1 and queue.pop_heads(width):
-                while len(results) < k:
-                    head = queue.peek_head()
-                    if head is None:
-                        break
-                    queue.consume_head()
-                    step_compensation(head[0], head[1])
-                queue.flush_heads()
-            else:
-                distance, payload = queue.pop()
-                step_compensation(distance, payload)
         batch.flush()
         tracer.end("stage:compensation", results=len(results))
         if meter is not None:

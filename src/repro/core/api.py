@@ -61,11 +61,9 @@ class JoinConfig:
     No field picks the distance-kernel backend: HS's child-list
     batches and the parallel engine's block crosses run on NumPy when it
     imports, else in pure Python (:mod:`repro.kernels`), with identical
-    results and simulated costs either way.
-
-    ``batch_size`` sets the sequential engines' bulk-pop expansion width
-    (``0`` = adaptive, ``1`` = single pops, ``None`` defers to
-    ``REPRO_BATCH`` then adaptive); it changes wall-clock time only.
+    results and simulated costs either way.  Nor does any field set a
+    pop width: every best-first engine pops one queue head per
+    iteration, as in the paper.
 
     ``parallel`` (N > 1) runs AM-KDJ on the parallel engine
     (:mod:`repro.parallel`) with N workers; the other k-distance joins
@@ -131,7 +129,6 @@ class JoinConfig:
     distance_queue_all_pairs: bool = False
     expansion_policy: str = "level"
     hs_insert_pruning: bool = True
-    batch_size: int | None = None
     edmax: float | None = None
     adaptive_edmax: bool = False
     model_queue_boundaries: bool = True
@@ -169,7 +166,6 @@ class JoinConfig:
             distance_queue_all_pairs=self.distance_queue_all_pairs,
             expansion_policy=self.expansion_policy,
             hs_insert_pruning=self.hs_insert_pruning,
-            batch_size=self.batch_size,
         )
 
 

@@ -64,12 +64,6 @@ class EngineOptions:
         charitable reading of the baseline) or prunes only at dequeue
         (off — inflates the queue, closer to the blow-ups the paper
         reports for previous work).
-    batch_size:
-        Bulk-pop expansion width for the sequential engines.  ``None``
-        defers to the ``REPRO_BATCH`` environment variable, then ``0``
-        (adaptive — width follows cutoff stability); ``1`` is the pure
-        single-pop path.  Every width yields byte-identical result
-        streams and identical counters.
     """
 
     optimize_axis: bool = True
@@ -77,7 +71,6 @@ class EngineOptions:
     distance_queue_all_pairs: bool = False
     expansion_policy: str = "level"
     hs_insert_pruning: bool = True
-    batch_size: int | None = None
 
 
 class JoinContext:
@@ -167,12 +160,6 @@ class JoinContext:
             if self._flat is not None:
                 self.instr.flat = self._flat
         return self._flat
-
-    def batch_size(self) -> int:
-        """Resolved bulk-pop width knob (``0`` = adaptive)."""
-        from repro.kernels.flat import resolve_batch_size
-
-        return resolve_batch_size(self.options.batch_size)
 
     def close(self) -> None:
         """Engine teardown: release the queue's on-disk spill files.

@@ -14,7 +14,6 @@ from repro.core.base import JoinContext
 from repro.core.pairs import Item, PairPayload, ResultPair
 from repro.core.planesweep import PlaneSweeper
 from repro.core.stats import JoinStats
-from repro.kernels.flat import BatchController
 from repro.obs.metrics import StageMeter
 from repro.queues.distance_queue import DistanceQueue
 
@@ -114,9 +113,11 @@ def bkdj(
         }
 
     deadline = ctx.deadline
-    controller = BatchController(ctx.batch_size())
-
-    def process(distance: float, payload: PairPayload) -> None:
+    while len(results) < k and queue:
+        deadline.tick()
+        if ckpt is not None:
+            ckpt.barrier(build_checkpoint)
+        distance, payload = queue.pop()
         if payload.is_object_pair:
             results.append(ResultPair(distance, payload.a.ref, payload.b.ref))
             if ckpt is not None:
@@ -125,7 +126,7 @@ def bkdj(
                 result_hist.observe(distance)
             if live is not None:
                 live.note_result()
-            return
+            continue
         if live is not None:
             # B-KDJ has no estimate; both live cutoffs are the safe bound.
             live.set_cutoffs(qdmax(), qdmax())
@@ -144,27 +145,6 @@ def bkdj(
             queue.push_many(staged)
             staged.clear()
         batch.tick(children=len(children_r) + len(children_s))
-
-    while len(results) < k and queue:
-        deadline.tick()
-        if ckpt is not None:
-            ckpt.barrier(build_checkpoint)
-        width = controller.width(qdmax())
-        if width > 1 and queue.pop_heads(width):
-            # Bulk pop: the drained heads are walked under peek/consume;
-            # ``peek_head`` ends the batch the moment a child emitted by
-            # an expansion would pop first in the unbatched order, so
-            # the stream stays byte-identical at every width.
-            while len(results) < k:
-                head = queue.peek_head()
-                if head is None:
-                    break
-                queue.consume_head()
-                process(head[0], head[1])
-            queue.flush_heads()
-        else:
-            distance, payload = queue.pop()
-            process(distance, payload)
 
     batch.flush()
     tracer.end("stage:traversal")

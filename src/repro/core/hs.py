@@ -23,7 +23,6 @@ from typing import Iterator
 from repro.core.base import JoinContext, pick_expansion_side
 from repro.core.pairs import Item, PairPayload, ResultPair
 from repro.core.stats import JoinStats
-from repro.kernels.flat import BatchController
 from repro.queues.distance_queue import DistanceQueue
 
 
@@ -102,103 +101,17 @@ def hs_incremental(
             "stats": stats,
         }
 
-    controller = BatchController(ctx.batch_size())
     # Staged inserts, bulk-pushed after each expansion (the distance
     # queue is fed immediately — its cutoff filters the candidates; the
     # main queue's pop order is insertion-timing invariant within one
     # expansion).
     staged: list[tuple[float, PairPayload]] = []
 
-    def expand_pair(payload: PairPayload) -> None:
-        nonlocal flip
-        expand_r = pick_expansion_side(
-            payload.a, payload.b, ctx.options.expansion_policy, flip
-        )
-        flip = not flip
-        if expand_r:
-            children = ctx.children_r(payload.a)
-            partner = payload.b
-        else:
-            children = ctx.children_s(payload.b)
-            partner = payload.a
-        batch.tick(children=len(children))
-        cutoff = qdmax() if ctx.options.hs_insert_pruning else math.inf
-        # HS pairs the partner with *every* child (no sweep pruning),
-        # so the whole child list is one kernel batch; all distances
-        # are computed (and charged), but only candidates within the
-        # cutoff-at-batch-start cross back into Python.  qDmax only
-        # tightens, so that set is a superset of the true survivors;
-        # each candidate is re-checked against the live cutoff below.
-        # The expanded node's (side, ref) tags the batch so the
-        # backend packs each node's children once, however many
-        # partners it is re-expanded against.
-        expanded = payload.a if expand_r else payload.b
-        candidates = ctx.instr.mindist_within_items(
-            partner.rect, children, cutoff, tag=(expand_r, expanded.ref)
-        )
-        for i, real in candidates:
-            if real > cutoff:
-                continue
-            child = children[i]
-            pair = (
-                PairPayload(child, partner) if expand_r else PairPayload(partner, child)
-            )
-            staged.append((real, pair))
-            if pair.is_object_pair and distance_queue is not None:
-                if tracer.enabled:
-                    before = distance_queue.cutoff
-                    distance_queue.insert(real)
-                    after = distance_queue.cutoff
-                    if after < before:
-                        tracer.event("qdmax", old=before, new=after)
-                else:
-                    distance_queue.insert(real)
-                cutoff = qdmax()
-            elif distance_queue is not None and ctx.options.distance_queue_all_pairs:
-                distance_queue.insert(pair.a.rect.max_dist(pair.b.rect))
-                cutoff = qdmax()
-        if staged:
-            queue.push_many(staged)
-            staged.clear()
-
     try:
         while queue:
             deadline.tick()
             if ckpt is not None:
                 ckpt.barrier(build_checkpoint)
-            width = controller.width(qdmax())
-            if width > 1 and queue.pop_heads(width):
-                # Bulk pop: every drained head passes the same qDmax
-                # skip guard, and ``peek_head`` ends the batch when an
-                # emitted child would pop first in unbatched order.
-                while True:
-                    if ckpt is not None and ckpt.shutdown_requested:
-                        # Stop the batch early on a latched shutdown so a
-                        # suspended stream interrupts on its next pull;
-                        # flush_heads below restores the drained tail, so
-                        # the final barrier snapshot is batch-invariant.
-                        break
-                    head = queue.peek_head()
-                    if head is None:
-                        break
-                    distance, payload = head
-                    queue.consume_head()
-                    if distance > qdmax():
-                        continue
-                    if payload.is_object_pair:
-                        produced += 1
-                        if ckpt is not None:
-                            ckpt.note_emit()
-                        if result_hist is not None:
-                            result_hist.observe(distance)
-                        if live is not None:
-                            live.note_result()
-                            live.set_cutoffs(qdmax(), qdmax())
-                        yield ResultPair(distance, payload.a.ref, payload.b.ref)
-                        continue
-                    expand_pair(payload)
-                queue.flush_heads()
-                continue
             distance, payload = queue.pop()
             if distance > qdmax():
                 # Everything still queued is at least this far: by the time
@@ -216,7 +129,56 @@ def hs_incremental(
                     live.set_cutoffs(qdmax(), qdmax())
                 yield ResultPair(distance, payload.a.ref, payload.b.ref)
                 continue
-            expand_pair(payload)
+            expand_r = pick_expansion_side(
+                payload.a, payload.b, ctx.options.expansion_policy, flip
+            )
+            flip = not flip
+            if expand_r:
+                children = ctx.children_r(payload.a)
+                partner = payload.b
+            else:
+                children = ctx.children_s(payload.b)
+                partner = payload.a
+            batch.tick(children=len(children))
+            cutoff = qdmax() if ctx.options.hs_insert_pruning else math.inf
+            # HS pairs the partner with *every* child (no sweep pruning),
+            # so the whole child list is one kernel batch; all distances
+            # are computed (and charged), but only candidates within the
+            # cutoff-at-batch-start cross back into Python.  qDmax only
+            # tightens, so that set is a superset of the true survivors;
+            # each candidate is re-checked against the live cutoff below.
+            # The expanded node's (side, ref) tags the batch so the
+            # backend packs each node's children once, however many
+            # partners it is re-expanded against.
+            expanded = payload.a if expand_r else payload.b
+            candidates = ctx.instr.mindist_within_items(
+                partner.rect, children, cutoff, tag=(expand_r, expanded.ref)
+            )
+            for i, real in candidates:
+                if real > cutoff:
+                    continue
+                child = children[i]
+                pair = (
+                    PairPayload(child, partner) if expand_r
+                    else PairPayload(partner, child)
+                )
+                staged.append((real, pair))
+                if pair.is_object_pair and distance_queue is not None:
+                    if tracer.enabled:
+                        before = distance_queue.cutoff
+                        distance_queue.insert(real)
+                        after = distance_queue.cutoff
+                        if after < before:
+                            tracer.event("qdmax", old=before, new=after)
+                    else:
+                        distance_queue.insert(real)
+                    cutoff = qdmax()
+                elif distance_queue is not None and ctx.options.distance_queue_all_pairs:
+                    distance_queue.insert(pair.a.rect.max_dist(pair.b.rect))
+                    cutoff = qdmax()
+            if staged:
+                queue.push_many(staged)
+                staged.clear()
     finally:
         # The caller abandons the generator after k results (or the user
         # walks away from an IDJ stream); close the spans either way so

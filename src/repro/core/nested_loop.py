@@ -28,6 +28,8 @@ from repro.geometry.distances import min_distance
 
 try:  # NumPy is optional: without it the scan runs the scalar distance
     import numpy as _np
+
+    from repro.kernels.numpy_backend import exact_distances
 except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
     _np = None
 
@@ -193,10 +195,5 @@ def _min_distances(a, b):
     bx_min, by_min, bx_max, by_max = (b[None, :, i] for i in range(4))
     dx = _np.maximum(_np.maximum(ax_min - bx_max, bx_min - ax_max), 0.0)
     dy = _np.maximum(_np.maximum(ay_min - by_max, by_min - ay_max), 0.0)
-    # Mirror the scalar min_distance exactly (its dx==0/dy==0 shortcuts,
-    # and max(dx, dy) where both squares underflow): np.hypot rounds
-    # differently from the naive sqrt form, and results must be
-    # bit-identical to the scalar engines'.
-    d = _np.sqrt(dx * dx + dy * dy)
-    exact = _np.where(dx == 0.0, dy, _np.where(dy == 0.0, dx, d))
-    return _np.where(exact == 0.0, _np.maximum(dx, dy), exact)
+    # The kernels' exact rules, bit-identical to the scalar engines'.
+    return exact_distances(dx, dy)

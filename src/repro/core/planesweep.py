@@ -585,6 +585,7 @@ class PlaneSweeper:
         i = j = 0
         n_r, n_s = len(sorted_r), len(sorted_s)
         sqrt = math.sqrt
+        inf = math.inf
         # The cutoff closures may only move via ``emit`` (see
         # :meth:`expand`); when both are the same callable (B-KDJ passes
         # qDmax twice) one read serves both limits.
@@ -651,8 +652,10 @@ class PlaneSweeper:
                     real = dx
                 else:
                     # Both gaps positive: apart, even when the squares
-                    # underflow to 0.0.
+                    # underflow to 0.0; squares that overflow read inf.
                     real = sqrt(dx * dx + dy * dy) or max(dx, dy)
+                    if real == inf:
+                        real = math.hypot(dx, dy)
                 if real <= real_lim:
                     if from_r:
                         emit(anchor, m, real)

@@ -12,6 +12,8 @@ import math
 
 from repro.geometry.rect import Rect
 
+_INF = math.inf
+
 
 def min_distance(a: Rect, b: Rect) -> float:
     """Minimum Euclidean distance between two closed rectangles.
@@ -27,7 +29,9 @@ def min_distance(a: Rect, b: Rect) -> float:
     differently from ``math.hypot`` while the naive form agrees exactly.
     When both gaps are positive but their squares underflow (gaps below
     about 1e-162) the sum reads 0.0; the rectangles do not touch, so the
-    larger gap stands in, as in :meth:`Rect.min_dist`.
+    larger gap stands in, as in :meth:`Rect.min_dist`.  When the squares
+    overflow (gaps above about 1.3e154) the root reads ``inf``, and the
+    scaled ``math.hypot`` gives the distance instead.
     """
     dx = max(a.xmin - b.xmax, b.xmin - a.xmax, 0.0)
     dy = max(a.ymin - b.ymax, b.ymin - a.ymax, 0.0)
@@ -35,7 +39,10 @@ def min_distance(a: Rect, b: Rect) -> float:
         return dy
     if dy == 0.0:
         return dx
-    return math.sqrt(dx * dx + dy * dy) or max(dx, dy)
+    d = math.sqrt(dx * dx + dy * dy)
+    if d == _INF:
+        return math.hypot(dx, dy)
+    return d or max(dx, dy)
 
 
 def max_distance(a: Rect, b: Rect) -> float:
@@ -47,8 +54,9 @@ def max_distance(a: Rect, b: Rect) -> float:
     """
     dx = max(a.xmax - b.xmin, b.xmax - a.xmin)
     dy = max(a.ymax - b.ymin, b.ymax - a.ymin)
-    # Naive sqrt form, matching min_distance.
-    return math.sqrt(dx * dx + dy * dy)
+    # Naive sqrt form, matching min_distance (hypot where it overflows).
+    d = math.sqrt(dx * dx + dy * dy)
+    return math.hypot(dx, dy) if d == _INF else d
 
 
 def axis_distance(a: Rect, b: Rect, axis: int) -> float:

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+_INF = math.inf
+
 
 @dataclass(frozen=True, slots=True)
 class Rect:
@@ -22,7 +24,7 @@ class Rect:
 
     Degenerate rectangles (zero width and/or height) are valid and are used
     to represent points.  Construction validates that the rectangle is not
-    inverted and has no NaN coordinate.
+    inverted and that every coordinate is finite (no NaN, no infinity).
     """
 
     xmin: float
@@ -33,10 +35,14 @@ class Rect:
     def __post_init__(self) -> None:
         # Written so that a NaN coordinate, which fails every comparison,
         # is rejected too: a NaN rectangle would sit in a tree unfindable.
-        if not (self.xmin <= self.xmax and self.ymin <= self.ymax):
+        # An infinite one would read inf gaps, and inf - inf is NaN.
+        if not (
+            -_INF < self.xmin <= self.xmax < _INF
+            and -_INF < self.ymin <= self.ymax < _INF
+        ):
             raise ValueError(
-                f"inverted or NaN rectangle: ({self.xmin}, {self.ymin}, "
-                f"{self.xmax}, {self.ymax})"
+                f"inverted, infinite or NaN rectangle: ({self.xmin}, "
+                f"{self.ymin}, {self.xmax}, {self.ymax})"
             )
 
     # ------------------------------------------------------------------
@@ -185,14 +191,19 @@ class Rect:
             return dy
         if dy == 0.0:
             return dx
-        # Both gaps > 0: apart, even when the squares underflow to 0.0.
-        return math.sqrt(dx * dx + dy * dy) or max(dx, dy)
+        # Both gaps > 0: apart, even when the squares underflow to 0.0;
+        # squares that overflow read inf and take the scaled hypot.
+        d = math.sqrt(dx * dx + dy * dy)
+        if d == _INF:
+            return math.hypot(dx, dy)
+        return d or max(dx, dy)
 
     def max_dist(self, other: "Rect") -> float:
         """Maximum Euclidean distance between points of the rectangles."""
         dx = max(self.xmax - other.xmin, other.xmax - self.xmin)
         dy = max(self.ymax - other.ymin, other.ymax - self.ymin)
-        return math.sqrt(dx * dx + dy * dy)
+        d = math.sqrt(dx * dx + dy * dy)
+        return math.hypot(dx, dy) if d == _INF else d
 
     def axis_dist(self, other: "Rect", axis: int) -> float:
         """Separation of the projections on ``axis``; zero when they overlap."""

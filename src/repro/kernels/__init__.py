@@ -22,12 +22,13 @@ Two backends implement those calls:
 Backends are *numerically interchangeable*: every kernel computes a
 minimum distance exactly as the scalar
 :func:`repro.geometry.distances.min_distance` does (``sqrt(dx*dx +
-dy*dy)`` with the ``dx == 0`` / ``dy == 0`` shortcuts and the
-``max(dx, dy)`` fallback when both squares underflow), so result
-streams are bit-identical whichever backend runs.  They are also
-*cost-model invariant*: engines charge ``cpu_real_distance`` per
-logical distance through :class:`~repro.core.stats.Instruments`
-however the arithmetic was performed.
+dy*dy)`` with the ``dx == 0`` / ``dy == 0`` shortcuts, the
+``max(dx, dy)`` fallback when both squares underflow and
+``math.hypot`` when they overflow), so result streams are bit-identical
+whichever backend runs.  They are also *cost-model invariant*: engines
+charge ``cpu_real_distance`` per logical distance through
+:class:`~repro.core.stats.Instruments` however the arithmetic was
+performed.
 
 The package also holds the flat tree images (:mod:`repro.kernels.arena`)
 and the sequential engines' arena-backed sweep sides

@@ -2,21 +2,15 @@
 
 The shm workers evaluate kernels over zero-copy slices of a flat
 struct-of-arrays tree image; the sequential engines sweep over the same
-images instead of walking ``Item`` objects per expansion:
-
-- :class:`FlatHotPath` — built per join over a plain-buffer
-  :class:`~repro.kernels.arena.TreeArena` (views on each tree's
-  memoized image, so only a tree written since the last join is
-  patched), it caches each node's sorted child order per (axis,
-  direction), so a node re-expanded against many partners sorts once,
-  and hands HS its nodes' entry blocks as zero-copy arena slices.
-  Image rows are page ids, so ``Item.ref`` is the node's row;
-- :class:`BatchController` — the adaptive bulk-pop width policy: stay at
-  width 1 while the pruning cutoff is still moving between batches (so
-  the run is exactly the unbatched run while bookkeeping is volatile),
-  double up to :data:`MAX_BATCH` once it holds still;
-- :func:`resolve_batch_size` — config/env resolution for the
-  ``batch_size`` knob (``0`` = adaptive).
+images instead of walking ``Item`` objects per expansion.
+:class:`FlatHotPath` is built per join over a plain-buffer
+:class:`~repro.kernels.arena.TreeArena` (views on each tree's memoized
+image, so only a tree written since the last join is patched).  It
+caches each node's sorted child order per (axis, direction), so a node
+re-expanded against many partners sorts once, and hands HS its nodes'
+entry blocks as zero-copy arena slices.  Image rows are page ids, so
+``Item.ref`` is the node's row.  Each engine pops one queue head per
+loop iteration; nothing here changes the pop order.
 
 Exactness: the cached sort is a *stable* sort (NumPy's argsort, else
 Python's ``sorted``) over the keys ``PlaneSweeper._sort_side`` computes
@@ -28,7 +22,6 @@ CPU cost, so the simulated clock and all counters are path-invariant.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 from repro.kernels.arena import TreeArena
@@ -42,63 +35,9 @@ try:  # NumPy is optional: without it sides sort in pure Python
 except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
     _np = None
 
-#: Upper bound of the adaptive bulk-pop width.  Past ~64 heads the heap
-#: savings flatten out while cutoff staleness risk (a batch ends early,
-#: wasted drain work) grows; fixed widths may exceed this.
-MAX_BATCH = 64
-
 #: Bound on cached sorted sides; cleared wholesale when exceeded.  At
 #: most ``4 * nodes`` entries exist, so ordinary joins never reach it.
 _SIDE_CACHE_MAX = 1 << 18
-
-
-def resolve_batch_size(value: int | None) -> int:
-    """Resolve the ``batch_size`` knob: explicit > env > adaptive.
-
-    ``None`` defers to the ``REPRO_BATCH`` environment variable (the CI
-    matrix forces widths that way), then to ``0`` — the adaptive policy.
-    ``1`` is the pure single-pop path; negatives clamp to adaptive.
-    """
-    if value is None:
-        raw = os.environ.get("REPRO_BATCH", "").strip()
-        if raw:
-            try:
-                value = int(raw)
-            except ValueError:
-                value = 0
-    if value is None or value < 0:
-        return 0
-    return value
-
-
-class BatchController:
-    """Bulk-pop width policy, sampled once per outer loop iteration.
-
-    With a fixed ``batch_size`` the width is constant.  In adaptive mode
-    (``0``) the controller compares the engine's pruning-cutoff sample
-    against the previous iteration's: a change collapses the width to 1
-    (while qDmax/eDmax move fast, single pops keep every expansion's
-    bookkeeping maximally fresh), a repeat doubles it up to
-    :data:`MAX_BATCH` (a converged cutoff makes wide drains provably
-    safe and the per-pop overhead dominant).
-    """
-
-    __slots__ = ("_fixed", "_width", "_last")
-
-    def __init__(self, batch_size: int) -> None:
-        self._fixed = batch_size if batch_size > 0 else 0
-        self._width = 1
-        self._last: object = None
-
-    def width(self, cutoff_sample: object) -> int:
-        if self._fixed:
-            return self._fixed
-        if cutoff_sample != self._last:
-            self._last = cutoff_sample
-            self._width = 1
-        elif self._width < MAX_BATCH:
-            self._width *= 2
-        return self._width
 
 
 class FlatHotPath:

@@ -8,14 +8,17 @@ as zero-copy arena slices where possible
 (:meth:`repro.kernels.flat.FlatHotPath.entry_block`).
 
 Bitwise contract: distances are ``sqrt(dx*dx + dy*dy)`` with the same
-``dx == 0`` / ``dy == 0`` shortcuts, and the same ``max(dx, dy)``
-fallback when both squares underflow, as the scalar
-:func:`repro.geometry.distances.min_distance`.  IEEE-754 basic
-operations round identically in NumPy and CPython, so the two paths
-agree bit for bit — the property the backend-equivalence tests pin.
+``dx == 0`` / ``dy == 0`` shortcuts, the same ``max(dx, dy)`` fallback
+when both squares underflow, and the same ``math.hypot`` where they
+overflow, as the scalar :func:`repro.geometry.distances.min_distance`.
+IEEE-754 basic operations round identically in NumPy and CPython, so
+the two paths agree bit for bit — the property the backend-equivalence
+tests pin.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -52,15 +55,26 @@ def _gaps(rect, packed):
     return dx, dy
 
 
-def _exact(dx, dy, d):
-    """Minimum distances from the gaps and their raw ``sqrt`` form.
+def exact_distances(dx, dy):
+    """Minimum distances from clipped gap arrays, bit for bit the scalar's.
 
-    ``d`` is 0.0 where both gaps are positive only when both squares
-    underflow; those pairs fall back to ``max(dx, dy)``, and so do the
-    pairs where either gap is 0.0 (the larger gap is the other one).
+    The raw ``sqrt(dx*dx + dy*dy)`` is 0.0 where both gaps are positive
+    only when both squares underflow; those pairs fall back to
+    ``max(dx, dy)``, and so do the pairs where either gap is 0.0 (the
+    larger gap is the other one).  It reads ``inf`` where the squares
+    overflow; those few pairs take ``math.hypot``, as the scalar does,
+    and the overflow raises no warning.
     """
+    with np.errstate(over="ignore"):
+        d = np.sqrt(dx * dx + dy * dy)
     exact = np.where(dx == 0.0, dy, np.where(dy == 0.0, dx, d))
-    return np.where(exact == 0.0, np.maximum(dx, dy), exact)
+    exact = np.where(exact == 0.0, np.maximum(dx, dy), exact)
+    over = np.nonzero(exact == np.inf)
+    if over[0].size:
+        exact[over] = [
+            math.hypot(x, y) for x, y in zip(dx[over].tolist(), dy[over].tolist())
+        ]
+    return exact
 
 
 class NumpyKernels:
@@ -80,10 +94,9 @@ class NumpyKernels:
 
     def mindist_packed(self, rect, packed: PackedRects) -> list[float]:
         """Minimum distances from ``rect`` to every packed rectangle."""
-        dx, dy = _gaps(rect, packed)
         # tolist() hands plain Python floats downstream (queues serialize
         # results; np.float64 would not round-trip through json).
-        return _exact(dx, dy, np.sqrt(dx * dx + dy * dy)).tolist()
+        return exact_distances(*_gaps(rect, packed)).tolist()
 
     def mindist_packed_within(
         self, rect, packed: PackedRects, bound: float
@@ -94,40 +107,36 @@ class NumpyKernels:
         a handful of candidates survive, so only those get boxed into
         Python floats and walked by the caller.
 
-        The exact-distance rules (the ``dx == 0`` → ``dy`` shortcuts and
-        the underflow fallback) are applied to the *survivors* in scalar
-        code instead of as full-width ``where`` passes.  That is sound
-        for a bound in ``[_PREFILTER_LO, _PREFILTER_HI]``: there the raw
-        ``sqrt`` never exceeds a distance within the bound (``sqrt(y*y)``
-        is ``y`` while ``y*y`` neither underflows nor overflows, and
-        where it does, ``y`` is far below or above the bound), so
-        prefiltering on it yields a superset, and the exact bound is
-        re-applied per survivor.  Other bounds take the full-width
-        rules.  Either way the output is bitwise identical to the scalar
-        loop's.
+        The exact-distance rules are applied to the *survivors* of a
+        ``np.hypot`` prefilter, in scalar code, instead of as full-width
+        passes.  That is sound for a bound in ``[_PREFILTER_LO,
+        _PREFILTER_HI]``: there ``hypot`` is within a few ulps of the
+        exact distance of any pair near the bound (whose squares neither
+        underflow nor overflow), so prefiltering with a 1e-12 margin
+        yields a superset, and the exact bound is re-applied per
+        survivor.  ``hypot`` never overflows, so gaps past 1.3e154 raise
+        no warning.  Other bounds take the full-width rules.  Either way
+        the output is bitwise identical to the scalar loop's.
         """
         dx, dy = _gaps(rect, packed)
-        d = np.sqrt(dx * dx + dy * dy)
         if not _PREFILTER_LO <= bound <= _PREFILTER_HI:
-            exact = _exact(dx, dy, d)
+            exact = exact_distances(dx, dy)
             idx = np.nonzero(exact <= bound)[0]
             return list(zip(idx.tolist(), exact[idx].tolist()))
-        idx = np.nonzero(d <= bound * (1.0 + 1e-12))[0]
+        idx = np.nonzero(np.hypot(dx, dy) <= bound * (1.0 + 1e-12))[0]
         hits = idx.tolist()
         if not hits:
             return []
-        dxs = dx[idx].tolist()
-        dys = dy[idx].tolist()
-        ds = d[idx].tolist()
         out = []
-        for j, i in enumerate(hits):
-            dxi = dxs[j]
-            dyi = dys[j]
-            real = (
-                dyi if dxi == 0.0
-                else dxi if dyi == 0.0
-                else ds[j] or max(dxi, dyi)
-            )
+        for i, dxi, dyi in zip(hits, dx[idx].tolist(), dy[idx].tolist()):
+            if dxi == 0.0:
+                real = dyi
+            elif dyi == 0.0:
+                real = dxi
+            else:
+                real = math.sqrt(dxi * dxi + dyi * dyi) or max(dxi, dyi)
+                if real == math.inf:
+                    real = math.hypot(dxi, dyi)
             if real <= bound:
                 out.append((i, real))
         return out
@@ -143,8 +152,7 @@ class NumpyKernels:
         than the survivor re-check dance) — the distances are bitwise
         identical either way.
         """
-        dx, dy = _gaps(rect, packed)
-        exact = _exact(dx, dy, np.sqrt(dx * dx + dy * dy))
+        exact = exact_distances(*_gaps(rect, packed))
         idx = np.nonzero(exact <= bound)[0]
         return list(zip(idx.tolist(), exact[idx].tolist()))
 
@@ -176,7 +184,7 @@ class NumpyKernels:
         )
         in_x = int(np.count_nonzero(dx <= bound))
         in_y = int(np.count_nonzero(dy <= bound))
-        exact = _exact(dx, dy, np.sqrt(dx * dx + dy * dy))
+        exact = exact_distances(dx, dy)
         rows, cols = np.nonzero(exact <= bound)
         return (
             rows.tolist(),

@@ -4,13 +4,16 @@ The fallback when NumPy is not importable.  There is nothing to
 vectorize with, so the backend is not ``batched``: HS's child-list
 batches take :class:`~repro.core.stats.Instruments`' scalar loop, and
 only the shared-memory engine's block calls live here, written with the
-arithmetic of the scalar ``min_distance`` so that the distances match
-the NumPy backend's bit for bit.
+arithmetic of the scalar ``min_distance`` (its zero-gap shortcuts, its
+underflow fallback and its ``math.hypot`` where the squares overflow)
+so that the distances match the NumPy backend's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+_INF = math.inf
 
 
 class PythonKernels:
@@ -25,11 +28,12 @@ class PythonKernels:
         """``(index, distance)`` for block rects within ``bound`` of ``rect``.
 
         ``block`` is a struct-of-arrays coordinate block (the
-        shared-memory engine's zero-copy slices expose indexable
-        ``xmin``/``ymin``/``xmax``/``ymax`` sequences).
+        shared-memory engine's zero-copy slices expose
+        ``xmin``/``ymin``/``xmax``/``ymax`` memoryviews, or NumPy arrays
+        where NumPy imports); :func:`_columns` reads them as floats.
         """
         rxmin, rymin, rxmax, rymax = rect.xmin, rect.ymin, rect.xmax, rect.ymax
-        bxmin, bymin, bxmax, bymax = block.xmin, block.ymin, block.xmax, block.ymax
+        bxmin, bymin, bxmax, bymax = _columns(block)
         out = []
         for i in range(len(bxmin)):
             dx = max(rxmin - bxmax[i], bxmin[i] - rxmax, 0.0)
@@ -41,8 +45,10 @@ class PythonKernels:
                 else dx if dy == 0.0
                 else math.sqrt(dx * dx + dy * dy) or max(dx, dy)
             )
+            if real == _INF:
+                real = math.hypot(dx, dy)
             if real <= bound:
-                out.append((i, float(real)))
+                out.append((i, real))
         return out
 
     def cross_within(
@@ -60,8 +66,8 @@ class PythonKernels:
         dists: list[float] = []
         in_x = 0
         in_y = 0
-        axmin, aymin, axmax, aymax = pr.xmin, pr.ymin, pr.xmax, pr.ymax
-        bxmin, bymin, bxmax, bymax = ps.xmin, ps.ymin, ps.xmax, ps.ymax
+        axmin, aymin, axmax, aymax = _columns(pr)
+        bxmin, bymin, bxmax, bymax = _columns(ps)
         nb = len(bxmin)
         for i in range(len(axmin)):
             rxmin = axmin[i]
@@ -84,9 +90,23 @@ class PythonKernels:
                     else dx if dy == 0.0
                     else math.sqrt(dx * dx + dy * dy) or max(dx, dy)
                 )
+                if real == _INF:
+                    real = math.hypot(dx, dy)
                 if real <= bound:
                     rows.append(i)
                     cols.append(j)
-                    dists.append(float(real))
+                    dists.append(real)
         return rows, cols, dists, in_x, in_y
 
+
+def _columns(block) -> tuple:
+    """A block's four coordinate columns, read as Python floats.
+
+    The arena's memoryview casts and NumPy views both have ``tolist``
+    (plain sequences pass through): plain floats index fast and, unlike
+    NumPy scalars, square past 1.3e154 to ``inf`` without a warning.
+    """
+    return tuple(
+        column.tolist() if hasattr(column, "tolist") else column
+        for column in (block.xmin, block.ymin, block.xmax, block.ymax)
+    )

@@ -348,6 +348,8 @@ class MainQueue:
     # Bulk operations (flat hot path)
     # ------------------------------------------------------------------
     #
+    # No engine drains heads; these stay because perfbench/layers.py wraps them.
+    #
     # ``pop_heads`` mechanically drains up to ``limit`` in-memory heap
     # heads with *no* accounting: ``__len__`` and the pop counters stay
     # logical, so to every observer the entries are still queued.  The
@@ -810,8 +812,13 @@ class MainQueue:
             self._split_segments.append(segment)
             self._last_segment = segment
             return segment
-        index = int(distance * distance / (self._capacity * self._rho))
-        index = min(max(index, 1), MAX_FORMULA_SEGMENTS - 1)
+        quotient = distance * distance / (self._capacity * self._rho)
+        # A square that overflows (or a tiny rho) reads inf: never int()
+        # it.  ``<`` also sends NaN to the open-ended tail.
+        if quotient < MAX_FORMULA_SEGMENTS:
+            index = max(int(quotient), 1)
+        else:
+            index = MAX_FORMULA_SEGMENTS - 1
         # Truncating float division and the sqrt in _boundary() can
         # disagree by one index at an exact boundary; nudge so that
         # boundary(index) <= distance < boundary(index + 1) holds for

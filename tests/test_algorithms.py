@@ -290,3 +290,54 @@ class TestUnderflowingGaps:
         with JoinRunner(*trees).idj("amidj") as stream:
             pairs = stream.next_batch(40)
         assert [p.distance for p in pairs] == [i * 1e-170 for i in range(1, 41)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+class TestOverflowingGaps:
+    """Gaps whose squares overflow still read their distance, on every engine.
+
+    R is the point (0, 0); S holds 40 points ``(i * 1e155, i * 1e155)``,
+    so every pair's ``dx*dx + dy*dy`` overflows to ``inf`` and the
+    distance is ``math.hypot(i * 1e155, i * 1e155)``.  Forty children put
+    HS's batch on the NumPy backend's vector path, where NumPy imports.
+    An overflow warning fails the test.
+    """
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        tree_r = RTree.bulk_load([(Rect.from_point(0.0, 0.0), 0)])
+        tree_s = RTree.bulk_load(
+            [(Rect.from_point(i * 1e155, i * 1e155), i) for i in range(1, 41)],
+            max_entries=64,
+        )
+        return tree_r, tree_s
+
+    @staticmethod
+    def expected(k):
+        return [math.hypot(i * 1e155, i * 1e155) for i in range(1, k + 1)]
+
+    @pytest.mark.parametrize("k", [1, 40])
+    @pytest.mark.parametrize("algorithm", ["nlj", *KDJ_ALGS])
+    def test_kdj_engines(self, trees, kernels_backend, backend, algorithm, k):
+        dmax = self.expected(k)[-1] if algorithm == "sjsort" else None
+        with kernels_backend(backend):
+            result = JoinRunner(*trees).kdj(k, algorithm, dmax)
+        assert result.distances == self.expected(k)
+        assert result.distances[0] == 1.414213562373095e155
+        assert [p.ref_s for p in result.results] == list(range(1, k + 1))
+
+    @pytest.mark.parametrize("k", [1, 40])
+    def test_parallel_engine(self, trees, kernels_backend, backend, k):
+        config = JoinConfig(parallel=1, parallel_mode="shm-serial")
+        with kernels_backend(backend):
+            result = parallel_kdj(*trees, k, config)
+        assert result.distances == self.expected(k)
+
+    def test_amidj_pull(self, trees, kernels_backend, backend):
+        # About a thousand stages pass before the first result: the
+        # stage targets must stop doubling at |R| x |S|.
+        with kernels_backend(backend):
+            with JoinRunner(*trees).idj("amidj") as stream:
+                pairs = stream.next_batch(40)
+        assert [p.distance for p in pairs] == self.expected(40)

@@ -190,3 +190,23 @@ class TestConfigPlumbing:
         runner = JoinRunner(tree_r, tree_s)
         expected = brute_force_distances(items_r, items_s, 40)[-1]
         assert math.isclose(runner.true_dmax(40), expected, abs_tol=1e-9)
+
+    def test_no_option_sets_a_pop_width(self, trees, tmp_path, capsys):
+        # Every best-first engine pops one head per iteration; no field,
+        # option or flag picks a width.
+        from repro.__main__ import main
+        from repro.core.base import EngineOptions
+
+        with pytest.raises(TypeError):
+            JoinConfig(batch_size=1)
+        with pytest.raises(TypeError):
+            EngineOptions(batch_size=1)
+        tree_r, tree_s, *_ = trees
+        paths = [str(tmp_path / "r.rt"), str(tmp_path / "s.rt")]
+        tree_r.save(paths[0])
+        tree_s.save(paths[1])
+        assert main(["join", *paths, "-k", "3", "--show", "0"]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["join", *paths, "-k", "3", "--batch-size", "4"])
+        assert excinfo.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.queues.main_queue import MainQueue
+from repro.queues.main_queue import MAX_FORMULA_SEGMENTS, MainQueue
 from repro.storage.disk import SimulatedDisk
 
 
@@ -182,6 +182,21 @@ class TestRhoBoundaries:
         queue.insert(2e9, "farther")
         assert queue.segment_count == 1  # both in the open-ended tail
         assert queue.pop() == (1e9, "far")
+
+    @pytest.mark.parametrize("rho", [8e-15, 0.001])
+    def test_overflowing_square_goes_to_tail_segment(self, rho):
+        # 1e155 squared overflows to inf; with a tiny rho (a one-point
+        # dataset floors its overlap at 1e-12) so does the quotient of
+        # a far smaller distance.  Neither may reach int().
+        queue, _ = make_queue(entries=8, rho=rho)
+        queue.insert(1e155, "far")
+        queue.insert(1e150, "near")
+        assert queue.in_memory_size == 0
+        assert queue.segment_count == 1  # both in the open-ended tail
+        assert list(queue._formula_segments) == [MAX_FORMULA_SEGMENTS - 1]
+        assert queue.pop() == (1e150, "near")
+        assert queue.pop() == (1e155, "far")
+        assert not queue
 
 
 class TestCostAccounting:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.geometry.rect import Rect
+from repro.rtree.tree import RTree
 
 
 def rects(span: float = 100.0) -> st.SearchStrategy[Rect]:
@@ -42,6 +43,41 @@ class TestConstruction:
         # past an "is it inverted?" test and be lost inside a tree.
         with pytest.raises(ValueError, match="NaN"):
             Rect(*coords)
+
+    @pytest.mark.parametrize("coords", [
+        (-math.inf, 0.0, 1.0, 1.0),
+        (0.0, -math.inf, 1.0, 1.0),
+        (0.0, 0.0, math.inf, 1.0),
+        (0.0, 0.0, 1.0, math.inf),
+        (-math.inf, -math.inf, math.inf, math.inf),
+        (math.inf, 0.0, math.inf, 1.0),
+    ])
+    def test_infinite_rejected(self, coords):
+        # An infinite rect's gap to any finite one is inf, and inf - inf
+        # is NaN: rejected like NaN, in the same comparison chain.
+        with pytest.raises(ValueError, match="infinite"):
+            Rect(*coords)
+
+    def test_no_infinite_object_reaches_a_tree(self):
+        # Trees take Rects, so the constructor is the one gate: an insert
+        # or a bulk load of an infinite object (``Rect.from_point``
+        # included) fails before touching a page, and the tree stays as
+        # it was.
+        tree = RTree(max_entries=4)
+        with pytest.raises(ValueError):
+            tree.insert(Rect(0.0, 0.0, math.inf, 1.0), 0)
+        with pytest.raises(ValueError, match="infinite"):
+            tree.insert(Rect.from_point(0.0, -math.inf), 1)
+        assert (tree.size, tree.version) == (0, 0)
+        with pytest.raises(ValueError):
+            RTree.bulk_load([(Rect.from_point(1.0, 1.0), 0),
+                             (Rect.from_point(-math.inf, 0.0), 1)])
+        tree.insert(Rect.from_point(1.0, 2.0), 2)
+        assert tree.size == 1
+
+    def test_largest_finite_coordinates_accepted(self):
+        big = 1.7976931348623157e308
+        assert Rect(-big, -big, big, big).as_tuple() == (-big, -big, big, big)
 
     def test_from_point_is_degenerate(self):
         p = Rect.from_point(3.5, -1.0)

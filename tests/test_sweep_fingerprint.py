@@ -9,23 +9,23 @@ sweep that moves a pair, a counter or a clock bit fails here, under
 whichever backend the suite runs.  The runs cover AM-KDJ, B-KDJ, HS,
 SJ-SORT at the oracle's Dmax, an AM-KDJ whose small eDmax forces a
 compensation stage, a multi-stage AM-IDJ pull and a within-distance
-join.
+join.  Below them, SJ-SORT and the within-distance join are pinned on
+small seeded and touching inputs to the output of the object-graph
+sweep body.
 
 A change that moves the paper's metric on purpose must re-record the
-values (print ``fingerprint(*RUNS[name](trees, **CONFIG))`` for each
-run) and say why.
+values (print ``fingerprint(*RUNS[name](trees))`` for each run) and say
+why.
 """
+
+import random
 
 import pytest
 
-from repro import JoinConfig, JoinRunner, RTree, within_distance_join
+from repro import JoinConfig, JoinRunner, Rect, RTree, within_distance_join
 from repro.datagen.tiger import synthetic_tiger
 
-from tests.conftest import fingerprint
-
-#: The library's default bulk-pop width, pinned so that ``REPRO_BATCH``
-#: (which the CI matrix sets) cannot move a float charge by an ulp.
-CONFIG = dict(batch_size=0)
+from tests.conftest import brute_force_within, fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -121,4 +121,114 @@ FINGERPRINTS = {
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_sweep_output_matches_the_recorded_fingerprint(trees, name):
-    assert fingerprint(*RUNS[name](trees, **CONFIG)) == FINGERPRINTS[name]
+    assert fingerprint(*RUNS[name](trees)) == FINGERPRINTS[name]
+
+
+# ----------------------------------------------------------------------
+# SJ-SORT and the within-distance join: flat body == object-graph body
+# ----------------------------------------------------------------------
+
+#: Fingerprints of the object-graph sweep body's runs, which the flat
+#: body must reproduce bit for bit: stream, Table-2 row and simulated
+#: clock.  Recorded with both bodies and both kernel backends agreeing.
+OBJECT_GRAPH = {
+    ("sjsort", 5): (
+        "ceaceba70c44e373432b9ef0b73c6cc5ec8fb952e1a79375677c1426db790fd1",
+        "6898239bc1bce81ad8ea36d1e5d1fb594169c1254a03e3974811c6ae96393b9c",
+        0.6018369539504211,
+    ),
+    ("sjsort", 17): (
+        "dd7198ec7d6584aac801c80f6c9ace80af4e123254ab7a9f17238d57d642c224",
+        "28ea09ff6a5806359529a24eadd2bbb538e2e28b7d78121d96c5e92361b2d243",
+        0.601391655101493,
+    ),
+    ("sjsort", "touching"): (
+        "9399419d2d8efef9734a764ae4d12c5775313a8fdbaf2be82f9c998382db3669",
+        "fc8af9c7e87663cf5561e8164772e4b6a8ae3a4e43601be5e8d7560ce90cd7aa",
+        0.6032074800797541,
+    ),
+    ("within", 0.0): (
+        "9399419d2d8efef9734a764ae4d12c5775313a8fdbaf2be82f9c998382db3669",
+        "705c735010fae16b85a3ea4850febcad0ea60c26c89fcb063dde1673962ebe59",
+        0.6020454184992142,
+    ),
+    ("within", 6.0): (
+        "326404b44928e48cb79c1660072b95eefe30a2c3bf5f38987e156ceb9a2d62ca",
+        "6102c5c4979ce8b67028182c2a3a6a8f172b5a337a2d47644c3dbd0800aebead",
+        0.61235095137987,
+    ),
+}
+
+
+def random_points(n: int, seed: int, span: float = 1000.0):
+    rng = random.Random(seed)
+    return [
+        (Rect.from_point(rng.uniform(0, span), rng.uniform(0, span)), i)
+        for i in range(n)
+    ]
+
+
+@pytest.fixture(scope="module", params=[5, 17])
+def seeded_trees(request):
+    seed = request.param
+    return (
+        RTree.bulk_load(random_points(380, seed=seed), max_entries=16),
+        RTree.bulk_load(random_points(300, seed=seed + 100), max_entries=16),
+    )
+
+
+def touching_items():
+    """Rects on a coarse grid: hundreds of pairs touch or overlap."""
+    rng = random.Random(31)
+    sides = []
+    for n in (380, 300):
+        items = []
+        for i in range(n):
+            x, y = rng.randrange(0, 60) * 2.5, rng.randrange(0, 60) * 2.5
+            w, h = rng.randrange(0, 3) * 2.5, rng.randrange(0, 3) * 2.5
+            items.append((Rect(x, y, x + w, y + h), i))
+        sides.append(items)
+    return tuple(sides)
+
+
+@pytest.fixture(scope="module")
+def touching_trees():
+    return tuple(
+        RTree.bulk_load(items, max_entries=16) for items in touching_items()
+    )
+
+
+def pairs(result):
+    return {(p.ref_r, p.ref_s) for p in result.results}
+
+
+def test_sjsort_flat_equals_object_graph_at_oracle_dmax(
+    request, seeded_trees, flat_served
+):
+    seed = request.node.callspec.params["seeded_trees"]
+    oracle = JoinRunner(*seeded_trees).kdj(60, "nlj")
+    dmax = oracle.results[-1].distance
+    assert dmax > 0.0
+    got = JoinRunner(*seeded_trees).kdj(60, "sjsort", dmax)
+    assert flat_served, "SJ-SORT did not sweep on the flat body"
+    assert got.distances == oracle.distances
+    assert fingerprint(got.results, got.stats) == OBJECT_GRAPH["sjsort", seed]
+
+
+def test_sjsort_flat_equals_object_graph_over_touching_pairs(
+    touching_trees, flat_served
+):
+    got = JoinRunner(*touching_trees).kdj(10_000, "sjsort", 0.0)
+    assert flat_served, "SJ-SORT did not sweep on the flat body"
+    assert len(got) > 100
+    assert pairs(got) == brute_force_within(*touching_items(), 0.0)
+    assert fingerprint(got.results, got.stats) == OBJECT_GRAPH["sjsort", "touching"]
+
+
+@pytest.mark.parametrize("dmax", [0.0, 6.0])
+def test_within_join_flat_equals_object_graph(touching_trees, flat_served, dmax):
+    got = within_distance_join(*touching_trees, dmax)
+    assert flat_served, "the within-join did not sweep on the flat body"
+    assert len(got) > 100
+    assert pairs(got) == brute_force_within(*touching_items(), dmax)
+    assert fingerprint(got.results, got.stats) == OBJECT_GRAPH["within", dmax]

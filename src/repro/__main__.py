@@ -214,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=list(PARALLEL_MODES),
                       help="where the parallel engine's workers run: "
                            "processes on a shared-memory arena "
-                           "(shm-process, default), threads (shm-thread) "
-                           "or the calling thread (shm-serial)")
+                           "(shm-process, default) or the calling thread "
+                           "(shm-serial)")
     join.add_argument("--spill-dir", metavar="DIR", default=None,
                       help="directory for real main-queue spill files "
                            "(default: simulated spill only)")

@@ -47,7 +47,7 @@ from repro.storage.cost import (
 KDJ_ALGORITHMS = ("hs", "bkdj", "amkdj", "sjsort", "nlj")
 IDJ_ALGORITHMS = ("hs", "amidj")
 #: Where the parallel engine's workers run (``JoinConfig.parallel_mode``).
-PARALLEL_MODES = ("shm-process", "shm-thread", "shm-serial")
+PARALLEL_MODES = ("shm-process", "shm-serial")
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,10 +69,9 @@ class JoinConfig:
     (:mod:`repro.parallel`) with N workers; the other k-distance joins
     run sequentially whatever its value.  ``parallel_mode`` picks where
     the engine's workers run: ``"shm-process"`` (the default; processes
-    attached zero-copy to a shared-memory arena), ``"shm-thread"``
-    (threads over plain buffers) or ``"shm-serial"`` (the calling
-    thread drains every task; deterministic debugging).  Any other
-    value raises ``ValueError``.
+    attached zero-copy to a shared-memory arena) or ``"shm-serial"``
+    (the calling thread drains every task; deterministic debugging).
+    Any other value raises ``ValueError``.
 
     ``trace_path`` turns on the :mod:`repro.obs` tracing subsystem for
     every run of the runner: structured events (stage spans, eDmax

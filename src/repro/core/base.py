@@ -4,19 +4,19 @@
 datasets, a fresh simulated disk, metered buffer pools for both trees,
 the hybrid main queue, and the instrumented distance operations.  Every
 engine (HS, B-KDJ, AM-KDJ, AM-IDJ, SJ-SORT) is a function of a context,
-so runs are isolated and their metrics comparable.
+so runs are isolated and their metrics comparable.  A node's children
+are its own entries (``Node.entries``, :class:`Item` records), read
+through the metered accessor.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core import estimation
 from repro.core.pairs import Item, PairPayload
 from repro.core.stats import Instruments, JoinStats
-from repro.kernels.arena import per_version
 from repro.queues.main_queue import MainQueue
 from repro.resilience.deadline import NULL_DEADLINE
 from repro.rtree.tree import RTree, TreeAccessor
@@ -27,17 +27,6 @@ from repro.storage.cost import (
     DEFAULT_QUEUE_MEMORY,
 )
 from repro.storage.disk import SimulatedDisk
-
-#: tree -> (version, {page id: child Items}), see
-#: :func:`~repro.kernels.arena.per_version`: one dict per tree version,
-#: shared by every join over it (:meth:`JoinContext._children`).
-_CHILD_LISTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _no_lists(tree: RTree, previous: object) -> dict[int, list[Item]]:
-    """A new tree version's child-list dict, empty until joins fill it."""
-    return {}
-
 
 @dataclass(slots=True)
 class EngineOptions:
@@ -111,11 +100,6 @@ class JoinContext:
             tracer=tracer, metrics=metrics, live=live,
         )
         self.rho = rho if rho is not None else self.default_rho()
-        # Child lists outlive the join: one dict per tree version, so a
-        # join over unchanged trees reuses every list an earlier one
-        # built, and a self-join shares one dict.
-        self._lists_r = per_version(_CHILD_LISTS, tree_r, _no_lists)
-        self._lists_s = per_version(_CHILD_LISTS, tree_s, _no_lists)
         self.queue_memory = queue_memory
         # The Equation (3) density model pre-places the hybrid queue's
         # segment boundaries; disabling it (the ablation benchmark) makes
@@ -210,20 +194,27 @@ class JoinContext:
         """The two root items, or ``None`` when either dataset is empty."""
         if self.tree_r.size == 0 or self.tree_s.size == 0:
             return None
-        root_r = self.accessor_r.root
-        root_s = self.accessor_s.root
-        return (
-            Item.node(root_r.mbr(), root_r.page_id, root_r.level),
-            Item.node(root_s.mbr(), root_s.page_id, root_s.level),
-        )
+        return self.accessor_r.root.item(), self.accessor_s.root.item()
 
     def children_r(self, item: Item) -> list[Item]:
-        """Children of an R-side item (the item itself if an object)."""
-        return self._children(item, self.accessor_r, self._lists_r)
+        """Children of an R-side item (the item itself if an object).
+
+        A node's children are its entries list itself, fetched through
+        the metered accessor, so every call counts and charges the node
+        access.  Callers must treat the list as read-only: it is the
+        tree's.  No join reads a tree across a write (a KDJ runs to
+        completion, and an open stream raises ``StaleStreamError``
+        before it expands again), so writes edit it in place.
+        """
+        if item.is_object:
+            return [item]
+        return self.accessor_r.get(item.ref).entries
 
     def children_s(self, item: Item) -> list[Item]:
-        """Children of an S-side item (the item itself if an object)."""
-        return self._children(item, self.accessor_s, self._lists_s)
+        """Children of an S-side item; see :meth:`children_r`."""
+        if item.is_object:
+            return [item]
+        return self.accessor_s.get(item.ref).entries
 
     def touch_r(self, item: Item) -> None:
         """Count a (re-)access of an R-side node, e.g. in compensation."""
@@ -259,35 +250,6 @@ class JoinContext:
             return
         self.accessor_r.buffer.warm(state["r"])
         self.accessor_s.buffer.warm(state["s"])
-
-    def _children(
-        self, item: Item, accessor: TreeAccessor, lists: dict[int, list[Item]]
-    ) -> list[Item]:
-        """Children of ``item``, metered, memoized per node and tree version.
-
-        A node's child list depends only on its entries, which change
-        only through writes, and every write bumps ``RTree.version``.
-        :class:`Item` is frozen, so ``lists`` (the tree version's page id
-        -> child list dict) builds each node's list once and every later
-        expansion and join over the same version shares it (HS revisits
-        nodes constantly, and repeated joins over unchanged trees rebuild
-        nothing).
-        The ``accessor.get`` call still runs on every invocation, so
-        node-access counters and buffer-pool charging are exactly what an
-        unmemoized walk reports.  Callers must treat the returned list as
-        read-only.
-        """
-        if item.is_object:
-            return [item]
-        node = accessor.get(item.ref)
-        items = lists.get(item.ref)
-        if items is None:
-            if node.is_leaf:
-                items = [Item.object(e.rect, e.ref) for e in node.entries]
-            else:
-                items = [Item.node(e.rect, e.ref, node.level - 1) for e in node.entries]
-            lists[item.ref] = items
-        return items
 
     # ------------------------------------------------------------------
     # Metrics

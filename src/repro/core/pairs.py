@@ -1,10 +1,13 @@
-"""Items and pairs — what flows through the join queues.
+"""Pairs — what flows through the join queues.
 
-An :class:`Item` is one side of a candidate pair: either an R-tree node
-(identified by its page id and the level it sits at) or a data object
-(a leaf entry: object id plus MBR).  Items carry their rectangle so that
-distance computations never refetch nodes — exactly how a C
-implementation would keep the MBR inside the queue entry.
+One side of a candidate pair is an :class:`Item`: the R-tree's own node
+entry (:mod:`repro.rtree.entries`), so the engines queue the entries of
+``Node.entries`` themselves.  An item is either an R-tree node (its page
+id and the level it sits at) or a data object (a leaf entry: object id
+plus MBR).  Items carry their rectangle so that distance computations
+never refetch nodes — exactly how a C implementation would keep the MBR
+inside the queue entry.  ``Item`` and ``OBJECT_LEVEL`` stay importable
+from here, the name checkpoints written before the move pickled.
 
 A queued pair is ``(distance, PairPayload)``; the payload also carries an
 optional compensation record while the adaptive algorithms are at work.
@@ -15,36 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from repro.geometry.rect import Rect
+from repro.rtree.entries import OBJECT_LEVEL, Item
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.planesweep import ExpansionRecord
 
-#: Level tag for data objects (anything >= 0 is an R-tree node level).
-OBJECT_LEVEL = -1
-
-
-@dataclass(frozen=True, slots=True)
-class Item:
-    """One side of a candidate pair: an R-tree node or a data object."""
-
-    rect: Rect
-    ref: int
-    level: int
-
-    @property
-    def is_object(self) -> bool:
-        return self.level == OBJECT_LEVEL
-
-    @classmethod
-    def object(cls, rect: Rect, oid: int) -> "Item":
-        return cls(rect, oid, OBJECT_LEVEL)
-
-    @classmethod
-    def node(cls, rect: Rect, page_id: int, level: int) -> "Item":
-        if level < 0:
-            raise ValueError("node level must be non-negative")
-        return cls(rect, page_id, level)
+__all__ = ["OBJECT_LEVEL", "Item", "PairPayload", "ResultPair"]
 
 
 @dataclass(slots=True)

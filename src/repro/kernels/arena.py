@@ -223,36 +223,25 @@ def _packer(code: str, n: int) -> struct.Struct:
     return struct.Struct(f"{n}{code}")
 
 
-def per_version(memo: "weakref.WeakKeyDictionary", tree: "RTree", build):
-    """``build(tree, previous)``, memoized in ``memo`` per tree and version.
-
-    ``memo`` maps tree -> (version, value), and ``previous`` is the
-    tree's last memoized ``(version, value)`` or ``None``, so a build may
-    patch the value it replaces (the flat image does; the child lists
-    ignore it).  Every write bumps ``RTree.version``, so a write rebuilds
-    only the written tree's value, and weak keys free a value with its
-    tree.  No lock: racing threads at worst build one version twice.
-    """
-    hit = memo.get(tree)
-    if hit is not None and hit[0] == tree.version:
-        return hit[1]
-    value = build(tree, hit)
-    memo[tree] = (tree.version, value)
-    return value
-
-
-#: tree -> (version, image), see :func:`per_version`.
+#: tree -> (version, image); weak keys free an image with its tree.
 _IMAGES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def tree_image(tree: "RTree") -> tuple[TreeLayout, bytearray]:
     """The tree's flat ``(layout, buffer)`` image, memoized per version.
 
-    The first call builds the image in full; after a write the next call
-    patches a copy of the previous image (see the module docstring).
-    Callers must not write to the buffer.
+    The first call builds the image in full; after a write (every write
+    bumps ``RTree.version``) the next call patches a copy of the
+    previous image (see the module docstring), so a write rebuilds only
+    the written tree's image.  Callers must not write to the buffer.
+    No lock: racing threads at worst build one version twice.
     """
-    return per_version(_IMAGES, tree, _build_image)
+    hit = _IMAGES.get(tree)
+    if hit is not None and hit[0] == tree.version:
+        return hit[1]
+    image = _build_image(tree, hit)
+    _IMAGES[tree] = (tree.version, image)
+    return image
 
 
 class SharedTreeView:
@@ -356,9 +345,9 @@ class TreeArena:
     row by its page id and find the root at ``layout_r.root``.
     ``use_shm=True`` copies the images into one shared-memory segment
     (process workers attach by name); ``use_shm=False`` puts a read-only
-    view straight on each image — in-process users (thread/serial
-    parallel workers and the sequential flat hot path) share the views
-    directly, and nothing process-related is imported.
+    view straight on each image — in-process users (the ``shm-serial``
+    drain and the sequential flat hot path) share the views directly,
+    and nothing process-related is imported.
     """
 
     def __init__(self, tree_r: "RTree", tree_s: "RTree", use_shm: bool) -> None:

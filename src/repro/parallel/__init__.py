@@ -7,10 +7,10 @@ is split into cost-model-sized tasks that work-stealing workers drain
 depth-first, sharing the global pruning bound ``qDmax`` through one
 cell, and a stage that comes up short widens its cap and re-runs.
 
-Entry point: :func:`repro.parallel.engine.parallel_kdj`, also reached
+The engine is :func:`repro.parallel.engine.parallel_kdj`, also reached
 through ``JoinConfig(parallel=N)`` / ``k_distance_join(..., parallel=N)``
 for AM-KDJ with N > 1.  ``JoinConfig.parallel_mode`` picks where the
-workers run (``"shm-process"``, ``"shm-thread"`` or ``"shm-serial"``).
+workers run (``"shm-process"`` or ``"shm-serial"``).
 
 See ``docs/internals.md`` for the traversal, the steal protocol and the
 stage verification argument.

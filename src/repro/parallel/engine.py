@@ -86,9 +86,9 @@ def parallel_kdj(
     carry the traversal's work counters, scheduling detail lands in
     ``stats.extra`` (``parallel_*``, ``obs.shm.*``, ``resilience_*``).
     ``config.parallel_mode`` picks where workers run: ``"shm-process"``
-    (processes on a shared-memory arena), ``"shm-thread"`` or
-    ``"shm-serial"`` (the calling thread).  ``k`` must be a positive
-    integer (``ValueError`` otherwise).
+    (processes on a shared-memory arena) or ``"shm-serial"`` (the
+    calling thread).  ``k`` must be a positive integer (``ValueError``
+    otherwise).
     """
     from repro.core.api import JoinConfig, JoinResult
 
@@ -141,9 +141,7 @@ def parallel_kdj(
         plane.attach_metrics(metrics)
         plane.set_work_source(lambda: (work["done"], work["total"]))
         if mode != "shm-serial":
-            telemetry = WorkerTelemetry(
-                workers, ctx=_mp_context() if mode == "shm-process" else None
-            )
+            telemetry = WorkerTelemetry(workers, _mp_context())
             plane.attach_workers(telemetry)
         live.start(name, k)
         plane.start(tracer)
@@ -265,7 +263,7 @@ def parallel_kdj(
             if mode == "shm-serial" or not tasks:
                 _drain_inline(arena, tasks, cap, cell, commit, kern, ctr, deadline)
             else:
-                runtime = _StageRuntime(mode, workers, arena, cap, config, telemetry)
+                runtime = _StageRuntime(workers, arena, cap, config, telemetry)
                 cell = runtime.cell
                 cell.value = bound.cutoff
                 try:

@@ -141,11 +141,10 @@ _WF = len(WORKER_FIELDS)
 class WorkerTelemetry:
     """A flat double array of per-worker liveness gauges.
 
-    One slot of :data:`WORKER_FIELDS` doubles per worker.  With an mp
-    context the backing is a lock-free ``multiprocessing`` shared array
-    (8-byte aligned doubles: a torn read across a store is a stale
-    sample, never a crash — acceptable for a dashboard); without one it
-    is a plain ``array('d')`` shared by reference between threads.
+    One slot of :data:`WORKER_FIELDS` doubles per worker, in a lock-free
+    ``multiprocessing`` shared array made by ``ctx`` (8-byte aligned
+    doubles: a torn read across a store is a stale sample, never a
+    crash — acceptable for a dashboard).
 
     Workers write through :class:`WorkerSlot`; the parent's live
     publisher reads :meth:`snapshot` on its own thread with no locks.
@@ -153,14 +152,9 @@ class WorkerTelemetry:
 
     __slots__ = ("workers", "arr")
 
-    def __init__(self, workers: int, ctx: Any = None) -> None:
+    def __init__(self, workers: int, ctx: Any) -> None:
         self.workers = workers
-        if ctx is not None:
-            self.arr = ctx.Array("d", workers * _WF, lock=False)
-        else:
-            import array
-
-            self.arr = array.array("d", bytes(8 * workers * _WF))
+        self.arr = ctx.Array("d", workers * _WF, lock=False)
 
     def slot(self, wid: int) -> "WorkerSlot":
         return WorkerSlot(self.arr, wid)

@@ -31,7 +31,6 @@ import heapq
 import itertools
 import math
 import queue as queue_mod
-import threading
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -55,7 +54,6 @@ from repro.resilience.faults import trip_worker_faults
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.api import JoinConfig
-    from repro.parallel.shm import SharedTreeView
 
 #: Result pairs a worker buffers before flushing a batch to the parent.
 FLUSH_PAIRS = 4096
@@ -81,8 +79,8 @@ PREFETCH = 2
 def _pack(triples: list[tuple[float, int, int]]):
     """Flatten ``(dist, a, b)`` triples into one ``array('d')``.
 
-    Process mode ships every pair/task list through a pickling queue;
-    one flat double array pickles as a single buffer — two orders of
+    Workers ship every pair/task list through a pickling queue; one
+    flat double array pickles as a single buffer — two orders of
     magnitude cheaper than a list of tuples.  Ids are exact in doubles
     (they are object indices, nowhere near 2**53).
     """
@@ -99,9 +97,7 @@ def _pack(triples: list[tuple[float, int, int]]):
 
 
 def _unpack(payload) -> list[tuple[float, int, int]]:
-    """Inverse of :func:`_pack`; lists pass through untouched."""
-    if isinstance(payload, list):
-        return payload
+    """Inverse of :func:`_pack`."""
     return [
         (payload[t], int(payload[t + 1]), int(payload[t + 2]))
         for t in range(0, len(payload), 3)
@@ -330,13 +326,13 @@ def _build_frontier(
 
 
 # ----------------------------------------------------------------------
-# Worker loop (module level so process mode can spawn it)
+# Worker loop (module level so a spawned process can run it)
 # ----------------------------------------------------------------------
 
 
 def _shm_worker(
     wid: int,
-    source: "ArenaDescriptor | tuple[SharedTreeView, SharedTreeView]",
+    source: ArenaDescriptor,
     inbox,
     outbox,
     cutoff_cell,
@@ -362,14 +358,9 @@ def _shm_worker(
     try:
         if fault_plan is not None:
             trip_worker_faults(fault_plan, wid)
-        if isinstance(source, ArenaDescriptor):
-            attached = AttachedArena(source)
-            vr, vs = attached.view_r, attached.view_s
-        else:
-            vr, vs = source
+        attached = AttachedArena(source)
+        vr, vs = attached.view_r, attached.view_s
         kern = resolve_backend()
-        # Process mode pays pickling per message: flat-array encode.
-        encode = _pack if attached is not None else (lambda triples: triples)
         outbox.put(("ready", wid))
         if slot is not None:
             slot.beat(busy=False)
@@ -386,7 +377,7 @@ def _shm_worker(
                 break
             if kind == "steal":
                 # Idle (between tasks): nothing on the stack to shed.
-                outbox.put(("shed", wid, []))
+                outbox.put(("shed", wid, _pack([])))
                 if slot is not None:
                     slot.beat(busy=False)
                 continue
@@ -410,7 +401,7 @@ def _shm_worker(
                     batch = [p for p in out if p[0] <= cap]
                     del out[:]
                     if batch:
-                        outbox.put(("batch", wid, tid, encode(batch)))
+                        outbox.put(("batch", wid, tid, _pack(batch)))
                 while True:
                     try:
                         request = inbox.get_nowait()
@@ -435,7 +426,7 @@ def _shm_worker(
                             half = len(live_stack) // 2
                             shed = live_stack[:half]
                             del live_stack[:half]
-                            outbox.put(("shed", wid, encode(shed)))
+                            outbox.put(("shed", wid, _pack(shed)))
                             if slot is not None and shed:
                                 slot.stole()
 
@@ -443,7 +434,7 @@ def _shm_worker(
             busy_s = time.perf_counter() - started
             cap = cap_now()
             tail = [p for p in out if p[0] <= cap]
-            outbox.put(("done", wid, tid, ctr.as_dict(), busy_s, encode(tail)))
+            outbox.put(("done", wid, tid, ctr.as_dict(), busy_s, _pack(tail)))
             if slot is not None:
                 slot.task_done()
                 slot.beat(busy=False, depth=len(backlog))
@@ -460,7 +451,7 @@ def _shm_worker(
 
 
 class _LocalCell:
-    """The thread/serial stand-in for the shared cutoff ``Value``."""
+    """The inline drain's stand-in for the shared cutoff ``Value``."""
 
     __slots__ = ("value",)
 
@@ -474,102 +465,70 @@ class _LocalCell:
 
 
 class _StageRuntime:
-    """One stage's scheduler state: workers, queues, bookkeeping."""
+    """One stage's scheduler state: worker processes, queues, bookkeeping."""
 
     def __init__(
         self,
-        mode: str,
         workers: int,
         arena: TreeArena,
         delta: float,
         config: "JoinConfig",
         telemetry: WorkerTelemetry | None = None,
     ) -> None:
-        self.mode = mode
         self.workers = workers
         self.procs: dict[int, Any] = {}
         self.inboxes: dict[int, Any] = {}
         self.dead: set[int] = set()
         tele_arr = telemetry.arr if telemetry is not None else None
-        if mode == "shm-process":
-            ctx = _mp_context()
-            self.cell = ctx.Value("d", math.inf, lock=False)
-            self.outbox = ctx.Queue()
-            source: Any = arena.descriptor()
-            for wid in range(workers):
-                inbox = ctx.Queue()
-                proc = ctx.Process(
-                    target=_shm_worker,
-                    args=(
-                        wid, source, inbox, self.outbox, self.cell,
-                        delta, config.fault_plan, tele_arr,
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                self.procs[wid] = proc
-                self.inboxes[wid] = inbox
-        else:
-            self.cell = _LocalCell()
-            self.outbox = queue_mod.Queue()
-            source = (arena.view_r, arena.view_s)
-            for wid in range(workers):
-                inbox: Any = queue_mod.Queue()
-                thread = threading.Thread(
-                    target=_shm_worker,
-                    args=(
-                        wid, source, inbox, self.outbox, self.cell,
-                        delta, config.fault_plan, tele_arr,
-                    ),
-                    daemon=True,
-                )
-                thread.start()
-                self.procs[wid] = thread
-                self.inboxes[wid] = inbox
-
-    def alive(self, wid: int) -> bool:
-        return wid not in self.dead and self.procs[wid].is_alive()
+        ctx = _mp_context()
+        self.cell = ctx.Value("d", math.inf, lock=False)
+        self.outbox = ctx.Queue()
+        source = arena.descriptor()
+        for wid in range(workers):
+            inbox = ctx.Queue()
+            proc = ctx.Process(
+                target=_shm_worker,
+                args=(
+                    wid, source, inbox, self.outbox, self.cell,
+                    delta, config.fault_plan, tele_arr,
+                ),
+                daemon=True,
+            )
+            proc.start()
+            self.procs[wid] = proc
+            self.inboxes[wid] = inbox
 
     def kill(self, wid: int) -> None:
-        """Hard-stop one worker (process mode); threads are abandoned."""
+        """Hard-stop one worker."""
         self.dead.add(wid)
-        handle = self.procs[wid]
-        if self.mode == "shm-process":
-            try:
-                handle.terminate()
-            except Exception:  # pragma: no cover
-                pass
+        try:
+            self.procs[wid].terminate()
+        except Exception:  # pragma: no cover
+            pass
 
     def shutdown(self) -> None:
         """Stop every worker; never block on a wedged one.
 
-        Dead workers get the stop message too: an abandoned thread (one
-        that timed out or never came up) keeps running until it reads
-        its inbox, and must find a stop there rather than block forever.
-        A killed process was terminated already, so its join returns as
-        soon as it has exited.
+        A killed worker was terminated already, so its join returns as
+        soon as it has exited; a live one that does not stop within a
+        second is terminated.
         """
         for inbox in self.inboxes.values():
             try:
                 inbox.put(("stop",))
             except Exception:  # pragma: no cover
                 pass
-        for wid, handle in self.procs.items():
-            if self.mode != "shm-process":
-                if wid not in self.dead:
-                    handle.join(timeout=0.2)
-                continue
+        for handle in self.procs.values():
             handle.join(timeout=1.0)
             if handle.is_alive():
                 try:
                     handle.terminate()
                 except Exception:  # pragma: no cover
                     pass
-        if self.mode == "shm-process":
-            # Release the feeder threads so queue teardown cannot hang.
-            self.outbox.cancel_join_thread()
-            for inbox in self.inboxes.values():
-                inbox.cancel_join_thread()
+        # Release the feeder threads so queue teardown cannot hang.
+        self.outbox.cancel_join_thread()
+        for inbox in self.inboxes.values():
+            inbox.cancel_join_thread()
 
 
 def _run_stage_pool(
@@ -638,13 +597,12 @@ def _run_stage_pool(
         now = time.monotonic()
         # Liveness: a dead process with work outstanding loses it back
         # to the queue (fault-injection kills land here).
-        if runtime.mode == "shm-process":
-            for wid in alive_workers():
-                if not runtime.procs[wid].is_alive() and (
-                    outstanding[wid] or wid not in ready
-                ):
-                    # Holding work, or dead before it ever attached.
-                    worker_failed(wid, "died")
+        for wid in alive_workers():
+            if not runtime.procs[wid].is_alive() and (
+                outstanding[wid] or wid not in ready
+            ):
+                # Holding work, or dead before it ever attached.
+                worker_failed(wid, "died")
         if timeout_s is not None:
             for wid in alive_workers():
                 if wid in ready:
@@ -697,7 +655,7 @@ def _run_stage_pool(
                     last_life[wid] = time.monotonic()
                     metrics.counter("shm.attaches").inc()
             elif wid in runtime.dead:
-                pass  # zombie output (abandoned thread); dedupe-safe to drop
+                pass  # output of a worker given up on; dedupe-safe to drop
             elif kind == "batch":
                 last_life[wid] = time.monotonic()
                 tid = msg[2]

@@ -92,7 +92,10 @@ class CheckpointManager:
     every_pairs / every_s:
         Capture cadence: a checkpoint becomes due every N emitted pairs
         and/or every T seconds (whichever fires first).  With both
-        ``None``, :data:`DEFAULT_EVERY_S` applies.
+        ``None``, :data:`DEFAULT_EVERY_S` applies.  The time cadence
+        waits at least as long as the last capture took, so capturing
+        never takes more than about half of a run's time, however short
+        T is.
     faults:
         Optional :class:`~repro.resilience.faults.FaultPlan`; its
         ``checkpoint_write`` site injects ENOSPC into the next write.
@@ -135,6 +138,8 @@ class CheckpointManager:
         self.emitted = 0
         self._last_emit_mark = 0
         self._last_time = time.monotonic()
+        #: Seconds the last successful capture took (see :meth:`due`).
+        self._last_capture_s = 0.0
         self._started = time.monotonic()
         self.checkpoints_written = 0
         self.write_failures = 0
@@ -195,7 +200,8 @@ class CheckpointManager:
             return True
         if (
             self.every_s is not None
-            and time.monotonic() - self._last_time >= self.every_s
+            and time.monotonic() - self._last_time
+            >= max(self.every_s, self._last_capture_s)
         ):
             return True
         return False
@@ -273,7 +279,8 @@ class CheckpointManager:
             if self._tracer is not None and getattr(self._tracer, "enabled", False):
                 self._tracer.event("checkpoint_write_failed", error=str(exc))
             return False
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        self._last_capture_s = time.perf_counter() - started
+        elapsed_ms = self._last_capture_s * 1000.0
         self.checkpoints_written += 1
         self._last_emit_mark = self.emitted
         self._last_time = time.monotonic()

@@ -7,8 +7,8 @@ so process workers inherit it) and is consulted at seven injection
 - ``worker_crash`` — a parallel worker raises
   :class:`~repro.resilience.errors.InjectedWorkerCrash` on entry;
 - ``worker_kill`` — a parallel worker process hard-exits (``os._exit``),
-  as an OOM kill would; degraded to a crash in a thread worker, where a
-  hard exit would kill the whole run;
+  as an OOM kill would; degraded to a crash outside a child process,
+  where a hard exit would kill the whole run;
 - ``worker_stall`` — a parallel worker sleeps ``stall_s`` seconds on
   entry, long enough to trip a configured per-worker timeout;
 - ``spill_write`` — the main queue's next spill write raises

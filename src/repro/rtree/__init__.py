@@ -7,7 +7,9 @@ A from-scratch R*-tree (Beckmann et al., SIGMOD 1990) with:
 - Sort-Tile-Recursive (STR) bulk loading for building large experiment
   datasets quickly at a realistic fill factor;
 - page-sized nodes whose fanout is derived from the binary page layout in
-  :mod:`repro.storage.serial` (85 entries per 4 KB page);
+  :mod:`repro.storage.serial` (85 entries per 4 KB page), holding one
+  entry type, :class:`~repro.rtree.entries.Item`, that the join engines
+  queue as is;
 - buffered access for query-time metering
   (:class:`~repro.rtree.tree.TreeAccessor`).
 
@@ -16,9 +18,9 @@ Lemma 1 (a child's MBR lies inside its parent's), which ``RTree.validate``
 checks explicitly.
 """
 
-from repro.rtree.entries import Entry
+from repro.rtree.entries import Item
 from repro.rtree.filetree import FileRTree
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree, TreeAccessor
 
-__all__ = ["Entry", "FileRTree", "Node", "RTree", "TreeAccessor"]
+__all__ = ["FileRTree", "Item", "Node", "RTree", "TreeAccessor"]

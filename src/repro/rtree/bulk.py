@@ -20,7 +20,7 @@ import math
 from typing import Protocol, Sequence
 
 from repro.geometry.rect import Rect
-from repro.rtree.entries import Entry
+from repro.rtree.entries import OBJECT_LEVEL, Item
 from repro.rtree.node import Node
 
 #: Average utilization of dynamically maintained R*-tree nodes.
@@ -51,12 +51,12 @@ def str_pack(
     capacity = max(int(tree.max_entries * fill_factor), 2)
     capacity = max(capacity, tree.min_entries)
 
-    entries = [Entry(rect, oid) for rect, oid in items]
+    entries = [Item(rect, oid, OBJECT_LEVEL) for rect, oid in items]
     level = 0
     nodes = _pack_level(tree, entries, level, capacity)
     while len(nodes) > 1:
         level += 1
-        parent_entries = [Entry(node.mbr(), node.page_id) for node in nodes]
+        parent_entries = [node.item() for node in nodes]
         nodes = _pack_level(tree, parent_entries, level, capacity)
     return nodes[0]
 
@@ -80,7 +80,7 @@ def even_chunk_sizes(total: int, lo: int, hi: int, target: int) -> list[int]:
 
 
 def _pack_level(
-    tree: _TreeLike, entries: list[Entry], level: int, capacity: int
+    tree: _TreeLike, entries: list[Item], level: int, capacity: int
 ) -> list[Node]:
     """Tile one level's entries into nodes of roughly ``capacity`` entries."""
     lo, hi = tree.min_entries, tree.max_entries
@@ -111,9 +111,9 @@ def _even_parts(total: int, parts: int) -> list[int]:
     return [base + 1] * extra + [base] * (parts - extra)
 
 
-def _center_x(entry: Entry) -> float:
+def _center_x(entry: Item) -> float:
     return entry.rect.xmin + entry.rect.xmax
 
 
-def _center_y(entry: Entry) -> float:
+def _center_y(entry: Item) -> float:
     return entry.rect.ymin + entry.rect.ymax

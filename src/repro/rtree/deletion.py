@@ -3,9 +3,9 @@
 Classic Guttman deletion adapted to the R*-tree facade: locate the leaf
 holding the entry, remove it, and walk back up condensing — any node
 that drops below the minimum fill is dissolved and its entries are
-reinserted at their original level (using the R* inserter, so reinserted
-subtrees keep their structure).  If the root ends up with a single child
-the tree shrinks by one level.
+reinserted at the level each entry carries (using the R* inserter, so
+reinserted subtrees keep their structure).  If the root ends up with a
+single child the tree shrinks by one level.
 
 Deletion enables dynamic workloads (moving objects, expiring records) on
 top of the join algorithms; joins themselves never mutate trees.
@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Protocol
 
 from repro.geometry.rect import Rect
-from repro.rtree.entries import Entry
+from repro.rtree.entries import Item
 from repro.rtree.node import Node
 from repro.rtree.rstar import RStarInserter
 
@@ -45,13 +45,13 @@ def delete(tree, rect: Rect, oid: int) -> bool:
         tree._touch(node.page_id)
     leaf = path[-1]
     leaf.remove_ref(oid)
-    orphans: list[tuple[Entry, int]] = []
+    orphans: list[Item] = []
     _condense(tree, path, orphans)
     _shrink_root(tree)
     if orphans:
         inserter = RStarInserter(tree)
-        for entry, level in orphans:
-            inserter.insert_entry(entry, level)
+        for entry in orphans:
+            inserter.insert_entry(entry)
         _shrink_root(tree)
     return True
 
@@ -75,20 +75,17 @@ def _find_leaf(
     return None
 
 
-def _condense(tree, path: list[Node], orphans: list[tuple[Entry, int]]) -> None:
+def _condense(tree, path: list[Node], orphans: list[Item]) -> None:
     """Walk the path bottom-up, dissolving underfull nodes."""
     for depth in range(len(path) - 1, 0, -1):
         node = path[depth]
         parent = path[depth - 1]
         if len(node.entries) < tree.min_entries:
             parent.remove_ref(node.page_id)
-            for entry in node.entries:
-                orphans.append((entry, node.level))
+            orphans.extend(node.entries)
             tree.store.free(node.page_id)
         else:
-            parent.replace_entry(
-                node.page_id, Entry(node.mbr(), node.page_id)
-            )
+            parent.replace_entry(node.page_id, node.item())
 
 
 def _shrink_root(tree) -> None:

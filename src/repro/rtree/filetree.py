@@ -17,10 +17,8 @@ import struct
 from pathlib import Path
 from typing import Iterator
 
-from repro.rtree.entries import Entry
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree, _FILE_HEADER, _FILE_MAGIC
-from repro.storage import serial
 
 
 class NodeFileStore:
@@ -43,13 +41,7 @@ class NodeFileStore:
         if not 0 <= page_id < self._page_count:
             raise KeyError(f"page {page_id} out of range")
         self._file.seek(self._header_size + page_id * self._page_size)
-        page = self._file.read(self._page_size)
-        level, records = serial.unpack_node(page)
-        return Node(
-            page_id=page_id,
-            level=level,
-            entries=[Entry.from_record(rec) for rec in records],
-        )
+        return Node.decode(page_id, self._file.read(self._page_size))
 
     def __len__(self) -> int:
         return self._page_count

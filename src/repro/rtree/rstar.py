@@ -38,7 +38,7 @@ import math
 from typing import Protocol
 
 from repro.geometry.rect import Rect
-from repro.rtree.entries import Entry
+from repro.rtree.entries import OBJECT_LEVEL, Item
 from repro.rtree.node import Node
 
 #: Fraction of a node's entries removed by forced reinsertion (R* paper).
@@ -58,7 +58,7 @@ class _TreeLike(Protocol):
 
     def _touch(self, page_id: int) -> None: ...
 
-    def _grow_root(self, first: Entry, second: Entry, level: int) -> None: ...
+    def _grow_root(self, first: Item, second: Item) -> None: ...
 
 
 class RStarInserter:
@@ -67,37 +67,37 @@ class RStarInserter:
     def __init__(self, tree: _TreeLike) -> None:
         self._tree = tree
         self._reinserted_levels: set[int] = set()
-        self._pending: list[tuple[Entry, int]] = []
+        self._pending: list[Item] = []
 
     # ------------------------------------------------------------------
-    # Entry point
+    # Insertion
     # ------------------------------------------------------------------
 
     def insert(self, rect: Rect, ref: int) -> None:
         """Insert one data entry, running the full R* overflow protocol."""
-        self.insert_entry(Entry(rect, ref), 0)
+        self.insert_entry(Item(rect, ref, OBJECT_LEVEL))
 
-    def insert_entry(self, entry: Entry, level: int) -> None:
-        """Insert ``entry`` at ``level`` (0 = data; higher = subtree roots).
+    def insert_entry(self, entry: Item) -> None:
+        """Insert ``entry`` into a node one level above it (data objects
+        into leaves, subtree entries into their old parents' level).
 
         Used both for ordinary data insertion and for reinserting the
         orphans produced by deletion's CondenseTree.
         """
         self._reinserted_levels.clear()
-        self._pending.append((entry, level))
+        self._pending.append(entry)
         while self._pending:
-            pending_entry, pending_level = self._pending.pop(0)
+            pending = self._pending.pop(0)
             root = self._tree._get_node(self._tree.root_id)
-            split = self._insert_rec(root, pending_entry, pending_level)
+            split = self._insert_rec(root, pending)
             if split is not None:
-                old_root_entry = Entry(root.mbr(), root.page_id)
-                self._tree._grow_root(old_root_entry, split, root.level + 1)
+                self._tree._grow_root(root.item(), split)
 
     # ------------------------------------------------------------------
     # Recursive insertion
     # ------------------------------------------------------------------
 
-    def _insert_rec(self, node: Node, entry: Entry, target_level: int) -> Entry | None:
+    def _insert_rec(self, node: Node, entry: Item) -> Item | None:
         """Insert ``entry`` into the subtree at ``node``.
 
         Returns the entry for a newly created sibling when ``node`` was
@@ -105,24 +105,24 @@ class RStarInserter:
         its directory entry for ``node`` (done below on the way up).
         """
         self._tree._touch(node.page_id)
-        if node.level == target_level:
+        if node.level == entry.level + 1:
             node.add(entry)
         else:
-            child_entry = self._choose_subtree(node, entry.rect, target_level)
+            child_entry = self._choose_subtree(node, entry.rect, entry.level + 1)
             child = self._tree._get_node(child_entry.ref)
-            split = self._insert_rec(child, entry, target_level)
-            node.replace_entry(child.page_id, Entry(child.mbr(), child.page_id))
+            split = self._insert_rec(child, entry)
+            node.replace_entry(child.page_id, child.item())
             if split is not None:
                 node.add(split)
         if len(node) > self._tree.max_entries:
             return self._overflow(node)
         return None
 
-    def _choose_subtree(self, node: Node, rect: Rect, target_level: int) -> Entry:
+    def _choose_subtree(self, node: Node, rect: Rect, target_level: int) -> Item:
         """R* ChooseSubtree for descending one level toward ``target_level``."""
         entries = node.entries
 
-        def by_enlargement(e: Entry) -> tuple[float, float]:
+        def by_enlargement(e: Item) -> tuple[float, float]:
             return (e.rect.enlargement(rect), e.rect.area())
 
         if node.level - 1 == 0 and target_level == 0:
@@ -140,7 +140,7 @@ class RStarInserter:
         return min(entries, key=by_enlargement)
 
     @staticmethod
-    def _overlap_enlargement(entries: list[Entry], target: Entry, rect: Rect) -> float:
+    def _overlap_enlargement(entries: list[Item], target: Item, rect: Rect) -> float:
         """Increase in total overlap with siblings if ``target`` absorbs ``rect``.
 
         Bit-identical to ``after - before``, where ``after`` sums
@@ -177,7 +177,7 @@ class RStarInserter:
     # Overflow treatment
     # ------------------------------------------------------------------
 
-    def _overflow(self, node: Node) -> Entry | None:
+    def _overflow(self, node: Node) -> Item | None:
         """Forced reinsert on the first overflow per level, split after."""
         is_root = node.page_id == self._tree.root_id
         if not is_root and node.level not in self._reinserted_levels:
@@ -191,7 +191,7 @@ class RStarInserter:
         count = max(int(round(REINSERT_FRACTION * self._tree.max_entries)), 1)
         cx, cy = node.mbr().center()
 
-        def distance_from_center(entry: Entry) -> float:
+        def distance_from_center(entry: Item) -> float:
             ex, ey = entry.rect.center()
             return math.hypot(ex - cx, ey - cy)
 
@@ -199,14 +199,13 @@ class RStarInserter:
         removed = node.entries[-count:]
         del node.entries[-count:]
         # "Close reinsert": nearest removed entries first.
-        for entry in removed:
-            self._pending.append((entry, node.level))
+        self._pending.extend(removed)
 
     # ------------------------------------------------------------------
     # R* split
     # ------------------------------------------------------------------
 
-    def _split(self, node: Node) -> Entry:
+    def _split(self, node: Node) -> Item:
         """Split an overflowing node; returns the new sibling's entry."""
         group_a, group_b = choose_split(
             node.entries, self._tree.min_entries
@@ -215,12 +214,12 @@ class RStarInserter:
         sibling = self._tree._alloc_node(node.level)
         self._tree._touch(sibling.page_id)
         sibling.entries = group_b
-        return Entry(sibling.mbr(), sibling.page_id)
+        return sibling.item()
 
 
 def choose_split(
-    entries: list[Entry], min_entries: int
-) -> tuple[list[Entry], list[Entry]]:
+    entries: list[Item], min_entries: int
+) -> tuple[list[Item], list[Item]]:
     """R* split of ``len(entries)`` (= M+1) entries into two groups.
 
     Exposed as a free function for direct unit testing.
@@ -233,13 +232,13 @@ def choose_split(
     return _choose_split_distribution(entries, min_entries, best_axis)
 
 
-def _sorted_by(entries: list[Entry], axis: int, by_upper: bool) -> list[Entry]:
+def _sorted_by(entries: list[Item], axis: int, by_upper: bool) -> list[Item]:
     if by_upper:
         return sorted(entries, key=lambda e: (e.rect.hi(axis), e.rect.lo(axis)))
     return sorted(entries, key=lambda e: (e.rect.lo(axis), e.rect.hi(axis)))
 
 
-def _prefix_suffix_unions(entries: list[Entry]) -> tuple[list[Rect], list[Rect]]:
+def _prefix_suffix_unions(entries: list[Item]) -> tuple[list[Rect], list[Rect]]:
     """Running bounding boxes from the left and from the right."""
     n = len(entries)
     prefix: list[Rect] = [entries[0].rect] * n
@@ -256,7 +255,7 @@ def _distributions(n: int, m: int) -> range:
     return range(m, n - m + 1)
 
 
-def _choose_split_axis(entries: list[Entry], m: int) -> int:
+def _choose_split_axis(entries: list[Item], m: int) -> int:
     """Axis whose distributions have the smallest total margin."""
     best_axis = 0
     best_margin = math.inf
@@ -274,19 +273,22 @@ def _choose_split_axis(entries: list[Entry], m: int) -> int:
 
 
 def _choose_split_distribution(
-    entries: list[Entry], m: int, axis: int
-) -> tuple[list[Entry], list[Entry]]:
-    """Minimum-overlap (then minimum-area) distribution along ``axis``."""
-    best: tuple[float, float] = (math.inf, math.inf)
-    best_groups: tuple[list[Entry], list[Entry]] | None = None
+    entries: list[Item], m: int, axis: int
+) -> tuple[list[Item], list[Item]]:
+    """Minimum-overlap (then minimum-area) distribution along ``axis``.
+
+    The first distribution stands until a lower score beats it, so
+    areas that overflow to ``inf`` (sides past about 1.3e154) still
+    split the node.
+    """
+    best: tuple[float, float] | None = None
     for by_upper in (False, True):
         ordered = _sorted_by(entries, axis, by_upper)
         prefix, suffix = _prefix_suffix_unions(ordered)
         for k in _distributions(len(entries), m):
             bb1, bb2 = prefix[k - 1], suffix[k]
             score = (bb1.intersection_area(bb2), bb1.area() + bb2.area())
-            if score < best:
+            if best is None or score < best:
                 best = score
                 best_groups = (ordered[:k], ordered[k:])
-    assert best_groups is not None
     return best_groups

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.geometry.rect import Rect
 from repro.rtree.bulk import DEFAULT_FILL_FACTOR, str_pack
-from repro.rtree.entries import Entry
+from repro.rtree.entries import Item
 from repro.rtree.node import Node
 from repro.rtree.rstar import RStarInserter
 from repro.storage.buffer import BufferPool
@@ -161,8 +161,8 @@ class RTree:
         """Page ids some write after ``version`` changed, allocated or freed."""
         return [page for page, stamp in self._stamps.items() if stamp > version]
 
-    def _grow_root(self, first: Entry, second: Entry, level: int) -> None:
-        new_root = self._alloc_node(level)
+    def _grow_root(self, first: Item, second: Item) -> None:
+        new_root = self._alloc_node(first.level + 1)
         self._touch(new_root.page_id)
         new_root.add(first)
         new_root.add(second)
@@ -194,7 +194,7 @@ class RTree:
             if not node.is_leaf:
                 stack.extend(entry.ref for entry in node.entries)
 
-    def iter_leaf_entries(self) -> Iterator[Entry]:
+    def iter_leaf_entries(self) -> Iterator[Item]:
         """Every data entry, in no particular order."""
         for node in self.iter_nodes():
             if node.is_leaf:
@@ -264,10 +264,12 @@ class RTree:
     def validate(self) -> None:
         """Check all structural invariants; raises ``AssertionError``.
 
-        Checks: containment (Lemma 1's prerequisite), level consistency,
-        fanout bounds (except the root), and that the number of reachable
-        data entries equals ``size``.  The checks are explicit raises, not
-        ``assert`` statements, so they run under ``python -O`` too.
+        Checks: containment (Lemma 1's prerequisite), level consistency
+        (every entry one level below its node, every child at its entry's
+        level), fanout bounds (except the root), and that the number of
+        reachable data entries equals ``size``.  The checks are explicit
+        raises, not ``assert`` statements, so they run under ``python -O``
+        too.
         """
         if self.size == 0:
             if len(self.root.entries) != 0:
@@ -282,6 +284,12 @@ class RTree:
                 raise AssertionError(
                     f"node {page_id}: level {node.level} != expected {expected_level}"
                 )
+            for entry in node.entries:
+                if entry.level != node.level - 1:
+                    raise AssertionError(
+                        f"node {page_id}: entry {entry.ref} at level "
+                        f"{entry.level}, expected {node.level - 1}"
+                    )
             if not node.entries:
                 raise AssertionError(f"node {page_id} is empty")
             if page_id != self.root_id and len(node.entries) < self.min_entries:
@@ -300,7 +308,7 @@ class RTree:
                 data_entries += len(node.entries)
             else:
                 for entry in node.entries:
-                    stack.append((entry.ref, entry.rect, node.level - 1))
+                    stack.append((entry.ref, entry.rect, entry.level))
         if data_entries != self.size:
             raise AssertionError(
                 f"reachable data entries {data_entries} != size {self.size}"
@@ -349,13 +357,7 @@ class RTree:
                 page = f.read(page_size)
                 if len(page) != page_size:
                     raise ValueError(f"{path} is truncated at page {expected_id}")
-                level, records = serial.unpack_node(page)
-                node = Node(
-                    page_id=expected_id,
-                    level=level,
-                    entries=[Entry.from_record(rec) for rec in records],
-                )
-                allocated = tree.store.allocate(node)
+                allocated = tree.store.allocate(Node.decode(expected_id, page))
                 assert allocated == expected_id
             tree.root_id = root_id
             tree.size = size

@@ -24,9 +24,10 @@ except ImportError:
 else:
     BACKENDS = ("python", "numpy")
 
-#: ``--hypothesis-profile fuzz``: the seeded write fuzzers
-#: (``test_image_contract.py``, ``test_write_differential.py``) at the
-#: seed budget of their own CI step.  Other suites set their own counts.
+#: ``--hypothesis-profile fuzz``: the seeded fuzzers
+#: (``test_image_contract.py``, ``test_write_differential.py``,
+#: ``test_pruning_bounds.py``) at the seed budget of their own CI step.
+#: Other suites set their own counts.
 settings.register_profile("fuzz", max_examples=150, deadline=None)
 
 

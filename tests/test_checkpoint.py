@@ -233,6 +233,54 @@ def test_signal_handler_latches_shutdown():
 
 
 # ----------------------------------------------------------------------
+# Cadence
+# ----------------------------------------------------------------------
+
+
+def test_time_cadence_waits_as_long_as_the_last_capture(tmp_path, monkeypatch):
+    # A capture that takes longer than every_s must not make the next
+    # one due at the very next barrier, or the run does little else.
+    from types import SimpleNamespace
+
+    from repro.resilience import checkpoint as checkpoint_mod
+
+    now = [0.0]
+    slow = [True]
+
+    def dumps(obj, protocol):
+        if slow[0]:
+            now[0] += 0.5  # two dumps per capture: a 1 s capture
+        return pickle.dumps(obj, protocol=protocol)
+
+    clock = SimpleNamespace(monotonic=lambda: now[0], perf_counter=lambda: now[0])
+    monkeypatch.setattr(checkpoint_mod, "time", clock)
+    monkeypatch.setattr(
+        checkpoint_mod, "pickle",
+        SimpleNamespace(dumps=dumps, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL),
+    )
+    manager = CheckpointManager(
+        tmp_path / "c.ckpt", algorithm="amkdj", k=5, fingerprint={}, every_s=0.05
+    )
+    assert not manager.barrier(_body)
+    now[0] = 0.06
+    assert manager.barrier(_body)
+    assert manager.last["ms"] == pytest.approx(1000.0)
+    now[0] += 0.5  # ten cadences, but only half the last capture
+    assert not manager.due()
+    assert not manager.barrier(_body)
+    now[0] += 0.6
+    assert manager.barrier(_body)
+    assert manager.checkpoints_written == 2
+    # Once captures are fast again, every_s is the cadence again.
+    slow[0] = False
+    now[0] += 1.1
+    assert manager.barrier(_body)
+    now[0] += 0.06
+    assert manager.barrier(_body)
+    assert manager.checkpoints_written == 4
+
+
+# ----------------------------------------------------------------------
 # Parallel engine: drain-barrier checkpoints
 # ----------------------------------------------------------------------
 
@@ -251,7 +299,7 @@ def staged_trees():
     return tree_r, tree_s
 
 
-@pytest.mark.parametrize("mode", ["shm-serial", "shm-thread", "shm-process"])
+@pytest.mark.parametrize("mode", ["shm-serial", "shm-process"])
 def test_parallel_checkpoint_and_resume(staged_trees, tmp_path, mode):
     tree_r, tree_s = staged_trees
     k = 120

@@ -5,12 +5,12 @@ import math
 
 import pytest
 
-from repro.core.pairs import Item, PairPayload, ResultPair
+from repro.core.pairs import OBJECT_LEVEL, Item, PairPayload, ResultPair
 from repro.core.stats import Instruments, JoinStats
 from repro.geometry.rect import Rect
-from repro.rtree.entries import Entry
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree, TreeAccessor
+from repro.storage import serial
 from repro.storage.disk import SimulatedDisk
 
 
@@ -48,7 +48,7 @@ class TestNode:
         return Node(
             page_id=9,
             level=1,
-            entries=[Entry(Rect(0, 0, 1, 1), 10), Entry(Rect(2, 2, 3, 3), 11)],
+            entries=[Item(Rect(0, 0, 1, 1), 10, 0), Item(Rect(2, 2, 3, 3), 11, 0)],
         )
 
     def test_mbr(self):
@@ -73,20 +73,32 @@ class TestNode:
 
     def test_replace_entry(self):
         node = self._node()
-        node.replace_entry(10, Entry(Rect(5, 5, 6, 6), 10))
+        node.replace_entry(10, Item(Rect(5, 5, 6, 6), 10, 0))
         assert node.entry_for(10).rect == Rect(5, 5, 6, 6)
         with pytest.raises(KeyError):
-            node.replace_entry(99, Entry(Rect(0, 0, 1, 1), 99))
+            node.replace_entry(99, Item(Rect(0, 0, 1, 1), 99, 0))
 
     def test_is_leaf(self):
         assert Node(page_id=1, level=0).is_leaf
         assert not Node(page_id=1, level=1).is_leaf
 
+    def test_item_points_at_the_node(self):
+        node = self._node()
+        assert node.item() == Item(Rect(0, 0, 3, 3), 9, 1)
+
 
 class TestEntrySerialization:
     def test_record_roundtrip(self):
-        entry = Entry(Rect(1.5, -2.0, 3.25, 0.0), 77)
-        assert Entry.from_record(entry.as_record()) == entry
+        # A page decodes into the node's own entry type, each entry one
+        # level below its node: objects in a leaf, child nodes above.
+        for level, entry_level in ((0, OBJECT_LEVEL), (2, 1)):
+            entries = [
+                Item(Rect(1.5, -2.0, 3.25, 0.0), 77, entry_level),
+                Item(Rect(-1e300, 5e-324, 0.0, 1e300), 3, entry_level),
+            ]
+            records = [(*e.rect.as_tuple(), e.ref) for e in entries]
+            page = serial.pack_node(level, records, 4096)
+            assert Node.decode(12, page) == Node(12, level, entries)
 
 
 class TestInstruments:

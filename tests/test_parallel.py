@@ -64,7 +64,7 @@ class TestMerge:
 
 
 class TestParallelKDJ:
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_identical_to_sequential_amkdj(self, point_trees, mode):
         tree_r, tree_s = point_trees
         sequential = k_distance_join(tree_r, tree_s, k=150)
@@ -148,8 +148,8 @@ class TestParallelKDJ:
         with pytest.raises(ValueError):
             parallel_kdj(*point_trees, k=0, config=JoinConfig(parallel=2))
         assert JoinConfig().parallel_mode == "shm-process"
-        # Only the engine's own three modes are accepted.
-        for mode in ("fiber", "process", "thread", "serial"):
+        # Only the engine's own two modes are accepted.
+        for mode in ("fiber", "process", "thread", "serial", "shm-thread"):
             with pytest.raises(ValueError, match="parallel_mode"):
                 parallel_kdj(
                     *point_trees,

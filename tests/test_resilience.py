@@ -325,20 +325,6 @@ class TestParallelResilience:
         assert_distances_close(result.distances, baseline_distances)
         assert result.stats.extra["parallel_workers"] == 2
 
-    def test_thread_crash_recovers_identically(self, point_trees, baseline_distances):
-        config = JoinConfig(
-            parallel=2,
-            parallel_mode="shm-thread",
-            fault_plan=FaultPlan.parse("worker_crash:@1"),
-        )
-        result = parallel_kdj(*point_trees, 30, config)
-        assert_distances_close(result.distances, baseline_distances)
-        extra = result.stats.extra
-        assert extra["resilience_worker_failures"] >= 1
-        # The surviving worker takes the crashed one's share: the parent
-        # never has to drain a stage inline.
-        assert "resilience_worker_fallbacks" not in extra
-
     def test_process_kill_rebuilds_pool(self, point_trees, baseline_distances):
         """A hard worker exit takes one process down; the survivor
         finishes the stage, every later stage starts on a fresh pool (so
@@ -358,7 +344,7 @@ class TestParallelResilience:
         assert parallel_shm.active_segments() == []
 
     def test_parallel_deadline_enforced(self, point_trees):
-        for mode in ("shm-serial", "shm-thread", "shm-process"):
+        for mode in ("shm-serial", "shm-process"):
             config = JoinConfig(parallel=2, parallel_mode=mode, deadline_s=1e-9)
             with pytest.raises(JoinDeadlineExceeded):
                 parallel_kdj(*point_trees, 30, config)

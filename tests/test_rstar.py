@@ -1,5 +1,6 @@
 """Tests for R* insertion internals: split selection and the inserter."""
 
+import math
 import random
 import struct
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.geometry.rect import Rect
-from repro.rtree.entries import Entry
+from repro.rtree.entries import Item
 from repro.rtree.node import Node
 from repro.rtree.rstar import RStarInserter, choose_split
 from repro.rtree.tree import RTree
@@ -15,8 +16,8 @@ from repro.rtree.tree import RTree
 from tests.conftest import random_rects
 
 
-def entries_from(rects: list[Rect]) -> list[Entry]:
-    return [Entry(r, i) for i, r in enumerate(rects)]
+def entries_from(rects: list[Rect]) -> list[Item]:
+    return [Item.object(r, i) for i, r in enumerate(rects)]
 
 
 # ----------------------------------------------------------------------
@@ -25,7 +26,7 @@ def entries_from(rects: list[Rect]) -> list[Entry]:
 
 
 def reference_overlap_enlargement(
-    entries: list[Entry], target: Entry, rect: Rect
+    entries: list[Item], target: Item, rect: Rect
 ) -> float:
     """Overlap enlargement from the ``Rect`` methods, siblings in order."""
     enlarged = target.rect.union(rect)
@@ -39,7 +40,7 @@ def reference_overlap_enlargement(
     return after - before
 
 
-def reference_choose_subtree(self, node: Node, rect: Rect, target_level: int) -> Entry:
+def reference_choose_subtree(self, node: Node, rect: Rect, target_level: int) -> Item:
     """R* ChooseSubtree scoring every entry (first minimum wins ties)."""
     entries = node.entries
     if node.level - 1 == 0 and target_level == 0:
@@ -73,14 +74,14 @@ def float_rects() -> st.SearchStrategy[Rect]:
 
 
 @st.composite
-def leaf_parent_nodes(draw) -> tuple[list[Entry], Rect]:
+def leaf_parent_nodes(draw) -> tuple[list[Item], Rect]:
     """2-102 entries (some exact duplicates) and a rect to insert."""
     rects = st.one_of(grid_rects(), float_rects())
     base = draw(st.lists(rects, min_size=1, max_size=60))
     duplicates = draw(st.lists(st.sampled_from(base), min_size=1, max_size=42))
     shuffled = draw(st.permutations(base + duplicates))
     new = draw(st.one_of(st.sampled_from(shuffled), rects))
-    return [Entry(r, i) for i, r in enumerate(shuffled)], new
+    return [Item(r, i, 0) for i, r in enumerate(shuffled)], new
 
 
 #: 35 entries whose enlargement to the origin sweeps across the last one,
@@ -88,8 +89,8 @@ def leaf_parent_nodes(draw) -> tuple[list[Entry], Rect]:
 #: R* paper's shortcut, scoring only the 32 least-enlargement entries,
 #: would miss it.
 BEYOND_32 = (
-    [Entry(Rect(-3.0, -0.1, -2.0, 0.1), i) for i in range(35)]
-    + [Entry(Rect(-1.0, -1.0, -0.5, 1.0), 35)],
+    [Item(Rect(-3.0, -0.1, -2.0, 0.1), i, 0) for i in range(35)]
+    + [Item(Rect(-1.0, -1.0, -0.5, 1.0), 35, 0)],
     Rect.from_point(0.0, 0.0),
 )
 
@@ -108,7 +109,7 @@ class TestLazyChooseSubtree:
         assert chosen is reference_choose_subtree(None, node, rect, 0)
 
     def test_builds_the_brute_force_tree(self, monkeypatch):
-        def run() -> tuple[int, dict[int, tuple[int, list[Entry]]]]:
+        def run() -> tuple[int, dict[int, tuple[int, list[Item]]]]:
             rng = random.Random(2024)
             tree = RTree(max_entries=8)
             live: dict[int, Rect] = {}
@@ -205,6 +206,18 @@ class TestChooseSplit:
         a, b = choose_split(entries_from(bottom + top), 4)
         ys = {e.rect.ymin < 50 for e in a}
         assert len(ys) == 1  # group a is purely one cluster
+
+    def test_areas_that_overflow_still_split(self):
+        # Sides near 1e156: every group area reads inf, so no score is
+        # below (inf, inf); the split must still return legal groups.
+        rects = [Rect(x * 1e156, 0.0, (x + 2) * 1e156, 1e156) for x in range(9)]
+        assert Rect.union_of(rects).area() == math.inf
+        a, b = choose_split(entries_from(rects), 4)
+        assert sorted(e.ref for e in a + b) == list(range(9))
+        assert len(a) >= 4 and len(b) >= 4
+        tree = RTree(max_entries=8)
+        tree.insert_all((rect, oid) for oid, rect in enumerate(rects * 3))
+        tree.validate()
 
 
 class TestInsertion:

@@ -11,7 +11,6 @@ outlives a run.
 
 import math
 import random
-import threading
 
 import pytest
 
@@ -204,7 +203,7 @@ class TestSerialization:
             arena.close()
 
 
-MODES = ["shm-serial", "shm-thread", "shm-process"]
+MODES = ["shm-serial", "shm-process"]
 
 
 class TestIdentity:
@@ -223,7 +222,7 @@ class TestIdentity:
         tree_r = RTree.bulk_load(_rects(600, 31))
         tree_s = RTree.bulk_load(_rects(600, 32))
         seq = JoinRunner(tree_r, tree_s, JoinConfig()).kdj(250, "amkdj")
-        config = JoinConfig(parallel=2, parallel_mode="shm-thread")
+        config = JoinConfig(parallel=2, parallel_mode="shm-process")
         result = parallel_kdj(tree_r, tree_s, 250, config=config)
         assert _stream(result) == _stream(seq)
 
@@ -328,7 +327,7 @@ class TestOracle:
 class TestScheduler:
     def test_task_and_steal_counters_exported(self, point_trees, sequential):
         tree_r, tree_s = point_trees
-        config = JoinConfig(parallel=2, parallel_mode="shm-thread")
+        config = JoinConfig(parallel=2, parallel_mode="shm-process")
         result = parallel_kdj(tree_r, tree_s, 400, config=config)
         extra = result.stats.extra
         assert extra["obs.shm.tasks"] >= 1
@@ -342,7 +341,7 @@ class TestScheduler:
 
     def test_occupancy_gauges_present(self, point_trees):
         tree_r, tree_s = point_trees
-        config = JoinConfig(parallel=2, parallel_mode="shm-thread")
+        config = JoinConfig(parallel=2, parallel_mode="shm-process")
         result = parallel_kdj(tree_r, tree_s, 400, config=config)
         gauges = [
             k for k in result.stats.extra if k.startswith("obs.shm.occupancy.w")
@@ -352,24 +351,24 @@ class TestScheduler:
             assert 0.0 <= result.stats.extra[name] <= 1.0
 
     def test_work_accounting_matches_serial(self, point_trees):
-        # Thread workers and the inline drain traverse identically, so
+        # Worker processes and the inline drain traverse identically, so
         # the work counters must agree apart from steal-timing jitter.
         tree_r, tree_s = point_trees
         serial = parallel_kdj(
             tree_r, tree_s, 400,
             config=JoinConfig(parallel=2, parallel_mode="shm-serial"),
         )
-        threaded = parallel_kdj(
+        processes = parallel_kdj(
             tree_r, tree_s, 400,
-            config=JoinConfig(parallel=2, parallel_mode="shm-thread"),
+            config=JoinConfig(parallel=2, parallel_mode="shm-process"),
         )
         a = serial.stats.real_distance_computations
-        b = threaded.stats.real_distance_computations
+        b = processes.stats.real_distance_computations
         assert abs(a - b) <= 0.05 * max(a, b)
 
 
 class TestCrashRecovery:
-    @pytest.mark.parametrize("mode", ["shm-thread", "shm-process"])
+    @pytest.mark.parametrize("mode", ["shm-process"])
     def test_single_crash_recovers_identically(self, point_trees, sequential, mode):
         tree_r, tree_s = point_trees
         config = JoinConfig(
@@ -380,6 +379,9 @@ class TestCrashRecovery:
         result = parallel_kdj(tree_r, tree_s, 400, config=config)
         assert _stream(result) == _stream(sequential)
         assert result.stats.extra["resilience_worker_failures"] >= 1
+        # The surviving worker takes the crashed one's share: the parent
+        # never has to drain a stage inline.
+        assert "resilience_worker_fallbacks" not in result.stats.extra
         assert active_segments() == []
 
     def test_kill_recovers_identically(self, point_trees, sequential):
@@ -394,7 +396,7 @@ class TestCrashRecovery:
         assert result.stats.extra["resilience_worker_failures"] >= 1
         assert active_segments() == []
 
-    @pytest.mark.parametrize("mode", ["shm-thread", "shm-process"])
+    @pytest.mark.parametrize("mode", ["shm-process"])
     def test_all_workers_dead_falls_back_inline(self, point_trees, sequential, mode):
         tree_r, tree_s = point_trees
         config = JoinConfig(
@@ -408,12 +410,10 @@ class TestCrashRecovery:
         assert result.stats.extra["resilience_worker_fallbacks"] >= 1
         assert active_segments() == []
 
-    @pytest.mark.parametrize("mode", ["shm-thread", "shm-process"])
+    @pytest.mark.parametrize("mode", ["shm-process"])
     def test_stall_times_out_and_recovers(self, point_trees, sequential, mode):
         # Worker 1 sleeps on entry far past the timeout: it times out on
-        # its own (worker 0 came up fine), its share goes to worker 0,
-        # and the stop message it finds on waking ends an abandoned
-        # thread.
+        # its own (worker 0 came up fine) and its share goes to worker 0.
         tree_r, tree_s = point_trees
         plan = FaultPlan.parse("worker_stall:@1,stall_s=1.5")
         config = JoinConfig(
@@ -423,13 +423,9 @@ class TestCrashRecovery:
         assert _stream(result) == _stream(sequential)
         assert result.stats.extra["resilience_worker_timeouts"] >= 1
         assert result.stats.extra["resilience_worker_failures"] >= 1
-        workers = [t for t in threading.enumerate() if "_shm_worker" in t.name]
-        for thread in workers:
-            thread.join(plan.stall_s + 1.0)
-        assert not [t for t in workers if t.is_alive()]
         assert active_segments() == []
 
-    @pytest.mark.parametrize("mode", ["shm-thread", "shm-process"])
+    @pytest.mark.parametrize("mode", ["shm-process"])
     def test_unstarted_worker_is_stopped_at_stage_end(self, point_trees, sequential, mode):
         # No timeout set: worker 1 sleeps on entry while worker 0 does
         # the whole stage.  The stage then ends it without a grace join
@@ -441,10 +437,6 @@ class TestCrashRecovery:
         assert _stream(result) == _stream(sequential)
         assert result.stats.extra["resilience_worker_unstarted"] >= 1
         assert "resilience_worker_timeouts" not in result.stats.extra
-        workers = [t for t in threading.enumerate() if "_shm_worker" in t.name]
-        for thread in workers:
-            thread.join(plan.stall_s + 1.0)
-        assert not [t for t in workers if t.is_alive()]
         assert active_segments() == []
 
     def test_segments_cleaned_after_faulted_runs(self, point_trees):

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.geometry.rect import Rect
-from repro.rtree.entries import Entry
+from repro.rtree.entries import OBJECT_LEVEL, Item
 from repro.rtree.tree import RTree, TreeAccessor
 from repro.storage.disk import SimulatedDisk
 
@@ -63,8 +63,23 @@ class TestValidationDetectsCorruption:
         # contains its subtree.
         root = tree.root
         victim = root.entries[0]
-        root.entries[0] = Entry(Rect(0, 0, 0.1, 0.1), victim.ref)
+        root.entries[0] = Item(Rect(0, 0, 0.1, 0.1), victim.ref, victim.level)
         with pytest.raises(AssertionError):
+            tree.validate()
+
+    @pytest.mark.parametrize("where", ["leaf", "directory"])
+    def test_detects_wrong_entry_level(self, where):
+        tree = RTree.bulk_load(random_rects(200, seed=3), max_entries=8)
+        assert tree.height >= 3
+        node = next(
+            n for n in tree.iter_nodes() if n.is_leaf == (where == "leaf")
+        )
+        victim = node.entries[0]
+        # A leaf entry tagged as a node, or a directory entry one level
+        # off (its child is still at the old level).
+        wrong = 0 if victim.level == OBJECT_LEVEL else victim.level + 1
+        node.entries[0] = Item(victim.rect, victim.ref, wrong)
+        with pytest.raises(AssertionError, match="level"):
             tree.validate()
 
     def test_detects_wrong_size(self):

@@ -1,13 +1,14 @@
 """Joins over trees that are written between (and during) joins.
 
-Each tree's flat image and its nodes' child lists are memoized per
-``RTree.version``: a write must patch exactly the tree it changed,
-every join must see the tree as it is now, joins over unchanged trees
-must share what earlier joins built, an arena opened before a write
-must keep reading the old version, and a dropped tree must take both
-memos with it.  An open incremental stream cannot follow a write at
-all, so it must refuse to go on (``StaleStreamError``) instead of
-serving pairs that name deleted objects.
+Each tree's flat image is memoized per ``RTree.version``: a write must
+patch exactly the tree it changed, every join must see the tree as it
+is now, joins over unchanged trees must share what earlier joins built,
+an arena opened before a write must keep reading the old version, and a
+dropped tree must take its image with it.  A node's children are its
+own entries list, which writes edit in place.  An open incremental
+stream cannot follow a write at all, so it must refuse to go on
+(``StaleStreamError``) instead of serving pairs that name deleted
+objects.
 """
 
 import gc
@@ -19,7 +20,6 @@ import weakref
 import pytest
 
 from repro import JoinConfig, JoinRunner, Rect, RTree
-from repro.core import base as base_mod
 from repro.core.base import JoinContext
 from repro.geometry.distances import min_distance
 from repro.kernels import arena as arena_mod
@@ -198,7 +198,7 @@ def test_dropped_tree_frees_its_image():
 
 
 # ----------------------------------------------------------------------
-# Per-version child lists
+# Child lists are the nodes' own entries
 # ----------------------------------------------------------------------
 
 
@@ -210,7 +210,10 @@ def child_lists(ctx, side_r):
     while pending:
         item = pending.pop()
         lists[item.ref] = children(item)
-        pending.extend(child for child in lists[item.ref] if not child.is_object)
+        for child in lists[item.ref]:
+            assert child.level == item.level - 1
+            if not child.is_object:
+                pending.append(child)
     return lists
 
 
@@ -222,6 +225,23 @@ def objects(lists):
     }
 
 
+def test_children_are_the_nodes_own_entries():
+    tree_r = RTree.bulk_load(quantized_rects(300, seed=84), max_entries=8)
+    tree_s = RTree.bulk_load(quantized_rects(250, seed=85), max_entries=8)
+    for tree, children in ((tree_r, "children_r"), (tree_s, "children_s")):
+        with JoinContext(tree_r, tree_s) as ctx:
+            accessor = ctx.accessor_r if tree is tree_r else ctx.accessor_s
+            for node in tree.iter_nodes():
+                item = node.item()
+                before = accessor.logical_accesses
+                assert getattr(ctx, children)(item) is node.entries
+                # Every call still counts (and charges) the node access.
+                assert accessor.logical_accesses == before + 1
+                if node.is_leaf:
+                    obj = node.entries[0]
+                    assert getattr(ctx, children)(obj) == [obj]
+
+
 def test_joins_over_unchanged_trees_share_child_lists():
     tree_r = RTree.bulk_load(quantized_rects(300, seed=81), max_entries=8)
     tree_s = RTree.bulk_load(quantized_rects(200, seed=82), max_entries=8)
@@ -231,8 +251,8 @@ def test_joins_over_unchanged_trees_share_child_lists():
     with JoinContext(tree_r, tree_s) as second:
         again_r = child_lists(second, True)
         again_s = child_lists(second, False)
-    # Metering does not depend on the memo: the warm walk counts and
-    # charges every access the cold one did (+2: each walk's root_items
+    # Metering does not depend on sharing: the second walk counts and
+    # charges every access the first did (+2: each walk's root_items
     # reads both roots).
     for ctx in (first, second):
         assert ctx.accessor_r.logical_accesses == len(lists_r) + 2
@@ -281,24 +301,12 @@ def test_writes_rebuild_only_the_written_trees_child_lists():
     assert objects(after_s) == live_s
     assert moved in objects(after_s) and deleted not in objects(after_s)
     assert all(after_r[page] is before_r[page] for page in before_r)
-    assert not any(after_s[page] is before_s.get(page) for page in after_s)
+    # Writes edit the written tree's entries in place, so a join reads
+    # each S node's entries as they are now.
+    assert all(after_s[page] is tree_s.store.read(page).entries for page in after_s)
     oracle = runner.kdj(100, "nlj")
     for algorithm in FLAT_KDJ:
         assert_matches_oracle(runner.kdj(100, algorithm), oracle, live_r, live_s)
-
-
-def test_dropped_tree_frees_its_child_lists():
-    gc.collect()
-    before = len(base_mod._CHILD_LISTS)
-    tree = RTree.bulk_load(quantized_rects(200, seed=87), max_entries=8)
-    result = JoinRunner(tree, tree).kdj(20, "bkdj")
-    assert len(result) == 20
-    assert len(base_mod._CHILD_LISTS) == before + 1
-    alive = weakref.ref(tree)
-    del tree, result
-    gc.collect()
-    assert alive() is None
-    assert len(base_mod._CHILD_LISTS) == before
 
 
 def test_op_sequence_matches_fresh_trees_op_for_op():
@@ -326,8 +334,9 @@ def test_op_sequence_matches_fresh_trees_op_for_op():
 
 
 def test_threads_racing_on_the_child_memo_still_agree():
-    # Joins in threads share one tree version's lists; a race may build
-    # a node's list twice, but every join must still be the lone join.
+    # Joins in threads share the trees' nodes and memoized images; a
+    # race may build an image twice, but every join must still be the
+    # lone join.
     items_r = quantized_rects(300, seed=90)
     items_s = quantized_rects(250, seed=91)
     trees = (RTree.bulk_load(items_r, max_entries=8),

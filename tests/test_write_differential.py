@@ -6,8 +6,12 @@ tree joined with itself.  After each step HS, B-KDJ, AM-KDJ, SJ-SORT
 ``shm-serial`` AM-KDJ run under both kernel backends and must agree with
 the brute-force oracle, tie-aware: the same distance multiset, and every
 returned pair a distinct pair of live objects at its reported distance.
-The joins between steps read patched flat images, memoized child lists
-and open-stream staleness; this is the net under all three.
+The joins between steps read patched flat images and node entry lists
+that writes edited in place; this is the net under both.
+
+Each step also saves both trees and joins what the page codec decodes:
+an ``RTree.load`` copy and a ``FileRTree.open`` view must hold the
+written trees' entries, levels included, and agree with the same oracle.
 
 Tier-1 runs a few derandomized seeds; ``--hypothesis-profile fuzz``
 runs the larger budget of the CI fuzz step.  A seed that ever fails
@@ -15,12 +19,15 @@ becomes an ``@example`` here.
 """
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from repro import JoinConfig, JoinRunner, Rect, RTree
 from repro.geometry.distances import min_distance
+from repro.rtree import FileRTree
 
 from tests.conftest import BACKENDS, seed_budget
 
@@ -76,12 +83,20 @@ def assert_agrees(pairs, oracle, live_r, live_s, label):
         assert got == pair.distance, (label, key)
 
 
-def check_engines(tree_r, tree_s, live_r, live_s, k, step, kernels_backend):
-    oracle = sorted(
+def nlj_distances(tree_r, tree_s, k):
+    return sorted(
         pair.distance for pair in JoinRunner(tree_r, tree_s).kdj(k, "nlj").results
     )
+
+
+def check_engines(
+    tree_r, tree_s, live_r, live_s, k, step, kernels_backend,
+    oracle=None, backends=BACKENDS,
+):
+    if oracle is None:
+        oracle = nlj_distances(tree_r, tree_s, k)
     dmax = oracle[-1]
-    for backend in BACKENDS:
+    for backend in backends:
         with kernels_backend(backend):
             runner = JoinRunner(tree_r, tree_s)
             runs = {
@@ -97,6 +112,61 @@ def check_engines(tree_r, tree_s, live_r, live_s, k, step, kernels_backend):
             runs["shm-serial"] = shm.kdj(k, "amkdj").results
         for name, pairs in runs.items():
             assert_agrees(pairs, oracle, live_r, live_s, (step, backend, name))
+
+
+def assert_same_entries(written, decoded):
+    """``decoded`` holds ``written``'s nodes and entries, levels included.
+
+    ``RTree.save`` renumbers pages densely, so directory entries are
+    matched by position and followed, not compared by page id.
+    """
+    assert (decoded.size, decoded.height) == (written.size, written.height)
+    pending = [(written.root, decoded.root)]
+    while pending:
+        a, b = pending.pop()
+        assert a.level == b.level
+        assert [(e.rect, e.level) for e in a.entries] == [
+            (e.rect, e.level) for e in b.entries
+        ]
+        if a.is_leaf:
+            assert a.entries == b.entries
+            continue
+        pending.extend(
+            (written._get_node(x.ref), decoded._get_node(y.ref))
+            for x, y in zip(a.entries, b.entries)
+        )
+    decoded.validate()
+
+
+def check_round_trip(
+    tree_r, tree_s, live_r, live_s, k, step, kernels_backend, oracle
+):
+    """Join the saved trees, as loaded copies and as file views.
+
+    One backend suffices: the page codec is what these joins add to
+    :func:`check_engines`, which already crosses the backends.
+    """
+    self_join = tree_s is tree_r
+    with tempfile.TemporaryDirectory() as tmp:
+        path_r = path_s = Path(tmp) / "r.rt"
+        tree_r.save(path_r)
+        if not self_join:
+            path_s = Path(tmp) / "s.rt"
+            tree_s.save(path_s)
+        copy_r = RTree.load(path_r)
+        copy_s = copy_r if self_join else RTree.load(path_s)
+        with FileRTree.open(path_r) as view_r, FileRTree.open(path_s) as view_s:
+            decoded = {
+                "load": (copy_r, copy_s),
+                "file": (view_r, view_r if self_join else view_s),
+            }
+            for kind, (got_r, got_s) in decoded.items():
+                assert_same_entries(tree_r, got_r)
+                assert_same_entries(tree_s, got_s)
+                check_engines(
+                    got_r, got_s, live_r, live_s, k, (step, kind),
+                    kernels_backend, oracle=oracle, backends=BACKENDS[-1:],
+                )
 
 
 @seed_budget(tier1=5)
@@ -121,7 +191,13 @@ def test_every_engine_agrees_with_nlj_after_each_write_step(
         if step:
             write_step(tree, live, rng)
         k = rng.randrange(1, 151)
-        check_engines(tree_r, tree_s, live_r, live_s, k, step, kernels_backend)
+        oracle = nlj_distances(tree_r, tree_s, k)
+        check_engines(
+            tree_r, tree_s, live_r, live_s, k, step, kernels_backend, oracle
+        )
+        check_round_trip(
+            tree_r, tree_s, live_r, live_s, k, step, kernels_backend, oracle
+        )
     tree_r.validate()
     tree_s.validate()
 

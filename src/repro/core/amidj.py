@@ -2,13 +2,13 @@
 
 For on-line processing the stopping cardinality is unknown, so there is
 no distance queue and no ``qDmax``; the estimated ``eDmax`` is the only
-pruning cutoff.  The algorithm runs in stages: stage ``i`` prunes both
-axis and real distances with ``eDmax_i`` (estimated for a target
-cardinality ``k_i``) and records every expanded pair; when the main
-queue's minimum exceeds ``eDmax_i`` — or the queue runs dry — a new stage
-begins with a larger target ``k_{i+1}`` and a corrected ``eDmax_{i+1}``
-(Section 4.3.2), and the recorded pairs re-enter the queue so their
-previously pruned child pairs can be recovered.
+pruning cutoff.  The algorithm runs in stages: stage ``i`` prunes with
+``eDmax_i`` (estimated for a target cardinality ``k_i``) and records
+every expanded pair; when the main queue's minimum exceeds ``eDmax_i``
+— or the queue runs dry — a new stage begins with a larger target
+``k_{i+1}`` and a corrected ``eDmax_{i+1}`` (Section 4.3.2), and the
+recorded pairs re-enter the queue so their previously pruned child
+pairs can be recovered.
 
 Pruning uses the *axis* distance only ("without qDmax" there is no safe
 real-distance cutoff): every child pair within ``eDmax_i`` along the
@@ -34,7 +34,6 @@ from repro.core import estimation
 from repro.core.base import JoinContext
 from repro.core.pairs import Item, PairPayload, ResultPair
 from repro.core.planesweep import ExpansionRecord, PlaneSweeper, static_cutoff
-from repro.geometry.distances import max_distance
 from repro.obs.metrics import StageMeter
 
 #: Stage-target growth when the user keeps asking for more results
@@ -259,7 +258,6 @@ def amidj(
                     axis_limit=lambda: cutoff_now,
                     real_limit=no_real_filter,
                     emit=emit,
-                    new_record_real_cutoff=None,
                 )
                 if staged:
                     queue.push_many(staged)
@@ -276,14 +274,13 @@ def amidj(
                     emit=emit,
                     keep_record=True,
                     pair_distance=distance,
-                    record_real_cutoff=None,
                 )
                 assert record is not None
                 if staged:
                     queue.push_many(staged)
                     staged.clear()
                 batch.tick(fresh=1)
-            if not _exhausted(ctx, record, cutoff_now):
+            if not record.fully_swept():
                 records.append(record)
                 if len(records) > state.comp_records_peak:
                     state.comp_records_peak = len(records)
@@ -337,22 +334,6 @@ def _refill(queue, records: list[ExpansionRecord]) -> None:
         [(record.distance, PairPayload(record.a, record.b, record))
          for record in records]
     )
-
-
-def _exhausted(ctx: JoinContext, record: ExpansionRecord, cutoff: float) -> bool:
-    """True when no later stage could recover anything from this record.
-
-    With axis-only pruning (``real_cutoff is None``) every examined pair
-    was inserted, so a record is spent once all anchors scanned to the
-    end of the other list.  (The extra max-distance test covers records
-    produced with an unsafe real cutoff, should a caller ever create
-    them.)
-    """
-    if not record.fully_swept():
-        return False
-    if record.real_cutoff is None:
-        return True
-    return cutoff >= max_distance(record.a.rect, record.b.rect)
 
 
 def _pairs(ctx: JoinContext) -> int:

@@ -247,7 +247,6 @@ def amkdj(
             emit=emit,
             keep_record=True,
             pair_distance=distance,
-            record_real_cutoff=None,  # real pruning used qDmax: safe
         )
         assert record is not None
         if staged:

@@ -30,6 +30,7 @@ skipped (Algorithm 3).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -270,32 +271,22 @@ def choose_direction(r: Rect, s: Rect, axis: int) -> bool:
 
 
 @dataclass(slots=True)
-class AnchorScan:
-    """Where one anchor's scan over the other sorted list stopped.
-
-    ``from_r`` tells which side the anchor came from; ``anchor_pos`` is
-    its position in its own sorted list; the scan covered positions
-    ``[start, resume)`` of the *other* sorted list.
-    """
-
-    from_r: bool
-    anchor_pos: int
-    start: int
-    resume: int
-
-
-@dataclass(slots=True)
 class ExpansionRecord:
     """Everything needed to compensate one aggressively-expanded pair.
 
     Holds the parent pair, the sorted child lists (sorted once, in stage
-    one — compensation must not pay for sorting again), each anchor's
-    scan window, and the cutoffs that were in force, so a later stage
-    knows exactly which child pairs were never examined (beyond
-    ``resume``) and which were examined but pruned on real distance
-    (inside the window, when ``real_cutoff`` is not ``None``).
-    ``real_cutoff is None`` means the in-window real-distance pruning was
-    *safe* (done with qDmax) and never needs revisiting.
+    one — compensation must not pay for sorting again) and where each
+    anchor's scan stopped, so a later stage knows exactly which child
+    pairs were never examined.  Every examined pair was filtered with a
+    safe real cutoff (qDmax in AM-KDJ, none in AM-IDJ), so nothing
+    inside a scanned window needs revisiting.
+
+    ``anchors`` holds two ints per anchor, in sweep order: the anchor's
+    position in its own sorted list (``pos`` for an R-side anchor,
+    ``~pos`` for an S-side one) and ``resume``, the first position of
+    the *other* sorted list its scan has not examined.  One flat
+    ``array("i")`` instead of an object per anchor keeps records cheap
+    to hold, to collect and to pickle into a checkpoint.
 
     ``keys_r``/``keys_s`` are the child lists' sweep-order coordinates
     from stage one, so compensation resumes each scan without
@@ -309,17 +300,16 @@ class ExpansionRecord:
     forward: bool
     sorted_r: list[Item]
     sorted_s: list[Item]
-    anchors: list[AnchorScan]
-    axis_cutoff: float
-    real_cutoff: float | None
+    anchors: array
     keys_r: list[float]
     keys_s: list[float]
 
     def fully_swept(self) -> bool:
         """True when no anchor has unexamined positions left."""
-        for scan in self.anchors:
-            other = self.sorted_s if scan.from_r else self.sorted_r
-            if scan.resume < len(other):
+        anchors = self.anchors
+        n_r, n_s = len(self.sorted_r), len(self.sorted_s)
+        for slot in range(0, len(anchors), 2):
+            if anchors[slot + 1] < (n_s if anchors[slot] >= 0 else n_r):
                 return False
         return True
 
@@ -343,7 +333,11 @@ class PlaneSweeper:
 
     Every real distance is computed per pair, inline, whatever the
     kernels backend: an anchor's scan averages about two pairs, too
-    short for a vector call to pay (see :mod:`repro.kernels`).
+    short for a vector call to pay (see :mod:`repro.kernels`).  The
+    per-anchor bookkeeping is kept off the hot path too: cutoffs are
+    read once per sweep and after each emit, and the distance counters
+    and CPU charges are handed over in batches, in the order the
+    per-anchor calls would have made them (see :meth:`_merge_sweep`).
     """
 
     def __init__(
@@ -376,14 +370,15 @@ class PlaneSweeper:
         emit: EmitFn,
         keep_record: bool = False,
         pair_distance: float = 0.0,
-        record_real_cutoff: float | None = None,
     ) -> ExpansionRecord | None:
         """Sweep the children of pair ``(a, b)``.
 
         ``axis_limit`` bounds the scan along the sweeping axis (qDmax in
         B-KDJ, eDmax in the aggressive stage); ``real_limit`` filters on
         real distance before emitting.  Both tighten as the sweep
-        proceeds.
+        proceeds.  The real filter must be safe — no pair it rejects may
+        be needed later — because a record resumes each scan where it
+        stopped and never revisits a scanned window.
 
         Contract: the state the two cutoff closures read may change
         *only* through the ``emit`` callback (true for every engine —
@@ -394,24 +389,20 @@ class PlaneSweeper:
         dominant per-pair cost of the sweep.
 
         When ``keep_record`` is set, returns an :class:`ExpansionRecord`
-        whose ``real_cutoff`` is ``record_real_cutoff`` — pass the real
-        pruning cutoff *if it was unsafe* (AM-IDJ's eDmax) or ``None`` if
-        it was safe (AM-KDJ's qDmax), which controls whether a later
-        compensation pass rechecks in-window pairs.
+        from which :meth:`compensate` can resume every anchor's scan.
         """
         select_cutoff = min(axis_limit(), real_limit())
         axis, forward = self._plan(a, b, select_cutoff)
         sorted_r, keys_r = self._side(a, children_r, True, axis, forward)
         sorted_s, keys_s = self._side(b, children_s, False, axis, forward)
 
-        anchors: list[AnchorScan] | None = [] if keep_record else None
+        anchors: list[int] | None = [] if keep_record else None
         self._merge_sweep(
             sorted_r, keys_r, sorted_s, keys_s,
             axis, forward, axis_limit, real_limit, emit, anchors,
         )
-        if not keep_record:
+        if anchors is None:
             return None
-        assert anchors is not None
         return ExpansionRecord(
             a=a,
             b=b,
@@ -420,9 +411,7 @@ class PlaneSweeper:
             forward=forward,
             sorted_r=sorted_r,
             sorted_s=sorted_s,
-            anchors=anchors,
-            axis_cutoff=axis_limit(),
-            real_cutoff=record_real_cutoff,
+            anchors=array("i", anchors),
             keys_r=keys_r,
             keys_s=keys_s,
         )
@@ -445,29 +434,24 @@ class PlaneSweeper:
         axis_limit: CutoffFn,
         real_limit: CutoffFn,
         emit: EmitFn,
-        new_record_real_cutoff: float | None = None,
     ) -> None:
         """Re-sweep only what earlier stages skipped (Algorithm 3).
 
-        For every anchor, positions beyond its stored ``resume`` index
-        were never examined and are swept now under the new cutoffs.
-        Positions inside the old window were already examined; they are
-        revisited only when the record's ``real_cutoff`` is not ``None``
-        (AM-IDJ: stage one pruned on real distance > eDmax and those
-        pairs must now be recovered) — and then only pairs whose real
-        distance exceeded the old cutoff are emitted, so nothing is
-        emitted twice.
-
-        The record is updated in place (resume indices and cutoffs) so it
+        For every anchor, positions from its stored ``resume`` index on
+        were never examined and are swept now under the new cutoffs;
+        positions before it were examined, and their pairs emitted,
+        already.  The record's resume indices are updated in place so it
         can serve yet another stage.
         """
-        old_real = record.real_cutoff
         axis, forward = record.axis, record.forward
         instr = self._instr
         axis_lim = axis_limit()
         real_lim = real_limit()
-        for scan in record.anchors:
-            if scan.from_r:
+        anchors = record.anchors
+        for slot in range(0, len(anchors), 2):
+            pos = anchors[slot]
+            from_r = pos >= 0
+            if from_r:
                 own = record.sorted_r
                 other = record.sorted_s
                 other_keys = record.keys_s
@@ -475,40 +459,29 @@ class PlaneSweeper:
                 own = record.sorted_s
                 other = record.sorted_r
                 other_keys = record.keys_r
-            anchor = own[scan.anchor_pos]
+                pos = ~pos
+            anchor = own[pos]
             anchor_rect = anchor.rect
             # The anchor's far edge in sweep coordinates.
             anchor_end = anchor_rect.hi(axis) if forward else -anchor_rect.lo(axis)
-            begin = scan.start if old_real is not None else scan.resume
-            old_resume = scan.resume
             n = len(other)
             axis_checked = 0
             real_done = 0
             new_resume = n
-            for idx in range(begin, n):
+            for idx in range(anchors[slot + 1], n):
                 axis_checked += 1
                 if other_keys[idx] - anchor_end > axis_lim:
                     new_resume = idx
                     break
                 real = min_distance(anchor_rect, other[idx].rect)
                 real_done += 1
-                if idx < old_resume:
-                    # Examined before: recover only what the old (unsafe)
-                    # real cutoff rejected.
-                    assert old_real is not None
-                    if real > old_real and real <= real_lim:
-                        self._emit_oriented(anchor, other[idx], real, scan.from_r, emit)
-                        axis_lim = axis_limit()
-                        real_lim = real_limit()
-                elif real <= real_lim:
-                    self._emit_oriented(anchor, other[idx], real, scan.from_r, emit)
+                if real <= real_lim:
+                    self._emit_oriented(anchor, other[idx], real, from_r, emit)
                     axis_lim = axis_limit()
                     real_lim = real_limit()
             instr.count_axis(axis_checked)
             instr.count_real(real_done)
-            scan.resume = max(old_resume, new_resume)
-        record.axis_cutoff = axis_limit()
-        record.real_cutoff = new_record_real_cutoff
+            anchors[slot + 1] = new_resume
 
     # -- internals ------------------------------------------------------
 
@@ -571,7 +544,7 @@ class PlaneSweeper:
         axis_limit: CutoffFn,
         real_limit: CutoffFn,
         emit: EmitFn,
-        anchors: list[AnchorScan] | None,
+        anchors: list[int] | None,
     ) -> None:
         """Algorithm 1's PlaneSweep loop over both sorted child lists.
 
@@ -581,57 +554,75 @@ class PlaneSweeper:
         reloads) would dominate.  :meth:`compensate` resumes the
         recorded anchors through its own loop; the two must stay
         observably identical.
+
+        Per-anchor work is kept to the scan itself.  The cutoffs are read
+        once before the loop and again after each emit (the
+        :meth:`expand` contract).  An anchor whose first position already
+        fails the axis test costs one comparison and no scan.  The
+        distance counts and each anchor's CPU charges (``n_axis *
+        c_axis``, then ``scanned * c_real`` when it scanned) collect in
+        locals and reach the instruments and the disk before every emit
+        and at the end, through :meth:`SimulatedDisk.charge_cpu_many`,
+        which adds them one by one: the clock is a float accumulator, so
+        a sum of the charges would round differently.  Every emit thus
+        sees the counters and clock of the per-anchor calls.  When
+        ``anchors`` is a list, each anchor appends its (encoded) position
+        and where its scan stopped, the layout of
+        :attr:`ExpansionRecord.anchors`.
         """
         i = j = 0
         n_r, n_s = len(sorted_r), len(sorted_s)
         sqrt = math.sqrt
         inf = math.inf
-        # The cutoff closures may only move via ``emit`` (see
-        # :meth:`expand`); when both are the same callable (B-KDJ passes
-        # qDmax twice) one read serves both limits.
+        # When both cutoffs are the same callable (B-KDJ passes qDmax
+        # twice) one read serves both limits.
         same_limit = axis_limit is real_limit
-        # The per-anchor counter flush inlined from ``count_axis`` +
-        # ``count_real`` (hot: it fires once per anchor at a ~2-pair
-        # average scan length), preserving their exact charge order.
+        axis_lim = axis_limit()
+        real_lim = axis_lim if same_limit else real_limit()
         instr = self._instr
         disk = instr.disk
         cost_model = disk.cost_model
         c_axis = cost_model.cpu_axis_distance
         c_real = cost_model.cpu_real_distance
-        charge = disk.charge_cpu
+        # Charges and counts of the anchors done since the last flush.
+        pending: list[float] = []
+        charge = pending.append
+        axis_count = real_count = 0
         while i < n_r and j < n_s:
             from_r = keys_r[i] <= keys_s[j]
             if from_r:
-                anchor, own_pos = sorted_r[i], i
+                anchor, pos = sorted_r[i], i
                 start = j
                 other, other_keys = sorted_s, keys_s
                 i += 1
             else:
-                anchor, own_pos = sorted_s[j], j
+                anchor, pos = sorted_s[j], ~j
                 start = i
                 other, other_keys = sorted_r, keys_r
                 j += 1
             anchor_rect = anchor.rect
+            if forward:
+                anchor_end = anchor_rect.xmax if axis == 0 else anchor_rect.ymax
+            else:
+                anchor_end = -(anchor_rect.xmin if axis == 0 else anchor_rect.ymin)
+            # Unclamped gap: for the nonnegative limits the engines pass,
+            # ``raw > limit`` and ``max(0, raw) > limit`` are the same test.
+            if other_keys[start] - anchor_end > axis_lim:
+                axis_count += 1
+                charge(c_axis)
+                if anchors is not None:
+                    anchors.append(pos)
+                    anchors.append(start)
+                continue
             a_xmin = anchor_rect.xmin
             a_ymin = anchor_rect.ymin
             a_xmax = anchor_rect.xmax
             a_ymax = anchor_rect.ymax
-            if forward:
-                anchor_end = a_xmax if axis == 0 else a_ymax
-            else:
-                anchor_end = -(a_xmin if axis == 0 else a_ymin)
             n = len(other)
-            axis_lim = axis_limit()
-            real_lim = axis_lim if same_limit else real_limit()
-            stop = n
-            broke = False
             for idx in range(start, n):
-                # Unclamped gap: for the nonnegative limits the engines
-                # pass, ``raw > limit`` and ``max(0, raw) > limit`` are the
-                # same test.
                 if other_keys[idx] - anchor_end > axis_lim:
                     stop = idx
-                    broke = True
+                    n_axis = idx - start + 1
                     break
                 m = other[idx]
                 # ``min_distance`` inlined (same operations, same order,
@@ -657,21 +648,31 @@ class PlaneSweeper:
                     if real == inf:
                         real = math.hypot(dx, dy)
                 if real <= real_lim:
+                    if pending:
+                        instr.axis_distance_computations += axis_count
+                        instr.real_distance_computations += real_count
+                        axis_count = real_count = 0
+                        disk.charge_cpu_many(pending)
+                        pending.clear()
                     if from_r:
                         emit(anchor, m, real)
                     else:
                         emit(m, anchor, real)
                     axis_lim = axis_limit()
                     real_lim = axis_lim if same_limit else real_limit()
-            # Per-anchor flush, in ``count_axis`` + ``count_real`` order:
-            # the simulated clock is a float accumulator, so aggregating
-            # the charges across anchors would drift at the ulp level.
+            else:
+                stop = n
+                n_axis = n - start
+            # The first position passed, so the scan covered at least one.
             scanned = stop - start
-            n_axis = scanned + 1 if broke else scanned
-            instr.axis_distance_computations += n_axis
+            axis_count += n_axis
+            real_count += scanned
             charge(n_axis * c_axis)
-            if scanned:
-                instr.real_distance_computations += scanned
-                charge(scanned * c_real)
+            charge(scanned * c_real)
             if anchors is not None:
-                anchors.append(AnchorScan(from_r, own_pos, start, stop))
+                anchors.append(pos)
+                anchors.append(stop)
+        if pending:
+            instr.axis_distance_computations += axis_count
+            instr.real_distance_computations += real_count
+            disk.charge_cpu_many(pending)

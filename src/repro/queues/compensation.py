@@ -51,8 +51,8 @@ class CompensationQueue(Generic[T]):
         """Picklable image: pending records plus the peak/total gauges.
 
         The records themselves carry the per-anchor resume positions
-        (:class:`~repro.core.planesweep.ExpansionRecord` holds its
-        ``AnchorScan`` list), so snapshotting the FIFO captures exactly
+        (:class:`~repro.core.planesweep.ExpansionRecord` holds them in
+        its ``anchors`` array), so snapshotting the FIFO captures exactly
         where each pending compensation would pick up.
         """
         return {

@@ -55,7 +55,9 @@ MAGIC = b"RPCKPT"
 #: Bumped whenever the payload schema changes incompatibly; a mismatch
 #: raises :class:`~repro.resilience.errors.CheckpointVersionError`.
 #: Version 2: expansion records no longer carry packed sweep windows.
-FORMAT_VERSION = 2
+#: Version 3: expansion records keep their anchors in one ``array("i")``
+#: (two ints per anchor) and no longer carry cutoffs.
+FORMAT_VERSION = 3
 
 #: Time cadence used when a checkpoint path is set but neither
 #: ``checkpoint_every_pairs`` nor ``checkpoint_every_s`` is.

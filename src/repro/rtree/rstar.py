@@ -89,7 +89,7 @@ class RStarInserter:
         while self._pending:
             pending = self._pending.pop(0)
             root = self._tree._get_node(self._tree.root_id)
-            split = self._insert_rec(root, pending)
+            split = self._insert_rec(root, pending, None)
             if split is not None:
                 self._tree._grow_root(root.item(), split)
 
@@ -97,26 +97,50 @@ class RStarInserter:
     # Recursive insertion
     # ------------------------------------------------------------------
 
-    def _insert_rec(self, node: Node, entry: Item) -> Item | None:
+    def _insert_rec(
+        self, node: Node, entry: Item, node_rect: Rect | None
+    ) -> Item | None:
         """Insert ``entry`` into the subtree at ``node``.
 
-        Returns the entry for a newly created sibling when ``node`` was
-        split, else ``None``.  The caller is responsible for refreshing
-        its directory entry for ``node`` (done below on the way up).
+        ``node_rect`` is ``node``'s MBR as its parent's entry holds it
+        (``None`` for the root, which no entry points at).  Returns the
+        entry for a newly created sibling when ``node`` was split, else
+        ``None``.  The caller is responsible for refreshing its directory
+        entry for ``node`` (done below on the way up).
         """
         self._tree._touch(node.page_id)
         if node.level == entry.level + 1:
             node.add(entry)
         else:
-            child_entry = self._choose_subtree(node, entry.rect, entry.level + 1)
+            if node_rect is None:
+                node_rect = node.mbr()
+            child_entry = self._choose_child(node, entry, node_rect)
             child = self._tree._get_node(child_entry.ref)
-            split = self._insert_rec(child, entry)
+            split = self._insert_rec(child, entry, child_entry.rect)
             node.replace_entry(child.page_id, child.item())
             if split is not None:
                 node.add(split)
         if len(node) > self._tree.max_entries:
             return self._overflow(node)
         return None
+
+    def _choose_child(self, node: Node, entry: Item, node_rect: Rect) -> Item:
+        """ChooseSubtree, on exactly scaled copies where areas could overflow.
+
+        Every ChooseSubtree key is an area, or a sum of areas, inside
+        ``node_rect`` enlarged by the new rectangle, so one test of that
+        rectangle (:func:`_area_shift`) decides for the whole node.
+        """
+        rect, target_level = entry.rect, entry.level + 1
+        shift = _area_shift(node_rect.union(rect), len(node.entries) + 1)
+        if not shift:
+            return self._choose_subtree(node, rect, target_level)
+        scaled = Node(node.page_id, node.level, [
+            Item(_scaled(child.rect, shift), i, child.level)
+            for i, child in enumerate(node.entries)
+        ])
+        choice = self._choose_subtree(scaled, _scaled(rect, shift), target_level)
+        return node.entries[choice.ref]
 
     def _choose_subtree(self, node: Node, rect: Rect, target_level: int) -> Item:
         """R* ChooseSubtree for descending one level toward ``target_level``."""
@@ -277,18 +301,54 @@ def _choose_split_distribution(
 ) -> tuple[list[Item], list[Item]]:
     """Minimum-overlap (then minimum-area) distribution along ``axis``.
 
-    The first distribution stands until a lower score beats it, so
-    areas that overflow to ``inf`` (sides past about 1.3e154) still
-    split the node.
+    Each score is an area, or a sum of two, inside the MBR of all
+    entries; when those could overflow (one test of that MBR's area, see
+    :func:`_area_shift`) the scores are computed on exactly scaled
+    group MBRs instead.  The first distribution stands until a lower
+    score beats it.
     """
     best: tuple[float, float] | None = None
+    shift = None
     for by_upper in (False, True):
         ordered = _sorted_by(entries, axis, by_upper)
         prefix, suffix = _prefix_suffix_unions(ordered)
+        if shift is None:
+            shift = _area_shift(prefix[-1], 2)
         for k in _distributions(len(entries), m):
             bb1, bb2 = prefix[k - 1], suffix[k]
+            if shift:
+                bb1, bb2 = _scaled(bb1, shift), _scaled(bb2, shift)
             score = (bb1.intersection_area(bb2), bb1.area() + bb2.area())
             if best is None or score < best:
                 best = score
                 best_groups = (ordered[:k], ordered[k:])
     return best_groups
+
+
+def _area_shift(bounds: Rect, terms: int) -> int:
+    """Exponent ``e`` such that areas are safe on coordinates times ``2**-e``.
+
+    0 while ``terms`` areas of ``bounds`` add up to a finite number: then
+    no key inside ``bounds`` overflows and nothing is scaled, so ordinary
+    trees are built bit for bit as without this test.  Past that (sides
+    beyond about 1.3e154) it is the largest binary exponent of the
+    coordinates, which brings every coordinate inside ``bounds`` below 1
+    in magnitude.  Scaling by a power of two is exact, so the scaled keys
+    order the entries as unscaled keys would if they did not overflow.
+    """
+    if bounds.area() * terms < math.inf:
+        return 0
+    return max(
+        math.frexp(coord)[1]
+        for coord in (bounds.xmin, bounds.ymin, bounds.xmax, bounds.ymax)
+    )
+
+
+def _scaled(rect: Rect, shift: int) -> Rect:
+    """``rect`` with every coordinate times ``2**-shift`` (exact)."""
+    return Rect(
+        math.ldexp(rect.xmin, -shift),
+        math.ldexp(rect.ymin, -shift),
+        math.ldexp(rect.xmax, -shift),
+        math.ldexp(rect.ymax, -shift),
+    )

@@ -14,6 +14,8 @@ the paper (0.5 MB/s and 5 MB/s).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from repro.storage.cost import CostModel, DEFAULT_COST_MODEL
 
@@ -87,6 +89,16 @@ class SimulatedDisk:
         """Advance the clock by modeled CPU work."""
         self._cpu_time += seconds
         self._clock += seconds
+
+    def charge_cpu_many(self, charges: list[float]) -> None:
+        """Apply ``charges`` in order, bit for bit as one :meth:`charge_cpu`
+        call per value would.
+
+        Both totals are float accumulators, so each value is added on its
+        own: adding their sum instead would round differently.
+        """
+        self._cpu_time = reduce(add, charges, self._cpu_time)
+        self._clock = reduce(add, charges, self._clock)
 
     # ------------------------------------------------------------------
     # Readouts

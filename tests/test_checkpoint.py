@@ -11,10 +11,12 @@ import os
 import pickle
 import random
 import signal
+import zlib
 
 import pytest
 
 from repro import JoinConfig, JoinRunner, Rect, RTree, parallel_kdj
+from repro.core import planesweep
 from repro.queues.main_queue import MainQueue
 from repro.resilience.checkpoint import (
     CheckpointManager,
@@ -381,16 +383,45 @@ def test_load_version_mismatch_is_typed(valid_checkpoint, tmp_path):
         load_checkpoint(future)
 
 
-def test_format_1_checkpoint_is_a_version_error(valid_checkpoint, tmp_path):
+def test_format_1_checkpoint_is_a_version_error(
+    point_trees, valid_checkpoint, tmp_path, monkeypatch
+):
     # Format 1 pickled expansion records that carried packed sweep
-    # windows; such a file must fail as a version mismatch, not as
-    # corruption.
-    assert FORMAT_VERSION == 2
+    # windows, format 2 records holding one ``AnchorScan`` object per
+    # anchor; either file must fail as a version mismatch (CLI exit 78),
+    # not as corruption or as an unpickling error.
+    assert FORMAT_VERSION == 3
     magic, _, crc, blob = pickle.loads(valid_checkpoint.read_bytes())
     old = tmp_path / "v1.ckpt"
     old.write_bytes(pickle.dumps((magic, 1, crc, blob)))
     with pytest.raises(CheckpointVersionError):
         load_checkpoint(old)
+
+    # A format-2 payload names a class this build no longer has.
+    class AnchorScan:
+        def __init__(self, from_r, anchor_pos, start, resume):
+            self.fields = (from_r, anchor_pos, start, resume)
+
+    AnchorScan.__module__ = planesweep.__name__
+    AnchorScan.__qualname__ = "AnchorScan"
+    monkeypatch.setattr(planesweep, "AnchorScan", AnchorScan, raising=False)
+    v2_blob = pickle.dumps({"anchors": [AnchorScan(True, 0, 0, 1)]})
+    monkeypatch.delattr(planesweep, "AnchorScan")
+    with pytest.raises(AttributeError):
+        pickle.loads(v2_blob)
+    v2 = tmp_path / "v2.ckpt"
+    v2.write_bytes(pickle.dumps((magic, 2, zlib.crc32(v2_blob), v2_blob)))
+    with pytest.raises(CheckpointVersionError) as excinfo:
+        load_checkpoint(v2)
+    assert excinfo.value.exit_code == 78
+
+    from repro.__main__ import main
+
+    paths = [tmp_path / "r.rt", tmp_path / "s.rt"]
+    for tree, path in zip(point_trees, paths):
+        tree.save(path)
+    argv = ["join", *map(str, paths), "-a", "amkdj", "-k", "60", "--resume", str(v2)]
+    assert main(argv) == 78
 
 
 def test_load_crc_mismatch_is_corruption(valid_checkpoint, tmp_path):

@@ -266,6 +266,7 @@ def run_expand(
     keep_record=False,
     real_cutoff: float | None = None,
 ):
+    """Sweep two item lists; the real filter defaults to the axis cutoff."""
     instr = make_instruments()
     sweeper = PlaneSweeper(instr, optimize_axis, optimize_direction)
     emitted: list[tuple[int, int, float]] = []
@@ -280,7 +281,6 @@ def run_expand(
         real_limit=static_cutoff(real_cutoff if real_cutoff is not None else cutoff),
         emit=lambda a, b, d: emitted.append((a.ref, b.ref, d)),
         keep_record=keep_record,
-        record_real_cutoff=real_cutoff,
     )
     return emitted, record, sweeper, instr
 
@@ -335,14 +335,17 @@ def test_emit_keeps_r_side_first():
 
 
 class TestCompensation:
-    def _compensate(self, record, sweeper, cutoff, recheck_cutoff=None):
+    """AM-IDJ's shape: each stage prunes on the axis only, with no real
+    filter, so every pair inside a scanned window is emitted and a later
+    stage only extends the scans past their recorded resume positions."""
+
+    def _compensate(self, record, sweeper, cutoff):
         emitted: list[tuple[int, int, float]] = []
         sweeper.compensate(
             record,
             axis_limit=static_cutoff(cutoff),
-            real_limit=static_cutoff(cutoff),
+            real_limit=static_cutoff(math.inf),
             emit=lambda a, b, d: emitted.append((a.ref, b.ref, d)),
-            new_record_real_cutoff=recheck_cutoff,
         )
         return emitted
 
@@ -356,16 +359,19 @@ class TestCompensation:
         )
         small, large = 8.0, 25.0
         emitted1, record, sweeper, _ = run_expand(
-            items_r, items_s, small, keep_record=True, real_cutoff=None
+            items_r, items_s, small, keep_record=True, real_cutoff=math.inf
         )
-        # Stage one used a safe real filter (== axis cutoff here), so mark
-        # the in-window pruning as unsafe to exercise the recheck path:
-        record.real_cutoff = small
-        emitted2 = self._compensate(record, sweeper, large, recheck_cutoff=large)
-        got = {(a, b) for a, b, _ in emitted1} | {(a, b) for a, b, _ in emitted2}
-        assert got == brute_pairs(items_r, items_s, large)
-        overlap = {(a, b) for a, b, _ in emitted1} & {(a, b) for a, b, _ in emitted2}
-        assert not overlap, "compensation re-emitted a pair"
+        first = [(a, b) for a, b, _ in emitted1]
+        assert len(first) == len(set(first)), "stage one emitted a pair twice"
+        assert brute_pairs(items_r, items_s, small) <= set(first)
+        emitted2 = self._compensate(record, sweeper, large)
+        second = [(a, b) for a, b, _ in emitted2]
+        assert len(second) == len(set(second)), "compensation emitted a pair twice"
+        assert not set(first) & set(second), "compensation re-emitted a pair"
+        assert brute_pairs(items_r, items_s, large) <= set(first) | set(second)
+        # Everything emitted is a true pair with its true distance.
+        for a, b, d in emitted1 + emitted2:
+            assert d == min_distance(items_r[a].rect, items_s[b].rect)
 
     def test_multi_stage_compensation(self):
         rng = random.Random(4)
@@ -376,17 +382,18 @@ class TestCompensation:
             [(rng.uniform(0, 60), rng.uniform(0, 60)) for _ in range(20)]
         )
         cutoffs = [3.0, 10.0, 40.0, 200.0]
-        emitted_all: set[tuple[int, int]] = set()
         emitted1, record, sweeper, _ = run_expand(
-            items_r, items_s, cutoffs[0], keep_record=True, real_cutoff=cutoffs[0]
+            items_r, items_s, cutoffs[0], keep_record=True, real_cutoff=math.inf
         )
-        emitted_all |= {(a, b) for a, b, _ in emitted1}
+        emitted_all = [(a, b) for a, b, _ in emitted1]
+        assert brute_pairs(items_r, items_s, cutoffs[0]) <= set(emitted_all)
         for cutoff in cutoffs[1:]:
-            emitted = self._compensate(record, sweeper, cutoff, recheck_cutoff=cutoff)
-            new = {(a, b) for a, b, _ in emitted}
-            assert not (new & emitted_all), "duplicate across stages"
-            emitted_all |= new
-            assert emitted_all == brute_pairs(items_r, items_s, cutoff)
+            emitted_all += [(a, b) for a, b, _ in self._compensate(record, sweeper, cutoff)]
+            assert len(emitted_all) == len(set(emitted_all)), "duplicate across stages"
+            assert brute_pairs(items_r, items_s, cutoff) <= set(emitted_all)
+        # The last cutoff spans the data: every pair, once, and nothing left.
+        assert set(emitted_all) == brute_pairs(items_r, items_s, math.inf)
+        assert record.fully_swept()
 
     def test_fully_swept_detection(self):
         items_r = items_from_points([(0.0, 0.0), (1.0, 0.0)])
@@ -399,6 +406,135 @@ class TestCompensation:
             items_r, items_s, 0.6, keep_record=True
         )
         assert not record2.fully_swept()
+
+    def test_record_holds_two_ints_per_anchor(self):
+        items_r = items_from_points([(0.0, 0.0), (1.0, 0.0)])
+        items_s = items_from_points([(0.5, 0.0), (2.0, 0.0)])
+        _, record, _, _ = run_expand(
+            items_r, items_s, 0.6, optimize_axis=False, optimize_direction=False,
+            keep_record=True,
+        )
+        # x-forward merge: r0 (scans s0, stops at s1), s0 (scans r1,
+        # covers it), r1 (scans s1 and stops there); R-side positions are
+        # stored as ``pos``, S-side ones as ``~pos``.
+        assert record.anchors.typecode == "i"
+        assert list(record.anchors) == [0, 1, ~0, 2, 1, 1]
+
+
+class _CountingCutoff:
+    """A cutoff closure that counts its reads; ``value`` may be tightened."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+        self.reads = 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        return self.value
+
+
+def _reference_sweep(instr, sorted_r, keys_r, sorted_s, keys_s, axis, forward,
+                     axis_limit, real_limit, emit):
+    """The merge sweep written plainly: cutoffs read per pair, and the
+    counters and clock charged per anchor through ``count_axis`` and
+    ``count_real``, as the scan loop did before it batched them."""
+    i = j = 0
+    while i < len(sorted_r) and j < len(sorted_s):
+        from_r = keys_r[i] <= keys_s[j]
+        if from_r:
+            anchor, other, other_keys, start = sorted_r[i], sorted_s, keys_s, j
+            i += 1
+        else:
+            anchor, other, other_keys, start = sorted_s[j], sorted_r, keys_r, i
+            j += 1
+        end = anchor.rect.hi(axis) if forward else -anchor.rect.lo(axis)
+        checked = scanned = 0
+        for idx in range(start, len(other)):
+            checked += 1
+            if other_keys[idx] - end > axis_limit():
+                break
+            scanned += 1
+            real = min_distance(anchor.rect, other[idx].rect)
+            if real <= real_limit():
+                if from_r:
+                    emit(anchor, other[idx], real)
+                else:
+                    emit(other[idx], anchor, real)
+        instr.count_axis(checked)
+        instr.count_real(scanned)
+
+
+class TestMergeSweepBatching:
+    """The scan loop reads cutoffs once per sweep and after each emit, and
+    hands its counts and charges over in batches: observably the same as
+    per-pair reads and per-anchor charges."""
+
+    @staticmethod
+    def _sides(seed, forward=True):
+        rng = random.Random(seed)
+        items_r = items_from_points(
+            [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(60)]
+        )
+        items_s = items_from_points(
+            [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(45)]
+        )
+        sweeper = PlaneSweeper(make_instruments())
+        sorted_r, keys_r = sweeper._sort_side(items_r, 0, forward)
+        sorted_s, keys_s = sweeper._sort_side(items_s, 0, forward)
+        return sweeper, sorted_r, keys_r, sorted_s, keys_s
+
+    @pytest.mark.parametrize("same_limit", [False, True])
+    def test_each_cutoff_is_read_once_per_sweep_plus_once_per_emit(self, same_limit):
+        sweeper, sorted_r, keys_r, sorted_s, keys_s = self._sides(5)
+        axis_limit = _CountingCutoff(6.0)
+        real_limit = axis_limit if same_limit else _CountingCutoff(4.0)
+        emitted = []
+        sweeper._merge_sweep(
+            sorted_r, keys_r, sorted_s, keys_s, 0, True,
+            axis_limit, real_limit, lambda a, b, d: emitted.append(d), None,
+        )
+        assert emitted
+        assert axis_limit.reads == 1 + len(emitted)
+        assert real_limit.reads == 1 + len(emitted)
+
+    @pytest.mark.parametrize("seed", [6, 7, 8])
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_emits_see_the_per_anchor_counters_and_clock(self, seed, forward):
+        # A cutoff that tightens with every emit (a k-bounded result set,
+        # as qDmax does), checked bit for bit against the plain sweep at
+        # every emit and at the end.
+        def run(batched):
+            sweeper, sorted_r, keys_r, sorted_s, keys_s = self._sides(seed, forward)
+            instr = sweeper._instr
+            disk = instr.disk
+            disk.random_read(3)  # a clock that is not 0.0
+            best: list[float] = []
+            limit = _CountingCutoff(30.0)
+            seen = []
+
+            def emit(a, b, d):
+                seen.append((a.ref, b.ref, d, instr.axis_distance_computations,
+                             instr.real_distance_computations, disk.clock, disk.cpu_time))
+                best.append(d)
+                best.sort()
+                del best[40:]
+                if len(best) == 40:
+                    limit.value = best[-1]
+
+            args = (sorted_r, keys_r, sorted_s, keys_s, 0, forward, limit, limit, emit)
+            if batched:
+                sweeper._merge_sweep(*args, None)
+            else:
+                _reference_sweep(instr, *args)
+            return seen, (instr.axis_distance_computations,
+                          instr.real_distance_computations,
+                          disk.clock, disk.cpu_time, disk.io_time)
+
+        got_seen, got_end = run(batched=True)
+        want_seen, want_end = run(batched=False)
+        assert len(got_seen) > 40
+        assert got_seen == want_seen
+        assert got_end == want_end
 
 
 def test_fixed_sweep_is_x_axis_forward():

@@ -14,6 +14,7 @@ from repro.rtree.rstar import RStarInserter, choose_split
 from repro.rtree.tree import RTree
 
 from tests.conftest import random_rects
+from tests.test_pruning_bounds import written_tree
 
 
 def entries_from(rects: list[Rect]) -> list[Item]:
@@ -218,6 +219,40 @@ class TestChooseSplit:
         tree = RTree(max_entries=8)
         tree.insert_all((rect, oid) for oid, rect in enumerate(rects * 3))
         tree.validate()
+
+
+def tree_shape(tree: RTree, scale: float):
+    """Each node's level and entries from the root down, coordinates / ``scale``."""
+
+    def walk(node: Node):
+        return node.level, [
+            (
+                (e.rect.xmin / scale, e.rect.ymin / scale,
+                 e.rect.xmax / scale, e.rect.ymax / scale),
+                e.level,
+                e.ref if e.is_object else walk(tree._get_node(e.ref)),
+            )
+            for e in node.entries
+        ]
+
+    return walk(tree.root)
+
+
+class TestAreasThatOverflow:
+    def test_scaled_grid_builds_the_same_tree(self):
+        # At 2**512 every nonzero area overflows, but scaling by a power
+        # of two is exact: ChooseSubtree and the split must take the same
+        # decisions as at scale 1, so inserts, deletes (CondenseTree) and
+        # more inserts build the same tree.
+        scale = 2.0 ** 512
+        differ = []
+        for seed in range(30):
+            small, _ = written_tree(random.Random(seed), 1.0)
+            huge, _ = written_tree(random.Random(seed), scale)
+            assert huge.root.mbr().area() == math.inf
+            if tree_shape(huge, scale) != tree_shape(small, 1.0):
+                differ.append(seed)
+        assert differ == []
 
 
 class TestInsertion:

@@ -1,6 +1,7 @@
 """Tests for the storage substrate: cost model, disk, pages, buffer, serial."""
 
 import math
+import random
 
 import pytest
 
@@ -53,6 +54,36 @@ class TestSimulatedDisk:
         disk.sequential_read(0)
         disk.sequential_write(0)
         assert disk.clock == 0.0
+
+    def test_charge_cpu_many_is_one_charge_cpu_per_value(self):
+        # Charges spanning many magnitudes, in runs between I/O charges:
+        # the batched form must leave every total bit-identical to one
+        # ``charge_cpu`` call per value.
+        rng = random.Random(11)
+        per_value, batched, summed = SimulatedDisk(), SimulatedDisk(), SimulatedDisk()
+        sum_first_differs = False
+        for _ in range(300):
+            run = [
+                rng.choice((1, 3, 7, 1000)) * 10.0 ** rng.randint(-12, 2) * rng.random()
+                for _ in range(rng.randint(0, 40))
+            ]
+            for seconds in run:
+                per_value.charge_cpu(seconds)
+            batched.charge_cpu_many(run)
+            summed.charge_cpu(math.fsum(run))
+            if rng.random() < 0.5:
+                io, pages = "random_read", rng.randint(1, 5)
+            else:
+                io, pages = "sequential_write", rng.randint(0, 50)
+            for disk in (per_value, batched, summed):
+                getattr(disk, io)(pages)
+            assert batched.clock == per_value.clock
+            assert batched.cpu_time == per_value.cpu_time
+            assert batched.io_time == per_value.io_time
+            sum_first_differs |= summed.clock != per_value.clock
+        # The data can tell the orders apart: adding each run's sum instead
+        # of its values moves the clock.
+        assert sum_first_differs
 
     def test_reset(self):
         disk = SimulatedDisk()

@@ -160,8 +160,8 @@ def _write_rows(tree: "RTree", layout: TreeLayout, buf: bytearray, pages) -> Non
     beyond its new count are zeroed.  Directory ``cnt`` follows in
     ascending level, summing children that are either rewritten already
     or unchanged.  That is exact because every ancestor of a changed
-    subtree count is stamped too: each write rewrites the parent entry
-    of every node on its path.
+    subtree count is stamped too: each write stamps every node on its
+    path, whether or not the node's entry in its parent changed.
     """
     m = layout.slots
     sections = list(layout.sections())

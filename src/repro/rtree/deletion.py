@@ -7,6 +7,10 @@ reinserted at the level each entry carries (using the R* inserter, so
 reinserted subtrees keep their structure).  If the root ends up with a
 single child the tree shrinks by one level.
 
+The walk stops at the first node that keeps its MBR bit for bit (see
+:func:`_keeps_mbr` and the R* module docstring): nothing above it can
+move or underflow.
+
 Deletion enables dynamic workloads (moving objects, expiring records) on
 top of the join algorithms; joins themselves never mutate trees.
 """
@@ -18,7 +22,7 @@ from typing import Protocol
 from repro.geometry.rect import Rect
 from repro.rtree.entries import Item
 from repro.rtree.node import Node
-from repro.rtree.rstar import RStarInserter
+from repro.rtree.rstar import RStarInserter, strictly_inside
 
 
 class _TreeLike(Protocol):
@@ -39,14 +43,14 @@ def delete(tree, rect: Rect, oid: int) -> bool:
     path = _find_leaf(tree, tree.root_id, rect, oid, [])
     if path is None:
         return False
-    # The leaf loses an entry, and _condense rewrites or removes each
-    # ancestor's entry for the path node below it: the whole path changes.
+    # The leaf loses an entry, and _condense may rewrite or remove each
+    # ancestor's entry for the path node below it: stamp the whole path.
     for node in path:
         tree._touch(node.page_id)
-    leaf = path[-1]
-    leaf.remove_ref(oid)
+    removed = path[-1].remove_ref(oid)
     orphans: list[Item] = []
-    _condense(tree, path, orphans)
+    if not _keeps_mbr(tree, path, len(path) - 1, removed.rect):
+        _condense(tree, path, orphans)
     _shrink_root(tree)
     if orphans:
         inserter = RStarInserter(tree)
@@ -75,17 +79,44 @@ def _find_leaf(
     return None
 
 
+def _keeps_mbr(tree, path: list[Node], depth: int, lost: Rect) -> bool:
+    """True when ``path[depth]``, having lost ``lost``, keeps its entry bit for bit.
+
+    ``lost`` is a removed entry's rectangle, or the old entry of a child
+    that shrank or was dissolved.  When the node is not underfull and
+    ``lost`` lies strictly inside the node's entry in its parent, ``lost``
+    supplied none of that entry's bounds (R* module docstring), so the
+    node's MBR and its fill stand and no ancestor changes.  The root
+    (depth 0) has no entry to keep.
+    """
+    node = path[depth]
+    return (
+        depth > 0
+        and len(node.entries) >= tree.min_entries
+        and strictly_inside(lost, path[depth - 1].entry_for(node.page_id).rect)
+    )
+
+
 def _condense(tree, path: list[Node], orphans: list[Item]) -> None:
-    """Walk the path bottom-up, dissolving underfull nodes."""
+    """Walk the path bottom-up, dissolving underfull nodes.
+
+    ``path`` runs from the root to the leaf that lost an entry.  Each
+    node on the way up is either dissolved (its entries appended to
+    ``orphans``) or has its entry in the parent recomputed.  The walk
+    stops at the first parent that keeps its entry (:func:`_keeps_mbr`),
+    since nothing above it can change.
+    """
     for depth in range(len(path) - 1, 0, -1):
         node = path[depth]
         parent = path[depth - 1]
         if len(node.entries) < tree.min_entries:
-            parent.remove_ref(node.page_id)
+            lost = parent.remove_ref(node.page_id)
             orphans.extend(node.entries)
             tree.store.free(node.page_id)
         else:
-            parent.replace_entry(node.page_id, node.item())
+            lost = parent.replace_entry(node.page_id, node.item())
+        if _keeps_mbr(tree, path, depth - 1, lost.rect):
+            return
 
 
 def _shrink_root(tree) -> None:

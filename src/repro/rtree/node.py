@@ -81,12 +81,12 @@ class Node:
                 return entry
         raise KeyError(f"node {self.page_id} has no entry for ref {ref}")
 
-    def replace_entry(self, ref: int, new_entry: Item) -> None:
-        """Swap the entry referencing ``ref`` for ``new_entry``."""
+    def replace_entry(self, ref: int, new_entry: Item) -> Item:
+        """Swap the entry referencing ``ref`` for ``new_entry``; return the old one."""
         for i, entry in enumerate(self.entries):
             if entry.ref == ref:
                 self.entries[i] = new_entry
-                return
+                return entry
         raise KeyError(f"node {self.page_id} has no entry for ref {ref}")
 
     def __len__(self) -> int:

@@ -15,7 +15,20 @@ Seeger (SIGMOD 1990):
   ``min``/``max``, ``-``, ``*`` and ``+`` are monotone) and is 0.0 for
   every entry that already contains the new rectangle.  The R* paper's
   "nearly minimum overlap" shortcut is not used: it can choose another
-  subtree and so build another tree.
+  subtree and so build another tree.  Every key is computed on plain
+  floats with the operations of ``Rect.union``/``area``/``enlargement``
+  in their order, so it is bit-identical to the method calls without a
+  ``Rect`` per entry.
+- **Node MBRs** are recomputed only where a write can move them.  A
+  node's MBR is ``Rect.union_of`` of its entries in order, so each bound
+  comes from the first entry that reaches it.  A rectangle strictly
+  inside the node's entry on all four sides supplies no bound, and an
+  entry it enlarges below gains only bounds strictly inside too, so
+  every bound, zero signs included, stays where it was.  So the parent
+  keeps its entry for a child when the new rectangle lies strictly
+  inside it and no overflow (split or forced reinsert) happened at or
+  below the child.  Deletion's CondenseTree uses the same rule
+  (:mod:`repro.rtree.deletion`).
 - **OverflowTreatment** performs one *forced reinsert* per level per data
   insertion (the 30% of entries whose centers lie farthest from the node
   center are removed and re-inserted, closest first), and splits
@@ -68,6 +81,9 @@ class RStarInserter:
         self._tree = tree
         self._reinserted_levels: set[int] = set()
         self._pending: list[Item] = []
+        #: Overflow treatments so far; a change across a child's insertion
+        #: means the child's MBR must be recomputed.
+        self._overflows = 0
 
     # ------------------------------------------------------------------
     # Insertion
@@ -106,7 +122,8 @@ class RStarInserter:
         (``None`` for the root, which no entry points at).  Returns the
         entry for a newly created sibling when ``node`` was split, else
         ``None``.  The caller is responsible for refreshing its directory
-        entry for ``node`` (done below on the way up).
+        entry for ``node`` (done below on the way up, only where the MBR
+        can have moved: module docstring).
         """
         self._tree._touch(node.page_id)
         if node.level == entry.level + 1:
@@ -116,8 +133,12 @@ class RStarInserter:
                 node_rect = node.mbr()
             child_entry = self._choose_child(node, entry, node_rect)
             child = self._tree._get_node(child_entry.ref)
+            overflows = self._overflows
             split = self._insert_rec(child, entry, child_entry.rect)
-            node.replace_entry(child.page_id, child.item())
+            if overflows != self._overflows or not strictly_inside(
+                entry.rect, child_entry.rect
+            ):
+                node.replace_entry(child.page_id, child.item())
             if split is not None:
                 node.add(split)
         if len(node) > self._tree.max_entries:
@@ -145,23 +166,22 @@ class RStarInserter:
     def _choose_subtree(self, node: Node, rect: Rect, target_level: int) -> Item:
         """R* ChooseSubtree for descending one level toward ``target_level``."""
         entries = node.entries
-
-        def by_enlargement(e: Item) -> tuple[float, float]:
-            return (e.rect.enlargement(rect), e.rect.area())
-
+        keys = _enlargement_keys(entries, rect)
         if node.level - 1 == 0 and target_level == 0:
             # Children are leaves: least overlap enlargement, then the key
             # above, then position -- scored lazily (module docstring).
             best = None
             best_overlap = math.inf
-            for entry in sorted(entries, key=by_enlargement):
+            for _, _, position in sorted(keys):
+                entry = entries[position]
                 overlap = self._overlap_enlargement(entries, entry, rect)
                 if best is None or overlap < best_overlap:
                     best, best_overlap = entry, overlap
                     if overlap == 0.0:
                         break
             return best
-        return min(entries, key=by_enlargement)
+        # The first entry with the least (area enlargement, area).
+        return entries[min(keys)[2]]
 
     @staticmethod
     def _overlap_enlargement(entries: list[Item], target: Item, rect: Rect) -> float:
@@ -170,29 +190,35 @@ class RStarInserter:
         Bit-identical to ``after - before``, where ``after`` sums
         ``target.rect.union(rect).intersection_area(o)`` and ``before``
         sums ``target.rect.intersection_area(o)`` over the siblings ``o``
-        in order: the same ``min``/``max`` argument order and float
-        operations, on coordinates.  A sibling the enlarged rectangle
-        does not meet adds 0.0 to both sums, so it is skipped.
+        in order: the same float operations on coordinates, each
+        ``min(a, b)``/``max(a, b)`` written as the conditional that picks
+        the same operand (``b`` only when strictly beyond ``a``).  A
+        sibling the enlarged rectangle does not meet adds 0.0 to both
+        sums, so it is skipped.
         """
         t = target.rect
-        exmin, eymin = min(t.xmin, rect.xmin), min(t.ymin, rect.ymin)
-        exmax, eymax = max(t.xmax, rect.xmax), max(t.ymax, rect.ymax)
+        tx0, ty0, tx1, ty1 = t.xmin, t.ymin, t.xmax, t.ymax
+        rx0, ry0, rx1, ry1 = rect.xmin, rect.ymin, rect.xmax, rect.ymax
+        ex0, ey0 = rx0 if rx0 < tx0 else tx0, ry0 if ry0 < ty0 else ty0
+        ex1, ey1 = rx1 if rx1 > tx1 else tx1, ry1 if ry1 > ty1 else ty1
         before = 0.0
         after = 0.0
         for other in entries:
             if other is target:
                 continue
             o = other.rect
-            w = min(exmax, o.xmax) - max(exmin, o.xmin)
+            ox0, ox1 = o.xmin, o.xmax
+            w = (ox1 if ox1 < ex1 else ex1) - (ox0 if ox0 > ex0 else ex0)
             if w <= 0.0:
                 continue
-            h = min(eymax, o.ymax) - max(eymin, o.ymin)
+            oy0, oy1 = o.ymin, o.ymax
+            h = (oy1 if oy1 < ey1 else ey1) - (oy0 if oy0 > ey0 else ey0)
             if h <= 0.0:
                 continue
             after += w * h
-            w = min(t.xmax, o.xmax) - max(t.xmin, o.xmin)
+            w = (ox1 if ox1 < tx1 else tx1) - (ox0 if ox0 > tx0 else tx0)
             if w > 0.0:
-                h = min(t.ymax, o.ymax) - max(t.ymin, o.ymin)
+                h = (oy1 if oy1 < ty1 else ty1) - (oy0 if oy0 > ty0 else ty0)
                 if h > 0.0:
                     before += w * h
         return after - before
@@ -203,6 +229,7 @@ class RStarInserter:
 
     def _overflow(self, node: Node) -> Item | None:
         """Forced reinsert on the first overflow per level, split after."""
+        self._overflows += 1
         is_root = node.page_id == self._tree.root_id
         if not is_root and node.level not in self._reinserted_levels:
             self._reinserted_levels.add(node.level)
@@ -239,6 +266,43 @@ class RStarInserter:
         self._tree._touch(sibling.page_id)
         sibling.entries = group_b
         return sibling.item()
+
+
+def strictly_inside(inner: Rect, outer: Rect) -> bool:
+    """True when ``inner`` lies strictly inside ``outer`` on all four sides.
+
+    Such a rectangle supplies none of ``outer``'s bounds, and no tie (not
+    even ``-0.0`` against ``0.0``) can make it one.
+    """
+    return (
+        outer.xmin < inner.xmin
+        and outer.ymin < inner.ymin
+        and inner.xmax < outer.xmax
+        and inner.ymax < outer.ymax
+    )
+
+
+def _enlargement_keys(
+    entries: list[Item], rect: Rect
+) -> list[tuple[float, float, int]]:
+    """``(area enlargement, area, position)`` of each entry for ``rect``.
+
+    Bit-identical to ``(e.rect.enlargement(rect), e.rect.area(), i)``:
+    the float operations of ``Rect.union``, ``area`` and ``enlargement``
+    in their order, each bound of the union the entry's unless ``rect``'s
+    is strictly beyond it (as ``min``/``max`` with the entry first).
+    """
+    rx0, ry0, rx1, ry1 = rect.xmin, rect.ymin, rect.xmax, rect.ymax
+    keys = []
+    for position, entry in enumerate(entries):
+        r = entry.rect
+        x0, y0, x1, y1 = r.xmin, r.ymin, r.xmax, r.ymax
+        area = (x1 - x0) * (y1 - y0)
+        enlarged = ((rx1 if rx1 > x1 else x1) - (rx0 if rx0 < x0 else x0)) * (
+            (ry1 if ry1 > y1 else y1) - (ry0 if ry0 < y0 else y0)
+        )
+        keys.append((enlarged - area, area, position))
+    return keys
 
 
 def choose_split(

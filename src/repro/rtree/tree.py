@@ -264,12 +264,13 @@ class RTree:
     def validate(self) -> None:
         """Check all structural invariants; raises ``AssertionError``.
 
-        Checks: containment (Lemma 1's prerequisite), level consistency
-        (every entry one level below its node, every child at its entry's
-        level), fanout bounds (except the root), and that the number of
-        reachable data entries equals ``size``.  The checks are explicit
-        raises, not ``assert`` statements, so they run under ``python -O``
-        too.
+        Checks: tight directory entries (each equals its child's MBR,
+        which gives Lemma 1's containment and catches a stale, too-large
+        entry), level consistency (every entry one level below its node,
+        every child at its entry's level), fanout bounds (except the
+        root), and that the number of reachable data entries equals
+        ``size``.  The checks are explicit raises, not ``assert``
+        statements, so they run under ``python -O`` too.
         """
         if self.size == 0:
             if len(self.root.entries) != 0:
@@ -300,9 +301,9 @@ class RTree:
                 raise AssertionError(
                     f"node {page_id}: overfull ({len(node.entries)} entries)"
                 )
-            if parent_rect is not None and not parent_rect.contains(node.mbr()):
+            if parent_rect is not None and parent_rect != node.mbr():
                 raise AssertionError(
-                    f"node {page_id}: MBR not contained in parent entry"
+                    f"node {page_id}: MBR {node.mbr()} != parent entry {parent_rect}"
                 )
             if node.is_leaf:
                 data_entries += len(node.entries)

@@ -73,7 +73,8 @@ class TestNode:
 
     def test_replace_entry(self):
         node = self._node()
-        node.replace_entry(10, Item(Rect(5, 5, 6, 6), 10, 0))
+        old = node.entry_for(10)
+        assert node.replace_entry(10, Item(Rect(5, 5, 6, 6), 10, 0)) is old
         assert node.entry_for(10).rect == Rect(5, 5, 6, 6)
         with pytest.raises(KeyError):
             node.replace_entry(99, Item(Rect(0, 0, 1, 1), 99, 0))

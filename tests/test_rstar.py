@@ -1,19 +1,23 @@
 """Tests for R* insertion internals: split selection and the inserter."""
 
+import collections
+import hashlib
 import math
 import random
 import struct
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
+from repro.datagen.tiger import synthetic_tiger
 from repro.geometry.rect import Rect
 from repro.rtree.entries import Item
 from repro.rtree.node import Node
 from repro.rtree.rstar import RStarInserter, choose_split
 from repro.rtree.tree import RTree
 
-from tests.conftest import random_rects
+from tests.conftest import random_rects, seed_budget
+from tests.test_image_contract import write_events
 from tests.test_pruning_bounds import written_tree
 
 
@@ -97,7 +101,7 @@ BEYOND_32 = (
 
 
 class TestLazyChooseSubtree:
-    @settings(max_examples=150, deadline=None)
+    @seed_budget(tier1=150)
     @given(leaf_parent_nodes())
     @example(BEYOND_32)
     def test_matches_brute_force(self, case):
@@ -312,7 +316,7 @@ class TestInsertion:
         assert sorted(tree.search(window)) == expected
 
 
-@settings(max_examples=20, deadline=None)
+@seed_budget(tier1=20)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(5, 60))
 def test_random_insertion_always_valid(seed, count):
     tree = RTree(max_entries=4)
@@ -322,3 +326,121 @@ def test_random_insertion_always_valid(seed, count):
     window = Rect(10, 10, 30, 30)
     expected = sorted(oid for rect, oid in items if rect.intersects(window))
     assert sorted(tree.search(window)) == expected
+
+
+# ----------------------------------------------------------------------
+# The trees the writes build, pinned bit for bit
+# ----------------------------------------------------------------------
+
+
+def tree_digest(tree: RTree) -> str:
+    """sha256 of the root id, every node's page id, level and size, and
+    every entry's coordinates, ref and level (``<4dqi``, so the sign of
+    a zero counts), pages in id order."""
+    digest = hashlib.sha256(struct.pack("<q", tree.root_id))
+    for page_id in sorted(tree.store.page_ids()):
+        node = tree._get_node(page_id)
+        digest.update(struct.pack("<qii", page_id, node.level, len(node.entries)))
+        for entry in node.entries:
+            r = entry.rect
+            digest.update(struct.pack(
+                "<4dqi", r.xmin, r.ymin, r.xmax, r.ymax, entry.ref, entry.level
+            ))
+    return digest.hexdigest()
+
+
+def signed_zero_grid_rect(rng: random.Random) -> Rect:
+    """A rect on a coarse grid around the origin whose zero coordinates
+    are -0.0 half the time (a zero-width side keeps its sign)."""
+
+    def coord() -> float:
+        value = rng.randrange(-6, 7) * 2.5
+        return -0.0 if value == 0.0 and rng.random() < 0.5 else value
+
+    x, y = coord(), coord()
+    w, h = rng.randrange(0, 3) * 2.5, rng.randrange(0, 3) * 2.5
+    return Rect(x, y, x + w if w else x, y + h if h else y)
+
+
+def churned_grid_tree() -> tuple[RTree, list[int], collections.Counter]:
+    """Seeded inserts and deletes at ``max_entries=8`` that grow the root,
+    drain most of the tree (the root shrinks) and grow it again; returns
+    the tree, its height after every write and the R* events reached.
+
+    Seed 3 is the one of seeds 1-12 where keeping a child's entry on
+    insert when the new rectangle merely lies inside it (not strictly)
+    builds another tree: that slip can only flip the sign of a zero
+    bound two levels up, which these seeds rarely reach."""
+    rng = random.Random(3)
+    tree = RTree(max_entries=8)
+    live: dict[int, Rect] = {}
+    heights = []
+    with write_events() as seen:
+        for phase_inserts, phase_deletes in ((700, 250), (60, 480), (500, 150)):
+            for _ in range(phase_inserts):
+                oid = len(heights)
+                live[oid] = signed_zero_grid_rect(rng)
+                tree.insert(live[oid], oid)
+                heights.append(tree.height)
+                if rng.random() < phase_deletes / phase_inserts / 2:
+                    gone = rng.choice(sorted(live))
+                    assert tree.delete(live.pop(gone), gone)
+                    heights.append(tree.height)
+            for gone in rng.sample(sorted(live), min(phase_deletes, len(live))):
+                assert tree.delete(live.pop(gone), gone)
+                heights.append(tree.height)
+    tree.validate()
+    return tree, heights, seen
+
+
+def relocated_tiger_tree() -> RTree:
+    """A bulk-loaded default-fanout tree after 240 relocations the size
+    of update-query's (delete, shift by at most 2 units, insert)."""
+    data = synthetic_tiger(100, 8000, seed=24)
+    tree = RTree.bulk_load(data.hydro)
+    current = {oid: rect for rect, oid in data.hydro}
+    rng = random.Random(5)
+    for _ in range(24):
+        for oid in rng.sample(sorted(current), 10):
+            old = current[oid]
+            assert tree.delete(old, oid)
+            dx, dy = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+            current[oid] = Rect(old.xmin + dx, old.ymin + dy, old.xmax + dx, old.ymax + dy)
+            tree.insert(current[oid], oid)
+    tree.validate()
+    return tree
+
+
+class TestTreeFingerprint:
+    """The exact trees R* writes build, as ``tests/test_sweep_fingerprint.py``
+    pins the sweep's output: a change to ChooseSubtree, the split, forced
+    reinsertion, CondenseTree or how node MBRs are kept up to date that
+    moves one entry, one ref or one zero sign fails here.  A change that
+    builds other trees on purpose must re-record the digests (print
+    ``tree_digest`` of each tree) and say why."""
+
+    def test_churned_grid_tree(self):
+        tree, heights, seen = churned_grid_tree()
+        # Every write path was reached: splits, forced reinserts, orphans
+        # from CondenseTree, and the root grew and shrank.
+        assert seen["split"] and seen["reinsert"] and seen["orphans"], seen
+        assert any(b < a for a, b in zip(heights, heights[1:]))
+        assert max(heights) >= 4
+        # Some directory entry holds a -0.0 bound, so zero signs count.
+        assert any(
+            coord == 0.0 and math.copysign(1.0, coord) < 0.0
+            for node in tree.iter_nodes() if not node.is_leaf
+            for entry in node.entries for coord in entry.rect
+        )
+        assert tree_digest(tree) == CHURNED_GRID_DIGEST
+
+    def test_relocated_tiger_tree(self):
+        tree = relocated_tiger_tree()
+        assert tree.height == 3
+        assert tree_digest(tree) == RELOCATED_TIGER_DIGEST
+
+
+#: Recorded before node MBRs were kept by the strict-inside rule, when
+#: every write recomputed the MBR of each node on its path.
+CHURNED_GRID_DIGEST = "54377ec2151cdd350a58f746c8fb0cd2bf1ef993fdcd1361961f4363b31e1819"
+RELOCATED_TIGER_DIGEST = "7a2e0ab103cf0e16e5d26bd90c5cfae1339f615482cc26542a43d4a340243d1a"

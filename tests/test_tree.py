@@ -1,5 +1,6 @@
 """Tests for the RTree facade: queries, validation, persistence, access."""
 
+import math
 import os
 import subprocess
 import sys
@@ -65,6 +66,27 @@ class TestValidationDetectsCorruption:
         victim = root.entries[0]
         root.entries[0] = Item(Rect(0, 0, 0.1, 0.1), victim.ref, victim.level)
         with pytest.raises(AssertionError):
+            tree.validate()
+
+    @pytest.mark.parametrize("built", ["bulk", "inserted"])
+    def test_detects_loose_directory_entry(self, built):
+        # A directory entry that still contains its child but is larger
+        # than the child's MBR (a stale entry a write forgot to refresh).
+        items = random_rects(200, seed=3)
+        if built == "bulk":
+            tree = RTree.bulk_load(items, max_entries=8)
+        else:
+            tree = RTree(max_entries=8)
+            tree.insert_all(items)
+        tree.validate()
+        assert tree.height >= 3
+        parent = next(n for n in tree.iter_nodes() if n.level == 1)
+        victim = parent.entries[-1]
+        r = victim.rect
+        loose = Rect(r.xmin, r.ymin, r.xmax, math.nextafter(r.ymax, math.inf))
+        assert loose.contains(tree._get_node(victim.ref).mbr())
+        parent.entries[-1] = Item(loose, victim.ref, victim.level)
+        with pytest.raises(AssertionError, match="parent entry"):
             tree.validate()
 
     @pytest.mark.parametrize("where", ["leaf", "directory"])

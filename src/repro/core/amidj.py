@@ -95,8 +95,7 @@ def amidj(
     queue = ctx.main_queue
     records: list[ExpansionRecord] = []
     sweeper = PlaneSweeper(
-        ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction,
-        flat=ctx.flat_path(),
+        ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction
     )
     tracer = ctx.instr.tracer
     metrics = ctx.instr.metrics

@@ -84,8 +84,7 @@ def amkdj(
     distance_queue = DistanceQueue(k)
     comp_queue: CompensationQueue = CompensationQueue()
     sweeper = PlaneSweeper(
-        ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction,
-        flat=ctx.flat_path(),
+        ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction
     )
     tracer = ctx.instr.tracer
     metrics = ctx.instr.metrics

@@ -122,28 +122,6 @@ class JoinContext:
         # with ``if ctx.checkpoint is not None`` so the common case costs
         # one attribute read and allocates nothing.
         self.checkpoint = checkpoint
-        # Flat hot path (repro.kernels.flat), built lazily on first use:
-        # engines that never ask for it (NLJ never sweeps) must not pay
-        # for the arena.
-        self._flat = None
-        self._flat_built = False
-
-    def flat_path(self):
-        """The run's :class:`~repro.kernels.flat.FlatHotPath`, or ``None``.
-
-        Built on first request (two views over the trees' memoized
-        images; a tree written since has its image patched) and shared by
-        the sweeper and the tagged-batch cache; memoized, including the
-        ``None`` an empty dataset gets.
-        """
-        if not self._flat_built:
-            self._flat_built = True
-            from repro.kernels.flat import FlatHotPath
-
-            self._flat = FlatHotPath.build(self.tree_r, self.tree_s)
-            if self._flat is not None:
-                self.instr.flat = self._flat
-        return self._flat
 
     def close(self) -> None:
         """Engine teardown: release the queue's on-disk spill files.
@@ -154,10 +132,6 @@ class JoinContext:
         runs never leak ``seg-*.pile`` files in ``spill_dir``.
         """
         self.main_queue.close()
-        if self._flat is not None:
-            self.instr.flat = None
-            self._flat.close()
-            self._flat = None
 
     def __enter__(self) -> "JoinContext":
         return self
@@ -204,7 +178,9 @@ class JoinContext:
         access.  Callers must treat the list as read-only: it is the
         tree's.  No join reads a tree across a write (a KDJ runs to
         completion, and an open stream raises ``StaleStreamError``
-        before it expands again), so writes edit it in place.
+        before it expands again), so writes edit it in place, and the
+        per-join caches keyed by page id (the sweeper's sorted sides,
+        HS's packed blocks) stay exact for the whole join.
         """
         if item.is_object:
             return [item]

@@ -41,8 +41,7 @@ def bkdj(
     queue = ctx.main_queue
     distance_queue = DistanceQueue(k)
     sweeper = PlaneSweeper(
-        ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction,
-        flat=ctx.flat_path(),
+        ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction
     )
     tracer = ctx.instr.tracer
     metrics = ctx.instr.metrics

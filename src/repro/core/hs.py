@@ -50,10 +50,6 @@ def hs_incremental(
     if roots is None and resume is None:
         return
     queue = ctx.main_queue
-    # HS has no plane sweep, but the flat hot path still serves its
-    # tagged child batches as zero-copy arena entry blocks (attached to
-    # ctx.instr by this call).
-    ctx.flat_path()
     tracer = ctx.instr.tracer
     metrics = ctx.instr.metrics
     result_hist = metrics.histogram("result_distance") if metrics is not None else None

@@ -345,15 +345,12 @@ class PlaneSweeper:
         instr: Instruments,
         optimize_axis: bool = True,
         optimize_direction: bool = True,
-        flat=None,
     ) -> None:
         self._instr = instr
-        #: Optional :class:`repro.kernels.flat.FlatHotPath`.  When set,
-        #: node sides are sorted once per (node, axis, direction) out of
-        #: the tree arena instead of per expansion; :meth:`_sort_side`
-        #: serves everything else with the same items, keys and tie
-        #: order.
-        self._flat = flat
+        #: ``(side_r, page id, axis, forward) -> (sorted children, keys)``:
+        #: each node side sorted once per join (see :meth:`_side`).
+        #: Keyed by page ids, so it never outgrows the trees.
+        self._sides: dict[tuple, tuple[list[Item], list[float]]] = {}
         self.optimize_axis = optimize_axis
         self.optimize_direction = optimize_direction
 
@@ -491,37 +488,48 @@ class PlaneSweeper:
     ) -> tuple[list[Item], list[float]]:
         """One expansion side: sorted children and their sweep keys.
 
-        The flat hot path serves node sides from its per-(node, axis,
-        direction) cache — a stable sort over arena coordinates, same
-        tie order and key floats as :meth:`_sort_side` — and the sort
-        CPU charge is applied either way, so the simulated clock cannot
-        tell the two apart.  Single-object sides, arena misses and
-        sweepers built without a flat path sort here.
+        A node side is sorted once per join, axis and direction, and
+        served from the sweeper's own cache after that, so a node
+        re-expanded against many partners sorts once.  The sort CPU is
+        charged on every call, hit or miss, so the simulated clock
+        cannot tell the two apart.  An object side (a one-item list)
+        sorts every time: an object id can equal a page id.  The cache
+        relies on no join reading a tree across a write (see
+        :meth:`~repro.core.base.JoinContext.children_r`).
         """
-        flat = self._flat
-        if flat is not None:
-            cached = flat.sorted_side(side_r, item, children, axis, forward)
-            if cached is not None:
-                self._instr.charge_sort(len(children))
-                return cached
-        return self._sort_side(children, axis, forward)
+        if item.is_object:
+            return self._sort_side(children, axis, forward)
+        key = (side_r, item.ref, axis, forward)
+        side = self._sides.get(key)
+        if side is None:
+            side = self._sides[key] = self._sort_side(children, axis, forward)
+        else:
+            self._instr.charge_sort(len(children))
+        return side
 
     def _sort_side(
         self, items: list[Item], axis: int, forward: bool
     ) -> tuple[list[Item], list[float]]:
         """Sort one child list and return it with its sweep keys.
 
-        Decorate-sort-undecorate on (key, original index): ties order by
-        index, which is exactly the stable order ``sorted(key=...)``
-        produces, and each key is computed once instead of per
-        comparison.  The keys list is what the scan loops index into.
+        The key is the low edge for a forward sweep and the negated high
+        edge for a backward one, read once per item.  Python's sort is
+        stable, so ties (``-0.0`` beside ``0.0`` included) keep the
+        child order, and each key keeps its bits.  The keys list is what
+        the scan loops index into.
         """
         self._instr.charge_sort(len(items))
         if forward:
-            keyed = sorted((it.rect.lo(axis), i) for i, it in enumerate(items))
+            if axis == 0:
+                keys = [it.rect.xmin for it in items]
+            else:
+                keys = [it.rect.ymin for it in items]
+        elif axis == 0:
+            keys = [-it.rect.xmax for it in items]
         else:
-            keyed = sorted((-it.rect.hi(axis), i) for i, it in enumerate(items))
-        return [items[i] for _, i in keyed], [k for k, _ in keyed]
+            keys = [-it.rect.ymax for it in items]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return [items[i] for i in order], [keys[i] for i in order]
 
     @staticmethod
     def _emit_oriented(

@@ -35,8 +35,7 @@ def spatial_join_within(ctx: JoinContext, dmax: float) -> Iterator[ResultPair]:
     if roots is None:
         return
     sweeper = PlaneSweeper(
-        ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction,
-        flat=ctx.flat_path(),
+        ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction
     )
     limit = static_cutoff(dmax)
 

@@ -188,19 +188,11 @@ class Instruments:
         self.kernels = resolve_backend()
         self.kernel_batches = 0
         self.kernel_batched_pairs = 0
-        # Optional FlatHotPath (repro.kernels.flat), attached by
-        # JoinContext.flat_path(): tagged batches then resolve to
-        # zero-copy arena entry blocks instead of freshly packed copies.
-        self.flat = None
-        # Tagged packed-rect cache for mindist_batch: callers that batch
-        # the same (immutable) rect list repeatedly — HS re-expanding a
-        # node against many partners — pass a stable tag so the backend
-        # packs the coordinate arrays once per node, not once per call.
-        # Bounded LRU (insertion-ordered dict, hits re-inserted): an
-        # unbounded incremental join must not grow it without limit.
+        # HS's packed child blocks, keyed by its ``(side_r, page id)``
+        # tag (see :meth:`mindist_within_items`): a node re-expanded
+        # against many partners is packed once per join.  Keyed by page
+        # ids, so it never outgrows the trees.
         self._packs: dict[object, object] = {}
-        self._packs_maxsize = 65536
-        self.pack_cache_evictions = 0
         # Observability rides the same choke point as the counters: the
         # engines read the tracer and registry from here, so a run's
         # trace can never describe a different environment than its
@@ -252,37 +244,28 @@ class Instruments:
             self.real_distance_computations += n
             self.disk.charge_cpu(n * self.disk.cost_model.cpu_real_distance)
 
-    def mindist_batch(
-        self, rect: Rect, rects: list[Rect], tag: object = None
-    ) -> list[float]:
-        """Counted batch of minimum distances from ``rect`` to ``rects``.
-
-        ``tag``, when given, memoizes the packed coordinate arrays for
-        this exact rect list (the caller promises the tag uniquely and
-        stably identifies it for this join run), so repeated batches over
-        the same node's children skip the array-building cost.
-        """
+    def mindist_batch(self, rect: Rect, rects: list[Rect]) -> list[float]:
+        """Counted batch of minimum distances from ``rect`` to ``rects``."""
         n = len(rects)
         self.count_real(n)
         if self._vector_call(n):
-            return self.kernels.mindist_packed(rect, self._packed_for(rects, tag))
+            return self.kernels.mindist_packed(rect, self.kernels.pack_rects(rects))
         return [min_distance(rect, other) for other in rects]
 
     def mindist_within(
-        self, rect: Rect, rects: list[Rect], bound: float, tag: object = None
+        self, rect: Rect, rects: list[Rect], bound: float
     ) -> list[tuple[int, float]]:
         """Counted bounded batch: ``(index, distance)`` pairs within ``bound``.
 
         Every one of the ``len(rects)`` logical distances is counted and
         charged — the bound only filters what crosses back into Python,
-        not what the simulated cost model sees.  ``tag`` memoizes packing
-        exactly as in :meth:`mindist_batch`.
+        not what the simulated cost model sees.
         """
         n = len(rects)
         self.count_real(n)
         if self._vector_call(n):
             return self.kernels.mindist_packed_within(
-                rect, self._packed_for(rects, tag), bound
+                rect, self.kernels.pack_rects(rects), bound
             )
         return _within(rect, rects, bound)
 
@@ -291,24 +274,21 @@ class Instruments:
     ) -> list[tuple[int, float]]:
         """:meth:`mindist_within` over ``.rect``-bearing items.
 
-        HS's whole-child-list batch.  Extracting the rect list is
-        deferred until a backend actually needs it, so a tagged
-        pack-cache hit — the common case when a node is re-expanded
-        against many partners — touches no item at all.
+        HS's whole-child-list batch.  ``tag``, when given, names the
+        list for this join (HS passes the expanded node's ``(side_r,
+        page id)``), and the packed coordinates are kept under it, so
+        re-expanding a node against many partners packs its children
+        once and touches no item on a hit.  Like the sweeper's sorted
+        sides, this relies on no join reading a tree across a write.
         """
         n = len(items)
         self.count_real(n)
         if self._vector_call(n):
-            packed = self._pack_get(tag) if tag is not None else None
+            packed = self._packs.get(tag) if tag is not None else None
             if packed is None:
-                if self.flat is not None:
-                    # Zero-copy arena slice of the node's children; same
-                    # coordinate values in the same order as a fresh pack.
-                    packed = self.flat.entry_block(tag, n)
-                if packed is None:
-                    packed = self.kernels.pack_rects([item.rect for item in items])
+                packed = self.kernels.pack_rects([item.rect for item in items])
                 if tag is not None:
-                    self._pack_put(tag, packed)
+                    self._packs[tag] = packed
             return self.kernels.mindist_packed_within(rect, packed, bound)
         return _within(rect, [item.rect for item in items], bound)
 
@@ -326,32 +306,6 @@ class Instruments:
         if self.metrics is not None:
             self.metrics.histogram("kernel_batch_size").observe(float(n))
         return True
-
-    def _pack_get(self, tag: object):
-        packs = self._packs
-        packed = packs.get(tag)
-        if packed is not None:
-            del packs[tag]
-            packs[tag] = packed
-        return packed
-
-    def _pack_put(self, tag: object, packed: object) -> None:
-        packs = self._packs
-        if tag in packs:
-            del packs[tag]
-        elif len(packs) >= self._packs_maxsize:
-            del packs[next(iter(packs))]
-            self.pack_cache_evictions += 1
-        packs[tag] = packed
-
-    def _packed_for(self, rects: list[Rect], tag: object):
-        if tag is None:
-            return self.kernels.pack_rects(rects)
-        packed = self._pack_get(tag)
-        if packed is None:
-            packed = self.kernels.pack_rects(rects)
-            self._pack_put(tag, packed)
-        return packed
 
     # -- sorting --------------------------------------------------------
 
@@ -395,10 +349,6 @@ class Instruments:
             # merged runs' kernel telemetry aggregates correctly.
             stats.extra["kernels.batches"] = float(self.kernel_batches)
             stats.extra["kernels.batched_pairs"] = float(self.kernel_batched_pairs)
-        if self.pack_cache_evictions:
-            stats.extra["kernels.pack_cache_evictions"] = float(
-                self.pack_cache_evictions
-            )
         if self.metrics is not None:
             # Snapshot fields are all sum-mergeable by construction, so
             # JoinStats.merge aggregates worker registries correctly.

@@ -20,6 +20,7 @@ from repro.core.base import JoinContext
 from repro.core.pairs import ResultPair
 from repro.core.sjsort import spatial_join_within
 from repro.queues.binary_heap import MinHeap
+from repro.resilience.deadline import Deadline
 from repro.rtree.tree import RTree
 
 
@@ -46,8 +47,6 @@ def within_distance_join(
         from repro.obs.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
-    from repro.resilience.deadline import Deadline
-
     ctx = JoinContext(
         tree_r,
         tree_s,
@@ -97,6 +96,7 @@ def all_nearest_neighbors(
         cost_model=cfg.cost_model,
         rho=cfg.rho,
         options=cfg.engine_options(),
+        deadline=Deadline(cfg.deadline_s) if cfg.deadline_s is not None else None,
     )
     started = time.perf_counter()
     results: list[ResultPair] = []
@@ -117,7 +117,9 @@ def _nearest_in(ctx: JoinContext, rect, ref_r: int) -> ResultPair:
     heap: MinHeap[float] = MinHeap()
     root = ctx.accessor_s.root
     heap.push(ctx.instr.real_distance(rect, root.mbr()), ("node", root.page_id))
+    deadline = ctx.deadline
     while heap:
+        deadline.tick()
         distance, (kind, target) = heap.pop()
         if kind == "object":
             return ResultPair(distance, ref_r, target)

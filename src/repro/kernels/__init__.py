@@ -30,9 +30,9 @@ charge ``cpu_real_distance`` per logical distance through
 :class:`~repro.core.stats.Instruments` however the arithmetic was
 performed.
 
-The package also holds the flat tree images (:mod:`repro.kernels.arena`)
-and the sequential engines' arena-backed sweep sides
-(:mod:`repro.kernels.flat`).
+The package also holds the flat tree images (:mod:`repro.kernels.arena`),
+the shared-memory engine's layout; the sequential engines read nodes
+through ``Node.entries`` only.
 """
 
 from __future__ import annotations

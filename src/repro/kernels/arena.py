@@ -1,18 +1,16 @@
-"""Flat struct-of-arrays tree arenas shared by every hot path.
+"""Flat struct-of-arrays tree images for the shared-memory engine.
 
-PR 7 built this layout for the shared-memory work-stealing engine; the
-sequential engines now run over the very same flat buffers (the "flat
-hot path"), so the layout, image builder and views live here in
-:mod:`repro.kernels` where both sides can import them without touching
-any ``multiprocessing`` machinery.  Constructing a plain-buffer
-:class:`TreeArena` (``use_shm=False``) imports nothing process-related:
-no shared-memory segment, no resource tracker.
+The layout is the parallel work-stealing engine's.  It lives here in
+:mod:`repro.kernels`, next to the block kernels that read it, so that
+building a plain-buffer :class:`TreeArena` (``use_shm=False``, the
+``shm-serial`` drain) imports nothing process-related: no shared-memory
+segment, no resource tracker.  The sequential engines never read an
+image; they read nodes through ``Node.entries``.
 
 Layout (all fields 8 bytes, so one contiguous buffer needs no padding).
 Rows are page ids: row ``p`` describes page ``p``, and its entries sit
 in the fixed slots ``[p*M, p*M + count)``, where ``M`` is the tree's
-``max_entries`` (the layout's slot width).  A node's bytes therefore
-never move when another node changes.
+``max_entries`` (the layout's slot width).
 
 - per row: ``lvl`` (0 = leaf), ``lo``/``hi`` (the node's slot range,
   half-open), ``cnt`` (leaf entries under the subtree — the work
@@ -24,14 +22,11 @@ never move when another node changes.
 There is one row per page id the store ever handed out (``id_bound``),
 and :class:`TreeLayout` records the root's row and the slot width.  A
 free row (a freed page, such as the bootstrap root a bulk load discards)
-and every vacated slot are zero, so a free row's range is empty.
+and every unused slot are zero, so a free row's range is empty.
 
 Versions: each tree's image is memoized per ``RTree.version``
-(:func:`tree_image`).  A tree's first image is a full build.  Every
-later version is copy-on-write: the previous image is copied section by
-section into a new buffer, and only the rows that writes stamped since
-(``RTree.changed_since``) are rewritten, by the same row writer a full
-build uses.  A published image is never written, so an arena opened
+(:func:`tree_image`), and every version's image is a full build into a
+new buffer.  A published image is never written, so an arena opened
 before a write keeps reading the tree as it was.
 
 Backings: in shm mode :class:`TreeArena` copies both images into one
@@ -117,17 +112,9 @@ class TreeLayout:
             pos = stop
 
 
-def _build_image(
-    tree: "RTree", previous: "tuple[int, tuple[TreeLayout, bytearray]] | None"
-) -> tuple[TreeLayout, bytearray]:
-    """The tree's image at its current version.
-
-    With no ``previous`` ``(version, image)`` this is a full build: every
-    live page's row, written into a zeroed buffer.  Otherwise the
-    previous image is copied into a new buffer (it may sit under open
-    arenas, so it is never written) and only the rows stamped after its
-    version are rewritten.  Rows only grow: page ids are never reused.
-    """
+def _build_image(tree: "RTree") -> tuple[TreeLayout, bytearray]:
+    """The tree's image at its current version: every live page's row,
+    written into a zeroed buffer, then each directory row's ``cnt``."""
     layout = TreeLayout(
         rows=tree.store.id_bound,
         slots=tree.max_entries,
@@ -136,33 +123,6 @@ def _build_image(
         size=tree.size,
     )
     buf = bytearray(layout.nbytes)
-    if previous is None:
-        pages = tree.store.page_ids()
-    else:
-        version, (old, old_buf) = previous
-        src = memoryview(old_buf)
-        dst = memoryview(buf)
-        for (_, _, start, stop), (_, _, at, _) in zip(
-            old.sections(), layout.sections()
-        ):
-            dst[at : at + stop - start] = src[start:stop]
-        pages = tree.changed_since(version)
-    _write_rows(tree, layout, buf, pages)
-    return layout, buf
-
-
-def _write_rows(tree: "RTree", layout: TreeLayout, buf: bytearray, pages) -> None:
-    """Rewrite the rows of ``pages`` from the tree's nodes, then their ``cnt``.
-
-    The one row writer, for full builds and patches alike.  A live
-    page's row gets its level, slot range, MBR and entries; a freed
-    page's row becomes all zero; either way the slots the row held
-    beyond its new count are zeroed.  Directory ``cnt`` follows in
-    ascending level, summing children that are either rewritten already
-    or unchanged.  That is exact because every ancestor of a changed
-    subtree count is stamped too: each write stamps every node on its
-    path, whether or not the node's entry in its parent changed.
-    """
     m = layout.slots
     sections = list(layout.sections())
     mv = memoryview(buf)
@@ -171,50 +131,39 @@ def _write_rows(tree: "RTree", layout: TreeLayout, buf: bytearray, pages) -> Non
     )
     # exmin, eymin, exmax, eymax, eref: (typecode, byte offset) of each.
     slot_fields = [(code, start) for _, code, start, _ in sections[_ROW_FIELDS:]]
-    zeros = bytes(8 * m)
     store = tree.store
     directory: list[tuple[int, int, list[int]]] = []
-    for page in pages:
+    for page in store.page_ids():
+        node = store.read(page)
+        entries = node.entries
+        n = len(entries)
         first = page * m
-        held = hi[page] - lo[page]
-        if page in store:
-            node = store.read(page)
-            entries = node.entries
-            n = len(entries)
-            rects = [entry.rect for entry in entries]
-            refs = [entry.ref for entry in entries]
-            xmins = [r.xmin for r in rects]
-            ymins = [r.ymin for r in rects]
-            xmaxs = [r.xmax for r in rects]
-            ymaxs = [r.ymax for r in rects]
-            if n:
-                for (code, start), column in zip(
-                    slot_fields, (xmins, ymins, xmaxs, ymaxs, refs)
-                ):
-                    _packer(code, n).pack_into(buf, start + 8 * first, *column)
-                # min/max keep the first extreme, as Node.mbr() does.
-                nxmin[page], nymin[page] = min(xmins), min(ymins)
-                nxmax[page], nymax[page] = max(xmaxs), max(ymaxs)
-            else:
-                nxmin[page] = nymin[page] = nxmax[page] = nymax[page] = 0.0
-            lvl[page] = node.level
-            lo[page] = first
-            hi[page] = first + n
-            if node.level:
-                directory.append((node.level, page, refs))
-            else:
-                cnt[page] = n
+        rects = [entry.rect for entry in entries]
+        refs = [entry.ref for entry in entries]
+        xmins = [r.xmin for r in rects]
+        ymins = [r.ymin for r in rects]
+        xmaxs = [r.xmax for r in rects]
+        ymaxs = [r.ymax for r in rects]
+        if n:
+            for (code, start), column in zip(
+                slot_fields, (xmins, ymins, xmaxs, ymaxs, refs)
+            ):
+                _packer(code, n).pack_into(buf, start + 8 * first, *column)
+            # min/max keep the first extreme, as Node.mbr() does.
+            nxmin[page], nymin[page] = min(xmins), min(ymins)
+            nxmax[page], nymax[page] = max(xmaxs), max(ymaxs)
+        lvl[page] = node.level
+        lo[page] = first
+        hi[page] = first + n
+        if node.level:
+            directory.append((node.level, page, refs))
         else:
-            n = 0
-            lvl[page] = lo[page] = hi[page] = cnt[page] = 0
-            nxmin[page] = nymin[page] = nxmax[page] = nymax[page] = 0.0
-        if held > n:
-            for _, start in slot_fields:
-                at = start + 8 * (first + n)
-                mv[at : at + 8 * (held - n)] = zeros[: 8 * (held - n)]
+            cnt[page] = n
+    # Ascending level: every child's count is written before its parent's.
     directory.sort(key=lambda row: row[0])
     for _, page, refs in directory:
         cnt[page] = sum(cnt[child] for child in refs)
+    return layout, buf
 
 
 @functools.lru_cache(maxsize=1024)
@@ -230,16 +179,15 @@ _IMAGES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def tree_image(tree: "RTree") -> tuple[TreeLayout, bytearray]:
     """The tree's flat ``(layout, buffer)`` image, memoized per version.
 
-    The first call builds the image in full; after a write (every write
-    bumps ``RTree.version``) the next call patches a copy of the
-    previous image (see the module docstring), so a write rebuilds only
-    the written tree's image.  Callers must not write to the buffer.
-    No lock: racing threads at worst build one version twice.
+    Every write bumps ``RTree.version``, so the first call after a write
+    builds the written tree's image in full; an unwritten tree's image
+    is reused.  Callers must not write to the buffer.  No lock: racing
+    threads at worst build one version twice.
     """
     hit = _IMAGES.get(tree)
     if hit is not None and hit[0] == tree.version:
         return hit[1]
-    image = _build_image(tree, hit)
+    image = _build_image(tree)
     _IMAGES[tree] = (tree.version, image)
     return image
 
@@ -338,16 +286,15 @@ def _segment_name() -> str:
 
 
 class TreeArena:
-    """Both trees' flat views for one join run, over their memoized images.
+    """Both trees' flat views for one parallel join, over their memoized images.
 
-    A tree written since its last arena has its image patched here (see
+    A tree written since its last arena has its image rebuilt here (see
     :func:`tree_image`); rows are page ids, so callers index a node's
     row by its page id and find the root at ``layout_r.root``.
     ``use_shm=True`` copies the images into one shared-memory segment
     (process workers attach by name); ``use_shm=False`` puts a read-only
-    view straight on each image — in-process users (the ``shm-serial``
-    drain and the sequential flat hot path) share the views directly,
-    and nothing process-related is imported.
+    view straight on each image for the ``shm-serial`` drain, and
+    nothing process-related is imported.
     """
 
     def __init__(self, tree_r: "RTree", tree_s: "RTree", use_shm: bool) -> None:

@@ -1,11 +1,11 @@
 """NumPy kernels backend: distances over whole node blocks in one call.
 
 HS evaluates a partner against an expanded node's whole child list
-(:meth:`mindist_packed_within`, or :meth:`mindist_packed`), and the
-shared-memory engine crosses node blocks of the flat images
-(:meth:`block_within`, :meth:`cross_within`).  Child lists come packed
-as zero-copy arena slices where possible
-(:meth:`repro.kernels.flat.FlatHotPath.entry_block`).
+(:meth:`mindist_packed_within`, or :meth:`mindist_packed`), over
+child lists packed by :meth:`NumpyKernels.pack_rects` once per node and
+join, and the shared-memory engine crosses node blocks of the flat
+images (:meth:`block_within`, :meth:`cross_within`), as zero-copy
+slices.
 
 Bitwise contract: distances are ``sqrt(dx*dx + dy*dy)`` with the same
 ``dx == 0`` / ``dy == 0`` shortcuts, the same ``max(dx, dy)`` fallback

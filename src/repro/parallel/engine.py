@@ -45,10 +45,11 @@ from repro.core import estimation
 from repro.core.pairs import ResultPair
 from repro.core.stats import JoinStats
 from repro.kernels import resolve_backend
+from repro.kernels.arena import TreeArena
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.merge import PairwiseBound
-from repro.parallel.shm import TreeArena, WorkerTelemetry, _mp_context
+from repro.parallel.shm import WorkerTelemetry, _mp_context
 from repro.parallel.steal import (
     SweepCounters,
     _LocalCell,

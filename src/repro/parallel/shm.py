@@ -2,9 +2,9 @@
 
 The flat struct-of-arrays tree layout itself — ``TreeLayout``,
 ``tree_image``, ``SharedTreeView``, ``TreeArena`` — lives in
-:mod:`repro.kernels.arena` now, where the *sequential* flat hot path
-imports it without touching any ``multiprocessing`` machinery.  This
-module keeps the parts only the parallel engine's workers need:
+:mod:`repro.kernels.arena`, where an in-process arena is built without
+touching any ``multiprocessing`` machinery.  This module keeps the parts
+only the parallel engine's workers need:
 
 - :func:`_mp_context` — the platform-safe start method for process
   workers;
@@ -16,8 +16,6 @@ module keeps the parts only the parallel engine's workers need:
   process exits, bpo-39959);
 - per-worker live telemetry (:class:`WorkerTelemetry` /
   :class:`WorkerSlot`) and the :func:`active_segments` leak check.
-
-The moved names are re-exported so existing imports keep working.
 """
 
 from __future__ import annotations
@@ -29,16 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.kernels.arena import (  # noqa: F401  (re-exported)
-    SHM_PREFIX,
-    SharedTreeView,
-    TreeArena,
-    TreeLayout,
-    _CoordBlock,
-    _FIELDS,
-    _segment_name,
-    tree_image,
-)
+from repro.kernels.arena import SHM_PREFIX, SharedTreeView, TreeLayout
 
 
 def _mp_context() -> multiprocessing.context.BaseContext:

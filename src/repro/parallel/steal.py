@@ -39,12 +39,12 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.core.planesweep import sweeping_index
 from repro.geometry.distances import min_distance
 from repro.kernels import resolve_backend
+from repro.kernels.arena import TreeArena
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.parallel.shm import (
     ArenaDescriptor,
     AttachedArena,
-    TreeArena,
     WorkerSlot,
     WorkerTelemetry,
     _mp_context,

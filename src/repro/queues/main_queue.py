@@ -345,7 +345,7 @@ class MainQueue:
         return self._heap[0][0]
 
     # ------------------------------------------------------------------
-    # Bulk operations (flat hot path)
+    # Bulk operations
     # ------------------------------------------------------------------
     #
     # No engine drains heads; these stay because perfbench/layers.py wraps them.

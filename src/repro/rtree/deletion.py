@@ -31,8 +31,6 @@ class _TreeLike(Protocol):
 
     def _get_node(self, page_id: int) -> Node: ...
 
-    def _touch(self, page_id: int) -> None: ...
-
 
 def delete(tree, rect: Rect, oid: int) -> bool:
     """Remove the data entry ``(rect, oid)``; True when it was found.
@@ -43,10 +41,6 @@ def delete(tree, rect: Rect, oid: int) -> bool:
     path = _find_leaf(tree, tree.root_id, rect, oid, [])
     if path is None:
         return False
-    # The leaf loses an entry, and _condense may rewrite or remove each
-    # ancestor's entry for the path node below it: stamp the whole path.
-    for node in path:
-        tree._touch(node.page_id)
     removed = path[-1].remove_ref(oid)
     orphans: list[Item] = []
     if not _keeps_mbr(tree, path, len(path) - 1, removed.rect):
@@ -126,6 +120,5 @@ def _shrink_root(tree) -> None:
         if root.is_leaf or len(root.entries) != 1:
             return
         child_id = root.entries[0].ref
-        tree._touch(tree.root_id)
         tree.store.free(tree.root_id)
         tree.root_id = child_id

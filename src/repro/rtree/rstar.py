@@ -38,11 +38,9 @@ Seeger (SIGMOD 1990):
   minimum combined area).
 
 The inserter is deliberately independent of :class:`repro.rtree.tree.RTree`
-— it talks to a small duck-typed surface (`_get_node`, `_alloc_node`,
-``_touch``, ``root_id``, ``max_entries``, ``min_entries``) so it can be
-unit tested against a trivial in-memory harness.  It stamps (``_touch``)
-every node on an insert path and every new sibling, so the flat image
-knows which rows to rewrite.
+— it talks to a small duck-typed surface (``_get_node``, ``_alloc_node``,
+``_grow_root``, ``root_id``, ``max_entries``, ``min_entries``) so it can
+be unit tested against a trivial in-memory harness.
 """
 
 from __future__ import annotations
@@ -68,8 +66,6 @@ class _TreeLike(Protocol):
     def _get_node(self, page_id: int) -> Node: ...
 
     def _alloc_node(self, level: int) -> Node: ...
-
-    def _touch(self, page_id: int) -> None: ...
 
     def _grow_root(self, first: Item, second: Item) -> None: ...
 
@@ -125,7 +121,6 @@ class RStarInserter:
         entry for ``node`` (done below on the way up, only where the MBR
         can have moved: module docstring).
         """
-        self._tree._touch(node.page_id)
         if node.level == entry.level + 1:
             node.add(entry)
         else:
@@ -263,7 +258,6 @@ class RStarInserter:
         )
         node.entries = group_a
         sibling = self._tree._alloc_node(node.level)
-        self._tree._touch(sibling.page_id)
         sibling.entries = group_b
         return sibling.item()
 

@@ -77,13 +77,10 @@ class RTree:
         root = self._alloc_node(level=0)
         self.root_id = root.page_id
         self.size = 0
-        #: Mutation counter, bumped by every insert/delete: the memoized
-        #: flat image is patched and open incremental streams go stale.
+        #: Mutation counter, bumped by every insert/delete: open
+        #: incremental streams go stale, and the parallel engine's next
+        #: flat image of this tree is a new build.
         self.version = 0
-        #: page id -> version of the write that last changed, allocated or
-        #: freed that page (see :meth:`_touch`); the flat image rewrites
-        #: only the rows stamped after its previous version.
-        self._stamps: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -147,23 +144,8 @@ class RTree:
     def _get_node(self, page_id: int) -> Node:
         return self.store.read(page_id)
 
-    def _touch(self, page_id: int) -> None:
-        """Stamp a page the running write changes, allocates or frees.
-
-        The stamp is the version the write will publish.  Every write
-        path stamps through here (R* insert paths and splits, deletion
-        paths, root growth and shrinking); bulk loads and file loads
-        stamp nothing, because a new tree's first image is a full build.
-        """
-        self._stamps[page_id] = self.version + 1
-
-    def changed_since(self, version: int) -> list[int]:
-        """Page ids some write after ``version`` changed, allocated or freed."""
-        return [page for page, stamp in self._stamps.items() if stamp > version]
-
     def _grow_root(self, first: Item, second: Item) -> None:
         new_root = self._alloc_node(first.level + 1)
-        self._touch(new_root.page_id)
         new_root.add(first)
         new_root.add(second)
         self.root_id = new_root.page_id

@@ -13,6 +13,7 @@ from hypothesis import settings
 
 from repro.geometry.distances import min_distance
 from repro.geometry.rect import Rect
+from repro.kernels.arena import SharedTreeView, tree_image
 from repro.rtree.tree import RTree
 
 
@@ -25,8 +26,8 @@ else:
     BACKENDS = ("python", "numpy")
 
 #: ``--hypothesis-profile fuzz``: the seeded fuzzers
-#: (``test_image_contract.py``, ``test_write_differential.py``,
-#: ``test_pruning_bounds.py``) at the seed budget of their own CI step.
+#: (``test_write_differential.py``, ``test_pruning_bounds.py``,
+#: ``test_rstar.py``) at the seed budget of their own CI step.
 #: Other suites set their own counts.
 settings.register_profile("fuzz", max_examples=150, deadline=None)
 
@@ -104,17 +105,48 @@ def fingerprint(pairs, stats) -> tuple[str, str, float]:
     )
 
 
+def assert_image_describes(tree):
+    """The tree's memoized image is a full build of its current nodes:
+    every live page's row holds its level, MBR and entries, every other
+    row is empty, and every row's ``cnt`` is its subtree's object count."""
+    layout, buf = tree_image(tree)
+    assert (layout.rows, layout.root, layout.size) == (
+        tree.store.id_bound, tree.root_id, tree.size
+    )
+    view = SharedTreeView(layout, memoryview(buf).toreadonly())
+    try:
+        counts = {}
+        for node in sorted(tree.iter_nodes(), key=lambda node: node.level):
+            row = node.page_id
+            lo, hi = view.span(row)
+            assert (int(view.lvl[row]), hi - lo) == (node.level, len(node.entries))
+            if node.entries:  # an empty root has no MBR
+                assert view.node_rect(row) == node.mbr()
+            assert [
+                (view.entry_rect(j), int(view.eref[j])) for j in range(lo, hi)
+            ] == [(entry.rect, entry.ref) for entry in node.entries]
+            counts[row] = (
+                len(node.entries) if node.is_leaf
+                else sum(counts[entry.ref] for entry in node.entries)
+            )
+            assert int(view.cnt[row]) == counts[row]
+        for row in set(range(layout.rows)) - set(counts):
+            assert view.span(row) == (0, 0)
+    finally:
+        view.release()
+
+
 @pytest.fixture
 def image_builds(monkeypatch):
-    """``(tree, "build" | "patch")`` for every flat image made, in order."""
+    """The tree of every flat image built, in order (each is a full build)."""
     from repro.kernels import arena
 
     calls = []
     real = arena._build_image
 
-    def counting(tree, previous):
-        calls.append((tree, "build" if previous is None else "patch"))
-        return real(tree, previous)
+    def counting(tree):
+        calls.append(tree)
+        return real(tree)
 
     monkeypatch.setattr(arena, "_build_image", counting)
     return calls
@@ -146,24 +178,6 @@ def kernels_backend():
             kernels._BACKEND = saved
 
     return use
-
-
-@pytest.fixture
-def flat_served(monkeypatch):
-    """Node sides the flat body sorted (``FlatHotPath.sorted_side`` hits)."""
-    from repro.kernels.flat import FlatHotPath
-
-    served = []
-    real = FlatHotPath.sorted_side
-
-    def counting(self, *args):
-        side = real(self, *args)
-        if side is not None:
-            served.append(side)
-        return side
-
-    monkeypatch.setattr(FlatHotPath, "sorted_side", counting)
-    return served
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,14 @@
-"""The arena sort serves every backend, with or without NumPy.
+"""The sweep's node sides: one exact sort, once per join, on every backend.
 
-``FlatHotPath.sorted_side`` must return exactly what
-``PlaneSweeper._sort_side`` returns for the same node: the same item
-objects in the same stable tie order, and the same key floats, whether
-it sorts with NumPy's stable argsort or in pure Python.  Under the
-pure-Python backend the sweeping engines must still be served from the
-arena.
+``PlaneSweeper._side`` serves each node side from the sweeper's own
+per-join cache, sorted once per axis and direction by ``_sort_side``.
+That must equal the decorate-sort on (key, child index) for every node:
+the same item objects in the same stable tie order (``-0.0`` beside
+``0.0`` included) and the same key bits, on a miss and on a hit, under
+either kernels backend.  A hit must still charge the sort, and an object
+side (whose id can equal a page id) must never be kept.  The module and
+test names date from the flat-arena sort these checks used to compare;
+the sweep now sorts ``Node.entries`` itself.
 """
 
 import random
@@ -13,10 +16,10 @@ import struct
 
 import pytest
 
-from repro import JoinRunner, Rect, RTree
+from repro import Rect, RTree
 from repro.core.base import JoinContext
+from repro.core.pairs import Item
 from repro.core.planesweep import PlaneSweeper
-from repro.kernels import flat as flat_mod
 
 #: Edge coordinates that collide: duplicate keys, and 0.0 beside -0.0.
 EDGES = (-2.5, -0.0, 0.0, 2.5, 5.0)
@@ -35,6 +38,7 @@ def colliding_items(n, seed):
 @pytest.fixture(scope="module")
 def trees():
     # R is built by inserts (entries in arrival order), S by bulk load.
+    # The two trees share page ids, so a side's key must name its tree.
     tree_r = RTree(max_entries=8)
     tree_r.insert_all(colliding_items(300, seed=1))
     tree_s = RTree.bulk_load(colliding_items(200, seed=2), max_entries=16)
@@ -42,14 +46,10 @@ def trees():
 
 
 @pytest.fixture(params=["numpy", "pure-python"])
-def sort_path(request, monkeypatch):
-    """Run ``sorted_side`` with NumPy's argsort, or with NumPy hidden."""
-    if request.param == "numpy":
-        if flat_mod._np is None:
-            pytest.skip("NumPy is not importable")
-    else:
-        monkeypatch.setattr(flat_mod, "_np", None)
-    return request.param
+def sort_path(request, kernels_backend):
+    """Run the join context on the NumPy or the pure-Python backend."""
+    with kernels_backend("numpy" if request.param == "numpy" else "python"):
+        yield request.param
 
 
 def node_sides(ctx, side_r):
@@ -64,6 +64,15 @@ def node_sides(ctx, side_r):
     return sides
 
 
+def decorate_sort(items, axis, forward):
+    """The reference side sort: decorate-sort on (key, child index)."""
+    if forward:
+        keyed = sorted((it.rect.lo(axis), i) for i, it in enumerate(items))
+    else:
+        keyed = sorted((-it.rect.hi(axis), i) for i, it in enumerate(items))
+    return [items[i] for _, i in keyed], [k for k, _ in keyed]
+
+
 def bits(keys):
     """Keys as raw IEEE bytes, so 0.0 and -0.0 differ."""
     return [struct.pack("<d", key) for key in keys]
@@ -74,28 +83,33 @@ def bits(keys):
 def test_sorted_side_equals_sort_side(trees, sort_path, axis, forward):
     ties = signed_zeros = 0
     with JoinContext(*trees) as ctx:
-        flat = ctx.flat_path()
         sweeper = PlaneSweeper(ctx.instr)
-        for side_r in (True, False):
-            for item, children in node_sides(ctx, side_r):
-                items, keys = flat.sorted_side(side_r, item, children, axis, forward)
-                want_items, want_keys = sweeper._sort_side(children, axis, forward)
-                assert [id(x) for x in items] == [id(x) for x in want_items]
-                assert bits(keys) == bits(want_keys)
-                ties += len(set(keys)) < len(keys)
-                signed_zeros += len({bits([k])[0] for k in keys if k == 0.0}) == 2
+        for _ in range(2):  # every side misses, then hits
+            for side_r in (True, False):
+                for item, children in node_sides(ctx, side_r):
+                    items, keys = sweeper._side(item, children, side_r, axis, forward)
+                    want_items, want_keys = decorate_sort(children, axis, forward)
+                    assert [id(x) for x in items] == [id(x) for x in want_items]
+                    assert bits(keys) == bits(want_keys)
+                    ties += len(set(keys)) < len(keys)
+                    signed_zeros += len({bits([k])[0] for k in keys if k == 0.0}) == 2
     # The data must exercise what the sort has to get right.
     assert ties > 10
     assert signed_zeros > 0
 
 
-@pytest.mark.parametrize("algorithm", ["bkdj", "sjsort"])
-def test_python_backend_sweeps_from_the_arena(
-    trees, flat_served, kernels_backend, algorithm
-):
-    runner = JoinRunner(*trees)
-    oracle = runner.kdj(200, "nlj")
-    with kernels_backend("python"):
-        result = runner.kdj(200, algorithm, oracle.results[-1].distance)
-    assert flat_served, f"{algorithm} did not sweep on the flat body"
-    assert sorted(result.distances) == oracle.distances
+def test_hits_charge_the_sort_and_object_sides_are_not_kept(trees, monkeypatch):
+    with JoinContext(*trees) as ctx:
+        charged = []
+        monkeypatch.setattr(ctx.instr, "charge_sort", charged.append)
+        sweeper = PlaneSweeper(ctx.instr)
+        root = ctx.root_items()[0]
+        children = ctx.children_r(root)
+        first = sweeper._side(root, children, True, 0, True)
+        assert sweeper._side(root, children, True, 0, True) is first
+        assert charged == [len(children), len(children)]
+        # An object whose id equals the root's page id sorts alone.
+        obj = Item.object(Rect(9.0, 9.0, 9.0, 9.0), root.ref)
+        assert sweeper._side(obj, [obj], True, 0, True) == ([obj], [9.0])
+        assert charged == [len(children), len(children), 1]
+        assert list(sweeper._sides) == [(True, root.ref, 0, True)]

@@ -1,24 +1,49 @@
 """Tests for R* insertion internals: split selection and the inserter."""
 
 import collections
+import contextlib
 import hashlib
 import math
 import random
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.datagen.tiger import synthetic_tiger
 from repro.geometry.rect import Rect
+from repro.rtree import deletion, rstar
 from repro.rtree.entries import Item
 from repro.rtree.node import Node
 from repro.rtree.rstar import RStarInserter, choose_split
 from repro.rtree.tree import RTree
 
 from tests.conftest import random_rects, seed_budget
-from tests.test_image_contract import write_events
 from tests.test_pruning_bounds import written_tree
+
+
+@contextlib.contextmanager
+def write_events():
+    """Count the R* and CondenseTree events the writes inside reach."""
+    seen = collections.Counter()
+
+    def spy(owner, name, event, when=None):
+        real = getattr(owner, name)
+
+        def wrapped(*args):
+            result = real(*args)
+            if when is None or when(*args):
+                seen[event] += 1
+            return result
+
+        return mock.patch.object(owner, name, wrapped)
+
+    with spy(rstar.RStarInserter, "_split", "split"), \
+            spy(rstar.RStarInserter, "_force_reinsert", "reinsert"), \
+            spy(deletion, "_condense", "orphans",
+                when=lambda tree, path, orphans: bool(orphans)):
+        yield seen
 
 
 def entries_from(rects: list[Rect]) -> list[Item]:

@@ -17,18 +17,13 @@ import pytest
 from repro.core.api import JoinConfig, JoinRunner
 from repro.geometry.distances import min_distance
 from repro.geometry.rect import Rect
+from repro.kernels.arena import SharedTreeView, TreeArena, tree_image
 from repro.parallel.engine import parallel_kdj
-from repro.parallel.shm import (
-    AttachedArena,
-    SharedTreeView,
-    TreeArena,
-    active_segments,
-    tree_image,
-)
+from repro.parallel.shm import AttachedArena, active_segments
 from repro.resilience.faults import FaultPlan
 from repro.rtree.tree import RTree
 
-from tests.conftest import BACKENDS
+from tests.conftest import BACKENDS, assert_image_describes
 
 
 def _points(n, seed, span=1000.0):
@@ -452,28 +447,32 @@ class TestCrashRecovery:
 
 
 class TestMutatedTree:
-    """A write to S patches S's image alone; R's image is reused."""
+    """A write to S rebuilds S's image alone; R's image is reused, and
+    the sequential engines build none."""
 
     @pytest.mark.parametrize("mode", ["shm-serial", "shm-process"])
     def test_mode_tracks_write_and_reuses_r_image(self, mode, image_builds):
         tree_r = RTree.bulk_load(_points(800, 41))
         items_s = _points(800, 42)
         tree_s = RTree.bulk_load(items_s)
-        TreeArena(tree_r, tree_s, use_shm=False).close()  # cache both images
+        config = JoinConfig(parallel=2, parallel_mode=mode)
+        before = parallel_kdj(tree_r, tree_s, 300, config=config)
+        assert image_builds == [tree_r, tree_s]
         image_r = tree_image(tree_r)
+        assert _stream(before) == _stream(JoinRunner(tree_r, tree_s).kdj(300, "amkdj"))
         rng = random.Random(43)
         for rect, oid in items_s[:40]:
             assert tree_s.delete(rect, oid)
             tree_s.insert(
                 Rect.from_point(rng.uniform(0, 1000), rng.uniform(0, 1000)), oid
             )
-        del image_builds[:]
-        config = JoinConfig(parallel=2, parallel_mode=mode)
-        result = parallel_kdj(tree_r, tree_s, 300, config=config)
-        assert image_builds == [(tree_s, "patch")]
-        # The sequential reference reuses the patched image.
         seq = JoinRunner(tree_r, tree_s).kdj(300, "amkdj")
-        assert image_builds == [(tree_s, "patch")]
+        assert image_builds == [tree_r, tree_s]
+        result = parallel_kdj(tree_r, tree_s, 300, config=config)
+        assert image_builds == [tree_r, tree_s, tree_s]
+        assert_image_describes(tree_s)
         assert _stream(result) == _stream(seq)
+        assert _stream(seq) == _stream(JoinRunner(tree_r, tree_s).kdj(300, "nlj"))
         assert tree_image(tree_r) is image_r
+        assert image_builds == [tree_r, tree_s, tree_s]
         assert active_segments() == []

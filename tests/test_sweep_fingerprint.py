@@ -125,12 +125,15 @@ def test_sweep_output_matches_the_recorded_fingerprint(trees, name):
 
 
 # ----------------------------------------------------------------------
-# SJ-SORT and the within-distance join: flat body == object-graph body
+# SJ-SORT and the within-distance join == the object-graph body
 # ----------------------------------------------------------------------
 
-#: Fingerprints of the object-graph sweep body's runs, which the flat
-#: body must reproduce bit for bit: stream, Table-2 row and simulated
-#: clock.  Recorded with both bodies and both kernel backends agreeing.
+#: Fingerprints of the object-graph sweep body's runs, which the sweep
+#: must reproduce bit for bit: stream, Table-2 row and simulated clock.
+#: Recorded with the object-graph and flat-arena bodies and both kernel
+#: backends agreeing; the test names keep "flat" from that comparison,
+#: and the sweep now sorts node sides from ``Node.entries``, once per
+#: join.
 OBJECT_GRAPH = {
     ("sjsort", 5): (
         "ceaceba70c44e373432b9ef0b73c6cc5ec8fb952e1a79375677c1426db790fd1",
@@ -202,33 +205,26 @@ def pairs(result):
     return {(p.ref_r, p.ref_s) for p in result.results}
 
 
-def test_sjsort_flat_equals_object_graph_at_oracle_dmax(
-    request, seeded_trees, flat_served
-):
+def test_sjsort_flat_equals_object_graph_at_oracle_dmax(request, seeded_trees):
     seed = request.node.callspec.params["seeded_trees"]
     oracle = JoinRunner(*seeded_trees).kdj(60, "nlj")
     dmax = oracle.results[-1].distance
     assert dmax > 0.0
     got = JoinRunner(*seeded_trees).kdj(60, "sjsort", dmax)
-    assert flat_served, "SJ-SORT did not sweep on the flat body"
     assert got.distances == oracle.distances
     assert fingerprint(got.results, got.stats) == OBJECT_GRAPH["sjsort", seed]
 
 
-def test_sjsort_flat_equals_object_graph_over_touching_pairs(
-    touching_trees, flat_served
-):
+def test_sjsort_flat_equals_object_graph_over_touching_pairs(touching_trees):
     got = JoinRunner(*touching_trees).kdj(10_000, "sjsort", 0.0)
-    assert flat_served, "SJ-SORT did not sweep on the flat body"
     assert len(got) > 100
     assert pairs(got) == brute_force_within(*touching_items(), 0.0)
     assert fingerprint(got.results, got.stats) == OBJECT_GRAPH["sjsort", "touching"]
 
 
 @pytest.mark.parametrize("dmax", [0.0, 6.0])
-def test_within_join_flat_equals_object_graph(touching_trees, flat_served, dmax):
+def test_within_join_flat_equals_object_graph(touching_trees, dmax):
     got = within_distance_join(*touching_trees, dmax)
-    assert flat_served, "the within-join did not sweep on the flat body"
     assert len(got) > 100
     assert pairs(got) == brute_force_within(*touching_items(), dmax)
     assert fingerprint(got.results, got.stats) == OBJECT_GRAPH["within", dmax]

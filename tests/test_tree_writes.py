@@ -1,14 +1,15 @@
 """Joins over trees that are written between (and during) joins.
 
-Each tree's flat image is memoized per ``RTree.version``: a write must
-patch exactly the tree it changed, every join must see the tree as it
-is now, joins over unchanged trees must share what earlier joins built,
-an arena opened before a write must keep reading the old version, and a
-dropped tree must take its image with it.  A node's children are its
-own entries list, which writes edit in place.  An open incremental
-stream cannot follow a write at all, so it must refuse to go on
-(``StaleStreamError``) instead of serving pairs that name deleted
-objects.
+The sequential engines read nodes through ``Node.entries`` only, which
+writes edit in place: every join must see the tree as it is now, and
+none may build a flat image, before or after writes.  Flat images are
+the parallel engine's: each tree's image is memoized per
+``RTree.version``, so a parallel join after a write builds the written
+tree's image once, in full, and reuses the other's; an arena opened
+before a write must keep reading the old version, and a dropped tree
+must take its image with it.  An open incremental stream cannot follow
+a write at all, so it must refuse to go on (``StaleStreamError``)
+instead of serving pairs that name deleted objects.
 """
 
 import gc
@@ -19,16 +20,18 @@ import weakref
 
 import pytest
 
-from repro import JoinConfig, JoinRunner, Rect, RTree
+from repro import JoinConfig, JoinRunner, Rect, RTree, within_distance_join
+from repro.core.api import JoinResult
 from repro.core.base import JoinContext
 from repro.geometry.distances import min_distance
 from repro.kernels import arena as arena_mod
 from repro.kernels.arena import TreeArena, tree_image
+from repro.parallel.engine import parallel_kdj
 from repro.resilience import StaleStreamError
 from repro.rtree import FileRTree
 
-#: Engines the flat path serves; ``nlj`` is the brute-force oracle.
-FLAT_KDJ = ("amkdj", "bkdj", "hs", "sjsort")
+#: The sequential KDJ engines; ``nlj`` is the brute-force oracle.
+SEQUENTIAL_KDJ = ("amkdj", "bkdj", "hs", "sjsort")
 
 
 def quantized_rects(n, seed):
@@ -62,13 +65,22 @@ def assert_matches_oracle(result, oracle, live_r, live_s):
 
 
 # ----------------------------------------------------------------------
-# Per-tree images
+# Sequential joins build no image; parallel joins build one per version
 # ----------------------------------------------------------------------
 
 
-def test_flat_joins_follow_writes_and_patch_only_the_written_tree(
-    image_builds, tmp_path
-):
+def sequential_joins(tree_r, tree_s, k):
+    """Every sequential engine's run over the trees, keyed by name: the
+    KDJ engines, an AM-IDJ pull of ``k`` pairs and the within-join."""
+    runner = JoinRunner(tree_r, tree_s)
+    runs = {algorithm: runner.kdj(k, algorithm) for algorithm in SEQUENTIAL_KDJ}
+    with runner.idj("amidj") as pull:
+        runs["amidj"] = JoinResult(pull.next_batch(k), pull.stats())
+    runs["within"] = within_distance_join(tree_r, tree_s, 5.0)
+    return runs
+
+
+def test_sequential_joins_follow_writes_and_build_no_image(image_builds, tmp_path):
     items_r = quantized_rects(400, seed=61)
     items_s = quantized_rects(300, seed=62)
     tree_r = RTree.bulk_load(items_r, max_entries=16)
@@ -76,7 +88,6 @@ def test_flat_joins_follow_writes_and_patch_only_the_written_tree(
     live_r = {oid: rect for rect, oid in items_r}
     live_s = {oid: rect for rect, oid in items_s}
     rng = random.Random(63)
-    image_r = None
     for step in range(5):
         if step:
             # One update step: move 10 S objects (delete + insert).
@@ -85,52 +96,48 @@ def test_flat_joins_follow_writes_and_patch_only_the_written_tree(
                 x, y = rng.randrange(0, 400) * 2.5, rng.randrange(0, 400) * 2.5
                 live_s[oid] = Rect(x, y, x, y)
                 tree_s.insert(live_s[oid], oid)
-        del image_builds[:]
-        runner = JoinRunner(tree_r, tree_s)
-        oracle = runner.kdj(120, "nlj")
-        results = {algorithm: runner.kdj(120, algorithm) for algorithm in FLAT_KDJ}
-        if step:
-            # The first join after the writes patches S once; the other
-            # joins reuse that image, and R's image object is reused.
-            assert image_builds == [(tree_s, "patch")], step
-            assert tree_image(tree_r) is image_r
-        else:
-            assert image_builds == [(tree_r, "build"), (tree_s, "build")]
-            image_r = tree_image(tree_r)
-        # Reference: the written trees saved and loaded back, so each
-        # copy gets a full image build and an empty child-list memo.
+        oracle = JoinRunner(tree_r, tree_s).kdj(120, "nlj")
+        runs = sequential_joins(tree_r, tree_s, 120)
+        assert image_builds == [], step
+        # Reference: the written trees saved and loaded back.
         tree_r.save(tmp_path / "r.rt")
         tree_s.save(tmp_path / "s.rt")
         copies = RTree.load(tmp_path / "r.rt"), RTree.load(tmp_path / "s.rt")
-        baseline = JoinRunner(*copies)
-        for algorithm, got in results.items():
-            ref = baseline.kdj(120, algorithm)
-            assert stream(got) == stream(ref), (step, algorithm)
-            assert row(got) == row(ref), (step, algorithm)
-            assert_matches_oracle(got, oracle, live_r, live_s)
-        assert image_builds[-2:] == [(copies[0], "build"), (copies[1], "build")]
+        baseline = sequential_joins(*copies, 120)
+        assert image_builds == [], step
+        for name, got in runs.items():
+            assert stream(got) == stream(baseline[name]), (step, name)
+            assert row(got) == row(baseline[name]), (step, name)
+            if name != "within":
+                assert_matches_oracle(got, oracle, live_r, live_s)
+        assert {(p.ref_r, p.ref_s) for p in runs["within"].results} == {
+            (oid_r, oid_s)
+            for oid_r, rect_r in live_r.items()
+            for oid_s, rect_s in live_s.items()
+            if min_distance(rect_r, rect_s) <= 5.0
+        }
 
 
-def test_self_join_arena_builds_once_and_patches_once(image_builds):
+def test_self_join_arena_builds_once_per_version(image_builds):
     tree = RTree.bulk_load(quantized_rects(200, seed=64), max_entries=8)
     arena = TreeArena(tree, tree, use_shm=False)
     try:
-        assert image_builds == [(tree, "build")]
+        assert image_builds == [tree]
         assert bytes(arena.view_r.eref) == bytes(arena.view_s.eref)
     finally:
         arena.close()
     TreeArena(tree, tree, use_shm=False).close()
-    assert image_builds == [(tree, "build")]
+    assert image_builds == [tree]
     tree.insert(Rect(1.0, 1.0, 3.5, 2.5), 10_000)
     with TreeArena(tree, tree, use_shm=False) as arena:
         assert arena.view_r.layout is arena.view_s.layout
-    assert image_builds == [(tree, "build"), (tree, "patch")]
+    assert image_builds == [tree, tree]
 
 
 def test_arena_opened_before_a_write_keeps_its_version():
-    # Copy-on-write: a patch copies the image it replaces, so views on
-    # the old image (an open stream's arena, another thread's join) read
-    # the pre-write coordinates after the write and after the patch.
+    # A new version's image is a new buffer, so views on the old image
+    # (another thread's parallel join) read the pre-write coordinates
+    # after the write and after the next build.
     items = quantized_rects(300, seed=67)
     tree = RTree.bulk_load(items, max_entries=8)
     rect, oid = items[17]
@@ -187,7 +194,8 @@ def test_dropped_tree_frees_its_image():
     gc.collect()
     before = len(arena_mod._IMAGES)
     tree = RTree.bulk_load(quantized_rects(200, seed=66), max_entries=8)
-    result = JoinRunner(tree, tree).kdj(20, "amkdj")
+    config = JoinConfig(parallel=1, parallel_mode="shm-serial")
+    result = parallel_kdj(tree, tree, 20, config=config)
     assert len(result) == 20
     assert len(arena_mod._IMAGES) == before + 1
     alive = weakref.ref(tree)
@@ -280,7 +288,7 @@ def test_writes_rebuild_only_the_written_trees_child_lists():
     live_r = {oid: rect for rect, oid in items_r}
     live_s = {oid: rect for rect, oid in items_s}
     runner = JoinRunner(tree_r, tree_s)
-    for algorithm in FLAT_KDJ:
+    for algorithm in SEQUENTIAL_KDJ:
         runner.kdj(100, algorithm)
     with JoinContext(tree_r, tree_s) as ctx:
         before_r = child_lists(ctx, True)
@@ -305,7 +313,7 @@ def test_writes_rebuild_only_the_written_trees_child_lists():
     # each S node's entries as they are now.
     assert all(after_s[page] is tree_s.store.read(page).entries for page in after_s)
     oracle = runner.kdj(100, "nlj")
-    for algorithm in FLAT_KDJ:
+    for algorithm in SEQUENTIAL_KDJ:
         assert_matches_oracle(runner.kdj(100, algorithm), oracle, live_r, live_s)
 
 
@@ -334,9 +342,8 @@ def test_op_sequence_matches_fresh_trees_op_for_op():
 
 
 def test_threads_racing_on_the_child_memo_still_agree():
-    # Joins in threads share the trees' nodes and memoized images; a
-    # race may build an image twice, but every join must still be the
-    # lone join.
+    # Joins in threads share the trees' nodes; every join must still be
+    # the lone join.
     items_r = quantized_rects(300, seed=90)
     items_s = quantized_rects(250, seed=91)
     trees = (RTree.bulk_load(items_r, max_entries=8),
@@ -346,12 +353,12 @@ def test_threads_racing_on_the_child_memo_still_agree():
             RTree.bulk_load(items_r, max_entries=8),
             RTree.bulk_load(items_s, max_entries=8),
         ).kdj(80, algorithm)
-        for algorithm in FLAT_KDJ
+        for algorithm in SEQUENTIAL_KDJ
     }
     results = {}
 
     def join(i):
-        algorithm = FLAT_KDJ[i % len(FLAT_KDJ)]
+        algorithm = SEQUENTIAL_KDJ[i % len(SEQUENTIAL_KDJ)]
         results[i] = (algorithm, JoinRunner(*trees).kdj(80, algorithm))
 
     threads = [threading.Thread(target=join, args=(i,)) for i in range(8)]

@@ -7,6 +7,7 @@ import pytest
 from repro import RTree, all_nearest_neighbors, within_distance_join
 from repro.core.api import JoinConfig, JoinRunner
 from repro.geometry.distances import min_distance
+from repro.resilience import JoinDeadlineExceeded
 
 from tests.conftest import brute_force_within, random_rects
 
@@ -100,3 +101,17 @@ class TestAllNearestNeighbors:
         ).stats
         assert stats.node_accesses > 0
         assert stats.node_accesses_unbuffered >= stats.node_accesses
+
+    def test_tiny_deadline_raises(self, datasets):
+        *_, tree_r, tree_s = datasets
+        with pytest.raises(JoinDeadlineExceeded):
+            all_nearest_neighbors(tree_r, tree_s, JoinConfig(deadline_s=1e-9))
+
+    def test_unexpired_deadline_changes_nothing(self, datasets):
+        *_, tree_r, tree_s = datasets
+        plain = all_nearest_neighbors(tree_r, tree_s)
+        timed = all_nearest_neighbors(tree_r, tree_s, JoinConfig(deadline_s=3600.0))
+        assert timed.results == plain.results
+        row, timed_row = plain.stats.as_row(), timed.stats.as_row()
+        del row["wall_time"], timed_row["wall_time"]
+        assert timed_row == row

@@ -31,10 +31,9 @@ import math
 from typing import Iterator
 
 from repro.core import estimation
-from repro.core.base import JoinContext
-from repro.core.pairs import Item, PairPayload, ResultPair
+from repro.core.base import JoinContext, kdj_emit
+from repro.core.pairs import PairPayload, ResultPair
 from repro.core.planesweep import ExpansionRecord, PlaneSweeper, static_cutoff
-from repro.obs.metrics import StageMeter
 
 #: Stage-target growth when the user keeps asking for more results
 #: (capped at |R| x |S|, see :func:`_pairs`).
@@ -86,139 +85,86 @@ def amidj(
     if initial_k <= 0:
         raise ValueError("initial_k must be positive")
     state = state if state is not None else AMIDJState()
-    # On resume the roots were consumed (and charged) pre-checkpoint;
-    # re-fetching them would skew node-access counters.
-    roots = ctx.root_items() if resume is None else None
-    if roots is None and resume is None:
-        return
-
     queue = ctx.main_queue
     records: list[ExpansionRecord] = []
-    sweeper = PlaneSweeper(
-        ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction
-    )
-    tracer = ctx.instr.tracer
-    metrics = ctx.instr.metrics
-    result_hist = metrics.histogram("result_distance") if metrics is not None else None
-    live = ctx.instr.live
-
     schedule = list(edmax_schedule or [])
     target_k = initial_k
-    if resume is not None:
-        schedule = list(resume["schedule"])
-        target_k = resume["target_k"]
-        edmax = resume["edmax"]
-        produced = resume["produced"]
-        last_distance = resume["last_distance"]
-        saved = resume["state"]
-        state.stage = saved["stage"]
-        state.edmax = saved["edmax"]
-        state.produced = saved["produced"]
-        state.compensations = saved["compensations"]
-        state.comp_records_peak = saved["comp_records_peak"]
-    else:
-        edmax = schedule.pop(0) if schedule else ctx.initial_edmax(target_k)
-        if not math.isfinite(edmax):
-            # No density model: fall back to a diameter-bounded cutoff so
-            # the algorithm still terminates (degenerates to one giant
-            # stage).
-            edmax = _space_diameter(ctx)
-        state.edmax = edmax
-        produced = 0
-        last_distance = 0.0
+    edmax = 0.0
+    produced = 0
+    last_distance = 0.0
 
-    # Staged inserts, bulk-pushed after each sweep (pop order is
-    # insertion-timing invariant within one expansion).
-    staged: list[tuple[float, PairPayload]] = []
-
-    def emit(item_r: Item, item_s: Item, real: float) -> None:
-        staged.append((real, PairPayload(item_r, item_s)))
-
-    if live is not None:
-        live.set_stage(f"s{state.stage}")
-        live.set_cutoffs(edmax, math.inf)
-    tracer.begin("join:amidj", initial_k=initial_k)
-    tracer.event("edmax", reason="init", old=math.inf, new=edmax, actual=math.inf)
-    stage_name = f"stage:{state.stage}"
-    tracer.begin(stage_name, edmax=edmax)
-    batch = tracer.batcher("expand")
-    # Meter baseline before the root-pair distance: every charged
-    # computation lands in a stage delta.
-    meter = StageMeter(ctx.instr) if tracer.enabled or metrics is not None else None
-
-    if resume is not None:
-        queue.restore(resume["queue"])
-        records = list(resume["records"])
-        ctx.restore_buffers(resume.get("buffers"))
-    else:
-        root_r, root_s = roots
-        queue.insert(
-            ctx.instr.real_distance(root_r.rect, root_s.rect),
-            PairPayload(root_r, root_s),
-        )
-
-    ckpt = ctx.checkpoint
-
-    def build_checkpoint() -> dict:
+    def capture() -> dict:
         stats = ctx.make_stats("amidj", produced, produced)
         stats.compensation_stages = state.compensations
         stats.compensation_peak = state.comp_records_peak
-        return {
-            "mode": "exact",
-            "engine": {
-                "queue": queue.snapshot(),
+        return ctx.exact_checkpoint(
+            {
                 "records": list(records),
                 "schedule": list(schedule),
                 "target_k": target_k,
                 "edmax": edmax,
                 "produced": produced,
                 "last_distance": last_distance,
-                "buffers": ctx.buffer_state(),
-                "state": {
-                    "stage": state.stage,
-                    "edmax": state.edmax,
-                    "produced": state.produced,
-                    "compensations": state.compensations,
-                    "comp_records_peak": state.comp_records_peak,
-                },
+                "state": dict(vars(state)),
             },
-            "stats": stats,
-        }
-
-    def advance_stage() -> float:
-        """Stage boundary: close the span, re-estimate, resume records."""
-        nonlocal stage_name, target_k
-        batch.flush()
-        tracer.end(stage_name, results=produced)
-        if meter is not None:
-            meter.stage_end(f"s{state.stage}")
-        old_edmax = edmax
-        new_edmax = _next_stage(ctx, state, schedule, produced, last_distance,
-                                target_k, edmax)
-        target_k = min(
-            max(int(target_k * TARGET_GROWTH), produced + initial_k), _pairs(ctx)
+            stats,
         )
-        if tracer.enabled:
-            tracer.event("edmax", reason="stage", old=old_edmax, new=new_edmax,
-                         actual=last_distance)
-            tracer.event("compensation_resume", records=len(records),
-                         produced=produced)
-        _refill(queue, records)
-        stage_name = f"stage:{state.stage}"
-        if live is not None:
-            live.stage_done()
-            live.set_stage(f"s{state.stage}")
-            live.set_cutoffs(new_edmax, math.inf)
-        tracer.begin(stage_name, edmax=new_edmax)
-        return new_edmax
 
-    deadline = ctx.deadline
-    no_real_filter = static_cutoff(math.inf)
+    run = ctx.run("amidj", capture, initial_k=initial_k)
     try:
+        if not ctx.seed(resume):
+            return
+        if resume is not None:
+            records = list(resume["records"])
+            schedule = list(resume["schedule"])
+            target_k = resume["target_k"]
+            edmax = resume["edmax"]
+            produced = resume["produced"]
+            last_distance = resume["last_distance"]
+            vars(state).update(resume["state"])
+        else:
+            edmax = schedule.pop(0) if schedule else ctx.initial_edmax(target_k)
+            if not math.isfinite(edmax):
+                # No density model: fall back to a diameter-bounded cutoff
+                # so the algorithm still terminates (degenerates to one
+                # giant stage).
+                edmax = _space_diameter(ctx)
+            state.edmax = edmax
+        tracer = ctx.instr.tracer
+        tracer.event("edmax", reason="init", old=math.inf, new=edmax, actual=math.inf)
+        batch = run.begin_stage(
+            str(state.stage), cutoffs=(edmax, math.inf), edmax=edmax
+        )
+
+        def advance_stage() -> float:
+            """Stage boundary: close the stage, re-estimate, resume records."""
+            nonlocal batch, target_k
+            run.end_stage(results=produced)
+            old_edmax = edmax
+            new_edmax = _next_stage(ctx, state, schedule, produced, last_distance,
+                                    target_k, edmax)
+            target_k = min(
+                max(int(target_k * TARGET_GROWTH), produced + initial_k), _pairs(ctx)
+            )
+            if tracer.enabled:
+                tracer.event("edmax", reason="stage", old=old_edmax, new=new_edmax,
+                             actual=last_distance)
+                tracer.event("compensation_resume", records=len(records),
+                             produced=produced)
+            _refill(queue, records)
+            batch = run.begin_stage(
+                str(state.stage), cutoffs=(new_edmax, math.inf), edmax=new_edmax
+            )
+            return new_edmax
+
+        sweeper = PlaneSweeper(
+            ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction
+        )
+        emit, push = kdj_emit(ctx, None)
+        no_real_filter = static_cutoff(math.inf)
+        step, result = run.step, run.result
         while True:
-            deadline.tick()
-            if ckpt is not None:
-                ckpt.barrier(build_checkpoint)
+            step()
             if not queue:
                 if not records:
                     return  # dataset exhausted: every pair has been produced
@@ -239,12 +185,7 @@ def amidj(
                 produced += 1
                 last_distance = distance
                 state.produced = produced
-                if ckpt is not None:
-                    ckpt.note_emit()
-                if result_hist is not None:
-                    result_hist.observe(distance)
-                if live is not None:
-                    live.note_result()
+                result(distance)
                 yield ResultPair(distance, payload.a.ref, payload.b.ref)
                 continue
 
@@ -258,9 +199,7 @@ def amidj(
                     real_limit=no_real_filter,
                     emit=emit,
                 )
-                if staged:
-                    queue.push_many(staged)
-                    staged.clear()
+                push()
                 batch.tick(resumed=1)
             else:
                 record = sweeper.expand(
@@ -275,9 +214,7 @@ def amidj(
                     pair_distance=distance,
                 )
                 assert record is not None
-                if staged:
-                    queue.push_many(staged)
-                    staged.clear()
+                push()
                 batch.tick(fresh=1)
             if not record.fully_swept():
                 records.append(record)
@@ -287,11 +224,7 @@ def amidj(
         # Runs at exhaustion or when the caller abandons the stream
         # (GeneratorExit): close the open spans so the trace stays
         # well-nested even for partial pulls.
-        batch.flush()
-        tracer.end(stage_name, results=produced)
-        if meter is not None:
-            meter.stage_end(f"s{state.stage}")
-        tracer.end("join:amidj", results=produced)
+        run.close(results=produced)
 
 
 def _next_stage(

@@ -34,11 +34,10 @@ from __future__ import annotations
 import math
 
 from repro.core import estimation
-from repro.core.base import JoinContext
-from repro.core.pairs import Item, PairPayload, ResultPair
+from repro.core.base import JoinContext, kdj_emit
+from repro.core.pairs import PairPayload, ResultPair
 from repro.core.planesweep import PlaneSweeper
 from repro.core.stats import JoinStats
-from repro.obs.metrics import StageMeter
 from repro.queues.compensation import CompensationQueue
 from repro.queues.distance_queue import DistanceQueue
 
@@ -73,86 +72,27 @@ def amkdj(
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    results: list[ResultPair] = []
-    # On resume the roots were consumed (and charged) pre-checkpoint;
-    # re-fetching them would skew node-access counters.
-    roots = ctx.root_items() if resume is None else None
-    if roots is None and resume is None:
-        return results, ctx.make_stats("amkdj", k, 0)
-
     queue = ctx.main_queue
     distance_queue = DistanceQueue(k)
     comp_queue: CompensationQueue = CompensationQueue()
-    sweeper = PlaneSweeper(
-        ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction
-    )
-    tracer = ctx.instr.tracer
-    metrics = ctx.instr.metrics
-    result_hist = metrics.histogram("result_distance") if metrics is not None else None
-    live = ctx.instr.live
-    if live is not None:
-        live.start("amkdj", k)
-
+    results: list[ResultPair] = []
     edmax_value = ctx.initial_edmax(k) if edmax is None else edmax
     initial_edmax = edmax_value
     min_unsafe_cutoff = math.inf
     next_milestone = max(k // 4, 1) if adaptive else k + 1
-    resume_stage = 0
+    estimate_active = True  # until line 8 replaces eDmax with qDmax
+    stage = 1
     if resume is not None:
-        resume_stage = resume["stage"]
+        stage = resume["stage"]
         results = list(resume["results"])
         initial_edmax = resume["initial_edmax"]
-        if resume_stage == 1:
+        if stage == 1:
             edmax_value = resume["edmax_value"]
             min_unsafe_cutoff = resume["min_unsafe_cutoff"]
             next_milestone = resume["next_milestone"]
+            estimate_active = resume["estimate_active"]
 
-    def qdmax() -> float:
-        return distance_queue.cutoff
-
-    # Staged main-queue inserts, bulk-pushed after each sweep (the
-    # distance queue is fed immediately — its cutoff prunes the live
-    # sweep; the main queue's pop order is insertion-timing invariant
-    # within one expansion).
-    staged: list[tuple[float, PairPayload]] = []
-
-    def emit(item_r: Item, item_s: Item, real: float) -> None:
-        pair = PairPayload(item_r, item_s)
-        staged.append((real, pair))
-        if pair.is_object_pair:
-            if tracer.enabled:
-                before = distance_queue.cutoff
-                distance_queue.insert(real)
-                after = distance_queue.cutoff
-                if after < before:
-                    tracer.event("qdmax", old=before, new=after)
-            else:
-                distance_queue.insert(real)
-        elif ctx.options.distance_queue_all_pairs:
-            distance_queue.insert(item_r.rect.max_dist(item_s.rect))
-
-    tracer.begin("join:amkdj", k=k, adaptive=adaptive)
-    tracer.event("edmax", reason="init", old=math.inf, new=edmax_value,
-                 actual=math.inf)
-    # The meter baseline precedes the root-pair distance so every charged
-    # computation is attributed to a stage.
-    meter = StageMeter(ctx.instr) if tracer.enabled or metrics is not None else None
-
-    if resume is not None:
-        queue.restore(resume["queue"])
-        distance_queue.restore(resume["dq"])
-        comp_queue.restore(resume["comp"])
-        ctx.restore_buffers(resume.get("buffers"))
-    else:
-        root_r, root_s = roots
-        queue.insert(
-            ctx.instr.real_distance(root_r.rect, root_s.rect),
-            PairPayload(root_r, root_s),
-        )
-
-    ckpt = ctx.checkpoint
-
-    def build_checkpoint(stage: int) -> dict:
+    def capture() -> dict:
         stats = ctx.make_stats("amkdj", k, len(results))
         stats.distance_queue_insertions = distance_queue.insertions
         stats.compensation_stages = stage - 1
@@ -161,11 +101,9 @@ def amkdj(
         engine = {
             "stage": stage,
             "results": list(results),
-            "queue": queue.snapshot(),
             "dq": distance_queue.snapshot(),
             "comp": comp_queue.snapshot(),
             "initial_edmax": initial_edmax,
-            "buffers": ctx.buffer_state(),
         }
         if stage == 1:
             engine.update(
@@ -174,25 +112,37 @@ def amkdj(
                 next_milestone=next_milestone,
                 estimate_active=estimate_active,
             )
-        return {"mode": "exact", "engine": engine, "stats": stats}
+        return ctx.exact_checkpoint(engine, stats)
+
+    run = ctx.run("amkdj", capture, k=k, adaptive=adaptive)
+    if not ctx.seed(resume):
+        run.close(results=0)
+        return results, ctx.make_stats("amkdj", k, 0)
+    if resume is not None:
+        distance_queue.restore(resume["dq"])
+        comp_queue.restore(resume["comp"])
+    tracer = ctx.instr.tracer
+    tracer.event("edmax", reason="init", old=math.inf, new=edmax_value,
+                 actual=math.inf)
+    sweeper = PlaneSweeper(
+        ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction
+    )
+
+    def qdmax() -> float:
+        return distance_queue.cutoff
+
+    emit, push = kdj_emit(ctx, distance_queue)
+    step, result, cutoffs = run.step, run.result, run.cutoffs
 
     # ------------------------------------------------------------------
     # Stage one: aggressive pruning (Algorithm 2)
     # ------------------------------------------------------------------
-    tracer.begin("stage:aggressive", edmax=edmax_value)
-    if live is not None:
-        live.set_stage("aggressive")
-        live.set_cutoffs(edmax_value, math.inf)
-    batch = tracer.batcher("expand")
-    estimate_active = True  # until line 8 replaces eDmax with qDmax
+    batch = run.begin_stage(
+        "aggressive", cutoffs=(edmax_value, math.inf), edmax=edmax_value
+    )
     need_compensation = False
-    if resume_stage == 1:
-        estimate_active = resume["estimate_active"]
-    deadline = ctx.deadline
-    while resume_stage != 2 and len(results) < k and queue:
-        deadline.tick()
-        if ckpt is not None:
-            ckpt.barrier(lambda: build_checkpoint(1))
+    while stage == 1 and len(results) < k and queue:
+        step()
         distance, payload = queue.pop()
         if distance > min_unsafe_cutoff:
             # Line 9 (corrected): anything at this distance — including an
@@ -204,12 +154,7 @@ def amkdj(
             break
         if payload.is_object_pair:
             results.append(ResultPair(distance, payload.a.ref, payload.b.ref))
-            if ckpt is not None:
-                ckpt.note_emit()
-            if result_hist is not None:
-                result_hist.observe(distance)
-            if live is not None:
-                live.note_result()
+            result(distance)
             if adaptive and len(results) >= next_milestone and len(results) < k:
                 corrected = min(_re_estimate(ctx, len(results), k, distance), qdmax())
                 if tracer.enabled:
@@ -230,9 +175,8 @@ def amkdj(
             edmax_value = safe_bound
         if edmax_value < safe_bound:
             min_unsafe_cutoff = min(min_unsafe_cutoff, edmax_value)
-        if live is not None:
-            # Per node expansion, not per candidate pair: two stores.
-            live.set_cutoffs(edmax_value, safe_bound)
+        # Per node expansion, not per candidate pair.
+        cutoffs(edmax_value, safe_bound)
         cutoff_now = edmax_value
         children_r = ctx.children_r(payload.a)
         children_s = ctx.children_s(payload.b)
@@ -248,32 +192,21 @@ def amkdj(
             pair_distance=distance,
         )
         assert record is not None
-        if staged:
-            queue.push_many(staged)
-            staged.clear()
+        push()
         comp_queue.enqueue(record)
         batch.tick(children=len(children_r) + len(children_s))
-
-    batch.flush()
-    tracer.end("stage:aggressive", results=len(results))
-    if meter is not None:
-        meter.stage_end("aggressive")
-    if live is not None:
-        live.stage_done()
+    run.end_stage(results=len(results))
 
     # ------------------------------------------------------------------
     # Stage two: compensation (Algorithm 3)
     # ------------------------------------------------------------------
-    stages = 0
-    if resume_stage == 2 or need_compensation or (len(results) < k and comp_queue):
-        stages = 1
-        tracer.begin("stage:compensation")
-        if live is not None:
-            live.set_stage("compensation")
-            live.set_cutoffs(qdmax(), qdmax())
+    if stage == 2 or need_compensation or (len(results) < k and comp_queue):
+        stage = 2
+        batch = run.begin_stage(
+            "compensation", cutoffs=(qdmax(), qdmax()), batch="expand:compensate"
+        )
         tracer.event("compensation_resume", records=len(comp_queue),
                      produced=len(results), qdmax=qdmax())
-        batch = tracer.batcher("expand:compensate")
         # On a stage-two resume the drain already happened before the
         # checkpoint: the pending records ride inside the restored main
         # queue as payload.record, so there is nothing left to insert.
@@ -281,18 +214,11 @@ def amkdj(
             queue.insert(record.distance, PairPayload(record.a, record.b, record))
 
         while len(results) < k and queue:
-            deadline.tick()
-            if ckpt is not None:
-                ckpt.barrier(lambda: build_checkpoint(2))
+            step()
             distance, payload = queue.pop()
             if payload.is_object_pair:
                 results.append(ResultPair(distance, payload.a.ref, payload.b.ref))
-                if ckpt is not None:
-                    ckpt.note_emit()
-                if result_hist is not None:
-                    result_hist.observe(distance)
-                if live is not None:
-                    live.note_result()
+                result(distance)
                 continue
             if payload.record is not None:
                 # The record kept the child lists sorted in stage one, so
@@ -305,9 +231,7 @@ def amkdj(
                     real_limit=qdmax,
                     emit=emit,
                 )
-                if staged:
-                    queue.push_many(staged)
-                    staged.clear()
+                push()
                 batch.tick(resumed=1)
             else:
                 sweeper.expand(
@@ -319,23 +243,15 @@ def amkdj(
                     real_limit=qdmax,
                     emit=emit,
                 )
-                if staged:
-                    queue.push_many(staged)
-                    staged.clear()
+                push()
                 batch.tick(fresh=1)
-        batch.flush()
-        tracer.end("stage:compensation", results=len(results))
-        if meter is not None:
-            meter.stage_end("compensation")
-        if live is not None:
-            live.stage_done()
 
+    run.close(results=len(results))
     stats = ctx.make_stats("amkdj", k, len(results))
     stats.distance_queue_insertions = distance_queue.insertions
-    stats.compensation_stages = stages
+    stats.compensation_stages = stage - 1
     stats.compensation_peak = comp_queue.peak_size
     stats.edmax_initial = initial_edmax
-    tracer.end("join:amkdj", results=len(results))
     return results, stats
 
 

@@ -21,9 +21,8 @@ run alone.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro.core import amidj as amidj_mod
@@ -34,9 +33,14 @@ from repro.core import sjsort as sjsort_mod
 from repro.core.base import EngineOptions, JoinContext
 from repro.core.pairs import ResultPair
 from repro.core.stats import JoinStats
+from repro.obs import tracer_for
+from repro.obs.live import LivePlane
+from repro.obs.metrics import MetricsRegistry
+from repro.resilience.checkpoint import CheckpointManager, join_fingerprint
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import StaleStreamError
 from repro.resilience.faults import FaultPlan
+from repro.resilience.recovery import load_checkpoint, validate_checkpoint
 from repro.rtree.tree import RTree, check_k
 from repro.storage.cost import (
     CostModel,
@@ -80,7 +84,9 @@ class JoinConfig:
     in ``.json`` or ``trace_format="chrome"``.  ``collect_metrics``
     enables the metrics registry (result-distance and queue-depth
     histograms, per-stage work deltas) whose snapshot lands in
-    ``JoinStats.extra``; tracing implies it.
+    ``JoinStats.extra``; tracing implies it.  The join variants
+    (``within_distance_join``, ``all_nearest_neighbors``) honour these
+    fields and the live-plane ones too.
 
     Live plane (:mod:`repro.obs.live`): ``status_path`` publishes an
     atomically-swapped JSON status file every ``status_interval_s``
@@ -114,9 +120,9 @@ class JoinConfig:
     checkpoint and continues the join: engines with exact state capture
     (hs, bkdj, amkdj, amidj and both incremental streams) produce the
     byte-identical remaining result stream; replay engines (sjsort,
-    nlj) re-run from scratch.  With ``checkpoint_path`` unset no
-    checkpoint machinery is allocated and every reported counter is
-    unchanged.
+    nlj, the within-join) re-run from scratch.  With
+    ``checkpoint_path`` unset no checkpoint machinery is allocated and
+    every reported counter is unchanged.
     """
 
     queue_memory: int = DEFAULT_QUEUE_MEMORY
@@ -205,31 +211,42 @@ class JoinRunner:
 
     # ------------------------------------------------------------------
 
-    def _open_tracer(self):
-        """(tracer, owned) for one run; ``owned`` means the run closes it."""
-        if self.config.trace_path is not None:
-            from repro.obs import tracer_for
-
-            return tracer_for(self.config.trace_path, self.config.trace_format), True
-        return None, False
-
-    def _metrics(self, tracer, plane=None):
+    def open(self, algorithm: str, k: int, modes=("exact", "replay")):
+        """``(ctx, resume payload)``: a context carrying the run's tracer,
+        registry, live plane and checkpoint manager, which ``ctx.close()``
+        releases.  Empty ``modes`` take no checkpoints.
+        """
+        cfg = self.config
+        owned = None
+        if cfg.trace_path is not None:
+            owned = tracer_for(cfg.trace_path, cfg.trace_format)
+        plane = LivePlane.from_config(cfg)
+        tracer = plane.ensure_tracer(owned) if plane is not None else owned
+        metrics = None
         # A live plane implies metrics: /metrics and the status file
         # serve the registry snapshot.
-        if self.config.collect_metrics or tracer is not None or plane is not None:
-            from repro.obs.metrics import MetricsRegistry
-
-            return MetricsRegistry()
-        return None
-
-    def _open_plane(self):
-        """The run's live plane (publisher/exporter/profiler), or None."""
-        from repro.obs.live import LivePlane
-
-        return LivePlane.from_config(self.config)
+        if cfg.collect_metrics or tracer is not None or plane is not None:
+            metrics = MetricsRegistry()
+        checkpoint, resume_payload = (
+            self._open_checkpoint(algorithm, k, tracer, metrics, modes)
+            if modes else (None, None)
+        )
+        ctx = self._context(tracer, metrics, plane, checkpoint)
+        ctx.owned_tracer = owned
+        if plane is not None:
+            plane.attach_metrics(metrics)
+            plane.attach_checkpoint(checkpoint)
+            # SJ-SORT's live count is its candidate stream, not the top k.
+            plane.progress.start(algorithm, 0 if algorithm == "sjsort" else k)
+            queue = ctx.main_queue
+            plane.set_work_source(
+                lambda: (queue.stats.pops, queue.stats.pops + len(queue))
+            )
+            plane.start(tracer)
+        return ctx, resume_payload
 
     def _context(
-        self, tracer=None, metrics=None, live=None, checkpoint=None
+        self, tracer=None, metrics=None, plane=None, checkpoint=None
     ) -> JoinContext:
         cfg = self.config
         # A fresh deadline per run: the budget covers one join, not the
@@ -249,7 +266,7 @@ class JoinRunner:
             metrics=metrics,
             deadline=deadline,
             faults=cfg.fault_plan,
-            live=live,
+            plane=plane,
             checkpoint=checkpoint,
         )
 
@@ -259,23 +276,20 @@ class JoinRunner:
         """(CheckpointManager | None, resume payload | None) for one run.
 
         With neither ``checkpoint_path`` nor ``resume_from`` set this is
-        ``(None, None)`` and nothing is imported or allocated — the
+        ``(None, None)`` and nothing is allocated — the
         counter-invariance guarantee.  A resume payload is loaded,
         CRC-verified and validated against this join's fingerprint and
         the resume ``modes`` the caller can execute; the manager (if
-        any) inherits the checkpoint's watermark so subsequent snapshots
-        count the whole logical stream.
+        any) starts at the checkpoint's watermark so subsequent
+        snapshots count the whole logical stream.
         """
         cfg = self.config
         if cfg.checkpoint_path is None and cfg.resume_from is None:
             return None, None
-        from repro.resilience.checkpoint import CheckpointManager, join_fingerprint
-
         fingerprint = join_fingerprint(self.tree_r, self.tree_s, algorithm, k)
         resume_payload = None
+        watermark = 0
         if cfg.resume_from is not None:
-            from repro.resilience.recovery import load_checkpoint, validate_checkpoint
-
             resume_payload = load_checkpoint(cfg.resume_from, faults=cfg.fault_plan)
             validate_checkpoint(
                 resume_payload,
@@ -284,6 +298,7 @@ class JoinRunner:
                 fingerprint=fingerprint,
                 modes=modes,
             )
+            watermark = resume_payload.get("watermark", 0)
         manager = CheckpointManager.from_config(
             self.config,
             algorithm=algorithm,
@@ -291,10 +306,8 @@ class JoinRunner:
             fingerprint=fingerprint,
             tracer=tracer,
             metrics=metrics,
+            watermark=watermark,
         )
-        if manager is not None and resume_payload is not None:
-            manager.note_emit(resume_payload.get("watermark", 0))
-            manager._last_emit_mark = manager.emitted
         return manager, resume_payload
 
     @staticmethod
@@ -337,47 +350,25 @@ class JoinRunner:
             from repro.parallel.engine import parallel_kdj
 
             return parallel_kdj(self.tree_r, self.tree_s, k, self.config)
-        tracer, owned = self._open_tracer()
-        plane = self._open_plane()
-        if plane is not None:
-            tracer = plane.ensure_tracer(tracer)
-        metrics = self._metrics(tracer, plane)
-        checkpoint, resume_payload = self._open_checkpoint(
-            algorithm, k, tracer, metrics
-        )
+        ctx, resume_payload = self.open(algorithm, k)
         # Replay engines re-run from scratch; only exact-state engines
         # receive restored state.
-        resume_state = None
+        resume = None
         if resume_payload is not None and resume_payload.get("mode") == "exact":
-            resume_state = resume_payload["engine"]
-        ctx = self._context(
-            tracer,
-            metrics,
-            live=plane.progress if plane is not None else None,
-            checkpoint=checkpoint,
-        )
-        if plane is not None:
-            plane.attach_metrics(metrics)
-            plane.attach_checkpoint(checkpoint)
-            plane.progress.start(algorithm, k)
-            queue, queue_stats = ctx.main_queue, ctx.main_queue.stats
-            plane.set_work_source(
-                lambda: (queue_stats.pops, queue_stats.pops + len(queue))
-            )
-            plane.start(tracer)
+            resume = resume_payload["engine"]
         started = time.perf_counter()
         try:
             if algorithm == "hs":
-                results, stats = hs_mod.hs_kdj(ctx, k, resume=resume_state)
+                results, stats = hs_mod.hs_kdj(ctx, k, resume=resume)
             elif algorithm == "bkdj":
-                results, stats = bkdj_mod.bkdj(ctx, k, resume=resume_state)
+                results, stats = bkdj_mod.bkdj(ctx, k, resume=resume)
             elif algorithm == "amkdj":
                 results, stats = amkdj_mod.amkdj(
                     ctx,
                     k,
                     edmax=self.config.edmax,
                     adaptive=self.config.adaptive_edmax,
-                    resume=resume_state,
+                    resume=resume,
                 )
             elif algorithm == "nlj":
                 from repro.core import nested_loop
@@ -386,20 +377,13 @@ class JoinRunner:
             else:
                 cutoff = dmax if dmax is not None else self.true_dmax(k)
                 results, stats = sjsort_mod.sj_sort(ctx, k, cutoff)
-            if metrics is not None and tracer is not None and tracer.enabled:
+            tracer, metrics = ctx.instr.tracer, ctx.instr.metrics
+            if metrics is not None and tracer.enabled:
                 # One final registry snapshot into the trace, so reports
                 # can derive distribution percentiles offline.
                 tracer.counter("metrics:final", **metrics.snapshot())
         finally:
-            # Close the plane first: its final snapshot still reads the
-            # live queue and registry.
-            if plane is not None:
-                plane.close()
-            if checkpoint is not None:
-                checkpoint.close()
             ctx.close()
-            if owned:
-                tracer.close()
         self._merge_resume_prefix(stats, resume_payload)
         stats.wall_time = time.perf_counter() - started
         return JoinResult(results, stats)
@@ -410,59 +394,24 @@ class JoinRunner:
             raise ValueError(
                 f"unknown IDJ algorithm {algorithm!r}; pick one of {IDJ_ALGORITHMS}"
             )
-        tracer, owned = self._open_tracer()
-        plane = self._open_plane()
-        if plane is not None:
-            tracer = plane.ensure_tracer(tracer)
-        metrics = self._metrics(tracer, plane)
         # An incremental stream has no preset k; fingerprint with k=0.
-        checkpoint, resume_payload = self._open_checkpoint(
-            algorithm, 0, tracer, metrics, modes=("exact",)
-        )
-        resume_state = (
-            resume_payload["engine"] if resume_payload is not None else None
-        )
-        ctx = self._context(
-            tracer,
-            metrics,
-            live=plane.progress if plane is not None else None,
-            checkpoint=checkpoint,
-        )
-        if plane is not None:
-            plane.attach_metrics(metrics)
-            plane.attach_checkpoint(checkpoint)
-            # Incremental streams have no preset k; progress reports the
-            # produced count and queue work fraction only.
-            plane.progress.start(algorithm, 0)
-            queue, queue_stats = ctx.main_queue, ctx.main_queue.stats
-            plane.set_work_source(
-                lambda: (queue_stats.pops, queue_stats.pops + len(queue))
-            )
-            plane.start(tracer)
+        # Its live progress reports the produced count and the queue
+        # work fraction only.
+        ctx, resume_payload = self.open(algorithm, 0, modes=("exact",))
+        resume = resume_payload["engine"] if resume_payload is not None else None
         if algorithm == "hs":
-            generator = hs_mod.hs_idj(ctx, resume=resume_state)
-            name = "hs-idj"
-            state = None
-        else:
-            state = amidj_mod.AMIDJState()
-            schedule = (
-                list(self.config.edmax_schedule)
-                if self.config.edmax_schedule is not None
-                else None
-            )
-            generator = amidj_mod.amidj(
-                ctx,
-                initial_k=self.config.initial_k,
-                edmax_schedule=schedule,
-                state=state,
-                resume=resume_state,
-            )
-            name = "am-idj"
-        return IncrementalJoin(ctx, generator, name, state,
-                               owned_tracer=tracer if owned else None,
-                               plane=plane,
-                               checkpoint=checkpoint,
-                               resume_payload=resume_payload)
+            generator = hs_mod.hs_idj(ctx, resume=resume)
+            return IncrementalJoin(ctx, generator, "hs-idj", None, resume_payload)
+        state = amidj_mod.AMIDJState()
+        schedule = self.config.edmax_schedule
+        generator = amidj_mod.amidj(
+            ctx,
+            initial_k=self.config.initial_k,
+            edmax_schedule=list(schedule) if schedule is not None else None,
+            state=state,
+            resume=resume,
+        )
+        return IncrementalJoin(ctx, generator, "am-idj", state, resume_payload)
 
     # ------------------------------------------------------------------
 
@@ -484,9 +433,6 @@ class IncrementalJoin:
         generator: Iterator[ResultPair],
         name: str,
         state: "amidj_mod.AMIDJState | None",
-        owned_tracer=None,
-        plane=None,
-        checkpoint=None,
         resume_payload: dict | None = None,
     ) -> None:
         self._ctx = ctx
@@ -496,9 +442,6 @@ class IncrementalJoin:
         self._produced = 0
         self._started = time.perf_counter()
         self._closed = False
-        self._owned_tracer = owned_tracer
-        self._plane = plane
-        self._checkpoint = checkpoint
         self._resume_payload = resume_payload
         # A write to either tree after this makes the stream stale.
         self._versions = (ctx.tree_r.version, ctx.tree_s.version)
@@ -523,17 +466,11 @@ class IncrementalJoin:
         """
         if not self._closed:
             self._closed = True
-            # Close the generator first: its teardown emits the final
-            # trace span ends, which must land before the sinks flush.
+            # Close the generator first: its teardown ends the run's
+            # spans and stages, which must land before the context
+            # closes the plane and the tracer.
             self._generator.close()
-            if self._plane is not None:
-                # Final status snapshot while the queue is still live.
-                self._plane.close()
-            if self._checkpoint is not None:
-                self._checkpoint.close()
             self._ctx.close()
-            if self._owned_tracer is not None:
-                self._owned_tracer.close()
 
     def __enter__(self) -> "IncrementalJoin":
         return self

@@ -3,10 +3,16 @@
 ``JoinContext`` bundles everything one join run needs: the two indexed
 datasets, a fresh simulated disk, metered buffer pools for both trees,
 the hybrid main queue, and the instrumented distance operations.  Every
-engine (HS, B-KDJ, AM-KDJ, AM-IDJ, SJ-SORT) is a function of a context,
-so runs are isolated and their metrics comparable.  A node's children
-are its own entries (``Node.entries``, :class:`Item` records), read
-through the metered accessor.
+engine (HS, B-KDJ, AM-KDJ, AM-IDJ, SJ-SORT, NLJ) is a function of a
+context, so runs are isolated and their metrics comparable.  A node's
+children are its own entries (``Node.entries``, :class:`Item` records),
+read through the metered accessor.
+
+``JoinRun`` (opened with :meth:`JoinContext.run`) is everything an
+engine does beside its algorithm: the join and stage spans, per-stage
+work deltas, the result histogram, the live plane, the checkpoint
+barrier and the deadline.  The engines keep their own expansion,
+cutoffs and stage logic.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 from repro.core import estimation
 from repro.core.pairs import Item, PairPayload
 from repro.core.stats import Instruments, JoinStats
+from repro.obs.metrics import StageMeter
 from repro.queues.main_queue import MainQueue
 from repro.resilience.deadline import NULL_DEADLINE
 from repro.rtree.tree import RTree, TreeAccessor
@@ -80,7 +87,7 @@ class JoinContext:
         metrics=None,
         deadline=None,
         faults=None,
-        live=None,
+        plane=None,
         checkpoint=None,
     ) -> None:
         self.tree_r = tree_r
@@ -92,13 +99,18 @@ class JoinContext:
         self.accessor_r = TreeAccessor(tree_r, self.disk, buffer_memory // 2)
         self.accessor_s = TreeAccessor(tree_s, self.disk, buffer_memory // 2)
         self.options = options or EngineOptions()
-        # The tracer/registry stay owned by whoever created them (the
-        # runner closes a file-backed tracer after the run); the context
-        # only fans them out to the instrumented components.
+        # The context fans the tracer, registry and live progress cell
+        # out to the instrumented components; :meth:`close` releases the
+        # live plane and checkpoint manager, and the tracer only when
+        # ``JoinRunner.open`` made it for this run (``owned_tracer``).
         self.instr = Instruments(
             self.disk, self.accessor_r, self.accessor_s,
-            tracer=tracer, metrics=metrics, live=live,
+            tracer=tracer, metrics=metrics,
+            live=plane.progress if plane is not None else None,
         )
+        self.plane = plane
+        self.owned_tracer = None
+        self._run: JoinRun | None = None
         self.rho = rho if rho is not None else self.default_rho()
         self.queue_memory = queue_memory
         # The Equation (3) density model pre-places the hybrid queue's
@@ -112,32 +124,78 @@ class JoinContext:
         )
         self.instr.attach_queue(self.main_queue)
         self.main_queue.set_observer(self.instr.tracer, self.instr.metrics)
-        # Cooperative deadline: engines call ``ctx.deadline.tick()`` once
-        # per expansion-loop iteration; the no-op default costs one
-        # attribute access, same pattern as the tracer.
+        # Cooperative deadline: ticked once per expansion-loop iteration
+        # through ``JoinRun.step``; the no-op default costs one call.
         self.deadline = deadline if deadline is not None else NULL_DEADLINE
         if deadline is not None:
             deadline.bind_tracer(self.instr.tracer)
-        # Optional CheckpointManager; engines guard every capture point
-        # with ``if ctx.checkpoint is not None`` so the common case costs
-        # one attribute read and allocates nothing.
+        # Optional CheckpointManager; only :class:`JoinRun` reads it.
         self.checkpoint = checkpoint
 
     def close(self) -> None:
-        """Engine teardown: release the queue's on-disk spill files.
+        """Release the run: the spans of a run an error stopped, the live
+        plane, checkpoint manager, spill files and tracer, in that order.
 
-        Idempotent; stats snapshots taken earlier stay valid.  Every
-        public entry point (``JoinRunner``, the join variants, exhausted
-        or explicitly closed incremental streams) calls this so abandoned
-        runs never leak ``seg-*.pile`` files in ``spill_dir``.
+        The plane's final snapshot still reads the live queue and
+        registry, and the tracer closes after every span end.
+        Idempotent; every public entry point calls it, so abandoned runs
+        never leak ``seg-*.pile`` files in ``spill_dir``.
         """
+        if self._run is not None:
+            self._run.close()
+        if self.plane is not None:
+            self.plane.close()
+        if self.checkpoint is not None:
+            self.checkpoint.close()
         self.main_queue.close()
+        if self.owned_tracer is not None:
+            self.owned_tracer.close()
 
     def __enter__(self) -> "JoinContext":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    # ------------------------------------------------------------------
+    # Runs
+    # ------------------------------------------------------------------
+
+    def run(self, name: str, capture=None, **span_args) -> "JoinRun":
+        """Open ``join:<name>``; ``capture()`` builds the checkpoint body.
+
+        Open it before the engine's first charged operation, so the
+        run's stage deltas sum to its counters.
+        """
+        self._run = JoinRun(self, name, capture, span_args)
+        return self._run
+
+    def seed(self, resume: dict | None) -> bool:
+        """Queue the root pair, or restore a checkpoint's queue and buffers.
+
+        ``False`` when a tree is empty.  A resumed run's roots were
+        fetched and charged before the checkpoint, so they are not
+        fetched again.
+        """
+        if resume is not None:
+            self.main_queue.restore(resume["queue"])
+            self.restore_buffers(resume.get("buffers"))
+            return True
+        roots = self.root_items()
+        if roots is None:
+            return False
+        root_r, root_s = roots
+        self.main_queue.insert(
+            self.instr.real_distance(root_r.rect, root_s.rect),
+            PairPayload(root_r, root_s),
+        )
+        return True
+
+    def exact_checkpoint(self, engine: dict, stats: JoinStats) -> dict:
+        """An exact engine's checkpoint body: its state plus queue and buffers."""
+        engine["queue"] = self.main_queue.snapshot()
+        engine["buffers"] = self.buffer_state()
+        return {"mode": "exact", "engine": engine, "stats": stats}
 
     # ------------------------------------------------------------------
     # Dataset model parameters
@@ -242,6 +300,130 @@ class JoinContext:
         return stats
 
 
+def _ignore(*args: object) -> None:
+    return None
+
+
+class JoinRun:
+    """One engine run's calls beside its algorithm (see :meth:`JoinContext.run`).
+
+    A stage's one label names its ``stage:<label>`` span, the
+    :class:`StageMeter` counter event ``stage:<label>``, its
+    ``obs.stage.<label>.*`` deltas and the live stage.  ``step`` is the
+    deadline's own ``tick`` without a checkpoint manager, else ``tick()``
+    then the barrier; ``cutoffs`` is the live plane's store, or a no-op.
+    """
+
+    __slots__ = ("step", "cutoffs", "_tracer", "_name", "_live", "_ckpt",
+                 "_hist", "_meter", "_stage", "_batch")
+
+    def __init__(self, ctx: JoinContext, name: str, capture, span_args: dict) -> None:
+        instr = ctx.instr
+        tracer = self._tracer = instr.tracer
+        metrics = instr.metrics
+        live = self._live = instr.live
+        ckpt = self._ckpt = ctx.checkpoint
+        self._hist = metrics.histogram("result_distance") if metrics is not None else None
+        self._name: str | None = f"join:{name}"
+        self._stage: str | None = None
+        self._batch = None
+        tick = self.step = ctx.deadline.tick
+        if ckpt is not None:
+            barrier = ckpt.barrier
+
+            def step() -> None:
+                tick()
+                barrier(capture)
+
+            self.step = step
+        self.cutoffs = live.set_cutoffs if live is not None else _ignore
+        tracer.begin(self._name, **span_args)
+        self._meter = StageMeter(instr) if tracer.enabled or metrics is not None else None
+
+    def begin_stage(self, label: str, cutoffs=None, batch: str = "expand", **span_args):
+        """Open ``stage:<label>``; returns the stage's expansion batcher."""
+        self._stage = label
+        self._tracer.begin(f"stage:{label}", **span_args)
+        if self._live is not None:
+            self._live.set_stage(label)
+        if cutoffs is not None:
+            self.cutoffs(*cutoffs)
+        self._batch = self._tracer.batcher(batch)
+        return self._batch
+
+    def end_stage(self, **args) -> None:
+        """Close the open stage: its span, work deltas and live count."""
+        label, self._stage = self._stage, None
+        if label is None:
+            return
+        self._batch.flush()
+        self._tracer.end(f"stage:{label}", **args)
+        if self._meter is not None:
+            self._meter.stage_end(label)
+        if self._live is not None:
+            self._live.stage_done()
+
+    def result(self, distance: float) -> None:
+        """One produced result: watermark, distance histogram, live count."""
+        if self._ckpt is not None:
+            self._ckpt.note_emit()
+        if self._hist is not None:
+            self._hist.observe(distance)
+        if self._live is not None:
+            self._live.note_result()
+
+    def close(self, **args) -> None:
+        """End the open stage and the join span, both with ``args``; idempotent."""
+        name, self._name = self._name, None
+        if name is not None:
+            self.end_stage(**args)
+            self._tracer.end(name, **args)
+
+
+def kdj_emit(ctx: JoinContext, distance_queue):
+    """``(emit, push)``: stage an expansion's pairs, then bulk-push them.
+
+    The main queue's pop order is insertion-timing invariant within one
+    expansion.  A distance queue (the k-distance joins) is fed at once,
+    since qDmax prunes the live sweep: object pairs, with a ``qdmax``
+    event when it tightens, and node pairs' maximum distance under
+    ``distance_queue_all_pairs``.
+    """
+    queue = ctx.main_queue
+    staged: list[tuple[float, PairPayload]] = []
+
+    def push() -> None:
+        if staged:
+            queue.push_many(staged)
+            staged.clear()
+
+    if distance_queue is None:
+        def emit(item_r: Item, item_s: Item, real: float) -> None:
+            staged.append((real, PairPayload(item_r, item_s)))
+
+        return emit, push
+    tracer = ctx.instr.tracer
+    all_pairs = ctx.options.distance_queue_all_pairs
+    insert = distance_queue.insert
+
+    def emit(item_r: Item, item_s: Item, real: float) -> None:
+        pair = PairPayload(item_r, item_s)
+        staged.append((real, pair))
+        if pair.is_object_pair:
+            if tracer.enabled:
+                before = distance_queue.cutoff
+                insert(real)
+                after = distance_queue.cutoff
+                if after < before:
+                    tracer.event("qdmax", old=before, new=after)
+            else:
+                insert(real)
+        elif all_pairs:
+            insert(item_r.rect.max_dist(item_s.rect))
+
+    return emit, push
+
+
 def pick_expansion_side(a: Item, b: Item, policy: str, flip: bool) -> bool:
     """Uni-directional expansion choice: True to expand the R side.
 
@@ -264,8 +446,3 @@ def pick_expansion_side(a: Item, b: Item, policy: str, flip: bool) -> bool:
     if policy == "alternate":
         return flip
     return a.rect.area() >= b.rect.area()
-
-
-def queue_payload(a: Item, b: Item) -> PairPayload:
-    """Convenience constructor keeping R-side first."""
-    return PairPayload(a, b)

@@ -10,11 +10,10 @@ in increasing distance order.
 
 from __future__ import annotations
 
-from repro.core.base import JoinContext
-from repro.core.pairs import Item, PairPayload, ResultPair
+from repro.core.base import JoinContext, kdj_emit
+from repro.core.pairs import ResultPair
 from repro.core.planesweep import PlaneSweeper
 from repro.core.stats import JoinStats
-from repro.obs.metrics import StageMeter
 from repro.queues.distance_queue import DistanceQueue
 
 
@@ -30,105 +29,43 @@ def bkdj(
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    results: list[ResultPair] = []
-    # On resume the roots are already consumed (and their accesses
-    # charged) by the checkpointed run; fetching them again would skew
-    # node-access counters.
-    roots = ctx.root_items() if resume is None else None
-    if roots is None and resume is None:
-        return results, ctx.make_stats("bkdj", k, 0)
-
     queue = ctx.main_queue
     distance_queue = DistanceQueue(k)
+    results: list[ResultPair] = list(resume["results"]) if resume is not None else []
+
+    def capture() -> dict:
+        stats = ctx.make_stats("bkdj", k, len(results))
+        stats.distance_queue_insertions = distance_queue.insertions
+        return ctx.exact_checkpoint(
+            {"results": list(results), "dq": distance_queue.snapshot()}, stats
+        )
+
+    run = ctx.run("bkdj", capture, k=k)
+    if not ctx.seed(resume):
+        run.close(results=0)
+        return results, ctx.make_stats("bkdj", k, 0)
+    if resume is not None:
+        distance_queue.restore(resume["dq"])
     sweeper = PlaneSweeper(
         ctx.instr, ctx.options.optimize_axis, ctx.options.optimize_direction
     )
-    tracer = ctx.instr.tracer
-    metrics = ctx.instr.metrics
-    result_hist = metrics.histogram("result_distance") if metrics is not None else None
-    live = ctx.instr.live
-    if live is not None:
-        live.start("bkdj", k)
-        live.set_stage("traversal")
 
     def qdmax() -> float:
         return distance_queue.cutoff
 
-    # Emitted pairs are staged and bulk-pushed after each expansion (one
-    # heapq-merge instead of N pushes).  The distance queue is fed
-    # immediately — its cutoff drives the live sweep pruning — and the
-    # main queue's pop order never depends on insertion timing within
-    # one expansion, so the staging is invisible to the result stream.
-    staged: list[tuple[float, PairPayload]] = []
-
-    def emit(item_r: Item, item_s: Item, real: float) -> None:
-        pair = PairPayload(item_r, item_s)
-        staged.append((real, pair))
-        if pair.is_object_pair:
-            if tracer.enabled:
-                before = distance_queue.cutoff
-                distance_queue.insert(real)
-                after = distance_queue.cutoff
-                if after < before:
-                    tracer.event("qdmax", old=before, new=after)
-            else:
-                distance_queue.insert(real)
-        elif ctx.options.distance_queue_all_pairs:
-            distance_queue.insert(item_r.rect.max_dist(item_s.rect))
-
-    tracer.begin("join:bkdj", k=k)
-    tracer.begin("stage:traversal")
-    batch = tracer.batcher("expand")
-    # Meter baseline before the root-pair distance: every charged
-    # computation lands in a stage delta.
-    meter = StageMeter(ctx.instr) if tracer.enabled or metrics is not None else None
-
-    if resume is not None:
-        # The root pair (and its charged distance) was consumed by the
-        # checkpointed run; restoring the queues stands in for it.
-        results = list(resume["results"])
-        queue.restore(resume["queue"])
-        distance_queue.restore(resume["dq"])
-        ctx.restore_buffers(resume.get("buffers"))
-    else:
-        root_r, root_s = roots
-        queue.insert(ctx.instr.real_distance(root_r.rect, root_s.rect),
-                     PairPayload(root_r, root_s))
-
-    ckpt = ctx.checkpoint
-
-    def build_checkpoint() -> dict:
-        stats = ctx.make_stats("bkdj", k, len(results))
-        stats.distance_queue_insertions = distance_queue.insertions
-        return {
-            "mode": "exact",
-            "engine": {
-                "results": list(results),
-                "queue": queue.snapshot(),
-                "dq": distance_queue.snapshot(),
-                "buffers": ctx.buffer_state(),
-            },
-            "stats": stats,
-        }
-
-    deadline = ctx.deadline
+    emit, push = kdj_emit(ctx, distance_queue)
+    batch = run.begin_stage("traversal")
+    step, result, cutoffs = run.step, run.result, run.cutoffs
     while len(results) < k and queue:
-        deadline.tick()
-        if ckpt is not None:
-            ckpt.barrier(build_checkpoint)
+        step()
         distance, payload = queue.pop()
         if payload.is_object_pair:
             results.append(ResultPair(distance, payload.a.ref, payload.b.ref))
-            if ckpt is not None:
-                ckpt.note_emit()
-            if result_hist is not None:
-                result_hist.observe(distance)
-            if live is not None:
-                live.note_result()
+            result(distance)
             continue
-        if live is not None:
-            # B-KDJ has no estimate; both live cutoffs are the safe bound.
-            live.set_cutoffs(qdmax(), qdmax())
+        # B-KDJ has no estimate; both live cutoffs are the safe bound.
+        safe_bound = distance_queue.cutoff
+        cutoffs(safe_bound, safe_bound)
         children_r = ctx.children_r(payload.a)
         children_s = ctx.children_s(payload.b)
         sweeper.expand(
@@ -140,18 +77,10 @@ def bkdj(
             real_limit=qdmax,
             emit=emit,
         )
-        if staged:
-            queue.push_many(staged)
-            staged.clear()
+        push()
         batch.tick(children=len(children_r) + len(children_s))
 
-    batch.flush()
-    tracer.end("stage:traversal")
-    if meter is not None:
-        meter.stage_end("traversal")
-    if live is not None:
-        live.stage_done()
+    run.close(results=len(results))
     stats = ctx.make_stats("bkdj", k, len(results))
     stats.distance_queue_insertions = distance_queue.insertions
-    tracer.end("join:bkdj", results=len(results))
     return results, stats

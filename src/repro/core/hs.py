@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from repro.core.base import JoinContext, pick_expansion_side
-from repro.core.pairs import Item, PairPayload, ResultPair
+from repro.core.base import JoinContext, kdj_emit, pick_expansion_side
+from repro.core.pairs import ResultPair
 from repro.core.stats import JoinStats
 from repro.queues.distance_queue import DistanceQueue
 
@@ -44,70 +44,44 @@ def hs_incremental(
     capture it; stream consumers (HS-IDJ) pass ``None`` — their emitted
     pairs are already out and the watermark stands in for them.
     """
-    # On resume the roots were consumed (and charged) pre-checkpoint;
-    # re-fetching them would skew node-access counters.
-    roots = ctx.root_items() if resume is None else None
-    if roots is None and resume is None:
-        return
+    kdj = distance_queue is not None
+    algorithm = "hs-kdj" if kdj else "hs-idj"
     queue = ctx.main_queue
-    tracer = ctx.instr.tracer
-    metrics = ctx.instr.metrics
-    result_hist = metrics.histogram("result_distance") if metrics is not None else None
-    live = ctx.instr.live
-    if live is not None:
-        live.set_stage("traversal")
-    if resume is not None:
-        queue.restore(resume["queue"])
-        if distance_queue is not None:
-            distance_queue.restore(resume["dq"])
-        flip = resume["flip"]
-        ctx.restore_buffers(resume.get("buffers"))
-    else:
-        root_r, root_s = roots
-        start_distance = ctx.instr.real_distance(root_r.rect, root_s.rect)
-        queue.insert(start_distance, PairPayload(root_r, root_s))
-        flip = False
-
-    def qdmax() -> float:
-        return distance_queue.cutoff if distance_queue is not None else math.inf
-
-    name = "join:hs-kdj" if distance_queue is not None else "join:hs-idj"
-    tracer.begin(name)
-    tracer.begin("stage:traversal")
-    batch = tracer.batcher("expand")
     produced = resume["produced"] if resume is not None else 0
-    deadline = ctx.deadline
-    ckpt = ctx.checkpoint
-    algorithm = "hs-kdj" if distance_queue is not None else "hs-idj"
+    flip = resume["flip"] if resume is not None else False
 
-    def build_checkpoint() -> dict:
+    def capture() -> dict:
         stats = ctx.make_stats(algorithm, produced, produced)
-        if distance_queue is not None:
+        if kdj:
             stats.distance_queue_insertions = distance_queue.insertions
-        return {
-            "mode": "exact",
-            "engine": {
-                "queue": queue.snapshot(),
-                "dq": distance_queue.snapshot() if distance_queue is not None else None,
+        return ctx.exact_checkpoint(
+            {
+                "dq": distance_queue.snapshot() if kdj else None,
                 "flip": flip,
                 "produced": produced,
                 "results": list(emitted) if emitted is not None else None,
-                "buffers": ctx.buffer_state(),
             },
-            "stats": stats,
-        }
+            stats,
+        )
 
-    # Staged inserts, bulk-pushed after each expansion (the distance
-    # queue is fed immediately — its cutoff filters the candidates; the
-    # main queue's pop order is insertion-timing invariant within one
-    # expansion).
-    staged: list[tuple[float, PairPayload]] = []
+    def qdmax() -> float:
+        return distance_queue.cutoff if kdj else math.inf
 
+    run = ctx.run(algorithm, capture)
     try:
+        if not ctx.seed(resume):
+            return
+        if resume is not None and kdj:
+            distance_queue.restore(resume["dq"])
+        # Off, qDmax filters nothing until dequeue: every computed pair
+        # is queued (the blow-up the option exists to show).
+        prune = kdj and ctx.options.hs_insert_pruning
+        policy = ctx.options.expansion_policy
+        emit, push = kdj_emit(ctx, distance_queue)
+        batch = run.begin_stage("traversal")
+        step, result, cutoffs = run.step, run.result, run.cutoffs
         while queue:
-            deadline.tick()
-            if ckpt is not None:
-                ckpt.barrier(build_checkpoint)
+            step()
             distance, payload = queue.pop()
             if distance > qdmax():
                 # Everything still queued is at least this far: by the time
@@ -116,18 +90,12 @@ def hs_incremental(
                 continue
             if payload.is_object_pair:
                 produced += 1
-                if ckpt is not None:
-                    ckpt.note_emit()
-                if result_hist is not None:
-                    result_hist.observe(distance)
-                if live is not None:
-                    live.note_result()
-                    live.set_cutoffs(qdmax(), qdmax())
+                result(distance)
+                bound = qdmax()
+                cutoffs(bound, bound)
                 yield ResultPair(distance, payload.a.ref, payload.b.ref)
                 continue
-            expand_r = pick_expansion_side(
-                payload.a, payload.b, ctx.options.expansion_policy, flip
-            )
+            expand_r = pick_expansion_side(payload.a, payload.b, policy, flip)
             flip = not flip
             if expand_r:
                 children = ctx.children_r(payload.a)
@@ -136,7 +104,7 @@ def hs_incremental(
                 children = ctx.children_s(payload.b)
                 partner = payload.a
             batch.tick(children=len(children))
-            cutoff = qdmax() if ctx.options.hs_insert_pruning else math.inf
+            cutoff = qdmax() if prune else math.inf
             # HS pairs the partner with *every* child (no sweep pruning),
             # so the whole child list is one kernel batch; all distances
             # are computed (and charged), but only candidates within the
@@ -153,35 +121,18 @@ def hs_incremental(
             for i, real in candidates:
                 if real > cutoff:
                     continue
-                child = children[i]
-                pair = (
-                    PairPayload(child, partner) if expand_r
-                    else PairPayload(partner, child)
-                )
-                staged.append((real, pair))
-                if pair.is_object_pair and distance_queue is not None:
-                    if tracer.enabled:
-                        before = distance_queue.cutoff
-                        distance_queue.insert(real)
-                        after = distance_queue.cutoff
-                        if after < before:
-                            tracer.event("qdmax", old=before, new=after)
-                    else:
-                        distance_queue.insert(real)
-                    cutoff = qdmax()
-                elif distance_queue is not None and ctx.options.distance_queue_all_pairs:
-                    distance_queue.insert(pair.a.rect.max_dist(pair.b.rect))
-                    cutoff = qdmax()
-            if staged:
-                queue.push_many(staged)
-                staged.clear()
+                if expand_r:
+                    emit(children[i], partner, real)
+                else:
+                    emit(partner, children[i], real)
+                if prune:
+                    cutoff = distance_queue.cutoff
+            push()
     finally:
         # The caller abandons the generator after k results (or the user
         # walks away from an IDJ stream); close the spans either way so
         # partial traces still nest correctly.
-        batch.flush()
-        tracer.end("stage:traversal")
-        tracer.end(name, results=produced)
+        run.close(results=produced)
 
 
 def hs_kdj(
@@ -191,19 +142,15 @@ def hs_kdj(
     if k <= 0:
         raise ValueError("k must be positive")
     distance_queue = DistanceQueue(k)
-    results: list[ResultPair] = []
-    if resume is not None:
-        results.extend(resume["results"])
-    if ctx.instr.live is not None:
-        ctx.instr.live.start("hs-kdj", k)
+    results: list[ResultPair] = list(resume["results"]) if resume is not None else []
     generator = hs_incremental(ctx, distance_queue, resume=resume, emitted=results)
     if len(results) < k:
         for pair in generator:
             results.append(pair)
             if len(results) == k:
                 break
-    # Explicit close (not GC) so the traversal's trace spans end before
-    # the stats snapshot and before the run's tracer is closed.
+    # Explicit close (not GC) so the traversal's trace spans and stage
+    # deltas land before the stats snapshot and the run's tracer close.
     generator.close()
     stats = ctx.make_stats("hs-kdj", k, len(results))
     stats.distance_queue_insertions = distance_queue.insertions

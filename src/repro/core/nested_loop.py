@@ -44,15 +44,21 @@ def nested_loop_kdj(ctx: JoinContext, k: int) -> tuple[list[ResultPair], JoinSta
         raise ValueError("k must be positive")
     rects_r, ids_r = _gather(ctx.tree_r)
     rects_s, ids_s = _gather(ctx.tree_s)
-    if not ids_r or not ids_s:
-        return [], ctx.make_stats("nlj", k, 0)
 
-    tracer = ctx.instr.tracer
-    live = ctx.instr.live
-    if live is not None:
-        live.start("nlj", k)
-        live.set_stage("scan")
-    tracer.begin("join:nlj", k=k)
+    def capture() -> dict:
+        # NLJ is a replay engine: nothing streams out until the final
+        # sort, so a resume recomputes from scratch.  The checkpoint
+        # records scan progress for partial stats and the restart marker.
+        stats = ctx.make_stats("nlj", k, 0)
+        stats.extra["outer_scanned"] = float(r_start)
+        stats.extra["outer_total"] = float(len(ids_r))
+        return {"mode": "replay", "engine": {"outer_scanned": r_start}, "stats": stats}
+
+    run = ctx.run("nlj", capture, k=k)
+    if not ids_r or not ids_s:
+        run.close(results=0, pairs_compared=0)
+        return [], ctx.make_stats("nlj", k, 0)
+    run.begin_stage("scan")
 
     # Block size: the memory the paper grants the queue, spent on the
     # outer block instead (48 modeled bytes per held object).
@@ -69,26 +75,10 @@ def nested_loop_kdj(ctx: JoinContext, k: int) -> tuple[list[ResultPair], JoinSta
     best = (_ArrayBest if _np is not None else _ScalarBest)(rects_r, rects_s, k)
     total_pairs = 0
     deadline = ctx.deadline
-    ckpt = ctx.checkpoint
-
-    def build_checkpoint(scanned: int) -> dict:
-        # NLJ is a replay engine: nothing streams out until the final
-        # sort, so a resume recomputes from scratch.  The checkpoint
-        # records scan progress for partial stats and the restart marker.
-        stats = ctx.make_stats("nlj", k, 0)
-        stats.extra["outer_scanned"] = float(scanned)
-        stats.extra["outer_total"] = float(len(ids_r))
-        return {
-            "mode": "replay",
-            "engine": {"outer_scanned": scanned},
-            "stats": stats,
-        }
-
     for r_start in range(0, len(ids_r), block):
-        if ckpt is not None:
-            # Once per outer block — the natural stage boundary of a
-            # block nested-loop scan.
-            ckpt.barrier(lambda: build_checkpoint(r_start))
+        # The barrier once per outer block: the natural stage boundary of
+        # a block nested-loop scan.
+        run.step()
         r_stop = min(r_start + block, len(ids_r))
         for s_start in range(0, len(ids_s), INNER_CHUNK):
             # One explicit check per chunk: iterations are few but
@@ -97,13 +87,11 @@ def nested_loop_kdj(ctx: JoinContext, k: int) -> tuple[list[ResultPair], JoinSta
             s_stop = min(s_start + INNER_CHUNK, len(ids_s))
             best.scan(r_start, r_stop, s_start, s_stop)
             total_pairs += (r_stop - r_start) * (s_stop - s_start)
-        if live is not None:
-            # One update per outer block: scanned fraction of R drives
-            # the bar; the k-th best-so-far is the effective cutoff.
-            held, cutoff = best.held()  # count, worst held distance
-            live.set_results(min(held, k))
-            if held >= k:
-                live.set_cutoffs(cutoff, cutoff)
+        # Once k pairs are held, the k-th best so far is the effective
+        # cutoff.
+        held, cutoff = best.held()
+        if held >= k:
+            run.cutoffs(cutoff, cutoff)
 
     ctx.instr.real_distance_computations += total_pairs
     ctx.disk.charge_cpu(total_pairs * ctx.cost_model.cpu_real_distance)
@@ -111,13 +99,11 @@ def nested_loop_kdj(ctx: JoinContext, k: int) -> tuple[list[ResultPair], JoinSta
     results = [
         ResultPair(distance, ids_r[i], ids_s[j]) for distance, i, j in best.ordered()
     ]
-    if ctx.instr.metrics is not None:
-        hist = ctx.instr.metrics.histogram("result_distance")
-        for pair in results:
-            hist.observe(pair.distance)
+    for pair in results:
+        run.result(pair.distance)
+    run.close(results=len(results), pairs_compared=total_pairs)
     stats = ctx.make_stats("nlj", k, len(results))
     stats.extra["outer_passes"] = float(passes)
-    tracer.end("join:nlj", results=len(results), pairs_compared=total_pairs)
     return results, stats
 
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import time
 
-from repro.core.api import JoinConfig, JoinResult
+from repro.core.api import JoinConfig, JoinResult, JoinRunner
 from repro.core.base import JoinContext
 from repro.core.pairs import ResultPair
 from repro.core.sjsort import spatial_join_within
 from repro.queues.binary_heap import MinHeap
-from repro.resilience.deadline import Deadline
 from repro.rtree.tree import RTree
 
 
@@ -35,31 +34,14 @@ def within_distance_join(
 
     ``order`` is ``"none"`` (traversal order, cheapest), or
     ``"distance"`` (ascending, via an in-memory sort — the result is
-    materialized either way).
+    materialized either way).  Checkpoints follow SJ-SORT's replay
+    semantics: a resume re-runs the join from scratch.
     """
     if not dmax >= 0.0:  # also rejects NaN, for which ``dmax < 0`` is False
         raise ValueError("dmax must be non-negative")
     if order not in ("none", "distance"):
         raise ValueError("order must be 'none' or 'distance'")
-    cfg = config or JoinConfig()
-    metrics = None
-    if cfg.collect_metrics:
-        from repro.obs.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
-    ctx = JoinContext(
-        tree_r,
-        tree_s,
-        queue_memory=cfg.queue_memory,
-        buffer_memory=cfg.buffer_memory,
-        cost_model=cfg.cost_model,
-        rho=cfg.rho,
-        options=cfg.engine_options(),
-        spill_dir=cfg.spill_dir,
-        metrics=metrics,
-        deadline=Deadline(cfg.deadline_s) if cfg.deadline_s is not None else None,
-        faults=cfg.fault_plan,
-    )
+    ctx, _ = JoinRunner(tree_r, tree_s, config).open("within", 0, modes=("replay",))
     started = time.perf_counter()
     try:
         results = list(spatial_join_within(ctx, dmax))
@@ -85,25 +67,22 @@ def all_nearest_neighbors(
     buffer (one best-first search per R object, so locality between
     consecutive R objects is what the buffer exploits — the result list
     is built by scanning R's leaves in tree order for exactly that
-    reason).
+    reason).  Traced as ``join:ann`` with one ``stage:search``; the
+    searches have no capture point, so the run takes no checkpoints.
     """
-    cfg = config or JoinConfig()
-    ctx = JoinContext(
-        tree_r,
-        tree_s,
-        queue_memory=cfg.queue_memory,
-        buffer_memory=cfg.buffer_memory,
-        cost_model=cfg.cost_model,
-        rho=cfg.rho,
-        options=cfg.engine_options(),
-        deadline=Deadline(cfg.deadline_s) if cfg.deadline_s is not None else None,
-    )
+    ctx, _ = JoinRunner(tree_r, tree_s, config).open("ann", 0, modes=())
     started = time.perf_counter()
     results: list[ResultPair] = []
     try:
+        run = ctx.run("ann")
         if tree_r.size and tree_s.size:
+            batch = run.begin_stage("search")
             for entry in tree_r.iter_leaf_entries():
-                results.append(_nearest_in(ctx, entry.rect, entry.ref))
+                pair = _nearest_in(ctx, run.step, entry.rect, entry.ref)
+                run.result(pair.distance)
+                results.append(pair)
+                batch.tick()
+        run.close(results=len(results))
     finally:
         ctx.close()
     results.sort(key=lambda pair: pair.ref_r)
@@ -112,14 +91,13 @@ def all_nearest_neighbors(
     return JoinResult(results, stats)
 
 
-def _nearest_in(ctx: JoinContext, rect, ref_r: int) -> ResultPair:
+def _nearest_in(ctx: JoinContext, step, rect, ref_r: int) -> ResultPair:
     """Best-first nearest-neighbor search in S for one R rectangle."""
     heap: MinHeap[float] = MinHeap()
     root = ctx.accessor_s.root
     heap.push(ctx.instr.real_distance(rect, root.mbr()), ("node", root.page_id))
-    deadline = ctx.deadline
     while heap:
-        deadline.tick()
+        step()
         distance, (kind, target) = heap.pop()
         if kind == "object":
             return ResultPair(distance, ref_r, target)

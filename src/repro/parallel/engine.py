@@ -175,12 +175,10 @@ def parallel_kdj(
         checkpoint = CheckpointManager.from_config(
             config, algorithm=ALGORITHM, k=k, fingerprint=fingerprint,
             tracer=tracer if tracer is not NULL_TRACER else None,
+            watermark=len(final),
         )
-        if checkpoint is not None:
-            checkpoint.note_emit(len(final))
-            checkpoint._last_emit_mark = checkpoint.emitted
-            if plane is not None:
-                plane.attach_checkpoint(checkpoint)
+        if checkpoint is not None and plane is not None:
+            plane.attach_checkpoint(checkpoint)
 
     # After the resume load: a bad checkpoint must not strand the
     # shared-memory arena (its views pin the mapping until close()).

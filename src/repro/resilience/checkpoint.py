@@ -105,6 +105,9 @@ class CheckpointManager:
         The run's observability hooks: every capture emits a
         ``checkpoint`` event and bumps the ``checkpoint_bytes`` /
         ``checkpoint_ms`` counters.
+    watermark:
+        Emitted pairs already behind this run (a resumed run starts at
+        its checkpoint's watermark); the pair cadence counts from here.
     """
 
     #: Live managers, notified by :meth:`shutdown_all`.
@@ -125,6 +128,7 @@ class CheckpointManager:
         faults=None,
         tracer=None,
         metrics=None,
+        watermark: int = 0,
     ) -> None:
         self.path = Path(path)
         self.algorithm = algorithm
@@ -137,8 +141,8 @@ class CheckpointManager:
         self._faults = faults
         self._tracer = tracer
         self._metrics = metrics
-        self.emitted = 0
-        self._last_emit_mark = 0
+        self.emitted = watermark
+        self._last_emit_mark = watermark
         self._last_time = time.monotonic()
         #: Seconds the last successful capture took (see :meth:`due`).
         self._last_capture_s = 0.0
@@ -161,6 +165,7 @@ class CheckpointManager:
         fingerprint: dict[str, Any],
         tracer=None,
         metrics=None,
+        watermark: int = 0,
     ) -> "CheckpointManager | None":
         """A manager for ``config``, or ``None`` when checkpointing is off.
 
@@ -180,6 +185,7 @@ class CheckpointManager:
             faults=getattr(config, "fault_plan", None),
             tracer=tracer,
             metrics=metrics,
+            watermark=watermark,
         )
 
     # -- cadence --------------------------------------------------------

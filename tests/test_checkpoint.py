@@ -165,6 +165,74 @@ def test_replay_engines_resume_by_rerunning(point_trees, tmp_path, algorithm):
 
 
 # ----------------------------------------------------------------------
+# Format: what each exact engine's checkpoint holds (format 3)
+# ----------------------------------------------------------------------
+
+PAYLOAD_KEYS = {
+    "format", "algorithm", "k", "fingerprint", "watermark", "checkpoints",
+    "wall_s", "mode", "engine", "stats",
+}
+AMKDJ_KEYS = {"stage", "results", "queue", "dq", "comp", "initial_edmax", "buffers"}
+HS_KEYS = {"queue", "dq", "flip", "produced", "results", "buffers"}
+ENGINE_KEYS = {
+    "hs-kdj": HS_KEYS,
+    "hs-idj": HS_KEYS,
+    "bkdj": {"results", "queue", "dq", "buffers"},
+    "amidj": {
+        "queue", "records", "schedule", "target_k", "edmax", "produced",
+        "last_distance", "buffers", "state",
+    },
+    "amkdj-1": AMKDJ_KEYS | {
+        "edmax_value", "min_unsafe_cutoff", "next_milestone", "estimate_active",
+    },
+    "amkdj-2": AMKDJ_KEYS,
+}
+
+
+def test_exact_checkpoint_format_is_pinned(point_trees, tmp_path, monkeypatch):
+    captured = []
+    capture = CheckpointManager.capture
+
+    def recording(self, body):
+        captured.append(body)
+        return capture(self, body)
+
+    monkeypatch.setattr(CheckpointManager, "capture", recording)
+    tree_r, tree_s = point_trees
+    path = tmp_path / "join.ckpt"
+    # Every barrier after a result captures, and the time cadence
+    # catches AM-KDJ's first stage-one barrier before any result.
+    cadence = dict(
+        checkpoint_path=str(path), checkpoint_every_pairs=1, checkpoint_every_s=0.0
+    )
+    engines = {}
+
+    def record(name):
+        assert captured, name
+        assert load_checkpoint(path).keys() == PAYLOAD_KEYS
+        for body in captured:
+            assert body["mode"] == "exact"
+            if name == "amkdj":
+                engines[f"amkdj-{body['engine']['stage']}"] = set(body["engine"])
+            else:
+                engines[name] = set(body["engine"])
+        captured.clear()
+
+    for algorithm, name in (("hs", "hs-kdj"), ("bkdj", "bkdj")):
+        run(point_trees, algorithm, **cadence)
+        record(name)
+    # A tiny estimate forces the compensation stage.
+    run(point_trees, "amkdj", edmax=1e-9, **cadence)
+    record("amkdj")
+    for algorithm, name in (("hs", "hs-idj"), ("amidj", "amidj")):
+        with JoinRunner(tree_r, tree_s, JoinConfig(**cadence)).idj(algorithm) as stream:
+            stream.next_batch(30)
+        record(name)
+    assert engines == ENGINE_KEYS
+    assert FORMAT_VERSION == 3
+
+
+# ----------------------------------------------------------------------
 # Graceful shutdown: interrupt, then resume
 # ----------------------------------------------------------------------
 

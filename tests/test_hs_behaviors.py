@@ -83,3 +83,19 @@ def test_all_pairs_distance_queue_reduces_or_keeps_insertions():
     assert all_pairs.stats.distance_queue_insertions >= (
         objects_only.stats.distance_queue_insertions
     )
+
+
+@pytest.mark.parametrize("k", [10, 500])
+def test_dequeue_only_pruning_queues_every_computed_pair(k):
+    """``hs_insert_pruning=False``: qDmax filters no insertion, even
+    inside the child batch in which it becomes finite."""
+    tree_r = RTree.bulk_load(random_rects(200, seed=7), max_entries=16)
+    tree_s = RTree.bulk_load(random_rects(150, seed=8), max_entries=16)
+    runs = {
+        flag: JoinRunner(tree_r, tree_s, JoinConfig(hs_insert_pruning=flag)).kdj(k, "hs")
+        for flag in (True, False)
+    }
+    off = runs[False].stats
+    assert off.queue_insertions == off.real_distance_computations
+    assert runs[True].stats.queue_insertions < off.queue_insertions
+    assert runs[False].distances == runs[True].distances

@@ -1,0 +1,178 @@
+"""The run contract: every engine reports through one ``JoinRun``.
+
+Under ``collect_metrics=True`` every k-distance join, both incremental
+streams and both join variants report the result-distance histogram and
+one ``obs.stage.<label>.*`` group per stage, and their stage deltas sum
+to the run's counters.  Their traces nest (every ``B`` has its ``E``),
+with empty inputs too, and the live plane is started once, under the
+runner's algorithm name.
+"""
+
+import collections
+
+import pytest
+
+from repro import (
+    JoinConfig,
+    JoinRunner,
+    RTree,
+    all_nearest_neighbors,
+    within_distance_join,
+)
+from repro.core.api import KDJ_ALGORITHMS
+from repro.obs import load_trace, read_status
+from repro.obs.live import JoinProgress
+from repro.resilience.errors import JoinDeadlineExceeded
+
+from tests.conftest import random_rects
+
+#: ``obs.stage.<label>.<field>`` -> the ``JoinStats`` counter it sums to.
+STAGE_FIELDS = {
+    "dist_comps": "real_distance_computations",
+    "axis_comps": "axis_distance_computations",
+    "node_accesses": "node_accesses",
+    "node_accesses_unbuffered": "node_accesses_unbuffered",
+    "sim_time": "response_time",
+}
+
+#: The stages each run must report (AM-KDJ and AM-IDJ may add more).
+STAGES = {
+    "hs": {"traversal"},
+    "bkdj": {"traversal"},
+    "amkdj": {"aggressive"},
+    "sjsort": {"traversal", "sort"},
+    "nlj": {"scan"},
+    "idj-hs": {"traversal"},
+    "idj-amidj": {"1", "2"},
+    "within": {"traversal"},
+    "ann": {"search"},
+}
+RUNS = sorted(STAGES)
+
+
+@pytest.fixture(scope="module")
+def trees():
+    return (
+        RTree.bulk_load(random_rects(300, seed=61), max_entries=8),
+        RTree.bulk_load(random_rects(200, seed=62), max_entries=8),
+    )
+
+
+@pytest.fixture(scope="module")
+def empty():
+    return RTree.bulk_load([])
+
+
+def run(kind, tree_r, tree_s, **config):
+    """``(results, stats)`` of one run of ``kind`` (streams pull 150 pairs)."""
+    # A small buffer makes the buffered and unbuffered node counts
+    # differ; a tight first cutoff makes AM-IDJ advance stages.
+    cfg = JoinConfig(buffer_memory=8 * 1024, edmax_schedule=(1.0,), **config)
+    if kind == "within":
+        result = within_distance_join(tree_r, tree_s, 20.0, cfg)
+        return result.results, result.stats
+    if kind == "ann":
+        result = all_nearest_neighbors(tree_r, tree_s, cfg)
+        return result.results, result.stats
+    runner = JoinRunner(tree_r, tree_s, cfg)
+    if kind.startswith("idj-"):
+        stream = runner.idj(kind[len("idj-"):])
+        results = stream.next_batch(150)
+        stream.close()
+        return results, stream.stats()
+    result = runner.kdj(60, kind)
+    return result.results, result.stats
+
+
+def stage_deltas(extra):
+    """``{label: {field: value}}`` from a stats record's extras."""
+    stages = collections.defaultdict(dict)
+    for key, value in extra.items():
+        if key.startswith("obs.stage."):
+            label, field = key[len("obs.stage."):].rsplit(".", 1)
+            stages[label][field] = value
+    return dict(stages)
+
+
+@pytest.mark.parametrize("kind", RUNS)
+def test_stage_deltas_sum_to_counters(trees, kind):
+    results, stats = run(kind, *trees, collect_metrics=True)
+    assert results
+    assert stats.extra["obs.result_distance.count"] == len(results)
+    stages = stage_deltas(stats.extra)
+    assert STAGES[kind] <= set(stages)
+    for label, deltas in stages.items():
+        assert set(deltas) == set(STAGE_FIELDS), label
+    for field, counter in STAGE_FIELDS.items():
+        total = sum(deltas[field] for deltas in stages.values())
+        if field == "sim_time":
+            assert total == pytest.approx(stats.response_time, rel=1e-9, abs=1e-12)
+        else:
+            assert total == getattr(stats, counter), field
+
+
+def balanced(records):
+    """Every span that begins ends, in LIFO order."""
+    open_spans = []
+    for record in records:
+        if record["ph"] == "B":
+            open_spans.append(record["name"])
+        elif record["ph"] == "E":
+            assert open_spans and open_spans.pop() == record["name"], record
+    return not open_spans
+
+
+@pytest.mark.parametrize("kind", RUNS)
+def test_trace_stages_match_metrics(trees, tmp_path, kind):
+    path = tmp_path / "run.jsonl"
+    _, stats = run(kind, *trees, trace_path=str(path))
+    records = load_trace(path)
+    assert balanced(records)
+    spans = {r["name"] for r in records if r["ph"] == "B"}
+    stages = {name[len("stage:"):] for name in spans if name.startswith("stage:")}
+    assert stages == set(stage_deltas(stats.extra))
+    assert sum(name.startswith("join:") for name in spans) == 1
+
+
+@pytest.mark.parametrize("side", ["r", "s"])
+@pytest.mark.parametrize("kind", RUNS)
+def test_empty_side_writes_a_balanced_trace(trees, empty, tmp_path, kind, side):
+    tree_r, tree_s = (empty, trees[1]) if side == "r" else (trees[0], empty)
+    path = tmp_path / "empty.jsonl"
+    results, stats = run(kind, tree_r, tree_s, trace_path=str(path))
+    assert results == []
+    assert stats.results == 0
+    assert balanced(load_trace(path))
+
+
+@pytest.mark.parametrize("algorithm", KDJ_ALGORITHMS)
+def test_expired_deadline_still_writes_a_balanced_trace(trees, tmp_path, algorithm):
+    path = tmp_path / "expired.jsonl"
+    tree_r, tree_s = trees
+    config = JoinConfig(trace_path=str(path), deadline_s=1e-9)
+    with pytest.raises(JoinDeadlineExceeded):
+        # An explicit dmax: SJ-SORT's oracle run would expire first.
+        JoinRunner(tree_r, tree_s, config).kdj(60, algorithm, dmax=50.0)
+    records = load_trace(path)
+    assert any(r["name"] == "deadline_exceeded" for r in records)
+    assert balanced(records)
+
+
+@pytest.mark.parametrize("algorithm", KDJ_ALGORITHMS)
+def test_live_plane_starts_once_under_the_runner_name(
+    trees, tmp_path, monkeypatch, algorithm
+):
+    starts = []
+    original = JoinProgress.start
+
+    def counting(self, name, k):
+        starts.append((name, k))
+        original(self, name, k)
+
+    monkeypatch.setattr(JoinProgress, "start", counting)
+    path = tmp_path / "status.json"
+    tree_r, tree_s = trees
+    JoinRunner(tree_r, tree_s, JoinConfig(status_path=str(path))).kdj(40, algorithm)
+    # SJ-SORT's live count is its candidate stream, so it starts with k = 0.
+    assert starts == [(algorithm, 0 if algorithm == "sjsort" else 40)]
+    assert read_status(path)["progress"]["algorithm"] == algorithm

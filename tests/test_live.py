@@ -388,6 +388,17 @@ class TestEngineWiring:
         assert status["progress"]["produced"] == 40
         assert status["metrics"]["obs.result_distance.count"] >= 40.0
 
+    def test_resumed_join_reports_queue_work(self, tmp_path, small_trees):
+        # A restored main queue starts fresh stats: the work source must
+        # read the queue's current ones.
+        tree_r, tree_s = small_trees
+        ckpt, path = tmp_path / "join.ckpt", tmp_path / "status.json"
+        cfg = JoinConfig(checkpoint_path=str(ckpt), checkpoint_every_pairs=10)
+        JoinRunner(tree_r, tree_s, cfg).kdj(40, "bkdj")
+        cfg = JoinConfig(resume_from=str(ckpt), status_path=str(path))
+        JoinRunner(tree_r, tree_s, cfg).kdj(40, "bkdj")
+        assert read_status(path)["progress"]["work_done"] > 0
+
     def test_profile_written_for_sequential_join(self, tmp_path, small_trees):
         tree_r, tree_s = small_trees
         path = tmp_path / "prof.folded"

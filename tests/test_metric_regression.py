@@ -114,3 +114,32 @@ def test_response_time_ordering(mini_setup):
     """
     _, stats, _ = mini_setup
     assert stats["amkdj"].response_time <= 1.05 * stats["bkdj"].response_time
+
+
+@pytest.fixture(scope="module")
+def idj_stats(mini_setup):
+    """Each IDJ stream's stats after 1,000 and after 3,000 pulls."""
+    runner, _, _ = mini_setup
+    stats = {}
+    for alg in ("amidj", "hs"):
+        with runner.idj(alg) as stream:
+            stream.next_batch(1_000)
+            first = stream.stats()
+            stream.next_batch(2_000)
+            stats[alg] = {1_000: first, 3_000: stream.stats()}
+    return stats
+
+
+@pytest.mark.parametrize("pulls", [1_000, 3_000])
+def test_amidj_prunes_far_below_hs_idj(idj_stats, pulls):
+    """Figure 12's AM-IDJ vs HS-IDJ relations past the distance-0 block.
+
+    Measured at 0.039-0.058 (distance computations, queue insertions)
+    and 0.41-0.53 (response time); the counts are the same under either
+    main-queue tie order from 100 pulls on.  No pin at 10 pulls: there
+    the tie order flips the relation.
+    """
+    am, hs = idj_stats["amidj"][pulls], idj_stats["hs"][pulls]
+    assert am.real_distance_computations < 0.15 * hs.real_distance_computations
+    assert am.queue_insertions < 0.15 * hs.queue_insertions
+    assert am.response_time < 0.75 * hs.response_time

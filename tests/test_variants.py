@@ -7,7 +7,7 @@ import pytest
 from repro import RTree, all_nearest_neighbors, within_distance_join
 from repro.core.api import JoinConfig, JoinRunner
 from repro.geometry.distances import min_distance
-from repro.resilience import JoinDeadlineExceeded
+from repro.resilience import JoinDeadlineExceeded, load_checkpoint
 
 from tests.conftest import brute_force_within, random_rects
 
@@ -56,6 +56,20 @@ class TestWithinDistanceJoin:
         *_, tree_r, tree_s = datasets
         with pytest.raises(ValueError):
             within_distance_join(tree_r, tree_s, 1.0, order="fancy")
+
+    def test_checkpoints_replay(self, datasets, tmp_path):
+        # SJ-SORT's semantics: a replay checkpoint, and a resume re-runs
+        # the join from scratch.
+        *_, tree_r, tree_s = datasets
+        path = tmp_path / "within.ckpt"
+        ref = within_distance_join(tree_r, tree_s, 40.0)
+        config = JoinConfig(checkpoint_path=str(path), checkpoint_every_s=0.0)
+        assert within_distance_join(tree_r, tree_s, 40.0, config).results == ref.results
+        assert load_checkpoint(path)["mode"] == "replay"
+        resumed = within_distance_join(
+            tree_r, tree_s, 40.0, JoinConfig(resume_from=str(path))
+        )
+        assert resumed.results == ref.results
 
     def test_stats_populated(self, datasets):
         *_, tree_r, tree_s = datasets

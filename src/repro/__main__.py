@@ -34,7 +34,6 @@ import pathlib
 import sys
 
 from repro import JoinConfig, JoinRunner, RTree
-from repro.core.api import PARALLEL_MODES
 from repro.datagen.tiger import synthetic_tiger
 from repro.resilience.errors import JoinInterrupted, ReproError
 from repro.resilience.faults import FaultPlan
@@ -78,7 +77,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
         queue_memory=args.queue_kb * 1024,
         buffer_memory=args.buffer_kb * 1024,
         parallel=args.parallel,
-        parallel_mode=args.parallel_mode,
         spill_dir=pathlib.Path(args.spill_dir) if args.spill_dir else None,
         trace_path=args.trace,
         trace_format=args.trace_format,
@@ -208,14 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="result rows to print")
     join.add_argument("--parallel", type=int, default=1,
                       help="worker count of the parallel engine; N > 1 "
-                           "runs amkdj on it, the other algorithms run "
-                           "sequentially")
-    join.add_argument("--parallel-mode", default="shm-process",
-                      choices=list(PARALLEL_MODES),
-                      help="where the parallel engine's workers run: "
-                           "processes on a shared-memory arena "
-                           "(shm-process, default) or the calling thread "
-                           "(shm-serial)")
+                           "runs amkdj on it (forked worker processes on "
+                           "Linux), the other algorithms run sequentially")
     join.add_argument("--spill-dir", metavar="DIR", default=None,
                       help="directory for real main-queue spill files "
                            "(default: simulated spill only)")

@@ -50,7 +50,7 @@ from repro.storage.cost import (
 
 KDJ_ALGORITHMS = ("hs", "bkdj", "amkdj", "sjsort", "nlj")
 IDJ_ALGORITHMS = ("hs", "amidj")
-#: Where the parallel engine's workers run (``JoinConfig.parallel_mode``).
+#: The values ``JoinConfig.parallel_mode`` accepts; it selects nothing.
 PARALLEL_MODES = ("shm-process", "shm-serial")
 
 
@@ -71,11 +71,15 @@ class JoinConfig:
 
     ``parallel`` (N > 1) runs AM-KDJ on the parallel engine
     (:mod:`repro.parallel`) with N workers; the other k-distance joins
-    run sequentially whatever its value.  ``parallel_mode`` picks where
-    the engine's workers run: ``"shm-process"`` (the default; processes
-    attached zero-copy to a shared-memory arena) or ``"shm-serial"``
-    (the calling thread drains every task; deterministic debugging).
-    Any other value raises ``ValueError``.
+    run sequentially whatever its value.  The engine picks its own
+    runtime: at N >= 2 on Linux it forks N worker processes, which read
+    the parent's tree images through the memory pages fork shares;
+    at one worker, or where fork is unavailable, the calling thread
+    drains every task.  ``parallel_mode`` selects nothing: it is still
+    accepted (``"shm-process"`` or ``"shm-serial"``; any other value
+    raises ``ValueError``) only because the benchmark harness builds
+    ``JoinConfig(parallel_mode="shm-process")``, and it goes when the
+    harness stops setting it.
 
     ``trace_path`` turns on the :mod:`repro.obs` tracing subsystem for
     every run of the runner: structured events (stage spans, eDmax
@@ -103,8 +107,8 @@ class JoinConfig:
     run's wall time — every engine's expansion loop checks it
     cooperatively and raises the typed
     :class:`~repro.resilience.errors.JoinDeadlineExceeded` on expiry.
-    ``worker_timeout_s`` bounds how long a parallel worker may go
-    silent (or take to come up); a worker that crashes, is killed or
+    ``worker_timeout_s`` bounds how long a forked parallel worker may
+    go silent (or take to come up); a worker that crashes, is killed or
     times out loses its tasks to the survivors, and the parent drains
     them itself once no worker is left, so the parallel join returns
     the same answer or a typed error — never a silently incomplete
@@ -377,11 +381,6 @@ class JoinRunner:
             else:
                 cutoff = dmax if dmax is not None else self.true_dmax(k)
                 results, stats = sjsort_mod.sj_sort(ctx, k, cutoff)
-            tracer, metrics = ctx.instr.tracer, ctx.instr.metrics
-            if metrics is not None and tracer.enabled:
-                # One final registry snapshot into the trace, so reports
-                # can derive distribution percentiles offline.
-                tracer.counter("metrics:final", **metrics.snapshot())
         finally:
             ctx.close()
         self._merge_resume_prefix(stats, resume_payload)

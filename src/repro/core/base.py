@@ -111,6 +111,7 @@ class JoinContext:
         self.plane = plane
         self.owned_tracer = None
         self._run: JoinRun | None = None
+        self._closed = False
         self.rho = rho if rho is not None else self.default_rho()
         self.queue_memory = queue_memory
         # The Equation (3) density model pre-places the hybrid queue's
@@ -133,16 +134,26 @@ class JoinContext:
         self.checkpoint = checkpoint
 
     def close(self) -> None:
-        """Release the run: the spans of a run an error stopped, the live
-        plane, checkpoint manager, spill files and tracer, in that order.
+        """Release the run: the spans of a run an error stopped, the
+        final metrics snapshot, the live plane, checkpoint manager, spill
+        files and tracer, in that order.
 
         The plane's final snapshot still reads the live queue and
         registry, and the tracer closes after every span end.
-        Idempotent; every public entry point calls it, so abandoned runs
-        never leak ``seg-*.pile`` files in ``spill_dir``.
+        Idempotent (a second call does nothing); every public entry
+        point calls it, so abandoned runs never leak ``seg-*.pile``
+        files in ``spill_dir``.
         """
+        if self._closed:
+            return
+        self._closed = True
         if self._run is not None:
             self._run.close()
+        tracer, metrics = self.instr.tracer, self.instr.metrics
+        if metrics is not None and tracer.enabled:
+            # One final registry snapshot into the trace, so reports
+            # can derive distribution percentiles offline.
+            tracer.counter("metrics:final", **metrics.snapshot())
         if self.plane is not None:
             self.plane.close()
         if self.checkpoint is not None:
@@ -311,7 +322,9 @@ class JoinRun:
     :class:`StageMeter` counter event ``stage:<label>``, its
     ``obs.stage.<label>.*`` deltas and the live stage.  ``step`` is the
     deadline's own ``tick`` without a checkpoint manager, else ``tick()``
-    then the barrier; ``cutoffs`` is the live plane's store, or a no-op.
+    then the barrier, whose checkpointed stats also carry the open
+    stage's deltas so far (a resumed run merges them with its own);
+    ``cutoffs`` is the live plane's store, or a no-op.
     """
 
     __slots__ = ("step", "cutoffs", "_tracer", "_name", "_live", "_ckpt",
@@ -331,9 +344,15 @@ class JoinRun:
         if ckpt is not None:
             barrier = ckpt.barrier
 
+            def body() -> dict:
+                payload = capture()
+                if self._meter is not None and self._stage is not None:
+                    self._meter.carry(self._stage, payload["stats"].extra)
+                return payload
+
             def step() -> None:
                 tick()
-                barrier(capture)
+                barrier(body)
 
             self.step = step
         self.cutoffs = live.set_cutoffs if live is not None else _ignore

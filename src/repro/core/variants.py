@@ -13,13 +13,13 @@ k-closest-pairs join:
 
 from __future__ import annotations
 
+import heapq
 import time
 
 from repro.core.api import JoinConfig, JoinResult, JoinRunner
 from repro.core.base import JoinContext
 from repro.core.pairs import ResultPair
 from repro.core.sjsort import spatial_join_within
-from repro.queues.binary_heap import MinHeap
 from repro.rtree.tree import RTree
 
 
@@ -92,20 +92,22 @@ def all_nearest_neighbors(
 
 
 def _nearest_in(ctx: JoinContext, step, rect, ref_r: int) -> ResultPair:
-    """Best-first nearest-neighbor search in S for one R rectangle."""
-    heap: MinHeap[float] = MinHeap()
+    """Best-first nearest-neighbor search in S for one R rectangle.
+
+    Heap items are ``(distance, is_node, ref)``: at equal distance an
+    object pops before a node, and equal objects pop by id.
+    """
     root = ctx.accessor_s.root
-    heap.push(ctx.instr.real_distance(rect, root.mbr()), ("node", root.page_id))
+    heap = [(ctx.instr.real_distance(rect, root.mbr()), 1, root.page_id)]
     while heap:
         step()
-        distance, (kind, target) = heap.pop()
-        if kind == "object":
+        distance, is_node, target = heapq.heappop(heap)
+        if not is_node:
             return ResultPair(distance, ref_r, target)
         node = ctx.accessor_s.get(target)
-        child_kind = "object" if node.is_leaf else "node"
+        child = 0 if node.is_leaf else 1
         for entry in node.entries:
-            heap.push(
-                ctx.instr.real_distance(rect, entry.rect),
-                (child_kind, entry.ref),
+            heapq.heappush(
+                heap, (ctx.instr.real_distance(rect, entry.rect), child, entry.ref)
             )
     raise RuntimeError("S tree unexpectedly empty during aNN search")

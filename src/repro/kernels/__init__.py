@@ -8,7 +8,7 @@ through a kernels backend:
 - HS pairs a partner with *every* child of the node it expands, so the
   child list is one batch
   (:meth:`~repro.core.stats.Instruments.mindist_within_items`);
-- the shared-memory engine (:mod:`repro.parallel.steal`) crosses two
+- the parallel engine (:mod:`repro.parallel.runtime`) crosses two
   node blocks, or one rect and a block, of the flat images per
   expansion (``cross_within``/``block_within``).
 
@@ -31,7 +31,7 @@ charge ``cpu_real_distance`` per logical distance through
 performed.
 
 The package also holds the flat tree images (:mod:`repro.kernels.arena`),
-the shared-memory engine's layout; the sequential engines read nodes
+the parallel engine's layout; the sequential engines read nodes
 through ``Node.entries`` only.
 """
 

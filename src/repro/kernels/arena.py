@@ -1,11 +1,9 @@
-"""Flat struct-of-arrays tree images for the shared-memory engine.
+"""Flat struct-of-arrays tree images for the parallel engine.
 
-The layout is the parallel work-stealing engine's.  It lives here in
-:mod:`repro.kernels`, next to the block kernels that read it, so that
-building a plain-buffer :class:`TreeArena` (``use_shm=False``, the
-``shm-serial`` drain) imports nothing process-related: no shared-memory
-segment, no resource tracker.  The sequential engines never read an
-image; they read nodes through ``Node.entries``.
+The layout is the parallel engine's.  It lives here in
+:mod:`repro.kernels`, next to the block kernels that read it; nothing
+here imports anything process-related.  The sequential engines never
+read an image; they read nodes through ``Node.entries``.
 
 Layout (all fields 8 bytes, so one contiguous buffer needs no padding).
 Rows are page ids: row ``p`` describes page ``p``, and its entries sit
@@ -29,21 +27,17 @@ Versions: each tree's image is memoized per ``RTree.version``
 new buffer.  A published image is never written, so an arena opened
 before a write keeps reading the tree as it was.
 
-Backings: in shm mode :class:`TreeArena` copies both images into one
-``multiprocessing.shared_memory`` segment whose name travels to workers
-inside a picklable ``ArenaDescriptor`` (:mod:`repro.parallel.shm`);
-otherwise its read-only views sit straight on the images.
-Either way :class:`SharedTreeView` exposes the same API, with NumPy
-views (``np.frombuffer``) when NumPy is importable and
+Backing: :class:`TreeArena` puts a read-only view straight on each
+image.  The engine's forked workers inherit the arena and read the
+same memory pages; nothing is copied.  :class:`SharedTreeView` reads
+through NumPy views (``np.frombuffer``) when NumPy is importable and
 ``memoryview.cast`` fallbacks otherwise, so the block kernels evaluate
-directly over shared-buffer slices.
+directly over buffer slices.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-import secrets
 import struct
 import weakref
 from typing import TYPE_CHECKING
@@ -58,10 +52,6 @@ try:  # pragma: no cover - the image ships numpy; the fallback is for parity
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
-
-#: Prefix of every shared-memory segment this module creates; the CI
-#: leak check greps ``/dev/shm`` for it.
-SHM_PREFIX = "repro-shm"
 
 #: Buffer field order: (name, kind) with kind "qn"/"dn" per row and
 #: "qe"/"de" per entry slot ("q" = int64, "d" = float64).
@@ -218,7 +208,7 @@ class SharedTreeView:
             else:
                 setattr(self, name, window.cast(code))
         # Coordinate blocks the kernels slice per expansion — built once
-        # per view, never per expansion (the tentpole's zero-copy claim).
+        # per view, never per expansion.
         self.entries = _CoordBlock(self.exmin, self.eymin, self.exmax, self.eymax)
         self.node_rects = _CoordBlock(self.nxmin, self.nymin, self.nxmax, self.nymax)
 
@@ -248,7 +238,7 @@ class SharedTreeView:
         )
 
     def release(self) -> None:
-        """Drop every exported buffer so the backing can be closed."""
+        """Drop every array over the image, then the view itself."""
         for name, _ in _FIELDS:
             setattr(self, name, None)
         self.entries = None
@@ -281,88 +271,31 @@ class _CoordBlock:
         return len(self.xmin)
 
 
-def _segment_name() -> str:
-    return f"{SHM_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}"
-
-
 class TreeArena:
     """Both trees' flat views for one parallel join, over their memoized images.
 
     A tree written since its last arena has its image rebuilt here (see
     :func:`tree_image`); rows are page ids, so callers index a node's
-    row by its page id and find the root at ``layout_r.root``.
-    ``use_shm=True`` copies the images into one shared-memory segment
-    (process workers attach by name); ``use_shm=False`` puts a read-only
-    view straight on each image for the ``shm-serial`` drain, and
-    nothing process-related is imported.
+    row by its page id and find the root at ``layout_r.root``.  The
+    views are read-only: other arenas, and the engine's forked workers,
+    read the same images.
     """
 
-    def __init__(self, tree_r: "RTree", tree_s: "RTree", use_shm: bool) -> None:
+    def __init__(self, tree_r: "RTree", tree_s: "RTree") -> None:
         layout_r, buf_r = tree_image(tree_r)
         layout_s, buf_s = tree_image(tree_s)
         self.layout_r = layout_r
         self.layout_s = layout_s
-        self._shm = None
-        self._closed = False
-        if use_shm:
-            from multiprocessing import shared_memory
-
-            total = layout_r.nbytes + layout_s.nbytes
-            self._shm = shared_memory.SharedMemory(
-                create=True, size=max(total, 1), name=_segment_name()
-            )
-            backing = self._shm.buf
-            backing[: layout_r.nbytes] = buf_r
-            backing[layout_r.nbytes : total] = buf_s
-            buf_r = backing[: layout_r.nbytes]
-            buf_s = backing[layout_r.nbytes : total]
-        else:
-            # Other arenas share these images: guard them against writes.
-            buf_r = memoryview(buf_r).toreadonly()
-            buf_s = memoryview(buf_s).toreadonly()
-        self.view_r = SharedTreeView(layout_r, buf_r)
-        self.view_s = SharedTreeView(layout_s, buf_s)
-
-    @property
-    def segment(self) -> str | None:
-        return self._shm.name if self._shm is not None else None
-
-    def descriptor(self):
-        """Attach ticket for process workers (``None`` for local backing)."""
-        if self._shm is None:
-            return None
-        # Imported lazily: plain-buffer arenas must never drag in the
-        # multiprocessing resource-tracker machinery.
-        from repro.parallel.shm import ArenaDescriptor, _tracker_pid
-
-        return ArenaDescriptor(
-            self._shm.name, self.layout_r, self.layout_s, _tracker_pid()
-        )
+        self.view_r = SharedTreeView(layout_r, memoryview(buf_r).toreadonly())
+        self.view_s = SharedTreeView(layout_s, memoryview(buf_s).toreadonly())
 
     def close(self) -> None:
-        """Release views and (for shm) close + unlink.  Idempotent.
-
-        Called from the engine's ``finally``, so it runs on success, on
-        typed errors, on deadline expiry and after injected worker
-        kills; unlink is what keeps ``/dev/shm`` clean.  The images stay.
-        """
-        if self._closed:
-            return
-        self._closed = True
+        """Release the views.  Idempotent; the images stay."""
         try:
             self.view_r.release()
             self.view_s.release()
         except BufferError:  # pragma: no cover - exported views still alive
             pass
-        if self._shm is not None:
-            try:
-                self._shm.close()
-            except BufferError:  # pragma: no cover
-                pass
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
 
     def __enter__(self) -> "TreeArena":
         return self

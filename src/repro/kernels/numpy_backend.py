@@ -3,7 +3,7 @@
 HS evaluates a partner against an expanded node's whole child list
 (:meth:`mindist_packed_within`, or :meth:`mindist_packed`), over
 child lists packed by :meth:`NumpyKernels.pack_rects` once per node and
-join, and the shared-memory engine crosses node blocks of the flat
+join, and the parallel engine crosses node blocks of the flat
 images (:meth:`block_within`, :meth:`cross_within`), as zero-copy
 slices.
 
@@ -147,7 +147,7 @@ class NumpyKernels:
         """``(index, distance)`` for packed rects within ``bound`` of ``rect``.
 
         Like :meth:`mindist_packed_within` but with the exact-distance
-        rules applied full-width (the blocks the shared-memory engine
+        rules applied full-width (the blocks the parallel engine
         evaluates are small, so the extra ``where`` passes are cheaper
         than the survivor re-check dance) — the distances are bitwise
         identical either way.

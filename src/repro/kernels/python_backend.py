@@ -3,7 +3,7 @@
 The fallback when NumPy is not importable.  There is nothing to
 vectorize with, so the backend is not ``batched``: HS's child-list
 batches take :class:`~repro.core.stats.Instruments`' scalar loop, and
-only the shared-memory engine's block calls live here, written with the
+only the parallel engine's block calls live here, written with the
 arithmetic of the scalar ``min_distance`` (its zero-gap shortcuts, its
 underflow fallback and its ``math.hypot`` where the squares overflow)
 so that the distances match the NumPy backend's bit for bit.
@@ -17,7 +17,7 @@ _INF = math.inf
 
 
 class PythonKernels:
-    """Scalar implementation of the shared-memory engine's block calls."""
+    """Scalar implementation of the parallel engine's block calls."""
 
     name = "python"
     #: Whether HS's child-list batches go through the backend.  False
@@ -28,7 +28,7 @@ class PythonKernels:
         """``(index, distance)`` for block rects within ``bound`` of ``rect``.
 
         ``block`` is a struct-of-arrays coordinate block (the
-        shared-memory engine's zero-copy slices expose
+        parallel engine's zero-copy slices expose
         ``xmin``/``ymin``/``xmax``/``ymax`` memoryviews, or NumPy arrays
         where NumPy imports); :func:`_columns` reads them as floats.
         """

@@ -218,10 +218,14 @@ class MetricsRegistry:
         self._prefix = prefix
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
 
+    def key(self, name: str) -> str:
+        """The snapshot key of the counter ``name``."""
+        return f"{self._prefix}.{name}"
+
     def _get(self, kind: type, name: str) -> Counter | Gauge | Histogram:
         instrument = self._instruments.get(name)
         if instrument is None:
-            instrument = kind(f"{self._prefix}.{name}")
+            instrument = kind(self.key(name))
             self._instruments[name] = instrument
         elif not isinstance(instrument, kind):
             raise TypeError(
@@ -283,6 +287,21 @@ class StageMeter:
             ),
             "sim_time": instr.disk.clock,
         }
+
+    def carry(self, stage: str, extra: dict[str, float]) -> None:
+        """Add the open ``stage``'s deltas so far to a stats ``extra``.
+
+        A checkpoint's stats carry them, so a resumed run that merges
+        that prefix still has stage deltas summing to its counters.
+        Records nothing: the registry, the trace and the stage's own
+        deltas at its end are unchanged.
+        """
+        metrics = self._instr.metrics
+        if metrics is None:
+            return
+        for key, value in self._snap().items():
+            name = metrics.key(f"stage.{stage}.{key}")
+            extra[name] = extra.get(name, 0.0) + value - self._last[key]
 
     def stage_end(self, stage: str) -> dict[str, float]:
         """Close the current stage; record and return its work deltas."""

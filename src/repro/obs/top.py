@@ -3,8 +3,8 @@
 Tails the atomically-swapped status file a running join publishes
 (``join --status-file PATH``, or implied by ``--metrics-port``) and
 renders a small dashboard: progress bar with ETA, cutoff convergence,
-and a per-worker table of heartbeat age, tasks, steal/giveback counts
-and local queue depth.  Read-only — it shares nothing with the join but
+and a per-worker table of heartbeat age, tasks done and local queue
+depth.  Read-only — it shares nothing with the join but
 the file, so it can run on another terminal, another user, or (with a
 shared filesystem) another host.
 """
@@ -74,7 +74,7 @@ def render_status(status: dict[str, Any], width: int = 40) -> str:
         lines.append("")
         lines.append(
             f"{'worker':>6}  {'beat':>6}  {'state':>5}  {'tasks':>7}  "
-            f"{'steals':>6}  {'giveback':>8}  {'depth':>5}"
+            f"{'depth':>5}"
         )
         for row in workers:
             age = row.get("heartbeat_age_s")
@@ -83,15 +83,12 @@ def render_status(status: dict[str, Any], width: int = 40) -> str:
             lines.append(
                 f"{row.get('worker', '?'):>6}  {beat:>6}  {state:>5}  "
                 f"{row.get('tasks_done', 0):>7.0f}  "
-                f"{row.get('steals', 0):>6.0f}  "
-                f"{row.get('givebacks', 0):>8.0f}  "
                 f"{row.get('queue_depth', 0):>5.0f}"
             )
     metrics = status.get("metrics") or {}
     if isinstance(metrics, dict) and metrics:
         highlights = []
-        for key in ("obs.queue.insertions", "obs.shm.tasks", "obs.shm.steals",
-                    "obs.shm.pairs"):
+        for key in ("obs.queue.insertions", "obs.shm.tasks"):
             value = metrics.get(key)
             if isinstance(value, (int, float)):
                 highlights.append(f"{key.removeprefix('obs.')}={value:,.0f}")

@@ -7,18 +7,19 @@ is the paper's SJ-within-Dmax observation (Section 5.4), with the
 a-priori ``Dmax`` replaced by the Equation (3) eDmax estimate and the
 stage verification below.
 
-1. **Serialize once** — both trees' flat images are assembled into a
-   :class:`~repro.kernels.arena.TreeArena` (a shared-memory segment in
-   ``shm-process`` mode, a plain buffer otherwise).  Workers attach
-   zero-copy; nothing is pickled per task.
+1. **Serialize once** — both trees' flat images (memoized per tree
+   version) are opened as a :class:`~repro.kernels.arena.TreeArena`.
+   Forked workers read the parent's images through the memory pages
+   fork shares with them; nothing is copied or pickled per task.
 2. **Adaptive task split** — the parent splits the ``(root, root)``
    node pair into a frontier of candidate node pairs until each task's
    estimated work drops under the cost-model threshold
    (:meth:`~repro.storage.cost.CostModel.shm_split_threshold`).
-3. **Work-stealing workers** (:mod:`repro.parallel.steal`) — each
-   worker drains its tasks as a DFS over node pairs with the batched
-   kernels; idle workers are fed the bottom half of a busy worker's
-   stack.  ``shm-serial`` drains the frontier in the calling thread.
+3. **Workers** (:mod:`repro.parallel.runtime`) — each forked worker
+   pulls cost-sized tasks, :data:`~repro.parallel.runtime.PREFETCH`
+   ahead, and drains each as a DFS over node pairs with the batched
+   kernels.  At one worker, or where fork is unavailable, the calling
+   thread drains the frontier itself.
 4. **Batched qDmax exchange** — workers flush result batches; the
    parent commits them into a duplicate-rejecting
    :class:`~repro.parallel.merge.PairwiseBound` and publishes the new
@@ -31,7 +32,10 @@ stage verification below.
    barriers.
 
 The engine runs at any worker count, one included, so a parallel
-speedup can be measured against the same algorithm on one worker.
+speedup can be measured against the same algorithm on one worker.  It
+picks its runtime itself: ``"process"`` (forked workers) when
+``config.parallel >= 2`` on Linux with the ``fork`` start method,
+``"inline"`` (the calling thread) otherwise.
 """
 
 from __future__ import annotations
@@ -49,13 +53,14 @@ from repro.kernels.arena import TreeArena
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.merge import PairwiseBound
-from repro.parallel.shm import WorkerTelemetry, _mp_context
-from repro.parallel.steal import (
+from repro.parallel.runtime import (
     SweepCounters,
+    WorkerTelemetry,
     _LocalCell,
     _StageRuntime,
     _build_frontier,
     _drain_inline,
+    _fork_context,
     _run_stage_pool,
 )
 from repro.resilience.deadline import Deadline
@@ -86,9 +91,10 @@ def parallel_kdj(
     Returns the same result set as the sequential AM-KDJ run; stats
     carry the traversal's work counters, scheduling detail lands in
     ``stats.extra`` (``parallel_*``, ``obs.shm.*``, ``resilience_*``).
-    ``config.parallel_mode`` picks where workers run: ``"shm-process"``
-    (processes on a shared-memory arena) or ``"shm-serial"`` (the
-    calling thread).  ``k`` must be a positive integer (``ValueError``
+    ``stats.extra["parallel_mode"]`` names the runtime that ran:
+    ``"process"`` (forked workers, at two workers or more on Linux) or
+    ``"inline"`` (the calling thread).  ``config.parallel_mode`` selects
+    nothing.  ``k`` must be a positive integer (``ValueError``
     otherwise).
     """
     from repro.core.api import JoinConfig, JoinResult
@@ -96,7 +102,8 @@ def parallel_kdj(
     check_k(k)
     config = config or JoinConfig()
     workers = max(1, config.parallel)
-    mode = config.parallel_mode
+    fork = _fork_context() if workers >= 2 else None
+    mode = "process" if fork is not None else "inline"
     started = time.perf_counter()
     name = f"parallel-{ALGORITHM}"
     if tree_r.size == 0 or tree_s.size == 0:
@@ -141,8 +148,8 @@ def parallel_kdj(
             tracer = owned_tracer = profiled
         plane.attach_metrics(metrics)
         plane.set_work_source(lambda: (work["done"], work["total"]))
-        if mode != "shm-serial":
-            telemetry = WorkerTelemetry(workers, _mp_context())
+        if fork is not None:
+            telemetry = WorkerTelemetry(workers, fork)
             plane.attach_workers(telemetry)
         live.start(name, k)
         plane.start(tracer)
@@ -180,9 +187,7 @@ def parallel_kdj(
         if checkpoint is not None and plane is not None:
             plane.attach_checkpoint(checkpoint)
 
-    # After the resume load: a bad checkpoint must not strand the
-    # shared-memory arena (its views pin the mapping until close()).
-    arena = TreeArena(tree_r, tree_s, use_shm=(mode == "shm-process"))
+    arena = TreeArena(tree_r, tree_s)
 
     def build_checkpoint() -> dict:
         # Drain-barrier snapshot: the stage pool has joined (workers
@@ -259,10 +264,10 @@ def parallel_kdj(
             commit(stage_out)
             if deadline is not None:
                 deadline.check()
-            if mode == "shm-serial" or not tasks:
+            if fork is None or not tasks:
                 _drain_inline(arena, tasks, cap, cell, commit, kern, ctr, deadline)
             else:
-                runtime = _StageRuntime(workers, arena, cap, config, telemetry)
+                runtime = _StageRuntime(workers, arena, cap, config, fork, telemetry)
                 cell = runtime.cell
                 cell.value = bound.cutoff
                 try:

@@ -19,9 +19,9 @@ from repro.queues.distance_queue import DistanceQueue
 class PairwiseBound:
     """The global ``qDmax``, fed once per distinct object pair.
 
-    Tolerates fewer than k offers (cutoff ``inf``).  The work-stealing
-    engine re-enqueues a crashed worker's tasks, and a re-run task can
-    re-discover pairs a shed subtask already committed.  Offering the
+    Tolerates fewer than k offers (cutoff ``inf``).  The parallel
+    engine re-enqueues a failed worker's tasks, running or prefetched,
+    and a re-run must never count a pair twice.  Offering the
     same pair's distance twice into a k-bounded queue would deflate the
     cutoff below the true k-th distance — an unsafe bound — so offers
     are keyed by pair identity: the first offer of a pair counts,

@@ -14,12 +14,10 @@ Three queues drive the algorithms (paper Sections 2.1 and 4.4):
   aggressively-expanded pairs that the multi-stage algorithms revisit.
 
 :mod:`~repro.queues.external_sort` provides the memory-budgeted external
-merge sort used by the SJ-SORT baseline, and
-:mod:`~repro.queues.binary_heap` the from-scratch heaps everything is
-built on.
+merge sort used by the SJ-SORT baseline.  Every heap underneath is
+the standard library's ``heapq``.
 """
 
-from repro.queues.binary_heap import MaxHeap, MinHeap
 from repro.queues.distance_queue import DistanceQueue
 from repro.queues.main_queue import MainQueue, QueueStats
 from repro.queues.compensation import CompensationQueue
@@ -30,7 +28,5 @@ __all__ = [
     "DistanceQueue",
     "ExternalSorter",
     "MainQueue",
-    "MaxHeap",
-    "MinHeap",
     "QueueStats",
 ]

@@ -10,18 +10,18 @@ Classic two-phase external merge sort:
 
 1. **Run formation** — fill the memory budget, sort, write a sequential
    run.
-2. **Multiway merge** — merge all runs through a loser-free min-heap,
-   reading each run a page at a time.  (With the paper's parameters one
+2. **Multiway merge** — merge all runs through a ``heapq`` min-heap of
+   ``(key, run id)`` heads, reading each run a page at a time.  (With the paper's parameters one
    merge pass always suffices; a multi-pass merge is implemented anyway
    for small memory budgets.)
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Any, Iterable, Iterator
 
-from repro.queues.binary_heap import MinHeap
 from repro.storage.disk import SimulatedDisk
 
 
@@ -119,16 +119,20 @@ class ExternalSorter:
     def _merge_stream(
         self, runs: list[list[tuple[float, Any]]]
     ) -> Iterator[tuple[float, Any]]:
-        """K-way merge, charging a sequential page read per page consumed."""
+        """K-way merge, charging a sequential page read per page consumed.
+
+        A run holds one head in the heap at a time, so ``(key, run_id)``
+        heads are unique: equal keys pop in run order.
+        """
         per_page = self._entries_per_page()
-        heap: MinHeap[tuple[float, int]] = MinHeap()
+        heap: list[tuple[float, int]] = []
         positions = [0] * len(runs)
         for run_id, run in enumerate(runs):
             if run:
                 self._disk.sequential_read(1)
-                heap.push((run[0][0], run_id), None)
+                heapq.heappush(heap, (run[0][0], run_id))
         while heap:
-            (key, run_id), _ = heap.pop()
+            _, run_id = heapq.heappop(heap)
             pos = positions[run_id]
             yield runs[run_id][pos]
             positions[run_id] = pos + 1
@@ -137,4 +141,4 @@ class ExternalSorter:
             if nxt < len(run):
                 if nxt % per_page == 0:
                     self._disk.sequential_read(1)
-                heap.push((run[nxt][0], run_id), None)
+                heapq.heappush(heap, (run[nxt][0], run_id))

@@ -1,7 +1,7 @@
 """Deterministic, seeded fault-injection harness.
 
-A :class:`FaultPlan` travels on ``JoinConfig.fault_plan`` (it pickles,
-so process workers inherit it) and is consulted at seven injection
+A :class:`FaultPlan` travels on ``JoinConfig.fault_plan`` (forked
+process workers inherit it) and is consulted at seven injection
 *sites*:
 
 - ``worker_crash`` — a parallel worker raises
@@ -96,8 +96,9 @@ class FaultPlan:
     """A seeded set of :class:`FaultSpec` entries plus site counters.
 
     The per-site occurrence counters are *instance* state: a pickled
-    copy (as shipped to a process worker) starts its own count, which
-    keeps firing decisions deterministic per worker.
+    copy starts its own count.  Worker sites take the worker id as
+    their occurrence index, so a forked worker's firing decisions are
+    deterministic whatever counts it inherits.
     """
 
     specs: tuple[FaultSpec, ...] = ()
@@ -149,8 +150,8 @@ class FaultPlan:
         return cls(specs=tuple(specs), seed=seed, stall_s=stall_s)
 
     def __reduce__(self):
-        # Occurrence counters are instance state: a pickled copy (as
-        # shipped to a process worker) starts its own count.
+        # Occurrence counters are instance state: a pickled copy
+        # starts its own count.
         return (FaultPlan, (self.specs, self.seed, self.stall_s))
 
     # -- firing decisions -----------------------------------------------

@@ -18,6 +18,7 @@ processing, not index building.
 
 from __future__ import annotations
 
+import heapq
 import io
 import numbers
 import struct
@@ -215,28 +216,27 @@ class RTree:
 
         Classic best-first traversal (Hjaltason & Samet's ranking,
         the single-tree special case of the distance join): a min-heap
-        of nodes and objects keyed by minimum distance to the query
-        point.  Returns ``(distance, object_id)`` pairs in increasing
-        distance order; fewer than k only when the tree is smaller.
+        of ``(distance, is_node, ref)`` keyed by minimum distance to the
+        query point, so at equal distance an object pops before a node
+        and equal objects pop by id.  Returns ``(distance, object_id)``
+        pairs in increasing distance order; fewer than k only when the
+        tree is smaller.
         """
         check_k(k)
         if self.size == 0:
             return []
-        from repro.queues.binary_heap import MinHeap
-
         point = Rect.from_point(x, y)
-        heap: MinHeap[float] = MinHeap()
-        heap.push(0.0, ("node", self.root_id))
+        heap: list[tuple[float, int, int]] = [(0.0, 1, self.root_id)]
         results: list[tuple[float, int]] = []
         while heap and len(results) < k:
-            distance, (kind, ref) = heap.pop()
-            if kind == "object":
+            distance, is_node, ref = heapq.heappop(heap)
+            if not is_node:
                 results.append((distance, ref))
                 continue
             node = self._get_node(ref)
-            child_kind = "object" if node.is_leaf else "node"
+            child = 0 if node.is_leaf else 1
             for entry in node.entries:
-                heap.push(entry.rect.min_dist(point), (child_kind, entry.ref))
+                heapq.heappush(heap, (entry.rect.min_dist(point), child, entry.ref))
         return results
 
     # ------------------------------------------------------------------

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-#: Modeled CPU seconds one work-stealing task should cost: small enough
-#: that a handful of workers see dozens of tasks to balance, large
-#: enough that per-task dispatch overhead stays negligible.
+#: Modeled CPU seconds one parallel-engine task should cost: small
+#: enough that a handful of workers see dozens of tasks to balance,
+#: large enough that per-task dispatch overhead stays negligible.
 SHM_TASK_SECONDS = 0.02
 
 
@@ -74,12 +74,12 @@ class CostModel:
     def shm_split_threshold(
         self, workers: int, task_seconds: float = SHM_TASK_SECONDS
     ) -> float:
-        """Estimated pair count above which a work-stealing task splits.
+        """Estimated pair count above which a parallel-engine task splits.
 
-        The shared-memory engine splits a task when its estimated work —
+        The parallel engine splits a task when its estimated work —
         candidate pairs times ``cpu_real_distance`` — exceeds a modeled
         per-task CPU budget, scaled down by the worker count so more
-        workers see proportionally finer tasks to balance and steal.
+        workers see proportionally finer tasks to balance.
         The floor keeps tasks from shrinking below one node-pair block,
         where dispatch overhead would dominate.
         """

@@ -282,7 +282,7 @@ class TestUnderflowingGaps:
 
     @pytest.mark.parametrize("k", [1, 40])
     def test_parallel_engine(self, trees, k):
-        config = JoinConfig(parallel=2, parallel_mode="shm-serial")
+        config = JoinConfig(parallel=1)
         result = parallel_kdj(*trees, k, config)
         assert result.distances == [i * 1e-170 for i in range(1, k + 1)]
 
@@ -329,7 +329,7 @@ class TestOverflowingGaps:
 
     @pytest.mark.parametrize("k", [1, 40])
     def test_parallel_engine(self, trees, kernels_backend, backend, k):
-        config = JoinConfig(parallel=1, parallel_mode="shm-serial")
+        config = JoinConfig(parallel=1)
         with kernels_backend(backend):
             result = parallel_kdj(*trees, k, config)
         assert result.distances == self.expected(k)

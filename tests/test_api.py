@@ -89,7 +89,7 @@ class TestKMustBeAPositiveInteger:
         # The engine checks k itself when called directly, at any
         # worker count.
         for workers in (1, 2):
-            config = JoinConfig(parallel=workers, parallel_mode="shm-serial")
+            config = JoinConfig(parallel=workers)
             with pytest.raises(ValueError, match="positive integer"):
                 parallel_kdj(tree_r, tree_s, k, config)
 

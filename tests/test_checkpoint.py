@@ -371,6 +371,7 @@ def staged_trees():
 
 @pytest.mark.parametrize("mode", ["shm-serial", "shm-process"])
 def test_parallel_checkpoint_and_resume(staged_trees, tmp_path, mode):
+    # ``parallel_mode`` selects nothing: both runs fork two workers.
     tree_r, tree_s = staged_trees
     k = 120
     path = tmp_path / f"{mode}.ckpt"

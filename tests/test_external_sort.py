@@ -1,5 +1,6 @@
 """Tests for the memory-budgeted external merge sort."""
 
+import hashlib
 import random
 
 import pytest
@@ -83,3 +84,19 @@ def test_sort_is_permutation_and_ordered(values, entries):
     sorter, _ = make_sorter(entries)
     out = [k for k, _ in sorter.sort((v, None) for v in values)]
     assert out == sorted(values)
+
+
+def test_tie_heavy_multi_pass_merge_is_pinned():
+    # Six distinct keys over 3,000 items and a 16-entry budget: many
+    # runs, several merge passes, every key tied hundreds of times.
+    # Equal keys pop in run order; the merged payload order and the
+    # simulated clock are pinned.
+    sorter, disk = make_sorter(16)
+    rng = random.Random(7)
+    items = [(float(rng.randrange(6)), i) for i in range(3000)]
+    out = list(sorter.sort(iter(items)))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "915eb27be94aebdf5f79b7422461dbfc01d3c25701790053f454c14324e309a8"
+    assert disk.clock == 0.8481834999999954
+    assert (sorter.runs_created, sorter.merge_passes) == (376, 8)
+    assert disk.stats.sequential_read_pages == disk.stats.sequential_write_pages == 539

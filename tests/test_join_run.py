@@ -23,6 +23,7 @@ from repro.core.api import KDJ_ALGORITHMS
 from repro.obs import load_trace, read_status
 from repro.obs.live import JoinProgress
 from repro.resilience.errors import JoinDeadlineExceeded
+from repro.resilience.recovery import load_checkpoint
 
 from tests.conftest import random_rects
 
@@ -176,3 +177,46 @@ def test_live_plane_starts_once_under_the_runner_name(
     # SJ-SORT's live count is its candidate stream, so it starts with k = 0.
     assert starts == [(algorithm, 0 if algorithm == "sjsort" else 40)]
     assert read_status(path)["progress"]["algorithm"] == algorithm
+
+
+@pytest.mark.parametrize("kind", RUNS)
+def test_trace_holds_one_final_metrics_snapshot(trees, tmp_path, kind):
+    # JoinContext.close() writes it, once, for every run that traces.
+    path = tmp_path / "run.jsonl"
+    run(kind, *trees, trace_path=str(path))
+    records = load_trace(path)
+    assert sum(r["name"] == "metrics:final" for r in records) == 1
+
+
+def test_second_close_writes_no_second_snapshot(trees, tmp_path):
+    path = tmp_path / "run.jsonl"
+    runner = JoinRunner(*trees, JoinConfig(trace_path=str(path)))
+    ctx, _ = runner.open("hs", 10)
+    ctx.close()
+    ctx.close()
+    assert sum(r["name"] == "metrics:final" for r in load_trace(path)) == 1
+
+
+@pytest.mark.parametrize("algorithm", ["hs", "bkdj", "amkdj"])
+def test_resumed_stage_deltas_sum_to_merged_counters(trees, tmp_path, algorithm):
+    # A checkpoint taken mid-stage carries that stage's deltas so far,
+    # so the resumed run's merged stage deltas still sum to its counters.
+    path = tmp_path / "join.ckpt"
+    k = 60
+    ref = run(algorithm, *trees, collect_metrics=True)[1]
+    _, checkpointed = run(algorithm, *trees, checkpoint_path=str(path),
+                          checkpoint_every_pairs=25, collect_metrics=True)
+    assert 0 < load_checkpoint(path)["watermark"] < k
+    # Capturing moves nothing in the uninterrupted run's registry.
+    assert stage_deltas(checkpointed.extra) == stage_deltas(ref.extra)
+    results, stats = run(algorithm, *trees, resume_from=str(path), collect_metrics=True)
+    assert len(results) == k
+    stages = stage_deltas(stats.extra)
+    for field, counter in STAGE_FIELDS.items():
+        total = sum(deltas.get(field, 0.0) for deltas in stages.values())
+        if field == "sim_time":
+            assert total == pytest.approx(stats.response_time, rel=1e-9)
+        else:
+            assert total == getattr(stats, counter) == getattr(ref, counter), field
+    # The resumed run reports the uninterrupted run's stages.
+    assert stages.keys() == stage_deltas(ref.extra).keys()

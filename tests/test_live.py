@@ -3,7 +3,7 @@
 Covers the progress estimator, the status-file publisher, the Prometheus
 exporter + scrape server, the span-aware sampling profiler, per-worker
 telemetry, the ``repro top`` renderer, and the engine wiring (status
-files during sequential and shm-parallel joins, zero overhead when off).
+files during sequential and parallel joins, zero overhead when off).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SamplingProfiler, flame_from_trace, render_collapsed
 from repro.obs.top import render_status, run_top
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.parallel.shm import WORKER_FIELDS, WorkerTelemetry
+from repro.parallel.runtime import WORKER_FIELDS, WorkerSlot, WorkerTelemetry
 
 
 # ----------------------------------------------------------------------
@@ -177,9 +177,9 @@ class TestPrometheus:
                     "stages_done": 1, "elapsed_s": 2.0, "done": False}
         workers = [
             {"worker": 0, "heartbeat_age_s": 0.1, "busy": True,
-             "tasks_done": 4, "steals": 1, "givebacks": 0, "queue_depth": 2},
+             "tasks_done": 4, "queue_depth": 2},
             {"worker": 1, "heartbeat_age_s": None, "busy": False,
-             "tasks_done": 0, "steals": 0, "givebacks": 0, "queue_depth": 0},
+             "tasks_done": 0, "queue_depth": 0},
         ]
         text = render_prometheus(progress=progress, workers=workers)
         assert "repro_progress_fraction 0.5" in text
@@ -278,19 +278,16 @@ class TestWorkerTelemetry:
         import multiprocessing
 
         telemetry = WorkerTelemetry(2, multiprocessing.get_context())
-        slot = telemetry.slot(1)
+        slot = WorkerSlot(telemetry.arr, 1)
         slot.beat(busy=True, depth=5)
         slot.task_done()
-        slot.stole()
-        slot.gave_back()
         rows = telemetry.snapshot()
         assert rows[0]["heartbeat_age_s"] is None  # never beaten
         row = rows[1]
         assert row["busy"] is True
         assert row["queue_depth"] == 5
         assert row["tasks_done"] == 1
-        assert row["steals"] == 1
-        assert row["givebacks"] == 1
+        assert set(row) == {"worker", "heartbeat_age_s", *WORKER_FIELDS[1:]}
         assert row["heartbeat_age_s"] >= 0.0
 
     def test_mp_backing_shares_across_processes(self):
@@ -308,15 +305,10 @@ class TestWorkerTelemetry:
 
     def test_field_order_is_stable(self):
         # WorkerSlot hard-codes offsets; lock the layout.
-        assert WORKER_FIELDS == (
-            "heartbeat", "busy", "tasks_done", "steals",
-            "givebacks", "queue_depth",
-        )
+        assert WORKER_FIELDS == ("heartbeat", "busy", "tasks_done", "queue_depth")
 
 
 def _beat_slot_zero(arr) -> None:
-    from repro.parallel.shm import WorkerSlot
-
     slot = WorkerSlot(arr, 0)
     slot.beat(busy=True, depth=1)
     slot.task_done()
@@ -340,8 +332,7 @@ class TestTop:
             },
             "workers": [
                 {"worker": 0, "heartbeat_age_s": 0.05, "busy": True,
-                 "tasks_done": 7, "steals": 2, "givebacks": 1,
-                 "queue_depth": 3},
+                 "tasks_done": 7, "queue_depth": 3},
             ],
             "metrics": {"obs.queue.insertions": 123.0},
         }
@@ -411,10 +402,7 @@ class TestEngineWiring:
         # array; the parent's status file must carry them.
         tree_r, tree_s = par_trees
         path = tmp_path / "status.json"
-        cfg = JoinConfig(
-            parallel=2, parallel_mode="shm-process",
-            status_path=str(path), status_interval_s=0.02,
-        )
+        cfg = JoinConfig(parallel=2, status_path=str(path), status_interval_s=0.02)
         result = k_distance_join(tree_r, tree_s, 100, config=cfg)
         assert result.stats.extra["parallel_workers"] == 2
         status = read_status(path)
@@ -428,10 +416,7 @@ class TestEngineWiring:
     def test_live_fraction_monotone_during_shm_join(self, tmp_path, par_trees):
         tree_r, tree_s = par_trees
         path = tmp_path / "status.json"
-        cfg = JoinConfig(
-            parallel=2, parallel_mode="shm-process",
-            status_path=str(path), status_interval_s=0.01,
-        )
+        cfg = JoinConfig(parallel=2, status_path=str(path), status_interval_s=0.01)
         fractions: list[float] = []
         stop = threading.Event()
 

@@ -13,6 +13,7 @@ import math
 import pytest
 
 from repro.core.api import JoinConfig, JoinRunner, k_distance_join
+from repro.parallel.engine import parallel_kdj
 from repro.core.stats import JoinStats
 from repro.obs.metrics import (
     GAUGE_KEY_SUFFIX,
@@ -357,11 +358,10 @@ class TestParallelTraces:
     def test_stages_nest_in_the_join_span(self, tmp_path, small_trees):
         tree_r, tree_s = small_trees
         path = tmp_path / "par.jsonl"
-        cfg = JoinConfig(parallel=3, parallel_mode="shm-serial",
-                         trace_path=str(path))
-        result = k_distance_join(tree_r, tree_s, 30, config=cfg)
+        cfg = JoinConfig(parallel=1, trace_path=str(path))
+        result = parallel_kdj(tree_r, tree_s, 30, cfg)
         records = load_trace(path)
-        # The engine's workers do not trace: one track, the parent's.
+        # Workers never trace: one track, the parent's.
         assert {r["track"] for r in records} == {0}
         spans = collect_spans(records)
         parent = next(s for s in spans if s.name == "join:parallel-amkdj")

@@ -3,18 +3,21 @@
 ``JoinConfig(parallel=N)`` / ``k_distance_join(..., parallel=N)`` send
 AM-KDJ with N > 1 to the engine and run every other algorithm
 sequentially; ``parallel_kdj`` runs the engine at any worker count.  The
-engine's own mechanics (serialization, stealing, crash recovery, the
-``nlj`` oracle at one and two workers) are tested in ``test_shm.py``;
+engine's own mechanics (serialization, its two runtimes, crash
+recovery, the ``nlj`` oracle at one and two workers) are tested in
+``test_shm.py``;
 ``TestMerge`` keeps one check of the global bound that caps every
 worker's sweep (the rest are in ``test_parallel_merge.py``).
 """
 
 import math
 import random
+import sys
 
 import pytest
 
 from repro import JoinConfig, Rect, RTree, k_distance_join, parallel_kdj
+from repro.parallel import runtime
 from repro.parallel.merge import PairwiseBound
 
 from tests.conftest import brute_force_distances, random_rects
@@ -65,18 +68,20 @@ class TestMerge:
 
 class TestParallelKDJ:
     @pytest.mark.parametrize("mode", ["serial", "process"])
-    def test_identical_to_sequential_amkdj(self, point_trees, mode):
+    def test_identical_to_sequential_amkdj(self, point_trees, monkeypatch, mode):
+        # "serial": a platform without fork, where the calling thread
+        # drains every task whatever the worker count.
         tree_r, tree_s = point_trees
         sequential = k_distance_join(tree_r, tree_s, k=150)
+        if mode == "serial":
+            monkeypatch.setattr(sys, "platform", "darwin")
         parallel = k_distance_join(
-            tree_r,
-            tree_s,
-            k=150,
-            config=JoinConfig(parallel=4, parallel_mode=f"shm-{mode}"),
+            tree_r, tree_s, k=150, config=JoinConfig(parallel=4)
         )
         assert result_set(parallel) == result_set(sequential)
         assert parallel.results == sorted(parallel.results, key=pair_key)
-        assert parallel.stats.extra["parallel_mode"] == f"shm-{mode}"
+        forks = runtime._fork_context() is not None
+        assert parallel.stats.extra["parallel_mode"] == ("process" if forks else "inline")
 
     @pytest.mark.parametrize("k", [1, 7, 64, 400])
     def test_identical_across_k(self, point_trees, k):
@@ -111,7 +116,7 @@ class TestParallelKDJ:
             tree_r,
             tree_s,
             k=1000,
-            config=JoinConfig(parallel=2, parallel_mode="shm-serial"),
+            config=JoinConfig(parallel=1),
         )
         assert len(result) == 12 * 11
         distances = [p.distance for p in result.results]
@@ -148,7 +153,8 @@ class TestParallelKDJ:
         with pytest.raises(ValueError):
             parallel_kdj(*point_trees, k=0, config=JoinConfig(parallel=2))
         assert JoinConfig().parallel_mode == "shm-process"
-        # Only the engine's own two modes are accepted.
+        # ``parallel_mode`` selects nothing, but only its two old
+        # values are accepted.
         for mode in ("fiber", "process", "thread", "serial", "shm-thread"):
             with pytest.raises(ValueError, match="parallel_mode"):
                 parallel_kdj(

@@ -1,9 +1,10 @@
 """Tests for the resilience subsystem: fault injection, worker crash
 recovery, spill hardening, deadlines, and the typed error CLI.  The
-parallel engine's own recovery mechanics (stalls, segment cleanup, the
-all-workers-dead inline drain) are tested in ``test_shm.py``."""
+parallel engine's own recovery mechanics (stalls, the all-workers-dead
+inline drain) are tested in ``test_shm.py``."""
 
 import math
+import multiprocessing
 import os
 import pickle
 import random
@@ -26,7 +27,7 @@ from repro import (
     SpillError,
     parallel_kdj,
 )
-from repro.parallel import shm as parallel_shm
+from repro.parallel import runtime
 from repro.queues.main_queue import MainQueue
 from repro.resilience import (
     NULL_DEADLINE,
@@ -318,55 +319,51 @@ class TestSpillHardening:
 
 class TestParallelResilience:
     def test_process_mode_regression(self, point_trees, baseline_distances):
-        """mode='shm-process' works with the platform-selected start
-        method (fork is not hardcoded)."""
+        """The benchmark's ``parallel_mode="shm-process"`` config still
+        runs, on forked workers wherever the platform forks."""
         config = JoinConfig(parallel=2, parallel_mode="shm-process")
         result = parallel_kdj(*point_trees, 30, config)
         assert_distances_close(result.distances, baseline_distances)
         assert result.stats.extra["parallel_workers"] == 2
+        forks = runtime._fork_context() is not None
+        assert result.stats.extra["parallel_mode"] == ("process" if forks else "inline")
 
     def test_process_kill_rebuilds_pool(self, point_trees, baseline_distances):
         """A hard worker exit takes one process down; the survivor
         finishes the stage, every later stage starts on a fresh pool (so
         the plan kills a new worker 0 there too), and the answer is
         still exact."""
-        config = JoinConfig(
-            parallel=2,
-            parallel_mode="shm-process",
-            fault_plan=FaultPlan.parse("worker_kill:@0"),
-        )
+        config = JoinConfig(parallel=2, fault_plan=FaultPlan.parse("worker_kill:@0"))
         result = parallel_kdj(*point_trees, 30, config)
         assert_distances_close(result.distances, baseline_distances)
         extra = result.stats.extra
         assert extra["parallel_stages"] >= 2
         assert extra["resilience_worker_failures"] == extra["parallel_stages"]
         assert "resilience_worker_fallbacks" not in extra
-        assert parallel_shm.active_segments() == []
+        assert multiprocessing.active_children() == []
 
     def test_parallel_deadline_enforced(self, point_trees):
-        for mode in ("shm-serial", "shm-process"):
-            config = JoinConfig(parallel=2, parallel_mode=mode, deadline_s=1e-9)
+        for workers in (1, 2):
+            config = JoinConfig(parallel=workers, deadline_s=1e-9)
             with pytest.raises(JoinDeadlineExceeded):
                 parallel_kdj(*point_trees, 30, config)
-        assert parallel_shm.active_segments() == []
+        assert multiprocessing.active_children() == []
 
 
 class TestStartMethod:
     def test_linux_prefers_fork_when_available(self, monkeypatch):
-        import multiprocessing
-
         monkeypatch.setattr(sys, "platform", "linux")
-        expected = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        assert parallel_shm._mp_context().get_start_method() == expected
+        ctx = runtime._fork_context()
+        if "fork" in multiprocessing.get_all_start_methods():
+            assert ctx.get_start_method() == "fork"
+        else:
+            assert ctx is None
 
     @pytest.mark.parametrize("platform", ["darwin", "win32"])
-    def test_non_linux_uses_spawn(self, monkeypatch, platform):
+    def test_non_linux_starts_no_process(self, monkeypatch, platform):
+        # Without fork the engine drains inline (test_shm.TestRuntime).
         monkeypatch.setattr(sys, "platform", platform)
-        assert parallel_shm._mp_context().get_start_method() == "spawn"
+        assert runtime._fork_context() is None
 
 
 # ----------------------------------------------------------------------

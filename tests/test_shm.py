@@ -1,16 +1,22 @@
-"""The parallel engine: serialization, identity, work stealing, and
+"""The parallel engine: serialization, identity, its two runtimes, and
 crash recovery.
 
-Identity is the load-bearing property: every mode, at one worker as at
-two, must return the result set the sequential engine produces (and
+Identity is the load-bearing property: both runtimes, at one worker as
+at two, must return the result set the sequential engine produces (and
 agree tie-aware with the ``nlj`` oracle on adversarial inputs), with or
-without injected faults.  The serialization tests pin the flat-buffer
-layout; the fault tests additionally assert that no ``/dev/shm`` segment
-outlives a run.
+without injected faults.  The engine picks the runtime itself: forked
+worker processes at two workers or more on Linux, the calling thread
+otherwise.  ``JoinConfig.parallel_mode`` selects nothing; the tests that
+take a ``mode`` pass each accepted value to show that.  The
+serialization tests pin the flat-buffer layout; the fault tests
+additionally assert that no worker process outlives a run.
 """
 
+import hashlib
 import math
+import multiprocessing
 import random
+import sys
 
 import pytest
 
@@ -18,8 +24,8 @@ from repro.core.api import JoinConfig, JoinRunner
 from repro.geometry.distances import min_distance
 from repro.geometry.rect import Rect
 from repro.kernels.arena import SharedTreeView, TreeArena, tree_image
+from repro.parallel import runtime
 from repro.parallel.engine import parallel_kdj
-from repro.parallel.shm import AttachedArena, active_segments
 from repro.resilience.faults import FaultPlan
 from repro.rtree.tree import RTree
 
@@ -49,6 +55,17 @@ def _stream(result):
     return sorted((p.distance, p.ref_r, p.ref_s) for p in result.results)
 
 
+def _runtime(workers):
+    """The runtime the engine picks on this host at ``workers``."""
+    forks = workers >= 2 and runtime._fork_context() is not None
+    return "process" if forks else "inline"
+
+
+def _no_live_workers():
+    """Every worker a run forked has been joined."""
+    return multiprocessing.active_children() == []
+
+
 @pytest.fixture(scope="module")
 def point_trees():
     return (
@@ -73,6 +90,15 @@ def _walk(view):
             lo, hi = view.span(row)
             pending.extend(int(view.eref[j]) for j in range(lo, hi))
     return rows
+
+
+def _read_arena(arena, outbox=None):
+    """Both views' entry refs and R's root MBR, as one worker sees them."""
+    vr, vs = arena.view_r, arena.view_s
+    seen = (bytes(vr.eref), bytes(vs.eref), vr.node_rect(vr.layout.root))
+    if outbox is not None:
+        outbox.put(seen)
+    return seen
 
 
 class TestSerialization:
@@ -148,33 +174,30 @@ class TestSerialization:
         assert sorted(seen) == sorted(oid for _, oid in items)
         view.release()
 
-    def test_arena_local_and_shm_byte_equal(self):
+    def test_forked_worker_reads_the_parent_arena(self):
+        # A forked child reads the parent's images in place: the arena
+        # reaches it as a Process argument and is never pickled.
+        ctx = runtime._fork_context()
+        if ctx is None:
+            pytest.skip("the engine forks only on Linux")
         tree_r = RTree.bulk_load(_points(200, 8))
         tree_s = RTree.bulk_load(_points(200, 9))
-        local = TreeArena(tree_r, tree_s, use_shm=False)
-        shm = TreeArena(tree_r, tree_s, use_shm=True)
-        try:
-            descriptor = shm.descriptor()
-            assert descriptor is not None
-            assert local.descriptor() is None
-            attached = AttachedArena(descriptor)
-            assert attached.view_r.layout == local.view_r.layout
-            root = local.layout_r.root
-            assert attached.view_r.node_rect(root) == local.view_r.node_rect(root)
-            assert bytes(attached.view_r.eref) == bytes(local.view_r.eref)
-            attached.close()
-        finally:
-            local.close()
-            shm.close()
-        assert active_segments() == []
+        with TreeArena(tree_r, tree_s) as arena:
+            outbox = ctx.Queue()
+            proc = ctx.Process(target=_read_arena, args=(arena, outbox))
+            proc.start()
+            seen = outbox.get(timeout=30)
+            proc.join(timeout=30)
+            assert seen == _read_arena(arena)
+        assert proc.exitcode == 0
+        assert seen[2] == tree_r.bounds()
 
-    def test_arena_close_is_idempotent_and_unlinks(self):
+    def test_arena_close_is_idempotent(self):
         tree = RTree.bulk_load(_points(100, 10))
-        arena = TreeArena(tree, tree, use_shm=True)
-        assert arena.segment in active_segments()
+        arena = TreeArena(tree, tree)
         arena.close()
         arena.close()
-        assert active_segments() == []
+        assert arena.view_r.entries is None
 
     def test_mindist_contract_matches_scalar(self):
         # The kernels' shortcut arithmetic must reproduce min_distance
@@ -184,7 +207,7 @@ class TestSerialization:
 
         tree_r = RTree.bulk_load(_rects(120, 13))
         tree_s = RTree.bulk_load(_rects(120, 14))
-        arena = TreeArena(tree_r, tree_s, use_shm=False)
+        arena = TreeArena(tree_r, tree_s)
         try:
             vr, vs = arena.view_r, arena.view_s
             kern = resolve_backend()
@@ -198,7 +221,93 @@ class TestSerialization:
             arena.close()
 
 
+#: Every value ``JoinConfig.parallel_mode`` accepts; none selects a runtime.
 MODES = ["shm-serial", "shm-process"]
+
+#: sha256 of the results and ``JoinStats`` row (``wall_time`` aside) of
+#: ``parallel_kdj`` at ``JoinConfig(parallel=1, parallel_mode="shm-serial")``
+#: before the engine picked its own runtime, on either kernels backend.
+INLINE_DIGESTS = {
+    "points": "900c605657658fa9e8092fd6777668dcf60cd55dcd50d483d9386d6caec74505",
+    "tied-rects": "a74421cbffc99cb3f8cfb80d8029ed721ae8189bca6f3b7eaaff49c48fe5e28a",
+    "clustered": "201f4e91065d2d0e0c182bc0de4077ee6ea940f6b53c372bd3d80e31ce3bc17c",
+}
+
+
+def _digest(result):
+    row = result.stats.as_row()
+    del row["wall_time"]
+    text = repr(([tuple(p) for p in result.results], sorted(row.items())))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digest_case(name):
+    """``(tree_r, tree_s, k)`` of one :data:`INLINE_DIGESTS` case."""
+    if name == "points":
+        return RTree.bulk_load(_points(1500, 11)), RTree.bulk_load(_points(1500, 22)), 400
+    if name == "tied-rects":
+        return RTree.bulk_load(_rects(600, 31)), RTree.bulk_load(_rects(600, 32)), 250
+    shifted = [
+        (Rect.from_point(r.xmin + 500.0, r.ymin + 500.0), i)
+        for r, i in _points(400, 42, span=10.0)
+    ]
+    return RTree.bulk_load(_points(400, 41, span=10.0)), RTree.bulk_load(shifted), 300
+
+
+@pytest.fixture
+def no_process(monkeypatch):
+    """Make starting any process fail the test."""
+
+    def refuse(self):
+        raise AssertionError("the engine started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+
+
+class TestRuntime:
+    """The engine picks its runtime from the worker count and platform."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("case", list(INLINE_DIGESTS))
+    def test_one_worker_drains_inline_bit_for_bit(
+        self, case, backend, kernels_backend, no_process
+    ):
+        tree_r, tree_s, k = _digest_case(case)
+        with kernels_backend(backend):
+            result = parallel_kdj(tree_r, tree_s, k, JoinConfig(parallel=1))
+        assert result.stats.extra["parallel_mode"] == "inline"
+        assert _digest(result) == INLINE_DIGESTS[case]
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_linux_forks_at_two_workers_or_more(self, point_trees, sequential, workers):
+        if runtime._fork_context() is None:
+            pytest.skip("the engine forks only on Linux")
+        tree_r, tree_s = point_trees
+        result = parallel_kdj(tree_r, tree_s, 400, JoinConfig(parallel=workers))
+        assert _stream(result) == _stream(sequential)
+        extra = result.stats.extra
+        assert extra["parallel_mode"] == "process"
+        assert extra["obs.shm.ready"] == workers
+        assert _no_live_workers()
+
+    @pytest.mark.parametrize("platform", ["darwin", "win32"])
+    def test_without_fork_drains_inline(
+        self, point_trees, sequential, monkeypatch, no_process, platform
+    ):
+        monkeypatch.setattr(sys, "platform", platform)
+        assert runtime._fork_context() is None
+        tree_r, tree_s = point_trees
+        result = parallel_kdj(tree_r, tree_s, 400, JoinConfig(parallel=2))
+        assert _stream(result) == _stream(sequential)
+        assert result.stats.extra["parallel_mode"] == "inline"
+        assert result.stats.extra["parallel_workers"] == 2
+
+    def test_benchmark_config_still_builds_and_forks(self, point_trees, sequential):
+        # The benchmark harness builds this config at import.
+        config = JoinConfig(parallel=2, parallel_mode="shm-process")
+        result = parallel_kdj(*point_trees, 400, config)
+        assert _stream(result) == _stream(sequential)
+        assert result.stats.extra["parallel_mode"] == _runtime(2)
 
 
 class TestIdentity:
@@ -210,20 +319,20 @@ class TestIdentity:
             result = parallel_kdj(tree_r, tree_s, 400, config=config)
             assert _stream(result) == _stream(sequential)
             assert result.stats.extra["parallel_workers"] == workers
-            assert result.stats.extra["parallel_mode"] == mode
+            assert result.stats.extra["parallel_mode"] == _runtime(workers)
             assert result.stats.extra["parallel_stages"] >= 1
 
     def test_rect_data_with_distance_ties(self):
         tree_r = RTree.bulk_load(_rects(600, 31))
         tree_s = RTree.bulk_load(_rects(600, 32))
         seq = JoinRunner(tree_r, tree_s, JoinConfig()).kdj(250, "amkdj")
-        config = JoinConfig(parallel=2, parallel_mode="shm-process")
+        config = JoinConfig(parallel=2)
         result = parallel_kdj(tree_r, tree_s, 250, config=config)
         assert _stream(result) == _stream(seq)
 
     def test_python_kernels_identical(self, point_trees, sequential, kernels_backend):
         tree_r, tree_s = point_trees
-        config = JoinConfig(parallel=2, parallel_mode="shm-serial")
+        config = JoinConfig(parallel=1)
         rows = set()
         for backend in BACKENDS:
             with kernels_backend(backend):
@@ -234,11 +343,11 @@ class TestIdentity:
             rows.add(repr(sorted(row.items())))
         assert len(rows) == 1
 
-    def test_exact_algorithms_run_sequentially(self, point_trees):
+    def test_exact_algorithms_run_sequentially(self, point_trees, no_process):
         # Only AM-KDJ has a parallel engine: an exact baseline asked for
         # workers runs the sequential code, the engine never starts.
         tree_r, tree_s = point_trees
-        config = JoinConfig(parallel=2, parallel_mode="shm-serial")
+        config = JoinConfig(parallel=2)
         result = JoinRunner(tree_r, tree_s, config).kdj(50, "hs")
         seq = JoinRunner(tree_r, tree_s, JoinConfig()).kdj(50, "hs")
         assert _stream(result) == _stream(seq)
@@ -248,16 +357,9 @@ class TestIdentity:
     def test_widening_reruns_stage_on_clustered_data(self):
         # Two tight clusters far apart: the uniform-density eDmax
         # estimate undershoots badly, forcing at least one widening.
-        items_r = _points(400, 41, span=10.0)
-        items_s = [
-            (Rect.from_point(r.xmin + 500.0, r.ymin + 500.0), i)
-            for (r, _), i in zip(_points(400, 42, span=10.0), range(400))
-        ]
-        tree_r = RTree.bulk_load(items_r)
-        tree_s = RTree.bulk_load(items_s)
-        k = 300
+        tree_r, tree_s, k = _digest_case("clustered")
         seq = JoinRunner(tree_r, tree_s, JoinConfig()).kdj(k, "amkdj")
-        config = JoinConfig(parallel=2, parallel_mode="shm-serial")
+        config = JoinConfig(parallel=1)
         result = parallel_kdj(tree_r, tree_s, k, config=config)
         assert _stream(result) == _stream(seq)
         assert result.stats.extra["parallel_stages"] >= 2
@@ -266,7 +368,7 @@ class TestIdentity:
         tree_r = RTree.bulk_load(_points(80, 51))
         tree_s = RTree.bulk_load(_points(80, 52))
         seq = JoinRunner(tree_r, tree_s, JoinConfig()).kdj(80 * 80 + 5, "amkdj")
-        config = JoinConfig(parallel=2, parallel_mode="shm-serial")
+        config = JoinConfig(parallel=1)
         result = parallel_kdj(tree_r, tree_s, 80 * 80 + 5, config=config)
         assert _stream(result) == _stream(seq)
         assert len(result.results) == 80 * 80
@@ -296,18 +398,26 @@ def oracle_runs():
     return runs
 
 
+#: Every other way a stage runs at two workers: without fork (inline),
+#: and each worker fault plan the crash tests use.  The stalled worker
+#: times out after 0.05 s: every stage waits that long for it, and
+#: "one-by-500" widens through 31 stages.
+RUNTIME_PATHS = {
+    "no-fork": None,
+    "crash-one": "worker_crash:@1",
+    "kill-one": "worker_kill:@0",
+    "crash-all": "worker_crash",
+    "stall-one": "worker_stall:@1,stall_s=1.0",
+}
+
+
 class TestOracle:
     """Tie-aware agreement with ``nlj``: equal distance multisets, every
     pair's distance that of its two objects, no pair twice."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("case", list(ORACLE_CASES))
-    def test_agrees_with_nlj(self, oracle_runs, case, mode, workers):
-        tree_r, tree_s, rects_r, rects_s, k, oracle = oracle_runs[case]
-        config = JoinConfig(parallel=workers, parallel_mode=mode)
-        result = parallel_kdj(tree_r, tree_s, k, config)
-        assert result.stats.extra["parallel_workers"] == workers
+    @staticmethod
+    def check(oracle_run, result):
+        tree_r, tree_s, rects_r, rects_s, k, oracle = oracle_run
         assert len(result.results) == min(k, tree_r.size * tree_s.size)
         assert sorted(result.distances) == sorted(oracle.distances)
         pairs = [(p.ref_r, p.ref_s) for p in result.results]
@@ -316,17 +426,47 @@ class TestOracle:
             assert pair.distance == min_distance(
                 rects_r[pair.ref_r], rects_s[pair.ref_s]
             )
-        assert active_segments() == []
+        assert _no_live_workers()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_agrees_with_nlj(self, oracle_runs, case, mode, workers):
+        tree_r, tree_s, *_, k, _ = oracle_runs[case]
+        config = JoinConfig(parallel=workers, parallel_mode=mode)
+        result = parallel_kdj(tree_r, tree_s, k, config)
+        assert result.stats.extra["parallel_workers"] == workers
+        assert result.stats.extra["parallel_mode"] == _runtime(workers)
+        self.check(oracle_runs[case], result)
+
+    @pytest.mark.parametrize("path", list(RUNTIME_PATHS))
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_agrees_with_nlj_on_every_runtime_path(
+        self, oracle_runs, monkeypatch, case, path
+    ):
+        tree_r, tree_s, *_, k, _ = oracle_runs[case]
+        if path == "no-fork":
+            monkeypatch.setattr(sys, "platform", "darwin")
+            config = JoinConfig(parallel=2)
+        else:
+            config = JoinConfig(
+                parallel=2,
+                worker_timeout_s=0.05 if path == "stall-one" else None,
+                fault_plan=FaultPlan.parse(RUNTIME_PATHS[path]),
+            )
+        result = parallel_kdj(tree_r, tree_s, k, config)
+        self.check(oracle_runs[case], result)
 
 
 class TestScheduler:
-    def test_task_and_steal_counters_exported(self, point_trees, sequential):
+    def test_task_counters_exported(self, point_trees, sequential):
         tree_r, tree_s = point_trees
-        config = JoinConfig(parallel=2, parallel_mode="shm-process")
+        config = JoinConfig(parallel=2)
         result = parallel_kdj(tree_r, tree_s, 400, config=config)
         extra = result.stats.extra
         assert extra["obs.shm.tasks"] >= 1
-        assert extra["obs.shm.attaches"] == 2
+        if extra["parallel_mode"] == "process":
+            assert extra["obs.shm.ready"] == 2
         # Shallow trees can legitimately push nothing (the frontier
         # split already reached leaf-leaf tasks), but the counter and
         # kernel telemetry must be exported either way.
@@ -336,7 +476,9 @@ class TestScheduler:
 
     def test_occupancy_gauges_present(self, point_trees):
         tree_r, tree_s = point_trees
-        config = JoinConfig(parallel=2, parallel_mode="shm-process")
+        if runtime._fork_context() is None:
+            pytest.skip("occupancy is measured per forked worker")
+        config = JoinConfig(parallel=2)
         result = parallel_kdj(tree_r, tree_s, 400, config=config)
         gauges = [
             k for k in result.stats.extra if k.startswith("obs.shm.occupancy.w")
@@ -347,16 +489,10 @@ class TestScheduler:
 
     def test_work_accounting_matches_serial(self, point_trees):
         # Worker processes and the inline drain traverse identically, so
-        # the work counters must agree apart from steal-timing jitter.
+        # the work counters must agree apart from cutoff-timing jitter.
         tree_r, tree_s = point_trees
-        serial = parallel_kdj(
-            tree_r, tree_s, 400,
-            config=JoinConfig(parallel=2, parallel_mode="shm-serial"),
-        )
-        processes = parallel_kdj(
-            tree_r, tree_s, 400,
-            config=JoinConfig(parallel=2, parallel_mode="shm-process"),
-        )
+        serial = parallel_kdj(tree_r, tree_s, 400, config=JoinConfig(parallel=1))
+        processes = parallel_kdj(tree_r, tree_s, 400, config=JoinConfig(parallel=2))
         a = serial.stats.real_distance_computations
         b = processes.stats.real_distance_computations
         assert abs(a - b) <= 0.05 * max(a, b)
@@ -377,19 +513,15 @@ class TestCrashRecovery:
         # The surviving worker takes the crashed one's share: the parent
         # never has to drain a stage inline.
         assert "resilience_worker_fallbacks" not in result.stats.extra
-        assert active_segments() == []
+        assert _no_live_workers()
 
     def test_kill_recovers_identically(self, point_trees, sequential):
         tree_r, tree_s = point_trees
-        config = JoinConfig(
-            parallel=2,
-            parallel_mode="shm-process",
-            fault_plan=FaultPlan.parse("worker_kill:@0"),
-        )
+        config = JoinConfig(parallel=2, fault_plan=FaultPlan.parse("worker_kill:@0"))
         result = parallel_kdj(tree_r, tree_s, 400, config=config)
         assert _stream(result) == _stream(sequential)
         assert result.stats.extra["resilience_worker_failures"] >= 1
-        assert active_segments() == []
+        assert _no_live_workers()
 
     @pytest.mark.parametrize("mode", ["shm-process"])
     def test_all_workers_dead_falls_back_inline(self, point_trees, sequential, mode):
@@ -403,7 +535,7 @@ class TestCrashRecovery:
         assert _stream(result) == _stream(sequential)
         assert result.stats.extra["resilience_worker_failures"] == 2
         assert result.stats.extra["resilience_worker_fallbacks"] >= 1
-        assert active_segments() == []
+        assert _no_live_workers()
 
     @pytest.mark.parametrize("mode", ["shm-process"])
     def test_stall_times_out_and_recovers(self, point_trees, sequential, mode):
@@ -418,7 +550,7 @@ class TestCrashRecovery:
         assert _stream(result) == _stream(sequential)
         assert result.stats.extra["resilience_worker_timeouts"] >= 1
         assert result.stats.extra["resilience_worker_failures"] >= 1
-        assert active_segments() == []
+        assert _no_live_workers()
 
     @pytest.mark.parametrize("mode", ["shm-process"])
     def test_unstarted_worker_is_stopped_at_stage_end(self, point_trees, sequential, mode):
@@ -432,23 +564,19 @@ class TestCrashRecovery:
         assert _stream(result) == _stream(sequential)
         assert result.stats.extra["resilience_worker_unstarted"] >= 1
         assert "resilience_worker_timeouts" not in result.stats.extra
-        assert active_segments() == []
+        assert _no_live_workers()
 
-    def test_segments_cleaned_after_faulted_runs(self, point_trees):
+    def test_faulted_runs_leave_no_live_worker(self, point_trees):
         tree_r, tree_s = point_trees
         for plan in ("worker_crash:@0", "worker_kill", "worker_crash"):
-            config = JoinConfig(
-                parallel=2,
-                parallel_mode="shm-process",
-                fault_plan=FaultPlan.parse(plan),
-            )
+            config = JoinConfig(parallel=2, fault_plan=FaultPlan.parse(plan))
             parallel_kdj(tree_r, tree_s, 100, config=config)
-            assert active_segments() == [], f"segment leak after {plan!r}"
+            assert _no_live_workers(), f"worker left running after {plan!r}"
 
 
 class TestMutatedTree:
     """A write to S rebuilds S's image alone; R's image is reused, and
-    the sequential engines build none."""
+    the sequential engines build none.  ``mode`` selects nothing."""
 
     @pytest.mark.parametrize("mode", ["shm-serial", "shm-process"])
     def test_mode_tracks_write_and_reuses_r_image(self, mode, image_builds):
@@ -475,4 +603,4 @@ class TestMutatedTree:
         assert _stream(seq) == _stream(JoinRunner(tree_r, tree_s).kdj(300, "nlj"))
         assert tree_image(tree_r) is image_r
         assert image_builds == [tree_r, tree_s, tree_s]
-        assert active_segments() == []
+        assert _no_live_workers()

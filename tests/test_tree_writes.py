@@ -120,16 +120,16 @@ def test_sequential_joins_follow_writes_and_build_no_image(image_builds, tmp_pat
 
 def test_self_join_arena_builds_once_per_version(image_builds):
     tree = RTree.bulk_load(quantized_rects(200, seed=64), max_entries=8)
-    arena = TreeArena(tree, tree, use_shm=False)
+    arena = TreeArena(tree, tree)
     try:
         assert image_builds == [tree]
         assert bytes(arena.view_r.eref) == bytes(arena.view_s.eref)
     finally:
         arena.close()
-    TreeArena(tree, tree, use_shm=False).close()
+    TreeArena(tree, tree).close()
     assert image_builds == [tree]
     tree.insert(Rect(1.0, 1.0, 3.5, 2.5), 10_000)
-    with TreeArena(tree, tree, use_shm=False) as arena:
+    with TreeArena(tree, tree) as arena:
         assert arena.view_r.layout is arena.view_s.layout
     assert image_builds == [tree, tree]
 
@@ -141,7 +141,7 @@ def test_arena_opened_before_a_write_keeps_its_version():
     items = quantized_rects(300, seed=67)
     tree = RTree.bulk_load(items, max_entries=8)
     rect, oid = items[17]
-    arena = TreeArena(tree, tree, use_shm=False)
+    arena = TreeArena(tree, tree)
     try:
         view = arena.view_r
         before = bytes(view._mv)
@@ -182,7 +182,7 @@ def test_arena_opened_before_a_write_keeps_its_version():
 def test_arena_views_are_read_only():
     # Later arenas share the image, so no arena may write through it.
     tree = RTree.bulk_load(quantized_rects(50, seed=65))
-    arena = TreeArena(tree, tree, use_shm=False)
+    arena = TreeArena(tree, tree)
     try:
         with pytest.raises((ValueError, TypeError)):
             arena.view_r.exmin[0] = -1.0
@@ -194,8 +194,7 @@ def test_dropped_tree_frees_its_image():
     gc.collect()
     before = len(arena_mod._IMAGES)
     tree = RTree.bulk_load(quantized_rects(200, seed=66), max_entries=8)
-    config = JoinConfig(parallel=1, parallel_mode="shm-serial")
-    result = parallel_kdj(tree, tree, 20, config=config)
+    result = parallel_kdj(tree, tree, 20, JoinConfig(parallel=1))
     assert len(result) == 20
     assert len(arena_mod._IMAGES) == before + 1
     alive = weakref.ref(tree)

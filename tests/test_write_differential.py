@@ -2,8 +2,8 @@
 
 Seeded write steps insert, move and delete objects of R, of S, or of one
 tree joined with itself.  After each step HS, B-KDJ, AM-KDJ, SJ-SORT
-(given the oracle's k-th distance as ``dmax``), an AM-IDJ pull and a
-``shm-serial`` AM-KDJ run under both kernel backends and must agree with
+(given the oracle's k-th distance as ``dmax``), an AM-IDJ pull and the
+parallel engine's inline drain run under both kernel backends and must agree with
 the brute-force oracle, tie-aware: the same distance multiset, and every
 returned pair a distinct pair of live objects at its reported distance.
 The joins between steps read patched flat images and node entry lists
@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro import JoinConfig, JoinRunner, Rect, RTree
+from repro import JoinConfig, JoinRunner, Rect, RTree, parallel_kdj
 from repro.geometry.distances import min_distance
 from repro.rtree import FileRTree
 
@@ -106,10 +106,9 @@ def check_engines(
             runs["sjsort"] = runner.kdj(k, "sjsort", dmax=dmax).results
             with runner.idj("amidj") as stream:
                 runs["amidj"] = stream.next_batch(k)
-            shm = JoinRunner(
-                tree_r, tree_s, JoinConfig(parallel=2, parallel_mode="shm-serial")
-            )
-            runs["shm-serial"] = shm.kdj(k, "amkdj").results
+            runs["parallel"] = parallel_kdj(
+                tree_r, tree_s, k, JoinConfig(parallel=1)
+            ).results
         for name, pairs in runs.items():
             assert_agrees(pairs, oracle, live_r, live_s, (step, backend, name))
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from repro.core.pairs import Item
@@ -73,9 +74,16 @@ def sweeping_index(r: Rect, s: Rect, axis: int, cutoff: float) -> float:
     normalized estimation of the number of node pairs") matches the
     normalized form.
     """
-    return _normalized_term(
-        r.lo(axis), r.hi(axis), s.lo(axis), s.hi(axis), cutoff
-    ) + _normalized_term(s.lo(axis), s.hi(axis), r.lo(axis), r.hi(axis), cutoff)
+    r_lo, r_hi, s_lo, s_hi = r.lo(axis), r.hi(axis), s.lo(axis), s.hi(axis)
+    return _normalized_term(r_lo, r_hi, s_lo, s_hi, cutoff) + _normalized_term(
+        s_lo, s_hi, r_lo, r_hi, cutoff
+    )
+
+
+# The Equation (2) and Table 1 helpers below work on plain floats.  Each
+# ``max(a, b)`` is written ``b if b > a else a`` and each ``min(a, b)``
+# ``b if b < a else a``: the operand the builtin returns, so signed zeros
+# come out as they would, at a fraction of a builtin call's cost.
 
 
 def _normalized_term(
@@ -90,8 +98,9 @@ def _normalized_term(
         return 0.0
     if b_hi <= b_lo:
         return 1.0 if b_lo - cutoff <= a_lo <= b_lo else 0.0
-    overlap = min(a_lo + cutoff, b_hi) - max(a_lo, b_lo)
-    return max(0.0, overlap) / (b_hi - b_lo)
+    reach = a_lo + cutoff
+    overlap = (b_hi if b_hi < reach else reach) - (b_lo if b_lo > a_lo else a_lo)
+    return (overlap if overlap > 0.0 else 0.0) / (b_hi - b_lo)
 
 
 def _index_term(
@@ -108,30 +117,30 @@ def _index_term(
     if b_hi <= b_lo:
         # Degenerate b: the "fraction covered" is 1 while the window
         # contains the point, 0 otherwise.
-        lo = max(a_lo, b_lo - cutoff)
-        hi = min(a_hi, b_lo)
-        return max(0.0, hi - lo)
+        lo = b_lo - cutoff
+        lo = lo if lo > a_lo else a_lo
+        covered = (b_lo if b_lo < a_hi else a_hi) - lo
+        return covered if covered > 0.0 else 0.0
 
     width = b_hi - b_lo
-    # Duplicate breakpoints yield empty pieces that are skipped below, so
-    # deduplication would only change what gets skipped, not the sum; a
-    # plain sort keeps the accumulation order (and bits) of the deduped
-    # form while skipping the set build.  The integrand — the overlap
-    # fraction ``max(0, min(t + cutoff, b_hi) - max(t, b_lo)) / width`` —
-    # is inlined at both piece ends: it is linear on each piece, so the
-    # trapezoid is exact.
-    breakpoints = sorted((a_lo, a_hi, b_lo - cutoff, b_hi - cutoff, b_lo, b_hi))
-    total = 0.0
-    left = breakpoints[0]
-    for right in breakpoints[1:]:
-        lo = max(left, a_lo)
-        hi = min(right, a_hi)
-        left = right
-        if hi <= lo:
-            continue
-        f_lo = max(0.0, min(lo + cutoff, b_hi) - max(lo, b_lo)) / width
-        f_hi = max(0.0, min(hi + cutoff, b_hi) - max(hi, b_lo)) / width
-        total += (f_lo + f_hi) / 2.0 * (hi - lo)
+    # The six breakpoints cut [a_lo, a_hi] into pieces on which the
+    # overlap fraction ``max(0, min(t + cutoff, b_hi) - max(t, b_lo)) /
+    # width`` is linear, so the trapezoid is exact.  The pieces that
+    # count are the ones between consecutive breakpoints inside [a_lo,
+    # a_hi], in sorted order; a duplicate breakpoint makes an empty piece
+    # that adds nothing.  The fraction at each breakpoint is computed
+    # once and serves the piece on either side of it.
+    total = f_left = 0.0
+    left = a_lo  # the first breakpoint inside equals a_lo: no piece yet
+    for t in sorted((a_lo, a_hi, b_lo - cutoff, b_hi - cutoff, b_lo, b_hi)):
+        if a_lo <= t <= a_hi:
+            reach = t + cutoff
+            overlap = (b_hi if b_hi < reach else reach) - (b_lo if b_lo > t else t)
+            f_t = (overlap if overlap > 0.0 else 0.0) / width
+            if left < t:
+                total += (f_left + f_t) / 2.0 * (t - left)
+            left = t
+            f_left = f_t
     return total
 
 
@@ -154,6 +163,13 @@ def table1_sweeping_index(r: Rect, s: Rect, axis: int, cutoff: float) -> float:
     s_lo, s_hi = s.lo(axis), s.hi(axis)
     if r_lo > s_lo:
         r_lo, r_hi, s_lo, s_hi = s_lo, s_hi, r_lo, r_hi
+    return _table1_term(r_lo, r_hi, s_lo, s_hi, cutoff)
+
+
+def _table1_term(
+    r_lo: float, r_hi: float, s_lo: float, s_hi: float, cutoff: float
+) -> float:
+    """:func:`table1_sweeping_index` on floats, with ``r`` leading."""
     alpha = s_lo - r_hi
     if alpha < 0:
         raise ValueError("table1_sweeping_index requires non-overlapping nodes")
@@ -168,19 +184,25 @@ def table1_sweeping_index(r: Rect, s: Rect, axis: int, cutoff: float) -> float:
         # ``cutoff - alpha`` cancels catastrophically when the gap is
         # close to the cutoff, and dividing by a tiny |r| amplifies that
         # ulp into an O(1) error in the normalized index.
-        lo = max(r_lo, s_lo - cutoff)
-        hi = min(r_hi, s_lo)
-        return max(0.0, hi - lo)
-
-    def antiderivative(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x <= len_s:
-            return x * x / 2.0
-        return len_s * x - len_s * len_s / 2.0
-
-    upper = antiderivative(cutoff - alpha)
-    lower = antiderivative(cutoff - (r_hi - r_lo) - alpha)
+        lo = s_lo - cutoff
+        lo = lo if lo > r_lo else r_lo
+        covered = (s_lo if s_lo < r_hi else r_hi) - lo
+        return covered if covered > 0.0 else 0.0
+    # H(x): 0 for x <= 0, x^2 / 2 up to |s|, then linear.
+    x = cutoff - alpha
+    if x <= 0.0:
+        upper = 0.0
+    elif x <= len_s:
+        upper = x * x / 2.0
+    else:
+        upper = len_s * x - len_s * len_s / 2.0
+    x = cutoff - (r_hi - r_lo) - alpha
+    if x <= 0.0:
+        lower = 0.0
+    elif x <= len_s:
+        lower = x * x / 2.0
+    else:
+        lower = len_s * x - len_s * len_s / 2.0
     return (upper - lower) / len_s
 
 
@@ -199,16 +221,16 @@ CLOSED_FORM_AXIS_COST = 4
 EXACT_AXIS_COST = 30
 
 
-def _axis_index_and_cost(r: Rect, s: Rect, axis: int, cutoff: float) -> tuple[float, int]:
+def _axis_index_and_cost(
+    r_lo: float, r_hi: float, s_lo: float, s_hi: float, cutoff: float
+) -> tuple[float, int]:
     """Sweeping index along one axis, with the CPU units it cost.
 
-    When the projections do not overlap the trailing Equation (2) term
-    is exactly zero (the second node's forward windows never reach back
-    to the first) and the leading term has the Table 1 closed form, so
-    the piecewise integrator is skipped entirely.
+    Takes the two projections on the axis.  When they do not overlap the
+    trailing Equation (2) term is exactly zero (the second node's forward
+    windows never reach back to the first) and the leading term has the
+    Table 1 closed form, so the piecewise integrator is skipped entirely.
     """
-    r_lo, r_hi = r.lo(axis), r.hi(axis)
-    s_lo, s_hi = s.lo(axis), s.hi(axis)
     # Strictly disjoint only: touching projections (and coincident
     # degenerate points, where the trailing term is *not* zero) take the
     # exact integrator.
@@ -218,12 +240,17 @@ def _axis_index_and_cost(r: Rect, s: Rect, axis: int, cutoff: float) -> tuple[fl
         else:
             first_lo, first_hi, second_lo, second_hi = s_lo, s_hi, r_lo, r_hi
         if first_hi > first_lo:
-            index = table1_sweeping_index(r, s, axis, cutoff) / (first_hi - first_lo)
+            index = _table1_term(
+                first_lo, first_hi, second_lo, second_hi, cutoff
+            ) / (first_hi - first_lo)
         else:
             # Degenerate sweeping node: point-evaluated, also O(1).
             index = _normalized_term(first_lo, first_hi, second_lo, second_hi, cutoff)
         return index, CLOSED_FORM_AXIS_COST
-    return sweeping_index(r, s, axis, cutoff), EXACT_AXIS_COST
+    index = _normalized_term(r_lo, r_hi, s_lo, s_hi, cutoff) + _normalized_term(
+        s_lo, s_hi, r_lo, r_hi, cutoff
+    )
+    return index, EXACT_AXIS_COST
 
 
 def choose_axis(instr: Instruments, r: Rect, s: Rect, cutoff: float) -> int:
@@ -236,17 +263,27 @@ def choose_axis(instr: Instruments, r: Rect, s: Rect, cutoff: float) -> int:
     CPU accounting is proportional to the work actually done: axes whose
     projections are disjoint use the Table 1 closed form (a few
     arithmetic operations); overlapping axes run the exact piecewise
-    integrator, which costs roughly an order of magnitude more.
+    integrator, which costs roughly an order of magnitude more.  The
+    eight coordinates are read once, and the helpers work on floats.
     """
-    span_x = max(r.xmax, s.xmax) - min(r.xmin, s.xmin)
-    span_y = max(r.ymax, s.ymax) - min(r.ymin, s.ymin)
-    if not math.isfinite(cutoff) or cutoff <= 0.0 or cutoff >= max(span_x, span_y):
-        return 0 if span_x >= span_y else 1
-    index_x, cost_x = _axis_index_and_cost(r, s, 0, cutoff)
-    index_y, cost_y = _axis_index_and_cost(r, s, 1, cutoff)
-    instr.disk.charge_cpu(
-        (cost_x + cost_y) * instr.disk.cost_model.cpu_axis_distance
+    r_xmin, r_ymin, r_xmax, r_ymax = r.xmin, r.ymin, r.xmax, r.ymax
+    s_xmin, s_ymin, s_xmax, s_ymax = s.xmin, s.ymin, s.xmax, s.ymax
+    span_x = (s_xmax if s_xmax > r_xmax else r_xmax) - (
+        s_xmin if s_xmin < r_xmin else r_xmin
     )
+    span_y = (s_ymax if s_ymax > r_ymax else r_ymax) - (
+        s_ymin if s_ymin < r_ymin else r_ymin
+    )
+    if (
+        not math.isfinite(cutoff)
+        or cutoff <= 0.0
+        or cutoff >= (span_y if span_y > span_x else span_x)
+    ):
+        return 0 if span_x >= span_y else 1
+    index_x, cost_x = _axis_index_and_cost(r_xmin, r_xmax, s_xmin, s_xmax, cutoff)
+    index_y, cost_y = _axis_index_and_cost(r_ymin, r_ymax, s_ymin, s_ymax, cutoff)
+    disk = instr.disk
+    disk.charge_cpu((cost_x + cost_y) * disk.cost_model.cpu_axis_distance)
     if index_x == index_y:
         return 0 if span_x >= span_y else 1
     return 0 if index_x < index_y else 1
@@ -259,10 +296,11 @@ def choose_direction(r: Rect, s: Rect, axis: int) -> bool:
     sweep from the side whose outer interval is shorter, so that close
     pairs are met early and the cutoff drops fast.
     """
-    points = sorted((r.lo(axis), r.hi(axis), s.lo(axis), s.hi(axis)))
-    left = points[1] - points[0]
-    right = points[3] - points[2]
-    return left <= right
+    if axis == 0:
+        points = sorted((r.xmin, r.xmax, s.xmin, s.xmax))
+    else:
+        points = sorted((r.ymin, r.ymax, s.ymin, s.ymax))
+    return points[1] - points[0] <= points[3] - points[2]
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +357,12 @@ class ExpansionRecord:
 # ----------------------------------------------------------------------
 
 
+#: A child's low and high edge along axis 0 and 1: the sort keys of a
+#: forward and of a backward sweep.
+_LOW_EDGE = (attrgetter("rect.xmin"), attrgetter("rect.ymin"))
+_HIGH_EDGE = (attrgetter("rect.xmax"), attrgetter("rect.ymax"))
+
+
 class PlaneSweeper:
     """Performs (and compensates) bidirectional plane-sweep expansions.
 
@@ -335,9 +379,14 @@ class PlaneSweeper:
     kernels backend: an anchor's scan averages about two pairs, too
     short for a vector call to pay (see :mod:`repro.kernels`).  The
     per-anchor bookkeeping is kept off the hot path too: cutoffs are
-    read once per sweep and after each emit, and the distance counters
-    and CPU charges are handed over in batches, in the order the
-    per-anchor calls would have made them (see :meth:`_merge_sweep`).
+    read once per sweep and after each emit, the distance counters are
+    handed over in batches, and the CPU charges are folded into the
+    disk's clock in place, in the order the per-anchor calls would have
+    made them (see :meth:`_merge_sweep`).  The per-expansion setup is
+    cheap as well: axis and direction selection work on the node MBRs'
+    plain floats, and each node side is sorted once per join with
+    C-level keys (see :meth:`_sort_side`).  None of this moves a pair, a
+    counter or a clock bit.
     """
 
     def __init__(
@@ -513,23 +562,26 @@ class PlaneSweeper:
         """Sort one child list and return it with its sweep keys.
 
         The key is the low edge for a forward sweep and the negated high
-        edge for a backward one, read once per item.  Python's sort is
-        stable, so ties (``-0.0`` beside ``0.0`` included) keep the
-        child order, and each key keeps its bits.  The keys list is what
-        the scan loops index into.
+        edge for a backward one.  The sort itself keys on a C-level
+        ``attrgetter``: a forward sweep sorts up by the low edge, a
+        backward one down by the high edge (``reverse=True``).  Python's
+        sort is stable, the reverse sort included, so ties (``-0.0``
+        beside ``0.0`` included) keep the child order, exactly as an
+        ascending sort on the negated edge would.  The keys are read off
+        the sorted list afterwards, each with its bits; a comprehension
+        reads them faster than a second ``attrgetter`` pass.  The keys
+        list is what the scan loops index into.
         """
         self._instr.charge_sort(len(items))
         if forward:
+            ordered = sorted(items, key=_LOW_EDGE[axis])
             if axis == 0:
-                keys = [it.rect.xmin for it in items]
-            else:
-                keys = [it.rect.ymin for it in items]
-        elif axis == 0:
-            keys = [-it.rect.xmax for it in items]
-        else:
-            keys = [-it.rect.ymax for it in items]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        return [items[i] for i in order], [keys[i] for i in order]
+                return ordered, [it.rect.xmin for it in ordered]
+            return ordered, [it.rect.ymin for it in ordered]
+        ordered = sorted(items, key=_HIGH_EDGE[axis], reverse=True)
+        if axis == 0:
+            return ordered, [-it.rect.xmax for it in ordered]
+        return ordered, [-it.rect.ymax for it in ordered]
 
     @staticmethod
     def _emit_oriented(
@@ -567,13 +619,15 @@ class PlaneSweeper:
         once before the loop and again after each emit (the
         :meth:`expand` contract).  An anchor whose first position already
         fails the axis test costs one comparison and no scan.  The
-        distance counts and each anchor's CPU charges (``n_axis *
-        c_axis``, then ``scanned * c_real`` when it scanned) collect in
-        locals and reach the instruments and the disk before every emit
-        and at the end, through :meth:`SimulatedDisk.charge_cpu_many`,
-        which adds them one by one: the clock is a float accumulator, so
-        a sum of the charges would round differently.  Every emit thus
-        sees the counters and clock of the per-anchor calls.  When
+        distance counts collect in locals, and the disk's two CPU
+        accumulators (:attr:`SimulatedDisk.accumulators`) are held in two
+        local floats: each anchor adds its charges (``c_axis`` when it
+        did not scan, else ``n_axis * c_axis`` then ``scanned *
+        c_real``) to both, in order, as one ``charge_cpu`` call per
+        charge would.  Counts and floats are written back before every
+        emit and at the end, and the floats re-read after every emit,
+        which may charge the disk itself.  Every emit thus sees the
+        counters and clock of the per-anchor calls, bit for bit.  When
         ``anchors`` is a list, each anchor appends its (encoded) position
         and where its scan stopped, the layout of
         :attr:`ExpansionRecord.anchors`.
@@ -592,9 +646,8 @@ class PlaneSweeper:
         cost_model = disk.cost_model
         c_axis = cost_model.cpu_axis_distance
         c_real = cost_model.cpu_real_distance
-        # Charges and counts of the anchors done since the last flush.
-        pending: list[float] = []
-        charge = pending.append
+        # The disk's accumulators, and the counts since the last flush.
+        cpu, clock = disk.accumulators
         axis_count = real_count = 0
         while i < n_r and j < n_s:
             from_r = keys_r[i] <= keys_s[j]
@@ -617,7 +670,8 @@ class PlaneSweeper:
             # ``raw > limit`` and ``max(0, raw) > limit`` are the same test.
             if other_keys[start] - anchor_end > axis_lim:
                 axis_count += 1
-                charge(c_axis)
+                cpu += c_axis
+                clock += c_axis
                 if anchors is not None:
                     anchors.append(pos)
                     anchors.append(start)
@@ -656,16 +710,15 @@ class PlaneSweeper:
                     if real == inf:
                         real = math.hypot(dx, dy)
                 if real <= real_lim:
-                    if pending:
-                        instr.axis_distance_computations += axis_count
-                        instr.real_distance_computations += real_count
-                        axis_count = real_count = 0
-                        disk.charge_cpu_many(pending)
-                        pending.clear()
+                    instr.axis_distance_computations += axis_count
+                    instr.real_distance_computations += real_count
+                    axis_count = real_count = 0
+                    disk.accumulators = cpu, clock
                     if from_r:
                         emit(anchor, m, real)
                     else:
                         emit(m, anchor, real)
+                    cpu, clock = disk.accumulators
                     axis_lim = axis_limit()
                     real_lim = axis_lim if same_limit else real_limit()
             else:
@@ -675,12 +728,15 @@ class PlaneSweeper:
             scanned = stop - start
             axis_count += n_axis
             real_count += scanned
-            charge(n_axis * c_axis)
-            charge(scanned * c_real)
+            charge = n_axis * c_axis
+            cpu += charge
+            clock += charge
+            charge = scanned * c_real
+            cpu += charge
+            clock += charge
             if anchors is not None:
                 anchors.append(pos)
                 anchors.append(stop)
-        if pending:
-            instr.axis_distance_computations += axis_count
-            instr.real_distance_computations += real_count
-            disk.charge_cpu_many(pending)
+        instr.axis_distance_computations += axis_count
+        instr.real_distance_computations += real_count
+        disk.accumulators = cpu, clock

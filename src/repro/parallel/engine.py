@@ -35,7 +35,10 @@ The engine runs at any worker count, one included, so a parallel
 speedup can be measured against the same algorithm on one worker.  It
 picks its runtime itself: ``"process"`` (forked workers) when
 ``config.parallel >= 2`` on Linux with the ``fork`` start method,
-``"inline"`` (the calling thread) otherwise.
+``"inline"`` (the calling thread) otherwise.  Under ``"process"`` a
+stage whose frontier holds fewer than two tasks still drains inline:
+it has nothing to run in parallel, and forking workers for it would
+cost more than the task.
 """
 
 from __future__ import annotations
@@ -91,11 +94,11 @@ def parallel_kdj(
     Returns the same result set as the sequential AM-KDJ run; stats
     carry the traversal's work counters, scheduling detail lands in
     ``stats.extra`` (``parallel_*``, ``obs.shm.*``, ``resilience_*``).
-    ``stats.extra["parallel_mode"]`` names the runtime that ran:
-    ``"process"`` (forked workers, at two workers or more on Linux) or
-    ``"inline"`` (the calling thread).  ``config.parallel_mode`` selects
-    nothing.  ``k`` must be a positive integer (``ValueError``
-    otherwise).
+    ``stats.extra["parallel_mode"]`` names the runtime the worker count
+    picks: ``"process"`` (forked workers, at two workers or more on
+    Linux; a stage of one task still drains inline) or ``"inline"``
+    (the calling thread).  ``config.parallel_mode`` selects nothing.
+    ``k`` must be a positive integer (``ValueError`` otherwise).
     """
     from repro.core.api import JoinConfig, JoinResult
 
@@ -120,6 +123,22 @@ def parallel_kdj(
     delta = min(delta_max, estimation.initial_edmax(k, rho) * DELTA_SAFETY)
     if delta <= 0.0:
         delta = delta_max
+
+    # A resume payload is read and checked before the tracer, the live
+    # plane or the arena opens, so a bad one leaves nothing running.
+    payload = fingerprint = None
+    if config.checkpoint_path is not None or config.resume_from is not None:
+        from repro.resilience.checkpoint import join_fingerprint
+
+        fingerprint = join_fingerprint(tree_r, tree_s, ALGORITHM, k)
+    if config.resume_from is not None:
+        from repro.resilience.recovery import load_checkpoint, validate_checkpoint
+
+        payload = load_checkpoint(config.resume_from, faults=config.fault_plan)
+        validate_checkpoint(
+            payload, algorithm=ALGORITHM, k=k,
+            fingerprint=fingerprint, modes=("shm",),
+        )
 
     total = JoinStats(algorithm=name, k=k)
     metrics = MetricsRegistry()
@@ -161,24 +180,16 @@ def parallel_kdj(
     frontier = 0
     bound = PairwiseBound(k)
     checkpoint = None
-    if config.checkpoint_path is not None or config.resume_from is not None:
-        from repro.resilience.checkpoint import CheckpointManager, join_fingerprint
+    if payload is not None:
+        engine_state = payload["engine"]
+        delta = engine_state["delta"]
+        stages = engine_state["stages"]
+        final = [ResultPair._make(pair) for pair in engine_state["acc"]]
+        # Work counters continue on top of the pre-crash totals.
+        ctr.absorb(engine_state["ctr"])
+    if fingerprint is not None:
+        from repro.resilience.checkpoint import CheckpointManager
 
-        fingerprint = join_fingerprint(tree_r, tree_s, ALGORITHM, k)
-        if config.resume_from is not None:
-            from repro.resilience.recovery import load_checkpoint, validate_checkpoint
-
-            payload = load_checkpoint(config.resume_from, faults=config.fault_plan)
-            validate_checkpoint(
-                payload, algorithm=ALGORITHM, k=k,
-                fingerprint=fingerprint, modes=("shm",),
-            )
-            engine_state = payload["engine"]
-            delta = engine_state["delta"]
-            stages = engine_state["stages"]
-            final = [ResultPair._make(pair) for pair in engine_state["acc"]]
-            # Work counters continue on top of the pre-crash totals.
-            ctr.absorb(engine_state["ctr"])
         checkpoint = CheckpointManager.from_config(
             config, algorithm=ALGORITHM, k=k, fingerprint=fingerprint,
             tracer=tracer if tracer is not NULL_TRACER else None,
@@ -264,7 +275,9 @@ def parallel_kdj(
             commit(stage_out)
             if deadline is not None:
                 deadline.check()
-            if fork is None or not tasks:
+            if fork is None or len(tasks) < 2:
+                # A stage of one task has nothing to run in parallel: the
+                # calling thread drains it rather than forking workers.
                 _drain_inline(arena, tasks, cap, cell, commit, kern, ctr, deadline)
             else:
                 runtime = _StageRuntime(workers, arena, cap, config, fork, telemetry)

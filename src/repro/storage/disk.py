@@ -13,9 +13,7 @@ the paper (0.5 MB/s and 5 MB/s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
+from dataclasses import dataclass
 
 from repro.storage.cost import CostModel, DEFAULT_COST_MODEL
 
@@ -40,6 +38,12 @@ class DiskStats:
 
 class SimulatedDisk:
     """Charges page transfers against a simulated clock.
+
+    The disk owns two float accumulators: the clock (I/O plus modeled
+    CPU) and the CPU share of it.  Every charge adds to them in call
+    order, so a run's totals are bit-exact functions of its charge
+    sequence; the plane sweep borrows both through
+    :attr:`accumulators` and folds its per-anchor charges in place.
 
     Parameters
     ----------
@@ -90,15 +94,24 @@ class SimulatedDisk:
         self._cpu_time += seconds
         self._clock += seconds
 
-    def charge_cpu_many(self, charges: list[float]) -> None:
-        """Apply ``charges`` in order, bit for bit as one :meth:`charge_cpu`
-        call per value would.
+    @property
+    def accumulators(self) -> tuple[float, float]:
+        """``(cpu_time, clock)``: the two float accumulators, handed out to
+        a hot loop that folds its CPU charges itself.
 
-        Both totals are float accumulators, so each value is added on its
-        own: adding their sum instead would round differently.
+        The loop adds each charge to both floats in order, exactly as one
+        :meth:`charge_cpu` call per charge would, and assigns the pair
+        back, so both totals keep their bits (adding a sum of the charges
+        instead would round differently).  Between reading and assigning
+        it back the disk must not be charged by anything else: assign it
+        back before any call that may charge the disk, and read it again
+        after.
         """
-        self._cpu_time = reduce(add, charges, self._cpu_time)
-        self._clock = reduce(add, charges, self._clock)
+        return self._cpu_time, self._clock
+
+    @accumulators.setter
+    def accumulators(self, value: tuple[float, float]) -> None:
+        self._cpu_time, self._clock = value
 
     # ------------------------------------------------------------------
     # Readouts

@@ -27,7 +27,8 @@ else:
 
 #: ``--hypothesis-profile fuzz``: the seeded fuzzers
 #: (``test_write_differential.py``, ``test_pruning_bounds.py``,
-#: ``test_rstar.py``) at the seed budget of their own CI step.
+#: ``test_rstar.py``, ``test_planning_differential.py``) at the seed
+#: budget of their own CI step.
 #: Other suites set their own counts.
 settings.register_profile("fuzz", max_examples=150, deadline=None)
 

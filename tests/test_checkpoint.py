@@ -11,6 +11,7 @@ import os
 import pickle
 import random
 import signal
+import threading
 import zlib
 
 import pytest
@@ -396,6 +397,25 @@ def test_parallel_checkpoint_and_resume(staged_trees, tmp_path, mode):
         ),
     )
     assert stream(resumed) == stream(ref)
+
+
+def test_parallel_corrupt_resume_leaves_no_live_publisher(staged_trees, tmp_path):
+    # The resume payload is read and checked before the live plane
+    # starts: a corrupt one raises and leaves no publisher thread behind.
+    tree_r, tree_s = staged_trees
+    path = tmp_path / "corrupt.ckpt"
+    path.write_bytes(b"this is not a checkpoint")
+
+    def publishers():
+        return {t for t in threading.enumerate() if t.name == "repro-live-publisher"}
+
+    before = publishers()
+    config = JoinConfig(
+        parallel=2, resume_from=str(path), status_path=str(tmp_path / "status.json")
+    )
+    with pytest.raises(CheckpointCorruptionError):
+        parallel_kdj(tree_r, tree_s, 120, config=config)
+    assert publishers() - before == set()
 
 
 # ----------------------------------------------------------------------

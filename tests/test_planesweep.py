@@ -111,15 +111,13 @@ class TestSweepingIndex:
         closed form — Table 1 over the leading node, trailing term zero —
         is what the exact Equation (2) integration reduces to.
         """
-        from repro.core.planesweep import _axis_index_and_cost
+        from repro.core.planesweep import CLOSED_FORM_AXIS_COST, _axis_index_and_cost
 
         r = Rect(0.0, 0.0, len_r, 1.0)
         s = Rect(len_r + alpha, 0.0, len_r + alpha + len_s, 1.0)
         exact = sweeping_index(r, s, 0, cutoff)
-        routed, cost = _axis_index_and_cost(r, s, 0, cutoff)
+        routed, cost = _axis_index_and_cost(r.xmin, r.xmax, s.xmin, s.xmax, cutoff)
         assert math.isclose(routed, exact, rel_tol=1e-9, abs_tol=1e-9)
-        from repro.core.planesweep import CLOSED_FORM_AXIS_COST
-
         assert cost == CLOSED_FORM_AXIS_COST
 
     def test_table1_degenerate_s_limit(self):

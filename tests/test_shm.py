@@ -400,8 +400,7 @@ def oracle_runs():
 
 #: Every other way a stage runs at two workers: without fork (inline),
 #: and each worker fault plan the crash tests use.  The stalled worker
-#: times out after 0.05 s: every stage waits that long for it, and
-#: "one-by-500" widens through 31 stages.
+#: times out after 0.05 s: every forked stage waits that long for it.
 RUNTIME_PATHS = {
     "no-fork": None,
     "crash-one": "worker_crash:@1",
@@ -409,6 +408,11 @@ RUNTIME_PATHS = {
     "crash-all": "worker_crash",
     "stall-one": "worker_stall:@1,stall_s=1.0",
 }
+
+#: The oracle cases with a stage of two tasks or more: there the fault
+#: plans fire in forked workers.  Every stage of the other cases holds
+#: one task, which the calling thread drains.
+FORKING_CASES = ("unequal-heights", "exact-ties")
 
 
 class TestOracle:
@@ -456,6 +460,33 @@ class TestOracle:
             )
         result = parallel_kdj(tree_r, tree_s, k, config)
         self.check(oracle_runs[case], result)
+        if path != "no-fork" and runtime._fork_context() is not None:
+            extra = result.stats.extra
+            forked = extra["parallel_frontier"] >= 2
+            assert forked == (case in FORKING_CASES)
+            if forked:
+                # The plan reached a forked worker and fired.
+                assert extra["resilience_worker_failures"] >= 1
+
+    def test_one_task_stages_start_no_process(self, oracle_runs, monkeypatch):
+        # "one-by-500" widens through 31 stages of one task each: none has
+        # anything to run in parallel, so none forks workers for it.
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting_start(process):
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+        tree_r, tree_s, *_, k, _ = oracle_runs["one-by-500"]
+        result = parallel_kdj(tree_r, tree_s, k, JoinConfig(parallel=2))
+        assert started == []
+        extra = result.stats.extra
+        assert extra["parallel_stages"] >= 2
+        assert extra["parallel_frontier"] == 1
+        assert extra["parallel_mode"] == _runtime(2)
+        self.check(oracle_runs["one-by-500"], result)
 
 
 class TestScheduler:

@@ -55,9 +55,10 @@ class TestSimulatedDisk:
         disk.sequential_write(0)
         assert disk.clock == 0.0
 
-    def test_charge_cpu_many_is_one_charge_cpu_per_value(self):
+    def test_accumulator_fold_is_one_charge_cpu_per_value(self):
         # Charges spanning many magnitudes, in runs between I/O charges:
-        # the batched form must leave every total bit-identical to one
+        # folding each run into the handed-out accumulators, as the plane
+        # sweep does, must leave every total bit-identical to one
         # ``charge_cpu`` call per value.
         rng = random.Random(11)
         per_value, batched, summed = SimulatedDisk(), SimulatedDisk(), SimulatedDisk()
@@ -69,7 +70,11 @@ class TestSimulatedDisk:
             ]
             for seconds in run:
                 per_value.charge_cpu(seconds)
-            batched.charge_cpu_many(run)
+            cpu, clock = batched.accumulators
+            for seconds in run:
+                cpu += seconds
+                clock += seconds
+            batched.accumulators = cpu, clock
             summed.charge_cpu(math.fsum(run))
             if rng.random() < 0.5:
                 io, pages = "random_read", rng.randint(1, 5)

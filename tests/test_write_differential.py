@@ -13,6 +13,9 @@ Each step also saves both trees and joins what the page codec decodes:
 an ``RTree.load`` copy and a ``FileRTree.open`` view must hold the
 written trees' entries, levels included, and agree with the same oracle.
 
+The same steps also run on the grid scaled by 1e-160, where squared
+gaps underflow to 0.0, and by 1e154, where they overflow to inf.
+
 Tier-1 runs a few derandomized seeds; ``--hypothesis-profile fuzz``
 runs the larger budget of the CI fuzz step.  A seed that ever fails
 becomes an ``@example`` here.
@@ -34,16 +37,20 @@ from tests.conftest import BACKENDS, seed_budget
 STEPS = 6
 
 
-def grid_rect(rng):
+#: Grid scales beside 1: squared gaps that underflow, and that overflow.
+LIMIT_SCALES = [1e-160, 1e154]
+
+
+def grid_rect(rng, scale=1.0):
     """A small rect on a coarse grid: exact distance ties are common."""
     x, y = rng.randrange(0, 80) * 2.5, rng.randrange(0, 80) * 2.5
     w, h = rng.randrange(0, 3) * 2.5, rng.randrange(0, 3) * 2.5
-    return Rect(x, y, x + w, y + h)
+    return Rect(x * scale, y * scale, (x + w) * scale, (y + h) * scale)
 
 
-def build(rng, max_entries):
+def build(rng, max_entries, scale=1.0):
     """A tree of 20-90 objects, bulk-loaded or built by inserts."""
-    live = {oid: grid_rect(rng) for oid in range(rng.randrange(20, 90))}
+    live = {oid: grid_rect(rng, scale) for oid in range(rng.randrange(20, 90))}
     items = [(rect, oid) for oid, rect in live.items()]
     if rng.random() < 0.5:
         return RTree.bulk_load(items, max_entries=max_entries), live
@@ -52,13 +59,13 @@ def build(rng, max_entries):
     return tree, live
 
 
-def write_step(tree, live, rng):
+def write_step(tree, live, rng, scale=1.0):
     """1-12 inserts, moves and deletes; the tree keeps one object."""
     for _ in range(rng.randrange(1, 13)):
         op = rng.random()
         if op < 0.35:
             oid = max(live) + 1
-            live[oid] = grid_rect(rng)
+            live[oid] = grid_rect(rng, scale)
             tree.insert(live[oid], oid)
             continue
         if len(live) < 2:
@@ -66,7 +73,7 @@ def write_step(tree, live, rng):
         oid = rng.choice(sorted(live))
         assert tree.delete(live.pop(oid), oid)
         if op < 0.75:
-            live[oid] = grid_rect(rng)
+            live[oid] = grid_rect(rng, scale)
             tree.insert(live[oid], oid)
 
 
@@ -168,27 +175,19 @@ def check_round_trip(
                 )
 
 
-@seed_budget(tier1=5)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    target=st.sampled_from(["r", "s", "self"]),
-    max_entries=st.integers(4, 16),
-)
-@example(seed=0, target="self", max_entries=4)
-def test_every_engine_agrees_with_nlj_after_each_write_step(
-    kernels_backend, seed, target, max_entries
-):
+def run_write_steps(kernels_backend, seed, target, max_entries, scale=1.0):
+    """Write ``target`` step by step; check every engine after each step."""
     rng = random.Random(seed)
-    tree_r, live_r = build(rng, max_entries)
+    tree_r, live_r = build(rng, max_entries, scale)
     if target == "self":
         tree_s, live_s = tree_r, live_r
     else:
-        tree_s, live_s = build(rng, max_entries)
+        tree_s, live_s = build(rng, max_entries, scale)
     written = {"r": (tree_r, live_r), "s": (tree_s, live_s), "self": (tree_r, live_r)}
     tree, live = written[target]
     for step in range(STEPS + 1):
         if step:
-            write_step(tree, live, rng)
+            write_step(tree, live, rng, scale)
         k = rng.randrange(1, 151)
         oracle = nlj_distances(tree_r, tree_s, k)
         check_engines(
@@ -199,6 +198,33 @@ def test_every_engine_agrees_with_nlj_after_each_write_step(
         )
     tree_r.validate()
     tree_s.validate()
+
+
+_write_cases = given(
+    seed=st.integers(0, 2**32 - 1),
+    target=st.sampled_from(["r", "s", "self"]),
+    max_entries=st.integers(4, 16),
+)
+
+
+@seed_budget(tier1=5)
+@_write_cases
+@example(seed=0, target="self", max_entries=4)
+def test_every_engine_agrees_with_nlj_after_each_write_step(
+    kernels_backend, seed, target, max_entries
+):
+    run_write_steps(kernels_backend, seed, target, max_entries)
+
+
+@pytest.mark.parametrize("scale", LIMIT_SCALES)
+@seed_budget(tier1=3)
+@_write_cases
+def test_every_engine_agrees_with_nlj_at_the_float_limits(
+    kernels_backend, scale, seed, target, max_entries
+):
+    # The same grid scaled where squared gaps underflow to 0.0 and where
+    # they overflow to inf: engine answers, not just bounds, near both.
+    run_write_steps(kernels_backend, seed, target, max_entries, scale)
 
 
 @pytest.mark.parametrize("k", [1, 7])

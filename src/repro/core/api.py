@@ -136,7 +136,6 @@ class JoinConfig:
     optimize_axis: bool = True
     optimize_direction: bool = True
     distance_queue_all_pairs: bool = False
-    expansion_policy: str = "level"
     hs_insert_pruning: bool = True
     edmax: float | None = None
     adaptive_edmax: bool = False
@@ -173,7 +172,6 @@ class JoinConfig:
             optimize_axis=self.optimize_axis,
             optimize_direction=self.optimize_direction,
             distance_queue_all_pairs=self.distance_queue_all_pairs,
-            expansion_policy=self.expansion_policy,
             hs_insert_pruning=self.hs_insert_pruning,
         )
 
@@ -219,8 +217,29 @@ class JoinRunner:
         """``(ctx, resume payload)``: a context carrying the run's tracer,
         registry, live plane and checkpoint manager, which ``ctx.close()``
         releases.  Empty ``modes`` take no checkpoints.
+
+        A ``resume_from`` checkpoint is loaded, CRC-verified and
+        validated against this join's fingerprint and the resume
+        ``modes`` the caller can execute before anything opens, so a bad
+        one raises with no trace file truncated and no thread started.
+        The manager (if any) starts at the checkpoint's watermark, so
+        later snapshots count the whole logical stream.  With neither
+        ``checkpoint_path`` nor ``resume_from`` set no checkpoint
+        machinery is allocated: the counter-invariance guarantee.
         """
         cfg = self.config
+        fingerprint = resume_payload = None
+        if modes and (cfg.checkpoint_path is not None or cfg.resume_from is not None):
+            fingerprint = join_fingerprint(self.tree_r, self.tree_s, algorithm, k)
+            if cfg.resume_from is not None:
+                resume_payload = load_checkpoint(cfg.resume_from, faults=cfg.fault_plan)
+                validate_checkpoint(
+                    resume_payload,
+                    algorithm=algorithm,
+                    k=k,
+                    fingerprint=fingerprint,
+                    modes=modes,
+                )
         owned = None
         if cfg.trace_path is not None:
             owned = tracer_for(cfg.trace_path, cfg.trace_format)
@@ -231,10 +250,17 @@ class JoinRunner:
         # serve the registry snapshot.
         if cfg.collect_metrics or tracer is not None or plane is not None:
             metrics = MetricsRegistry()
-        checkpoint, resume_payload = (
-            self._open_checkpoint(algorithm, k, tracer, metrics, modes)
-            if modes else (None, None)
-        )
+        checkpoint = None
+        if fingerprint is not None:
+            checkpoint = CheckpointManager.from_config(
+                cfg,
+                algorithm=algorithm,
+                k=k,
+                fingerprint=fingerprint,
+                tracer=tracer,
+                metrics=metrics,
+                watermark=resume_payload.get("watermark", 0) if resume_payload else 0,
+            )
         ctx = self._context(tracer, metrics, plane, checkpoint)
         ctx.owned_tracer = owned
         if plane is not None:
@@ -246,7 +272,13 @@ class JoinRunner:
             plane.set_work_source(
                 lambda: (queue.stats.pops, queue.stats.pops + len(queue))
             )
-            plane.start(tracer)
+            try:
+                plane.start(tracer)
+            except BaseException:
+                # A plane that cannot start (its metrics port is taken)
+                # releases the run before the error reaches the caller.
+                ctx.close()
+                raise
         return ctx, resume_payload
 
     def _context(
@@ -274,59 +306,19 @@ class JoinRunner:
             checkpoint=checkpoint,
         )
 
-    def _open_checkpoint(
-        self, algorithm: str, k: int, tracer, metrics, modes=("exact", "replay")
-    ):
-        """(CheckpointManager | None, resume payload | None) for one run.
-
-        With neither ``checkpoint_path`` nor ``resume_from`` set this is
-        ``(None, None)`` and nothing is allocated — the
-        counter-invariance guarantee.  A resume payload is loaded,
-        CRC-verified and validated against this join's fingerprint and
-        the resume ``modes`` the caller can execute; the manager (if
-        any) starts at the checkpoint's watermark so subsequent
-        snapshots count the whole logical stream.
-        """
-        cfg = self.config
-        if cfg.checkpoint_path is None and cfg.resume_from is None:
-            return None, None
-        fingerprint = join_fingerprint(self.tree_r, self.tree_s, algorithm, k)
-        resume_payload = None
-        watermark = 0
-        if cfg.resume_from is not None:
-            resume_payload = load_checkpoint(cfg.resume_from, faults=cfg.fault_plan)
-            validate_checkpoint(
-                resume_payload,
-                algorithm=algorithm,
-                k=k,
-                fingerprint=fingerprint,
-                modes=modes,
-            )
-            watermark = resume_payload.get("watermark", 0)
-        manager = CheckpointManager.from_config(
-            self.config,
-            algorithm=algorithm,
-            k=k,
-            fingerprint=fingerprint,
-            tracer=tracer,
-            metrics=metrics,
-            watermark=watermark,
-        )
-        return manager, resume_payload
-
     @staticmethod
     def _merge_resume_prefix(stats: JoinStats, resume_payload: dict | None) -> None:
         """Fold the pre-crash stats prefix into a resumed run's stats.
 
-        Only exact-state resumes merge: a replay engine re-does (and
-        re-counts) all the work itself.  The prefix's ``results``,
-        ``compensation_stages`` and ``wall_time`` are zeroed first —
-        the resumed run already reports the full logical values for
-        those (results restored into its lists, stage flags re-derived,
-        wall clock restarted) and summing or maxing them would double
-        count.
+        Exact-state and parallel (``"shm"``) resumes merge; a replay
+        engine re-does (and re-counts) all the work itself.  The
+        prefix's ``results``, ``compensation_stages`` and ``wall_time``
+        are zeroed first — the resumed run already reports the full
+        logical values for those (results restored into its lists, stage
+        flags re-derived, wall clock restarted) and summing or maxing
+        them would double count.
         """
-        if resume_payload is None or resume_payload.get("mode") != "exact":
+        if resume_payload is None or resume_payload["mode"] == "replay":
             return
         prefix = resume_payload["stats"]
         prefix.results = 0

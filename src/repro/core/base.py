@@ -48,13 +48,6 @@ class EngineOptions:
         Footnote 1's option (1): also feed *node* pairs (keyed by their
         maximum distance) to the distance queue.  Default off — the paper
         chose option (2), object pairs only.
-    expansion_policy:
-        Uni-directional choice for the HS baseline when both sides are
-        nodes.  The default ``"level"`` expands the deeper-rooted side
-        (ties expand R), which guarantees every pair is generated through
-        exactly one descent path — area-based policies can create
-        duplicate queue entries.  Alternatives: ``"larger"`` (area),
-        ``"r"``, ``"s"``, ``"alternate"``.
     hs_insert_pruning:
         Whether HS-KDJ filters queue insertions with ``qDmax`` (on, the
         charitable reading of the baseline) or prunes only at dequeue
@@ -65,7 +58,6 @@ class EngineOptions:
     optimize_axis: bool = True
     optimize_direction: bool = True
     distance_queue_all_pairs: bool = False
-    expansion_policy: str = "level"
     hs_insert_pruning: bool = True
 
 
@@ -391,6 +383,26 @@ class JoinRun:
         if self._live is not None:
             self._live.note_result()
 
+    def produced(self, n: int) -> None:
+        """Set the checkpoint watermark and the live count to ``n``.
+
+        :meth:`result` advances both by one per streamed result.  A run
+        whose widening stages each find an answer that replaces the last
+        one (the parallel engine) sets them instead, and reports its
+        final answer once, through :meth:`answer`.
+        """
+        if self._ckpt is not None:
+            self._ckpt.note_emit(n - self._ckpt.emitted)
+        if self._live is not None:
+            self._live.set_results(n)
+
+    def answer(self, distances: list[float]) -> None:
+        """Such a run's final answer: the distance histogram and count."""
+        if self._hist is not None:
+            for distance in distances:
+                self._hist.observe(distance)
+        self.produced(len(distances))
+
     def close(self, **args) -> None:
         """End the open stage and the join span, both with ``args``; idempotent."""
         name, self._name = self._name, None
@@ -443,25 +455,13 @@ def kdj_emit(ctx: JoinContext, distance_queue):
     return emit, push
 
 
-def pick_expansion_side(a: Item, b: Item, policy: str, flip: bool) -> bool:
-    """Uni-directional expansion choice: True to expand the R side.
+def pick_expansion_side(a: Item, b: Item) -> bool:
+    """HS's uni-directional expansion choice: True to expand the R side.
 
-    When one side is an object the node side is expanded; otherwise the
-    ``policy`` decides.  ``"level"`` — expand the side at the higher tree
-    level, ties expand R — makes the choice a function of the pair's
-    levels alone, so every pair has exactly one generating parent and no
-    duplicates ever enter the queue.
+    The side at the higher tree level expands, ties expand R.  Objects
+    sit at level -1, so a node side always expands before an object
+    side.  The choice is a function of the pair's levels alone, so every
+    pair has exactly one generating parent and no duplicates ever enter
+    the queue.
     """
-    if a.is_object:
-        return False
-    if b.is_object:
-        return True
-    if policy == "level":
-        return a.level >= b.level
-    if policy == "r":
-        return True
-    if policy == "s":
-        return False
-    if policy == "alternate":
-        return flip
-    return a.rect.area() >= b.rect.area()
+    return a.level >= b.level

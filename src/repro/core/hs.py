@@ -37,8 +37,8 @@ def hs_incremental(
     With ``distance_queue`` given this is HS-KDJ's traversal (the caller
     stops after k results); without it, HS-IDJ.
 
-    ``resume`` is a checkpoint's ``engine`` state: queue, expansion flip
-    and produced-count are restored and the traversal continues with the
+    ``resume`` is a checkpoint's ``engine`` state: queue and
+    produced-count are restored and the traversal continues with the
     byte-identical remaining stream.  ``emitted`` lets a k-bounded
     caller (HS-KDJ) hand in its accumulated result list so checkpoints
     capture it; stream consumers (HS-IDJ) pass ``None`` — their emitted
@@ -48,7 +48,6 @@ def hs_incremental(
     algorithm = "hs-kdj" if kdj else "hs-idj"
     queue = ctx.main_queue
     produced = resume["produced"] if resume is not None else 0
-    flip = resume["flip"] if resume is not None else False
 
     def capture() -> dict:
         stats = ctx.make_stats(algorithm, produced, produced)
@@ -57,7 +56,6 @@ def hs_incremental(
         return ctx.exact_checkpoint(
             {
                 "dq": distance_queue.snapshot() if kdj else None,
-                "flip": flip,
                 "produced": produced,
                 "results": list(emitted) if emitted is not None else None,
             },
@@ -76,7 +74,6 @@ def hs_incremental(
         # Off, qDmax filters nothing until dequeue: every computed pair
         # is queued (the blow-up the option exists to show).
         prune = kdj and ctx.options.hs_insert_pruning
-        policy = ctx.options.expansion_policy
         emit, push = kdj_emit(ctx, distance_queue)
         batch = run.begin_stage("traversal")
         step, result, cutoffs = run.step, run.result, run.cutoffs
@@ -95,8 +92,7 @@ def hs_incremental(
                 cutoffs(bound, bound)
                 yield ResultPair(distance, payload.a.ref, payload.b.ref)
                 continue
-            expand_r = pick_expansion_side(payload.a, payload.b, policy, flip)
-            flip = not flip
+            expand_r = pick_expansion_side(payload.a, payload.b)
             if expand_r:
                 children = ctx.children_r(payload.a)
                 partner = payload.b

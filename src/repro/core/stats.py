@@ -244,6 +244,20 @@ class Instruments:
             self.real_distance_computations += n
             self.disk.charge_cpu(n * self.disk.cost_model.cpu_real_distance)
 
+    # -- node reads ------------------------------------------------------
+
+    def count_image_reads(self, n: int) -> None:
+        """Count ``n`` node reads per tree from an in-memory flat image.
+
+        The parallel engine expands node pairs from the trees' images,
+        not through the buffer pools: every read counts in both node
+        columns, as a buffer miss would, and charges no simulated I/O.
+        """
+        for accessor in (self.accessor_r, self.accessor_s):
+            stats = accessor.buffer.stats
+            stats.logical_accesses += n
+            stats.physical_reads += n
+
     def mindist_batch(self, rect: Rect, rects: list[Rect]) -> list[float]:
         """Counted batch of minimum distances from ``rect`` to ``rects``."""
         n = len(rects)

@@ -46,15 +46,12 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from repro.core import estimation
 from repro.core.pairs import ResultPair
-from repro.core.stats import JoinStats
 from repro.kernels import resolve_backend
 from repro.kernels.arena import TreeArena
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.merge import PairwiseBound
 from repro.parallel.runtime import (
     SweepCounters,
@@ -66,12 +63,12 @@ from repro.parallel.runtime import (
     _fork_context,
     _run_stage_pool,
 )
-from repro.resilience.deadline import Deadline
 from repro.rtree.tree import RTree, check_k
-from repro.storage.cost import DEFAULT_COST_MODEL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.api import JoinConfig, JoinResult
+    from repro.core.base import JoinContext
+    from repro.core.stats import Instruments, JoinStats
 
 #: Initial sweep cap: the Equation (3) eDmax estimate times this safety
 #: factor.  Kept tight: a traversal that comes up short only re-sweeps
@@ -79,8 +76,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: distances the sequential run never computes.
 DELTA_SAFETY = 1.05
 
-#: The algorithm the engine answers (checkpoint identity, stats name).
+#: The algorithm the engine answers (checkpoint identity, live plane).
 ALGORITHM = "amkdj"
+
+#: The run's name: its ``join:`` span and ``stats.algorithm``.
+NAME = f"parallel-{ALGORITHM}"
 
 
 def parallel_kdj(
@@ -99,143 +99,103 @@ def parallel_kdj(
     Linux; a stage of one task still drains inline) or ``"inline"``
     (the calling thread).  ``config.parallel_mode`` selects nothing.
     ``k`` must be a positive integer (``ValueError`` otherwise).
+
+    The run opens through :meth:`JoinRunner.open
+    <repro.core.api.JoinRunner.open>` like every sequential one, always
+    with the metrics registry on (the ``obs.shm.*`` counters), and
+    reports its stages, answer and barriers through the context's
+    :class:`~repro.core.base.JoinRun`.
     """
-    from repro.core.api import JoinConfig, JoinResult
+    from repro.core.api import JoinConfig, JoinResult, JoinRunner
 
     check_k(k)
     config = config or JoinConfig()
+    started = time.perf_counter()
+    runner = JoinRunner(tree_r, tree_s, replace(config, collect_metrics=True))
+    ctx, payload = runner.open(ALGORITHM, k, modes=("shm",))
+    try:
+        results, stats = _bounded_sweep(
+            ctx, k, config, payload["engine"] if payload is not None else None
+        )
+    finally:
+        ctx.close()
+    JoinRunner._merge_resume_prefix(stats, payload)
+    stats.wall_time = time.perf_counter() - started
+    return JoinResult(results, stats)
+
+
+def _bounded_sweep(
+    ctx: "JoinContext", k: int, config: "JoinConfig", resume: dict | None
+) -> tuple[list[ResultPair], "JoinStats"]:
+    """The stage loop on an open context; ``resume`` is a checkpoint's
+    ``engine`` state (mode ``"shm"``)."""
     workers = max(1, config.parallel)
     fork = _fork_context() if workers >= 2 else None
     mode = "process" if fork is not None else "inline"
-    started = time.perf_counter()
-    name = f"parallel-{ALGORITHM}"
-    if tree_r.size == 0 or tree_s.size == 0:
-        stats = JoinStats(algorithm=name, k=k, results=0)
-        stats.wall_time = time.perf_counter() - started
-        return JoinResult([], stats)
-
-    cost = config.cost_model or DEFAULT_COST_MODEL
-    space = tree_r.bounds().union(tree_s.bounds())
-    delta_max = math.hypot(space.width, space.height)
-    rho = config.rho or estimation.rho_for_datasets(
-        tree_r.bounds(), tree_s.bounds(), tree_r.size, tree_s.size
-    )
-    delta = min(delta_max, estimation.initial_edmax(k, rho) * DELTA_SAFETY)
-    if delta <= 0.0:
-        delta = delta_max
-
-    # A resume payload is read and checked before the tracer, the live
-    # plane or the arena opens, so a bad one leaves nothing running.
-    payload = fingerprint = None
-    if config.checkpoint_path is not None or config.resume_from is not None:
-        from repro.resilience.checkpoint import join_fingerprint
-
-        fingerprint = join_fingerprint(tree_r, tree_s, ALGORITHM, k)
-    if config.resume_from is not None:
-        from repro.resilience.recovery import load_checkpoint, validate_checkpoint
-
-        payload = load_checkpoint(config.resume_from, faults=config.fault_plan)
-        validate_checkpoint(
-            payload, algorithm=ALGORITHM, k=k,
-            fingerprint=fingerprint, modes=("shm",),
-        )
-
-    total = JoinStats(algorithm=name, k=k)
-    metrics = MetricsRegistry()
-    counters: Counter = Counter()
-    ctr = SweepCounters()
-    worker_busy: dict[int, float] = {}
-    kern = resolve_backend()
-    threshold = cost.shm_split_threshold(workers)
-    deadline = Deadline(config.deadline_s) if config.deadline_s is not None else None
-    tracer = NULL_TRACER
-    owned_tracer: Tracer | None = None
-    if config.trace_path is not None:
-        from repro.obs import tracer_for
-
-        tracer = owned_tracer = tracer_for(config.trace_path, config.trace_format)
-    from repro.obs.live import LivePlane
-
-    plane = LivePlane.from_config(config)
-    live = plane.progress if plane is not None else None
-    work = {"done": 0.0, "total": 0.0}
-    telemetry: WorkerTelemetry | None = None
-    if plane is not None:
-        profiled = plane.ensure_tracer(tracer)
-        if profiled is not tracer:
-            # Sink-less tracer: span names for the profiler, no events.
-            tracer = owned_tracer = profiled
-        plane.attach_metrics(metrics)
-        plane.set_work_source(lambda: (work["done"], work["total"]))
-        if fork is not None:
-            telemetry = WorkerTelemetry(workers, fork)
-            plane.attach_workers(telemetry)
-        live.start(name, k)
-        plane.start(tracer)
-    if deadline is not None:
-        deadline.bind_tracer(tracer)
-
+    instr = ctx.instr
+    tracer, metrics, deadline = instr.tracer, instr.metrics, ctx.deadline
     final: list[ResultPair] = []
-    stages = 0
-    frontier = 0
-    bound = PairwiseBound(k)
-    checkpoint = None
-    if payload is not None:
-        engine_state = payload["engine"]
-        delta = engine_state["delta"]
-        stages = engine_state["stages"]
-        final = [ResultPair._make(pair) for pair in engine_state["acc"]]
-        # Work counters continue on top of the pre-crash totals.
-        ctr.absorb(engine_state["ctr"])
-    if fingerprint is not None:
-        from repro.resilience.checkpoint import CheckpointManager
+    stages = pushes = 0
 
-        checkpoint = CheckpointManager.from_config(
-            config, algorithm=ALGORITHM, k=k, fingerprint=fingerprint,
-            tracer=tracer if tracer is not NULL_TRACER else None,
-            watermark=len(final),
-        )
-        if checkpoint is not None and plane is not None:
-            plane.attach_checkpoint(checkpoint)
-
-    arena = TreeArena(tree_r, tree_s)
-
-    def build_checkpoint() -> dict:
+    def capture() -> dict:
         # Drain-barrier snapshot: the stage pool has joined (workers
-        # quiesced), the stage's accumulator is already sorted and cut
-        # to the merged top-k.  Inter-stage state is small by design —
-        # every widened stage re-discovers its pairs from the arena.
-        snapshot = JoinStats(algorithm=total.algorithm, k=k)
-        snapshot.results = len(final)
-        snapshot.real_distance_computations = ctr.real
-        snapshot.axis_distance_computations = ctr.axis
-        snapshot.node_accesses = ctr.nodes
-        snapshot.node_accesses_unbuffered = ctr.nodes
-        snapshot.distance_queue_insertions = bound.insertions
+        # quiesced), the stage's answer is already sorted and cut to the
+        # merged top-k, and its work is charged.  Inter-stage state is
+        # small by design — every widened stage re-discovers its pairs
+        # from the arena.
+        stats = ctx.make_stats(NAME, k, len(final))
+        stats.extra["shm.stack_pushes"] = float(pushes)
         return {
             "mode": "shm",
             "engine": {
                 "delta": delta,
                 "stages": stages,
                 "acc": [tuple(pair) for pair in final],
-                "ctr": ctr.as_dict(),
             },
-            "stats": snapshot,
+            "stats": stats,
         }
 
+    run = ctx.run(NAME, capture, k=k, workers=workers, mode=mode)
+    if ctx.tree_r.size == 0 or ctx.tree_s.size == 0:
+        run.close(results=0)
+        return [], ctx.make_stats(NAME, k, 0)
+
+    space = ctx.tree_r.bounds().union(ctx.tree_s.bounds())
+    delta_max = math.hypot(space.width, space.height)
+    if resume is not None:
+        delta, stages = resume["delta"], resume["stages"]
+        final = [ResultPair._make(pair) for pair in resume["acc"]]
+    else:
+        delta = min(delta_max, ctx.initial_edmax(k) * DELTA_SAFETY)
+        if delta <= 0.0:
+            delta = delta_max
+    counters: Counter = Counter()
+    worker_busy: dict[int, float] = {}
+    kern = resolve_backend()
+    threshold = ctx.cost_model.shm_split_threshold(workers)
+    frontier = 0
+    bound = PairwiseBound(k)
+    work = {"done": 0.0, "total": 0.0}
+    telemetry: WorkerTelemetry | None = None
+    if ctx.plane is not None:
+        # Progress counts tasks, not main-queue entries.
+        ctx.plane.set_work_source(lambda: (work["done"], work["total"]))
+        if fork is not None:
+            telemetry = WorkerTelemetry(workers, fork)
+            ctx.plane.attach_workers(telemetry)
+
+    arena = TreeArena(ctx.tree_r, ctx.tree_s)
     run_started = time.monotonic()
     try:
-        tracer.begin(f"join:{name}", k=k, workers=workers, mode=mode)
         while True:
             stages += 1
-            stage_name = f"stage:parallel-{stages}"
-            if live is not None:
-                live.set_stage(f"parallel-{stages}")
-                live.set_cutoffs(delta, bound.cutoff)
-            tracer.begin(stage_name, delta=delta)
+            run.begin_stage(
+                f"parallel-{stages}", cutoffs=(delta, bound.cutoff), delta=delta
+            )
             # Fresh bound and accumulator per stage: a widened re-run
             # re-discovers every pair, and the pair-keyed bound must not
             # treat those re-discoveries as duplicates of a prior stage.
+            # Fresh counters too: each stage's work is charged at its end.
             bound = PairwiseBound(k)
             # Plain (distance, ref_r, ref_s) tuples: their natural sort
             # order is the result order, and skipping per-pair
@@ -245,18 +205,18 @@ def parallel_kdj(
             acc: list[tuple[float, int, int]] = []
             prune_floor = max(4 * k, 4096)
             cell = _LocalCell()
+            ctr = SweepCounters()
 
             def commit(pairs: list[tuple[float, int, int]]) -> None:
                 # Bulk path: dedupe once, then one heapq-merge insertion
                 # into the global bound instead of a per-pair offer loop.
                 acc.extend(bound.offer_pairs(pairs))
                 cell.value = bound.cutoff
-                if live is not None:
-                    # Per committed batch, not per pair: the estimate
-                    # (delta) vs the merged safe bound is the paper's
-                    # own convergence signal.
-                    live.set_results(min(len(acc), k))
-                    live.set_cutoffs(delta, bound.cutoff)
+                # Per committed batch, not per pair: the estimate (delta)
+                # vs the merged safe bound is the paper's own
+                # convergence signal.
+                run.produced(min(len(acc), k))
+                run.cutoffs(delta, bound.cutoff)
                 if len(acc) > prune_floor and bound.is_finite:
                     cutoff = bound.cutoff
                     acc[:] = [pair for pair in acc if pair[0] <= cutoff]
@@ -273,8 +233,7 @@ def parallel_kdj(
             frontier = max(frontier, len(tasks))
             work["total"] += float(len(tasks))
             commit(stage_out)
-            if deadline is not None:
-                deadline.check()
+            deadline.check()
             if fork is None or len(tasks) < 2:
                 # A stage of one task has nothing to run in parallel: the
                 # calling thread drains it rather than forking workers.
@@ -301,12 +260,13 @@ def parallel_kdj(
             acc.sort()
             del acc[k:]
             final = [ResultPair._make(pair) for pair in acc]
-            tracer.end(stage_name, results=len(final))
-            if live is not None:
-                live.stage_done()
-                # Inline drains and dead-worker fallbacks bypass the
-                # per-task accounting: square the books at stage end.
-                work["done"] = work["total"]
+            _charge(instr, ctr)
+            pushes += ctr.pushes
+            run.produced(len(final))
+            run.end_stage(results=len(final))
+            # Inline drains and dead-worker fallbacks bypass the per-task
+            # accounting: square the books at stage end.
+            work["done"] = work["total"]
             if delta >= delta_max:
                 # The sweep covered the whole space: nothing was pruned
                 # by the cap, so the answer is complete (even if < k).
@@ -318,44 +278,21 @@ def parallel_kdj(
             if tracer.enabled:
                 tracer.event("delta_widen", old=delta, new=new_delta, needed=needed)
             delta = new_delta
-            if checkpoint is not None:
-                # Stage boundary = drain barrier: the captured delta is
-                # the widened one, so a resume re-enters at exactly the
-                # stage this run was about to start.
-                checkpoint.note_emit(len(final) - checkpoint.emitted)
-                checkpoint.barrier(build_checkpoint)
-        tracer.end(f"join:{name}", results=len(final), stages=stages)
-        if tracer.enabled:
-            # Final registry snapshot into the trace so offline report
-            # rendering can derive distribution percentiles.
-            tracer.counter("metrics:final", **metrics.snapshot())
+            # Stage boundary = drain barrier: the captured delta is the
+            # widened one, so a resume re-enters at exactly the stage
+            # this run was about to start.
+            run.step()
     finally:
-        # Plane first: its final snapshot still reads the work dict,
-        # registry and telemetry array.
-        if plane is not None:
-            plane.close()
-        if checkpoint is not None:
-            checkpoint.close()
         arena.close()
-        if owned_tracer is not None:
-            owned_tracer.close()
 
     elapsed = max(time.monotonic() - run_started, 1e-9)
     for wid, busy_s in sorted(worker_busy.items()):
         metrics.gauge(f"shm.occupancy.w{wid}").set(min(busy_s / elapsed, 1.0))
-
-    total.results = len(final)
-    total.real_distance_computations = ctr.real
-    total.axis_distance_computations = ctr.axis
-    total.node_accesses = ctr.nodes
-    total.node_accesses_unbuffered = ctr.nodes
-    total.distance_queue_insertions = bound.insertions
-    total.cpu_time = (
-        ctr.real * cost.cpu_real_distance + ctr.axis * cost.cpu_axis_distance
-    )
-    total.response_time = total.cpu_time  # in-memory: no simulated I/O
-    total.wall_time = time.perf_counter() - started
-    total.extra.update(
+    run.answer([pair.distance for pair in final])
+    run.close(results=len(final), stages=stages)
+    stats = ctx.make_stats(NAME, k, len(final))
+    stats.distance_queue_insertions = bound.insertions
+    stats.extra.update(
         {
             "parallel_workers": workers,
             "parallel_mode": mode,
@@ -363,14 +300,25 @@ def parallel_kdj(
             "parallel_stages": stages,
             "parallel_delta": delta,
             "parallel_qdmax": bound.cutoff if bound.is_finite else None,
-            "shm.stack_pushes": float(ctr.pushes),
-            "kernels.batches": float(ctr.batches),
-            "kernels.batched_pairs": float(ctr.batched_pairs),
+            "shm.stack_pushes": float(pushes),
         }
     )
-    total.extra.update(metrics.snapshot())
-    if counters:
-        total.extra.update(
-            {f"resilience_{name}": float(value) for name, value in counters.items()}
-        )
-    return JoinResult(final, total)
+    stats.extra.update(
+        {f"resilience_{name}": float(value) for name, value in counters.items()}
+    )
+    return final, stats
+
+
+def _charge(instr: "Instruments", ctr: SweepCounters) -> None:
+    """Charge one stage's sweep work where ``make_stats`` and the stage
+    meter read it.
+
+    Distances go to the simulated CPU clock, real ones first; the
+    images are in memory, so no I/O is charged, and every expansion
+    reads one node of each tree (``ctr.nodes`` counts both).
+    """
+    instr.count_real(ctr.real)
+    instr.count_axis(ctr.axis)
+    instr.count_image_reads(ctr.nodes // 2)
+    instr.kernel_batches += ctr.batches
+    instr.kernel_batched_pairs += ctr.batched_pairs

@@ -1,6 +1,6 @@
 """One stage of the parallel engine's bounded sweep: traversal and runtimes.
 
-The stage loop lives in :func:`repro.parallel.engine.parallel_kdj`;
+The stage loop lives in :mod:`repro.parallel.engine`;
 this module holds what runs inside one stage:
 
 - the **block traversal** over the arena's views — :func:`_expand`
@@ -46,11 +46,11 @@ from repro.kernels import resolve_backend
 from repro.kernels.arena import TreeArena
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.resilience.deadline import Deadline
 from repro.resilience.faults import trip_worker_faults
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.api import JoinConfig
+    from repro.resilience.deadline import Deadline, NullDeadline
 
 #: Result pairs a worker buffers before flushing a batch to the parent.
 FLUSH_PAIRS = 4096
@@ -590,7 +590,7 @@ def _run_stage_pool(
     metrics: MetricsRegistry,
     worker_busy: dict[int, float],
     config: "JoinConfig",
-    deadline: Deadline | None,
+    deadline: "Deadline | NullDeadline",
     tracer: Tracer,
     work: dict[str, float],
 ) -> list[tuple[float, int, int]]:
@@ -599,6 +599,8 @@ def _run_stage_pool(
     Returns the tasks left over if every worker died (the caller drains
     them inline); an empty list means the stage completed.  ``work``
     counts completed tasks under ``done`` for the live progress plane.
+    ``deadline`` is the run's (``ctx.deadline``), checked once per
+    dispatch round.
 
     With ``config.worker_timeout_s`` set, a worker times out when it
     holds work and stays silent that long, or when it has not come up
@@ -640,8 +642,7 @@ def _run_stage_pool(
         return timeout_s is not None and any(w not in ready for w in alive_workers())
 
     while pending or any(outstanding.values()) or starting():
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         now = time.monotonic()
         # Liveness: a dead process with work outstanding loses it back
         # to the queue (fault-injection kills land here).
@@ -737,10 +738,11 @@ def _drain_inline(
     commit: Callable[[list[tuple[float, int, int]]], None],
     kern,
     ctr: SweepCounters,
-    deadline: Deadline | None,
+    deadline: "Deadline | NullDeadline",
 ) -> None:
     """Run tasks in the calling thread (the inline runtime, and the
-    fallback once every worker died)."""
+    fallback once every worker died), checking the run's ``deadline``
+    at every control poll."""
     vr, vs = arena.view_r, arena.view_s
 
     def cap_now() -> float:
@@ -749,8 +751,7 @@ def _drain_inline(
     out: list[tuple[float, int, int]] = []
 
     def control(_stack: list[tuple[float, int, int]]) -> None:
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         # Commit eagerly: the tighter the cutoff, the more the DFS prunes.
         if out:
             commit(out)

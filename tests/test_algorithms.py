@@ -196,14 +196,12 @@ class TestOptionVariants:
         )
         assert_distances_close(runner.kdj(300, "bkdj").distances, expected)
 
-    @pytest.mark.parametrize("policy", ["level", "larger", "r", "s", "alternate"])
+    # HS has one expansion policy, the level rule (pick_expansion_side).
+    @pytest.mark.parametrize("policy", ["level"])
     def test_hs_policies_exact(self, small_trees, small_r, small_s, policy):
         expected = brute_force_distances(small_r, small_s, 200)
         tree_r, tree_s = small_trees
-        runner = JoinRunner(
-            tree_r, tree_s,
-            JoinConfig(queue_memory=8 * 1024, expansion_policy=policy),
-        )
+        runner = JoinRunner(tree_r, tree_s, JoinConfig(queue_memory=8 * 1024))
         assert_distances_close(runner.kdj(200, "hs").distances, expected)
 
     def test_hs_without_insert_pruning_is_exact_but_heavier(

@@ -7,17 +7,20 @@ uninterrupted run.  The corruption tests pin the typed-error surface of
 the recovery path: a damaged checkpoint never yields garbage results.
 """
 
+import multiprocessing
 import os
 import pickle
 import random
 import signal
 import threading
 import zlib
+from dataclasses import replace
 
 import pytest
 
 from repro import JoinConfig, JoinRunner, Rect, RTree, parallel_kdj
 from repro.core import planesweep
+from repro.obs import load_trace
 from repro.queues.main_queue import MainQueue
 from repro.resilience.checkpoint import (
     CheckpointManager,
@@ -30,11 +33,14 @@ from repro.resilience.errors import (
     CheckpointError,
     CheckpointMismatchError,
     CheckpointVersionError,
+    JoinDeadlineExceeded,
     JoinInterrupted,
 )
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import load_checkpoint, validate_checkpoint
 from repro.storage.disk import SimulatedDisk
+
+from tests.test_join_run import STAGE_FIELDS, balanced, stage_deltas
 
 EXACT_KDJ = ["hs", "bkdj", "amkdj"]
 REPLAY_KDJ = ["sjsort", "nlj"]
@@ -102,8 +108,10 @@ def test_from_config_returns_none_when_unset():
 
 def test_open_checkpoint_is_noop_without_config(point_trees):
     tree_r, tree_s = point_trees
-    runner = JoinRunner(tree_r, tree_s, JoinConfig())
-    assert runner._open_checkpoint("amkdj", 5, None, None) == (None, None)
+    ctx, payload = JoinRunner(tree_r, tree_s, JoinConfig()).open("amkdj", 5)
+    ctx.close()
+    assert ctx.checkpoint is None
+    assert payload is None
 
 
 @pytest.mark.parametrize("algorithm", EXACT_KDJ + REPLAY_KDJ)
@@ -174,7 +182,7 @@ PAYLOAD_KEYS = {
     "wall_s", "mode", "engine", "stats",
 }
 AMKDJ_KEYS = {"stage", "results", "queue", "dq", "comp", "initial_edmax", "buffers"}
-HS_KEYS = {"queue", "dq", "flip", "produced", "results", "buffers"}
+HS_KEYS = {"queue", "dq", "produced", "results", "buffers"}
 ENGINE_KEYS = {
     "hs-kdj": HS_KEYS,
     "hs-idj": HS_KEYS,
@@ -231,6 +239,22 @@ def test_exact_checkpoint_format_is_pinned(point_trees, tmp_path, monkeypatch):
         record(name)
     assert engines == ENGINE_KEYS
     assert FORMAT_VERSION == 3
+
+
+def test_hs_checkpoint_with_a_flip_key_still_resumes(point_trees, tmp_path):
+    # Format-3 HS checkpoints written while HS had more than one
+    # expansion policy carry a "flip" key; a resume ignores it.
+    path = tmp_path / "join.ckpt"
+    ref = run(point_trees, "hs")
+    run(point_trees, "hs", checkpoint_path=str(path), checkpoint_every_pairs=7)
+    magic, version, _, blob = pickle.loads(path.read_bytes())
+    payload = pickle.loads(blob)
+    payload["engine"]["flip"] = True
+    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    path.write_bytes(pickle.dumps((magic, version, zlib.crc32(blob), blob)))
+    resumed = run(point_trees, "hs", resume_from=str(path))
+    assert stream(resumed) == stream(ref)
+    assert_rows_match(ref.stats.as_row(), resumed.stats.as_row())
 
 
 # ----------------------------------------------------------------------
@@ -399,23 +423,153 @@ def test_parallel_checkpoint_and_resume(staged_trees, tmp_path, mode):
     assert stream(resumed) == stream(ref)
 
 
-def test_parallel_corrupt_resume_leaves_no_live_publisher(staged_trees, tmp_path):
-    # The resume payload is read and checked before the live plane
-    # starts: a corrupt one raises and leaves no publisher thread behind.
+def test_parallel_resume_reports_the_uninterrupted_counters(
+    staged_trees, tmp_path, monkeypatch
+):
+    # One worker drains inline, so its counters repeat exactly.  With a
+    # capture at every stage barrier the file holds the last one, and the
+    # resumed run sweeps only the final stage; the checkpoint's stats
+    # prefix carries the earlier stages' work and deltas.
     tree_r, tree_s = staged_trees
+    k = 120
+    path = tmp_path / "join.ckpt"
+    config = JoinConfig(parallel=1)
+    ref = parallel_kdj(tree_r, tree_s, k, config)
+    assert ref.stats.extra["parallel_stages"] == 3
+    monkeypatch.setattr(CheckpointManager, "due", lambda self: True)
+    ckpt = parallel_kdj(tree_r, tree_s, k, replace(config, checkpoint_path=str(path)))
+    monkeypatch.undo()
+    assert stream(ckpt) == stream(ref)
+    payload = load_checkpoint(path)
+    assert payload["mode"] == "shm"
+    assert payload["engine"]["stages"] == 2
+    assert payload["watermark"] == len(payload["engine"]["acc"])
+    resumed = parallel_kdj(tree_r, tree_s, k, replace(config, resume_from=str(path)))
+    assert stream(resumed) == stream(ref)
+    assert_rows_match(ref.stats.as_row(), resumed.stats.as_row())
+    for key in ("parallel_stages", "shm.stack_pushes", "kernels.batches",
+                "kernels.batched_pairs", "obs.result_distance.count"):
+        assert resumed.stats.extra[key] == ref.stats.extra[key], key
+    stages = stage_deltas(resumed.stats.extra)
+    assert stages.keys() == stage_deltas(ref.stats.extra).keys()
+    assert stages.keys() == {"parallel-1", "parallel-2", "parallel-3"}
+    for field, counter in STAGE_FIELDS.items():
+        total = sum(deltas[field] for deltas in stages.values())
+        if field == "sim_time":
+            assert total == pytest.approx(resumed.stats.response_time, rel=1e-9)
+        else:
+            assert total == getattr(resumed.stats, counter), field
+
+
+def publishers():
+    return {t for t in threading.enumerate() if t.name == "repro-live-publisher"}
+
+
+def assert_corrupt_resume_opens_nothing(tmp_path, join):
+    """``join(config)`` resumes from a corrupt checkpoint with a live
+    plane and a trace file that holds an earlier trace.  The payload is
+    read and checked before anything opens: the join raises, starts no
+    publisher thread and leaves the earlier trace byte for byte."""
     path = tmp_path / "corrupt.ckpt"
     path.write_bytes(b"this is not a checkpoint")
-
-    def publishers():
-        return {t for t in threading.enumerate() if t.name == "repro-live-publisher"}
-
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"ts": 0.0, "ph": "i", "name": "earlier", "track": 0}\n')
+    earlier = trace.read_bytes()
     before = publishers()
     config = JoinConfig(
-        parallel=2, resume_from=str(path), status_path=str(tmp_path / "status.json")
+        resume_from=str(path),
+        status_path=str(tmp_path / "status.json"),
+        trace_path=str(trace),
     )
     with pytest.raises(CheckpointCorruptionError):
-        parallel_kdj(tree_r, tree_s, 120, config=config)
+        join(config)
     assert publishers() - before == set()
+    assert trace.read_bytes() == earlier
+
+
+def test_parallel_corrupt_resume_leaves_no_live_publisher(staged_trees, tmp_path):
+    tree_r, tree_s = staged_trees
+    assert_corrupt_resume_opens_nothing(
+        tmp_path,
+        lambda config: parallel_kdj(tree_r, tree_s, 120, replace(config, parallel=2)),
+    )
+
+
+@pytest.mark.parametrize("algorithm", EXACT_KDJ + REPLAY_KDJ)
+def test_corrupt_resume_leaves_the_trace_and_no_live_publisher(
+    point_trees, tmp_path, algorithm
+):
+    tree_r, tree_s = point_trees
+    assert_corrupt_resume_opens_nothing(
+        tmp_path,
+        lambda config: JoinRunner(tree_r, tree_s, config).kdj(60, algorithm),
+    )
+
+
+#: How a parallel run can end: normally, or by the typed error raised.
+EXIT_PATHS = {
+    "complete": None,
+    "deadline": JoinDeadlineExceeded,
+    "shutdown": JoinInterrupted,
+    "corrupt-resume": CheckpointCorruptionError,
+    "worker-crash": None,
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("exit_path", list(EXIT_PATHS))
+def test_parallel_exit_paths_leave_nothing_behind(
+    staged_trees, tmp_path, exit_path, workers
+):
+    # Whichever way the run ends, no worker process, publisher thread,
+    # spill file or directory, or checkpoint temp file is left, and the
+    # trace is closed and balanced: a Chrome trace is written only when
+    # its tracer closes.
+    tree_r, tree_s = staged_trees
+    spill = tmp_path / "spill"
+    trace = tmp_path / "trace.json"
+    checkpoint = tmp_path / "join.ckpt"
+    config = JoinConfig(
+        parallel=workers,
+        spill_dir=str(spill),
+        trace_path=str(trace),
+        status_path=str(tmp_path / "status.json"),
+        checkpoint_path=str(checkpoint),
+        checkpoint_every_s=0.0,
+    )
+    if exit_path == "deadline":
+        config = replace(config, deadline_s=1e-9)
+    elif exit_path == "shutdown":
+        # As SIGTERM does: the run checkpoints and stops at its first
+        # stage barrier.
+        CheckpointManager.shutdown_all("SIGTERM")
+    elif exit_path == "corrupt-resume":
+        corrupt = tmp_path / "corrupt.ckpt"
+        corrupt.write_bytes(b"this is not a checkpoint")
+        config = replace(config, resume_from=str(corrupt))
+    elif exit_path == "worker-crash":
+        config = replace(config, fault_plan=FaultPlan.parse("worker_crash"))
+    before = publishers()
+    error = EXIT_PATHS[exit_path]
+    if error is None:
+        result = parallel_kdj(tree_r, tree_s, 120, config)
+        assert len(result) == 120
+        if exit_path == "worker-crash" and workers == 2:
+            assert result.stats.extra["resilience_worker_fallbacks"] >= 1
+    else:
+        with pytest.raises(error):
+            parallel_kdj(tree_r, tree_s, 120, config)
+    assert multiprocessing.active_children() == []
+    assert publishers() - before == set()
+    assert list(tmp_path.rglob("*.pile")) == []
+    assert not spill.exists()
+    assert not checkpoint.with_name(checkpoint.name + ".tmp").exists()
+    if exit_path == "shutdown":
+        assert load_checkpoint(checkpoint)["engine"]["stages"] == 1
+    if exit_path == "corrupt-resume":
+        assert not trace.exists()
+    else:
+        assert balanced(load_trace(trace))
 
 
 # ----------------------------------------------------------------------

@@ -16,35 +16,21 @@ def obj(ref=0):
     return Item.object(Rect(0, 0, 1, 1), ref)
 
 
-def node(level, area=1.0, ref=0):
-    return Item.node(Rect(0, 0, area, 1), ref, level)
+def node(level, ref=0):
+    return Item.node(Rect(0, 0, 1, 1), ref, level)
 
 
 class TestPickExpansionSide:
     def test_object_sides_never_expand(self):
-        assert pick_expansion_side(obj(), node(2), "level", False) is False
-        assert pick_expansion_side(node(2), obj(), "level", False) is True
+        assert pick_expansion_side(obj(), node(2)) is False
+        assert pick_expansion_side(node(2), obj()) is True
 
     def test_level_policy_expands_deeper_side(self):
-        assert pick_expansion_side(node(3), node(1), "level", False) is True
-        assert pick_expansion_side(node(1), node(3), "level", False) is False
+        assert pick_expansion_side(node(3), node(1)) is True
+        assert pick_expansion_side(node(1), node(3)) is False
 
     def test_level_policy_tie_expands_r(self):
-        assert pick_expansion_side(node(2), node(2), "level", False) is True
-
-    def test_larger_policy_uses_area(self):
-        assert pick_expansion_side(node(1, area=9.0), node(1, area=1.0),
-                                   "larger", False) is True
-        assert pick_expansion_side(node(1, area=1.0), node(1, area=9.0),
-                                   "larger", False) is False
-
-    def test_fixed_policies(self):
-        assert pick_expansion_side(node(1), node(1), "r", False) is True
-        assert pick_expansion_side(node(1), node(1), "s", False) is False
-
-    def test_alternate_policy_flips(self):
-        assert pick_expansion_side(node(1), node(1), "alternate", True) is True
-        assert pick_expansion_side(node(1), node(1), "alternate", False) is False
+        assert pick_expansion_side(node(2), node(2)) is True
 
 
 @settings(max_examples=8, deadline=None)
@@ -56,7 +42,7 @@ def test_level_policy_generates_each_pair_once(seed):
     runner = JoinRunner(
         RTree.bulk_load(items_r, max_entries=4),
         RTree.bulk_load(items_s, max_entries=4),
-        JoinConfig(queue_memory=4 * 1024, expansion_policy="level"),
+        JoinConfig(queue_memory=4 * 1024),
     )
     pairs = [(p.ref_r, p.ref_s) for p in runner.idj("hs")]
     assert len(pairs) == 30 * 25

@@ -1,14 +1,18 @@
 """The run contract: every engine reports through one ``JoinRun``.
 
-Under ``collect_metrics=True`` every k-distance join, both incremental
-streams and both join variants report the result-distance histogram and
-one ``obs.stage.<label>.*`` group per stage, and their stage deltas sum
-to the run's counters.  Their traces nest (every ``B`` has its ``E``),
+Under ``collect_metrics=True`` every k-distance join (the parallel
+engine at one and two workers too), both incremental streams and both
+join variants report the result-distance histogram and one
+``obs.stage.<label>.*`` group per stage, and their stage deltas sum to
+the run's counters.  Their traces nest (every ``B`` has its ``E``),
 with empty inputs too, and the live plane is started once, under the
 runner's algorithm name.
 """
 
 import collections
+import socket
+import threading
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +21,7 @@ from repro import (
     JoinRunner,
     RTree,
     all_nearest_neighbors,
+    parallel_kdj,
     within_distance_join,
 )
 from repro.core.api import KDJ_ALGORITHMS
@@ -47,8 +52,14 @@ STAGES = {
     "idj-amidj": {"1", "2"},
     "within": {"traversal"},
     "ann": {"search"},
+    "parallel-1": {"parallel-1"},
+    "parallel-2": {"parallel-1"},
 }
 RUNS = sorted(STAGES)
+
+#: Every k-distance join: each algorithm, and AM-KDJ on the parallel
+#: engine at one and two workers.
+KDJ_KINDS = list(KDJ_ALGORITHMS) + ["parallel-1", "parallel-2"]
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +75,14 @@ def empty():
     return RTree.bulk_load([])
 
 
+def kdj(kind, tree_r, tree_s, k, config, **kwargs):
+    """One k-distance join of ``kind`` (see :data:`KDJ_KINDS`)."""
+    if kind.startswith("parallel-"):
+        workers = int(kind[len("parallel-"):])
+        return parallel_kdj(tree_r, tree_s, k, replace(config, parallel=workers))
+    return JoinRunner(tree_r, tree_s, config).kdj(k, kind, **kwargs)
+
+
 def run(kind, tree_r, tree_s, **config):
     """``(results, stats)`` of one run of ``kind`` (streams pull 150 pairs)."""
     # A small buffer makes the buffered and unbuffered node counts
@@ -75,13 +94,12 @@ def run(kind, tree_r, tree_s, **config):
     if kind == "ann":
         result = all_nearest_neighbors(tree_r, tree_s, cfg)
         return result.results, result.stats
-    runner = JoinRunner(tree_r, tree_s, cfg)
     if kind.startswith("idj-"):
-        stream = runner.idj(kind[len("idj-"):])
+        stream = JoinRunner(tree_r, tree_s, cfg).idj(kind[len("idj-"):])
         results = stream.next_batch(150)
         stream.close()
         return results, stream.stats()
-    result = runner.kdj(60, kind)
+    result = kdj(kind, tree_r, tree_s, 60, cfg)
     return result.results, result.stats
 
 
@@ -146,20 +164,23 @@ def test_empty_side_writes_a_balanced_trace(trees, empty, tmp_path, kind, side):
     assert balanced(load_trace(path))
 
 
-@pytest.mark.parametrize("algorithm", KDJ_ALGORITHMS)
+@pytest.mark.parametrize("algorithm", KDJ_KINDS)
 def test_expired_deadline_still_writes_a_balanced_trace(trees, tmp_path, algorithm):
     path = tmp_path / "expired.jsonl"
     tree_r, tree_s = trees
     config = JoinConfig(trace_path=str(path), deadline_s=1e-9)
     with pytest.raises(JoinDeadlineExceeded):
         # An explicit dmax: SJ-SORT's oracle run would expire first.
-        JoinRunner(tree_r, tree_s, config).kdj(60, algorithm, dmax=50.0)
+        if algorithm == "sjsort":
+            kdj(algorithm, tree_r, tree_s, 60, config, dmax=50.0)
+        else:
+            kdj(algorithm, tree_r, tree_s, 60, config)
     records = load_trace(path)
     assert any(r["name"] == "deadline_exceeded" for r in records)
     assert balanced(records)
 
 
-@pytest.mark.parametrize("algorithm", KDJ_ALGORITHMS)
+@pytest.mark.parametrize("algorithm", KDJ_KINDS)
 def test_live_plane_starts_once_under_the_runner_name(
     trees, tmp_path, monkeypatch, algorithm
 ):
@@ -173,10 +194,38 @@ def test_live_plane_starts_once_under_the_runner_name(
     monkeypatch.setattr(JoinProgress, "start", counting)
     path = tmp_path / "status.json"
     tree_r, tree_s = trees
-    JoinRunner(tree_r, tree_s, JoinConfig(status_path=str(path))).kdj(40, algorithm)
-    # SJ-SORT's live count is its candidate stream, so it starts with k = 0.
-    assert starts == [(algorithm, 0 if algorithm == "sjsort" else 40)]
-    assert read_status(path)["progress"]["algorithm"] == algorithm
+    kdj(algorithm, tree_r, tree_s, 40, JoinConfig(status_path=str(path)))
+    # The parallel engine answers AM-KDJ.  SJ-SORT's live count is its
+    # candidate stream, so it starts with k = 0.
+    name = "amkdj" if algorithm.startswith("parallel-") else algorithm
+    assert starts == [(name, 0 if name == "sjsort" else 40)]
+    progress = read_status(path)["progress"]
+    assert progress["algorithm"] == name
+    if name != "sjsort":
+        assert progress["produced"] == 40
+
+
+@pytest.mark.parametrize("algorithm", ["amkdj", "parallel-2"])
+def test_a_plane_that_cannot_start_releases_the_run(trees, tmp_path, algorithm):
+    # A taken metrics port fails the live plane's start inside
+    # JoinRunner.open: the publisher thread, the spill directory and the
+    # tracer it opened are released before the error leaves.
+    spill = tmp_path / "spill"
+    trace = tmp_path / "run.json"  # a Chrome trace is written on close
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        config = JoinConfig(
+            metrics_port=taken.getsockname()[1],
+            spill_dir=str(spill),
+            trace_path=str(trace),
+        )
+        with pytest.raises(OSError):
+            kdj(algorithm, *trees, 60, config)
+    names = {thread.name for thread in threading.enumerate()}
+    assert "repro-live-publisher" not in names
+    assert not spill.exists()
+    assert balanced(load_trace(trace))
 
 
 @pytest.mark.parametrize("kind", RUNS)

@@ -73,7 +73,7 @@ class JoinConfig:
     (:mod:`repro.parallel`) with N workers; the other k-distance joins
     run sequentially whatever its value.  The engine picks its own
     runtime: at N >= 2 on Linux it forks N worker processes, which read
-    the parent's tree images through the memory pages fork shares;
+    the parent's node blocks through the memory pages fork shares;
     at one worker, or where fork is unavailable, the calling thread
     drains every task.  ``parallel_mode`` selects nothing: it is still
     accepted (``"shm-process"`` or ``"shm-serial"``; any other value
@@ -268,10 +268,7 @@ class JoinRunner:
             plane.attach_checkpoint(checkpoint)
             # SJ-SORT's live count is its candidate stream, not the top k.
             plane.progress.start(algorithm, 0 if algorithm == "sjsort" else k)
-            queue = ctx.main_queue
-            plane.set_work_source(
-                lambda: (queue.stats.pops, queue.stats.pops + len(queue))
-            )
+            plane.set_work_source(ctx.queue_work)
             try:
                 plane.start(tracer)
             except BaseException:

@@ -2,11 +2,12 @@
 
 ``JoinContext`` bundles everything one join run needs: the two indexed
 datasets, a fresh simulated disk, metered buffer pools for both trees,
-the hybrid main queue, and the instrumented distance operations.  Every
-engine (HS, B-KDJ, AM-KDJ, AM-IDJ, SJ-SORT, NLJ) is a function of a
-context, so runs are isolated and their metrics comparable.  A node's
-children are its own entries (``Node.entries``, :class:`Item` records),
-read through the metered accessor.
+the hybrid main queue (built when an engine first reads it), and the
+instrumented distance operations.  Every engine (HS, B-KDJ, AM-KDJ,
+AM-IDJ, SJ-SORT, NLJ) is a function of a context, so runs are isolated
+and their metrics comparable.  A node's children are its own entries
+(``Node.entries``, :class:`Item` records), read through the metered
+accessor.
 
 ``JoinRun`` (opened with :meth:`JoinContext.run`) is everything an
 engine does beside its algorithm: the join and stage spans, per-stage
@@ -110,13 +111,12 @@ class JoinContext:
         # segment boundaries; disabling it (the ablation benchmark) makes
         # the queue fall back to pure split-on-overflow, the scheme the
         # paper criticizes earlier work for.
-        queue_rho = self.rho if model_queue_boundaries else None
-        self.main_queue = MainQueue(
-            self.disk, queue_memory, rho=queue_rho, spill_dir=spill_dir,
-            faults=faults,
-        )
-        self.instr.attach_queue(self.main_queue)
-        self.main_queue.set_observer(self.instr.tracer, self.instr.metrics)
+        self._queue_options = {
+            "rho": self.rho if model_queue_boundaries else None,
+            "spill_dir": spill_dir,
+            "faults": faults,
+        }
+        self._main_queue: MainQueue | None = None
         # Cooperative deadline: ticked once per expansion-loop iteration
         # through ``JoinRun.step``; the no-op default costs one call.
         self.deadline = deadline if deadline is not None else NULL_DEADLINE
@@ -150,7 +150,8 @@ class JoinContext:
             self.plane.close()
         if self.checkpoint is not None:
             self.checkpoint.close()
-        self.main_queue.close()
+        if self._main_queue is not None:
+            self._main_queue.close()
         if self.owned_tracer is not None:
             self.owned_tracer.close()
 
@@ -159,6 +160,30 @@ class JoinContext:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    @property
+    def main_queue(self) -> MainQueue:
+        """The run's hybrid main queue, built on first use.
+
+        Every queue engine reads it once per run; a run that never does
+        (the parallel engine, NLJ, SJ-SORT, the variants) builds no
+        queue, so it creates no spill directory and reports no
+        ``obs.queue_depth`` histogram.
+        """
+        if self._main_queue is None:
+            queue = MainQueue(self.disk, self.queue_memory, **self._queue_options)
+            self.instr.attach_queue(queue)
+            queue.set_observer(self.instr.tracer, self.instr.metrics)
+            self._main_queue = queue
+        return self._main_queue
+
+    def queue_work(self) -> tuple[float, float]:
+        """Main-queue progress for the live plane: pops against pops plus
+        the entries left; ``(0, 0)`` before an engine builds the queue."""
+        queue = self._main_queue
+        if queue is None:
+            return 0.0, 0.0
+        return queue.stats.pops, queue.stats.pops + len(queue)
 
     # ------------------------------------------------------------------
     # Runs

@@ -246,12 +246,13 @@ class Instruments:
 
     # -- node reads ------------------------------------------------------
 
-    def count_image_reads(self, n: int) -> None:
-        """Count ``n`` node reads per tree from an in-memory flat image.
+    def count_block_reads(self, n: int) -> None:
+        """Count ``n`` node reads per tree from in-memory node blocks.
 
-        The parallel engine expands node pairs from the trees' images,
-        not through the buffer pools: every read counts in both node
-        columns, as a buffer miss would, and charges no simulated I/O.
+        The parallel engine expands node pairs from the trees' node
+        blocks (:mod:`repro.kernels.arena`), not through the buffer
+        pools: every read counts in both node columns, as a buffer miss
+        would, and charges no simulated I/O.
         """
         for accessor in (self.accessor_r, self.accessor_s):
             stats = accessor.buffer.stats

@@ -1,4 +1,4 @@
-"""Distance kernels over whole node blocks, and the flat tree images.
+"""Distance kernels over whole node blocks, and the parallel engine's blocks.
 
 The plane sweep computes its distances one at a time, inline: an
 anchor's scan averages about two pairs, too short for a vector call to
@@ -9,8 +9,8 @@ through a kernels backend:
   child list is one batch
   (:meth:`~repro.core.stats.Instruments.mindist_within_items`);
 - the parallel engine (:mod:`repro.parallel.runtime`) crosses two
-  node blocks, or one rect and a block, of the flat images per
-  expansion (``cross_within``/``block_within``).
+  node blocks, or one rect and a block, per expansion
+  (``cross_within``/``block_within``).
 
 Two backends implement those calls:
 
@@ -30,9 +30,10 @@ charge ``cpu_real_distance`` per logical distance through
 :class:`~repro.core.stats.Instruments` however the arithmetic was
 performed.
 
-The package also holds the flat tree images (:mod:`repro.kernels.arena`),
-the parallel engine's layout; the sequential engines read nodes
-through ``Node.entries`` only.
+The package also holds the parallel engine's node blocks
+(:mod:`repro.kernels.arena`): one read-only block of each node's
+entries per tree version.  The sequential engines read nodes through
+``Node.entries`` only.
 """
 
 from __future__ import annotations

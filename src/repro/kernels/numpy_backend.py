@@ -3,9 +3,9 @@
 HS evaluates a partner against an expanded node's whole child list
 (:meth:`mindist_packed_within`, or :meth:`mindist_packed`), over
 child lists packed by :meth:`NumpyKernels.pack_rects` once per node and
-join, and the parallel engine crosses node blocks of the flat
-images (:meth:`block_within`, :meth:`cross_within`), as zero-copy
-slices.
+join, and the parallel engine crosses the node blocks of
+:mod:`repro.kernels.arena`, packed the same way once per tree version
+(:meth:`block_within`, :meth:`cross_within`).
 
 Bitwise contract: distances are ``sqrt(dx*dx + dy*dy)`` with the same
 ``dx == 0`` / ``dy == 0`` shortcuts, the same ``max(dx, dy)`` fallback
@@ -24,15 +24,15 @@ import numpy as np
 
 
 class PackedRects:
-    """Struct-of-arrays snapshot of a bare rectangle list."""
+    """Struct-of-arrays snapshot of a rectangle list: four read-only
+    float64 columns, the rows of one array."""
 
     __slots__ = ("xmin", "ymin", "xmax", "ymax")
 
-    def __init__(self, rects) -> None:
-        self.xmin = np.array([r.xmin for r in rects], dtype=np.float64)
-        self.ymin = np.array([r.ymin for r in rects], dtype=np.float64)
-        self.xmax = np.array([r.xmax for r in rects], dtype=np.float64)
-        self.ymax = np.array([r.ymax for r in rects], dtype=np.float64)
+    def __init__(self, xmin, ymin, xmax, ymax) -> None:
+        coords = np.array((xmin, ymin, xmax, ymax), dtype=np.float64)
+        coords.flags.writeable = False
+        self.xmin, self.ymin, self.xmax, self.ymax = coords
 
     def __len__(self) -> int:
         return len(self.xmin)
@@ -90,7 +90,12 @@ class NumpyKernels:
 
     def pack_rects(self, rects) -> PackedRects:
         """Pack a bare rect list for (repeated) ``mindist_packed`` calls."""
-        return PackedRects(rects)
+        return PackedRects(
+            [r.xmin for r in rects],
+            [r.ymin for r in rects],
+            [r.xmax for r in rects],
+            [r.ymax for r in rects],
+        )
 
     def mindist_packed(self, rect, packed: PackedRects) -> list[float]:
         """Minimum distances from ``rect`` to every packed rectangle."""

@@ -27,10 +27,10 @@ class PythonKernels:
     def block_within(self, rect, block, bound) -> list[tuple[int, float]]:
         """``(index, distance)`` for block rects within ``bound`` of ``rect``.
 
-        ``block`` is a struct-of-arrays coordinate block (the
-        parallel engine's zero-copy slices expose
-        ``xmin``/``ymin``/``xmax``/``ymax`` memoryviews, or NumPy arrays
-        where NumPy imports); :func:`_columns` reads them as floats.
+        ``block`` is a struct-of-arrays coordinate block (a node
+        block's ``rects``: ``xmin``/``ymin``/``xmax``/``ymax`` NumPy
+        arrays where NumPy imports, else float tuples);
+        :func:`_columns` reads them as floats.
         """
         rxmin, rymin, rxmax, rymax = rect.xmin, rect.ymin, rect.xmax, rect.ymax
         bxmin, bymin, bxmax, bymax = _columns(block)
@@ -102,9 +102,9 @@ class PythonKernels:
 def _columns(block) -> tuple:
     """A block's four coordinate columns, read as Python floats.
 
-    The arena's memoryview casts and NumPy views both have ``tolist``
-    (plain sequences pass through): plain floats index fast and, unlike
-    NumPy scalars, square past 1.3e154 to ``inf`` without a warning.
+    NumPy arrays have ``tolist`` (plain sequences pass through): plain
+    floats index fast and, unlike NumPy scalars, square past 1.3e154 to
+    ``inf`` without a warning.
     """
     return tuple(
         column.tolist() if hasattr(column, "tolist") else column

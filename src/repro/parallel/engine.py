@@ -7,10 +7,11 @@ is the paper's SJ-within-Dmax observation (Section 5.4), with the
 a-priori ``Dmax`` replaced by the Equation (3) eDmax estimate and the
 stage verification below.
 
-1. **Serialize once** — both trees' flat images (memoized per tree
-   version) are opened as a :class:`~repro.kernels.arena.TreeArena`.
-   Forked workers read the parent's images through the memory pages
-   fork shares with them; nothing is copied or pickled per task.
+1. **Node blocks** — both trees' per-node blocks of ``Node.entries``
+   (memoized per tree version) are opened as a
+   :class:`~repro.kernels.arena.TreeArena`.  Forked workers read the
+   parent's blocks through the memory pages fork shares with them;
+   nothing is copied or pickled per task.
 2. **Adaptive task split** — the parent splits the ``(root, root)``
    node pair into a frontier of candidate node pairs until each task's
    estimated work drops under the cost-model threshold
@@ -186,104 +187,95 @@ def _bounded_sweep(
 
     arena = TreeArena(ctx.tree_r, ctx.tree_s)
     run_started = time.monotonic()
-    try:
-        while True:
-            stages += 1
-            run.begin_stage(
-                f"parallel-{stages}", cutoffs=(delta, bound.cutoff), delta=delta
-            )
-            # Fresh bound and accumulator per stage: a widened re-run
-            # re-discovers every pair, and the pair-keyed bound must not
-            # treat those re-discoveries as duplicates of a prior stage.
-            # Fresh counters too: each stage's work is charged at its end.
-            bound = PairwiseBound(k)
-            # Plain (distance, ref_r, ref_s) tuples: their natural sort
-            # order is the result order, and skipping per-pair
-            # ResultPair construction keeps the parent's commit loop off
-            # the critical path.  ResultPair is minted only for the
-            # final k.
-            acc: list[tuple[float, int, int]] = []
-            prune_floor = max(4 * k, 4096)
-            cell = _LocalCell()
-            ctr = SweepCounters()
+    while True:
+        stages += 1
+        run.begin_stage(
+            f"parallel-{stages}", cutoffs=(delta, bound.cutoff), delta=delta
+        )
+        # Fresh bound and accumulator per stage: a widened re-run
+        # re-discovers every pair, and the pair-keyed bound must not
+        # treat those re-discoveries as duplicates of a prior stage.
+        # Fresh counters too: each stage's work is charged at its end.
+        bound = PairwiseBound(k)
+        # Plain (distance, ref_r, ref_s) tuples: their natural sort
+        # order is the result order, and skipping per-pair ResultPair
+        # construction keeps the parent's commit loop off the critical
+        # path.  ResultPair is minted only for the final k.
+        acc: list[tuple[float, int, int]] = []
+        prune_floor = max(4 * k, 4096)
+        cell = _LocalCell()
+        ctr = SweepCounters()
 
-            def commit(pairs: list[tuple[float, int, int]]) -> None:
-                # Bulk path: dedupe once, then one heapq-merge insertion
-                # into the global bound instead of a per-pair offer loop.
-                acc.extend(bound.offer_pairs(pairs))
-                cell.value = bound.cutoff
-                # Per committed batch, not per pair: the estimate (delta)
-                # vs the merged safe bound is the paper's own
-                # convergence signal.
-                run.produced(min(len(acc), k))
-                run.cutoffs(delta, bound.cutoff)
-                if len(acc) > prune_floor and bound.is_finite:
-                    cutoff = bound.cutoff
-                    acc[:] = [pair for pair in acc if pair[0] <= cutoff]
+        def commit(pairs: list[tuple[float, int, int]]) -> None:
+            # Bulk path: dedupe once, then one heapq-merge insertion
+            # into the global bound instead of a per-pair offer loop.
+            acc.extend(bound.offer_pairs(pairs))
+            cell.value = bound.cutoff
+            # Per committed batch, not per pair: the estimate (delta)
+            # vs the merged safe bound is the paper's own convergence
+            # signal.
+            run.produced(min(len(acc), k))
+            run.cutoffs(delta, bound.cutoff)
+            if len(acc) > prune_floor and bound.is_finite:
+                cutoff = bound.cutoff
+                acc[:] = [pair for pair in acc if pair[0] <= cutoff]
 
-            # A stage at the space diameter must prune nothing, yet a
-            # pair's distance can round one ulp above ``math.hypot`` of
-            # the bounding box: that stage sweeps uncapped.
-            cap = math.inf if delta >= delta_max else delta
-            stage_out: list[tuple[float, int, int]] = []
-            tasks = _build_frontier(
-                arena.view_r, arena.view_s, cap, threshold, kern, ctr,
-                stage_out, metrics,
-            )
-            frontier = max(frontier, len(tasks))
-            work["total"] += float(len(tasks))
-            commit(stage_out)
-            deadline.check()
-            if fork is None or len(tasks) < 2:
-                # A stage of one task has nothing to run in parallel: the
-                # calling thread drains it rather than forking workers.
-                _drain_inline(arena, tasks, cap, cell, commit, kern, ctr, deadline)
-            else:
-                runtime = _StageRuntime(workers, arena, cap, config, fork, telemetry)
-                cell = runtime.cell
-                cell.value = bound.cutoff
-                try:
-                    leftovers = _run_stage_pool(
-                        runtime, tasks, commit, ctr, counters, metrics,
-                        worker_busy, config, deadline, tracer, work,
-                    )
-                finally:
-                    runtime.shutdown()
-                if leftovers:
-                    # Every worker died: the parent absorbs what's left.
-                    counters["worker_fallbacks"] += 1
-                    if tracer.enabled:
-                        tracer.event("shm_inline_fallback", tasks=len(leftovers))
-                    _drain_inline(
-                        arena, leftovers, cap, cell, commit, kern, ctr, deadline
-                    )
-            acc.sort()
-            del acc[k:]
-            final = [ResultPair._make(pair) for pair in acc]
-            _charge(instr, ctr)
-            pushes += ctr.pushes
-            run.produced(len(final))
-            run.end_stage(results=len(final))
-            # Inline drains and dead-worker fallbacks bypass the per-task
-            # accounting: square the books at stage end.
-            work["done"] = work["total"]
-            if delta >= delta_max:
-                # The sweep covered the whole space: nothing was pruned
-                # by the cap, so the answer is complete (even if < k).
-                break
-            if len(final) == k and final[-1].distance <= delta:
-                break
-            needed = final[-1].distance if len(final) == k else 0.0
-            new_delta = min(delta_max, max(delta * 2.0, needed))
-            if tracer.enabled:
-                tracer.event("delta_widen", old=delta, new=new_delta, needed=needed)
-            delta = new_delta
-            # Stage boundary = drain barrier: the captured delta is the
-            # widened one, so a resume re-enters at exactly the stage
-            # this run was about to start.
-            run.step()
-    finally:
-        arena.close()
+        # A stage at the space diameter must prune nothing, yet a pair's
+        # distance can round one ulp above ``math.hypot`` of the
+        # bounding box: that stage sweeps uncapped.
+        cap = math.inf if delta >= delta_max else delta
+        stage_out: list[tuple[float, int, int]] = []
+        tasks = _build_frontier(arena, cap, threshold, kern, ctr, stage_out, metrics)
+        frontier = max(frontier, len(tasks))
+        work["total"] += float(len(tasks))
+        commit(stage_out)
+        deadline.check()
+        if fork is None or len(tasks) < 2:
+            # A stage of one task has nothing to run in parallel: the
+            # calling thread drains it rather than forking workers.
+            _drain_inline(arena, tasks, cap, cell, commit, kern, ctr, deadline)
+        else:
+            runtime = _StageRuntime(workers, arena, cap, config, fork, telemetry)
+            cell = runtime.cell
+            cell.value = bound.cutoff
+            try:
+                leftovers = _run_stage_pool(
+                    runtime, tasks, commit, ctr, counters, metrics,
+                    worker_busy, config, deadline, tracer, work,
+                )
+            finally:
+                runtime.shutdown()
+            if leftovers:
+                # Every worker died: the parent absorbs what's left.
+                counters["worker_fallbacks"] += 1
+                if tracer.enabled:
+                    tracer.event("shm_inline_fallback", tasks=len(leftovers))
+                _drain_inline(arena, leftovers, cap, cell, commit, kern, ctr, deadline)
+        acc.sort()
+        del acc[k:]
+        final = [ResultPair._make(pair) for pair in acc]
+        _charge(instr, ctr)
+        pushes += ctr.pushes
+        run.produced(len(final))
+        run.end_stage(results=len(final))
+        # Inline drains and dead-worker fallbacks bypass the per-task
+        # accounting: square the books at stage end.
+        work["done"] = work["total"]
+        if delta >= delta_max:
+            # The sweep covered the whole space: nothing was pruned by
+            # the cap, so the answer is complete (even if < k).
+            break
+        if len(final) == k and final[-1].distance <= delta:
+            break
+        needed = final[-1].distance if len(final) == k else 0.0
+        new_delta = min(delta_max, max(delta * 2.0, needed))
+        if tracer.enabled:
+            tracer.event("delta_widen", old=delta, new=new_delta, needed=needed)
+        delta = new_delta
+        # Stage boundary = drain barrier: the captured delta is the
+        # widened one, so a resume re-enters at exactly the stage this
+        # run was about to start.
+        run.step()
 
     elapsed = max(time.monotonic() - run_started, 1e-9)
     for wid, busy_s in sorted(worker_busy.items()):
@@ -314,11 +306,11 @@ def _charge(instr: "Instruments", ctr: SweepCounters) -> None:
     meter read it.
 
     Distances go to the simulated CPU clock, real ones first; the
-    images are in memory, so no I/O is charged, and every expansion
-    reads one node of each tree (``ctr.nodes`` counts both).
+    node blocks are in memory, so no I/O is charged, and every
+    expansion reads one block of each tree (``ctr.nodes`` counts both).
     """
     instr.count_real(ctr.real)
     instr.count_axis(ctr.axis)
-    instr.count_image_reads(ctr.nodes // 2)
+    instr.count_block_reads(ctr.nodes // 2)
     instr.kernel_batches += ctr.batches
     instr.kernel_batched_pairs += ctr.batched_pairs

@@ -3,7 +3,7 @@
 The stage loop lives in :mod:`repro.parallel.engine`;
 this module holds what runs inside one stage:
 
-- the **block traversal** over the arena's views — :func:`_expand`
+- the **block traversal** over the arena's node blocks — :func:`_expand`
   crosses two node blocks under the cap with the batched kernels,
   :func:`_run_pairs` drains a DFS stack of candidate node pairs
   closest-first, and :func:`_build_frontier` splits ``(root, root)``
@@ -42,8 +42,9 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.planesweep import sweeping_index
 from repro.geometry.distances import min_distance
+from repro.geometry.rect import Rect
 from repro.kernels import resolve_backend
-from repro.kernels.arena import TreeArena
+from repro.kernels.arena import NodeBlock, TreeArena
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.resilience.faults import trip_worker_faults
@@ -133,13 +134,13 @@ class _Stop(Exception):
 
 
 # ----------------------------------------------------------------------
-# Block traversal over the arena's views
+# Block traversal over the arena's node blocks
 # ----------------------------------------------------------------------
 
 
 def _charge_cross(
-    vr: "SharedTreeView", vs: "SharedTreeView", nr: int, ns: int,
-    cap: float, in_x: int, in_y: int, n_r: int, n_s: int, ctr: SweepCounters,
+    rect_r: Rect, rect_s: Rect, cap: float,
+    in_x: int, in_y: int, n_r: int, n_s: int, ctr: SweepCounters,
 ) -> None:
     """Charge one block cross like the sequential sweep would.
 
@@ -149,8 +150,6 @@ def _charge_cross(
     uncharged overshoot, exactly like a sweep plan overshooting its
     stop position.
     """
-    rect_r = vr.node_rect(nr)
-    rect_s = vs.node_rect(ns)
     if sweeping_index(rect_r, rect_s, 0, cap) <= sweeping_index(rect_r, rect_s, 1, cap):
         ctr.real += in_x
     else:
@@ -161,8 +160,8 @@ def _charge_cross(
 
 
 def _expand(
-    vr: "SharedTreeView", vs: "SharedTreeView", nr: int, ns: int, cap: float,
-    kern, ctr: SweepCounters,
+    blocks_r: dict[int, NodeBlock], blocks_s: dict[int, NodeBlock],
+    nr: int, ns: int, cap: float, kern, ctr: SweepCounters,
     out: list[tuple[float, int, int]], pushes: list[tuple[float, int, int]],
 ) -> None:
     """Expand one candidate node pair under ``cap``.
@@ -172,48 +171,37 @@ def _expand(
     level-synchronized: equal levels cross both child blocks in one
     kernel call, unequal levels descend only the deeper side.
     """
-    lvl_r = vr.lvl[nr]
-    lvl_s = vs.lvl[ns]
+    node_r = blocks_r[nr]
+    node_s = blocks_s[ns]
     ctr.nodes += 2
-    if lvl_r == lvl_s:
-        rlo, rhi = vr.span(nr)
-        slo, shi = vs.span(ns)
+    if node_r.level == node_s.level:
+        refs_r, refs_s = node_r.refs, node_s.refs
         rows, cols, dists, in_x, in_y = kern.cross_within(
-            vr.entries.slice(rlo, rhi), vs.entries.slice(slo, shi), cap
+            node_r.rects, node_s.rects, cap
         )
-        _charge_cross(vr, vs, nr, ns, cap, in_x, in_y, rhi - rlo, shi - slo, ctr)
-        if not rows:
-            return
-        eref_r = vr.eref
-        eref_s = vs.eref
-        if lvl_r == 0:
-            for t in range(len(rows)):
-                out.append(
-                    (dists[t], int(eref_r[rlo + rows[t]]), int(eref_s[slo + cols[t]]))
-                )
-        else:
-            for t in range(len(rows)):
-                pushes.append(
-                    (dists[t], int(eref_r[rlo + rows[t]]), int(eref_s[slo + cols[t]]))
-                )
-    elif lvl_s > lvl_r:
-        slo, shi = vs.span(ns)
-        hits = kern.block_within(vr.node_rect(nr), vs.entries.slice(slo, shi), cap)
-        ctr.real += shi - slo
+        _charge_cross(
+            node_r.mbr, node_s.mbr, cap, in_x, in_y, len(refs_r), len(refs_s), ctr
+        )
+        if rows:
+            (out if node_r.level == 0 else pushes).extend(
+                zip(dists, [refs_r[i] for i in rows], [refs_s[j] for j in cols])
+            )
+    elif node_s.level > node_r.level:
+        refs_s = node_s.refs
+        hits = kern.block_within(node_r.mbr, node_s.rects, cap)
+        ctr.real += len(refs_s)
         ctr.batches += 1
-        ctr.batched_pairs += shi - slo
-        eref_s = vs.eref
+        ctr.batched_pairs += len(refs_s)
         for j, dist in hits:
-            pushes.append((dist, nr, int(eref_s[slo + j])))
+            pushes.append((dist, nr, refs_s[j]))
     else:
-        rlo, rhi = vr.span(nr)
-        hits = kern.block_within(vs.node_rect(ns), vr.entries.slice(rlo, rhi), cap)
-        ctr.real += rhi - rlo
+        refs_r = node_r.refs
+        hits = kern.block_within(node_s.mbr, node_r.rects, cap)
+        ctr.real += len(refs_r)
         ctr.batches += 1
-        ctr.batched_pairs += rhi - rlo
-        eref_r = vr.eref
+        ctr.batched_pairs += len(refs_r)
         for i, dist in hits:
-            pushes.append((dist, int(eref_r[rlo + i]), ns))
+            pushes.append((dist, refs_r[i], ns))
 
 
 def _desc_dist(item: tuple[float, int, int]) -> float:
@@ -221,7 +209,7 @@ def _desc_dist(item: tuple[float, int, int]) -> float:
 
 
 def _run_pairs(
-    vr: "SharedTreeView", vs: "SharedTreeView",
+    blocks_r: dict[int, NodeBlock], blocks_s: dict[int, NodeBlock],
     stack: list[tuple[float, int, int]],
     cap_fn: Callable[[], float], kern, ctr: SweepCounters,
     out: list[tuple[float, int, int]],
@@ -242,7 +230,7 @@ def _run_pairs(
         cap = cap_fn()
         if dist > cap:
             continue
-        _expand(vr, vs, nr, ns, cap, kern, ctr, out, pushes)
+        _expand(blocks_r, blocks_s, nr, ns, cap, kern, ctr, out, pushes)
         if pushes:
             if len(pushes) > 1:
                 pushes.sort(key=_desc_dist)
@@ -254,27 +242,22 @@ def _run_pairs(
             control(stack)
 
 
-def _est_pairs(
-    vr: "SharedTreeView", vs: "SharedTreeView", nr: int, ns: int, cap: float
-) -> float:
+def _est_pairs(node_r: NodeBlock, node_s: NodeBlock, cap: float) -> float:
     """Estimated candidate pairs under a task: subtree counts times the
     fraction of S's box the cap-grown R box overlaps (crude, but only
     task granularity depends on it)."""
-    ox = min(float(vr.nxmax[nr]) + cap, float(vs.nxmax[ns])) - max(
-        float(vr.nxmin[nr]) - cap, float(vs.nxmin[ns])
-    )
-    oy = min(float(vr.nymax[nr]) + cap, float(vs.nymax[ns])) - max(
-        float(vr.nymin[nr]) - cap, float(vs.nymin[ns])
-    )
+    r, s = node_r.mbr, node_s.mbr
+    ox = min(r.xmax + cap, s.xmax) - max(r.xmin - cap, s.xmin)
+    oy = min(r.ymax + cap, s.ymax) - max(r.ymin - cap, s.ymin)
     if ox <= 0.0 or oy <= 0.0:
         return 0.0
-    fx = min(1.0, ox / max(float(vs.nxmax[ns]) - float(vs.nxmin[ns]), 1e-12))
-    fy = min(1.0, oy / max(float(vs.nymax[ns]) - float(vs.nymin[ns]), 1e-12))
-    return float(vr.cnt[nr]) * float(vs.cnt[ns]) * fx * fy
+    fx = min(1.0, ox / max(s.xmax - s.xmin, 1e-12))
+    fy = min(1.0, oy / max(s.ymax - s.ymin, 1e-12))
+    return float(node_r.count) * float(node_s.count) * fx * fy
 
 
 def _build_frontier(
-    vr: "SharedTreeView", vs: "SharedTreeView", delta: float,
+    arena: TreeArena, delta: float,
     threshold: float, kern, ctr: SweepCounters,
     out: list[tuple[float, int, int]], metrics: MetricsRegistry,
 ) -> list[tuple[float, int, int]]:
@@ -286,33 +269,32 @@ def _build_frontier(
     during splitting (leaf trees) land in ``out`` directly.  Returned
     tasks are sorted closest-first for dispatch.
     """
-    root_r, root_s = vr.layout.root, vs.layout.root
-    root_dist = min_distance(vr.node_rect(root_r), vs.node_rect(root_s))
+    blocks_r, blocks_s = arena.blocks_r, arena.blocks_s
+    root_r, root_s = arena.root_r, arena.root_s
+    root_dist = min_distance(blocks_r[root_r].mbr, blocks_s[root_s].mbr)
     ctr.real += 1
     if root_dist > delta:
         return []
     seq = itertools.count()
-    heap = [(-_est_pairs(vr, vs, root_r, root_s, delta), next(seq), root_dist,
-             root_r, root_s)]
+    heap = [(-_est_pairs(blocks_r[root_r], blocks_s[root_s], delta), next(seq),
+             root_dist, root_r, root_s)]
     tasks: list[tuple[float, int, int]] = []
     splits = 0
     while heap:
         neg_est, _, dist, nr, ns = heapq.heappop(heap)
         if (
             -neg_est <= threshold
-            or (vr.lvl[nr] == 0 and vs.lvl[ns] == 0)
+            or (blocks_r[nr].level == 0 and blocks_s[ns].level == 0)
             or len(tasks) + len(heap) >= MAX_TASKS
         ):
             tasks.append((dist, nr, ns))
             continue
         pushes: list[tuple[float, int, int]] = []
-        _expand(vr, vs, nr, ns, delta, kern, ctr, out, pushes)
+        _expand(blocks_r, blocks_s, nr, ns, delta, kern, ctr, out, pushes)
         splits += 1
         for child in pushes:
-            heapq.heappush(
-                heap,
-                (-_est_pairs(vr, vs, child[1], child[2], delta), next(seq), *child),
-            )
+            estimate = _est_pairs(blocks_r[child[1]], blocks_s[child[2]], delta)
+            heapq.heappush(heap, (-estimate, next(seq), *child))
     if splits:
         metrics.counter("shm.splits").inc(float(splits))
     tasks.sort(key=lambda t: t[0])
@@ -420,8 +402,8 @@ def _worker(
 ) -> None:
     """One forked worker: drain the tasks the parent sends until ``stop``.
 
-    ``arena`` is the parent's own, inherited through fork: its views
-    read the parent's images in place.  All result/bound exchange is
+    ``arena`` is the parent's own, inherited through fork: the worker
+    reads the parent's node blocks in place.  All result/bound exchange is
     batched: results flush every :data:`FLUSH_PAIRS` pairs (and at task
     end), the cutoff is re-read from the shared cell between
     expansions.  Any exception — injected crashes included — is
@@ -437,7 +419,7 @@ def _worker(
     try:
         if fault_plan is not None:
             trip_worker_faults(fault_plan, wid)
-        vr, vs = arena.view_r, arena.view_s
+        blocks_r, blocks_s = arena.blocks_r, arena.blocks_s
         kern = resolve_backend()
         outbox.put(("ready", wid))
         if slot is not None:
@@ -483,7 +465,7 @@ def _worker(
                     # A prefetched assignment: park it for later.
                     backlog.append(request)
 
-            _run_pairs(vr, vs, stack, cap_now, kern, ctr, out, control)
+            _run_pairs(blocks_r, blocks_s, stack, cap_now, kern, ctr, out, control)
             busy_s = time.perf_counter() - started
             cap = cap_now()
             tail = [p for p in out if p[0] <= cap]
@@ -743,7 +725,7 @@ def _drain_inline(
     """Run tasks in the calling thread (the inline runtime, and the
     fallback once every worker died), checking the run's ``deadline``
     at every control poll."""
-    vr, vs = arena.view_r, arena.view_s
+    blocks_r, blocks_s = arena.blocks_r, arena.blocks_s
 
     def cap_now() -> float:
         return min(delta, cell.value)
@@ -758,7 +740,7 @@ def _drain_inline(
             del out[:]
 
     for task in tasks:
-        _run_pairs(vr, vs, [task], cap_now, kern, ctr, out, control)
+        _run_pairs(blocks_r, blocks_s, [task], cap_now, kern, ctr, out, control)
         if out:
             commit(out)
             del out[:]

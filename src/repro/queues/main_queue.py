@@ -685,7 +685,7 @@ class MainQueue:
         offset: int | None = None
         try:
             if self._faults is not None:
-                self._faults.maybe_fail_spill_write()
+                self._faults.maybe_fail_write("spill_write")
             with open(path, "ab") as f:
                 offset = f.tell()
                 pickle.dump(
@@ -744,7 +744,7 @@ class MainQueue:
                     corrupt = "bad batch record shape"
                     break
                 if inject_faults and self._faults is not None:
-                    blob = self._faults.maybe_corrupt(blob)
+                    blob = self._faults.maybe_corrupt("spill_read", blob)
                 if zlib.crc32(blob) != checksum:
                     corrupt = "checksum mismatch"
                     break

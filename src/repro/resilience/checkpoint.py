@@ -272,7 +272,7 @@ class CheckpointManager:
         tmp = self.path.with_name(self.path.name + ".tmp")
         try:
             if self._faults is not None:
-                self._faults.maybe_fail_checkpoint_write()
+                self._faults.maybe_fail_write("checkpoint_write")
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "wb") as f:
                 f.write(record)

@@ -183,48 +183,26 @@ class FaultPlan:
                 return True
         return False
 
-    # -- queue-site helpers ----------------------------------------------
+    # -- write and read sites -------------------------------------------
 
-    def maybe_fail_spill_write(self) -> None:
-        """Raise ``OSError(ENOSPC)`` when the ``spill_write`` site fires."""
-        if self.armed("spill_write") and self.should_fire("spill_write"):
+    def maybe_fail_write(self, site: str) -> None:
+        """Raise ``OSError(ENOSPC)`` when the write site ``site``
+        (``spill_write`` or ``checkpoint_write``) fires."""
+        if self.armed(site) and self.should_fire(site):
             raise OSError(errno.ENOSPC, "injected: no space left on device")
 
-    def maybe_corrupt(self, blob: bytes) -> bytes:
-        """Corrupt a spill batch payload when ``spill_read`` fires.
+    def maybe_corrupt(self, site: str, blob: bytes) -> bytes:
+        """Corrupt a payload being read back when the read site ``site``
+        (``spill_read`` or ``checkpoint_read``) fires.
 
-        Alternates (deterministically, by occurrence) between flipping a
-        byte and truncating the payload, so both corruption shapes are
-        exercised.
+        Alternates (deterministically, by the site's occurrence) between
+        flipping a byte and truncating the payload, so both corruption
+        shapes are exercised.
         """
-        if not self.armed("spill_read"):
+        if not self.armed(site):
             return blob
-        index = self._counts.get("spill_read", 0)
-        if not self.should_fire("spill_read"):
-            return blob
-        if not blob:
-            return b"\x00"
-        if index % 2 == 0:
-            return bytes([blob[0] ^ 0xFF]) + blob[1:]
-        return blob[: max(len(blob) // 2, 1)]
-
-    # -- checkpoint-site helpers ------------------------------------------
-
-    def maybe_fail_checkpoint_write(self) -> None:
-        """Raise ``OSError(ENOSPC)`` when the ``checkpoint_write`` site fires."""
-        if self.armed("checkpoint_write") and self.should_fire("checkpoint_write"):
-            raise OSError(errno.ENOSPC, "injected: no space left on device")
-
-    def maybe_corrupt_checkpoint(self, blob: bytes) -> bytes:
-        """Corrupt a checkpoint payload when ``checkpoint_read`` fires.
-
-        Same corruption shapes as :meth:`maybe_corrupt`: alternates
-        between flipping a byte and truncating the payload.
-        """
-        if not self.armed("checkpoint_read"):
-            return blob
-        index = self._counts.get("checkpoint_read", 0)
-        if not self.should_fire("checkpoint_read"):
+        index = self._counts.get(site, 0)
+        if not self.should_fire(site):
             return blob
         if not blob:
             return b"\x00"

@@ -9,7 +9,9 @@ traceback:
 
 - missing / unreadable / truncated / non-checkpoint file, CRC mismatch,
   undecodable payload → :class:`CheckpointCorruptionError`
-- a valid record written by an incompatible format version
+- a valid record written by an incompatible format version, or a
+  parallel-engine body from before its counters moved into the stats
+  prefix (``ctr`` in the ``"shm"`` engine state)
   → :class:`CheckpointVersionError`
 - a valid checkpoint for a *different* join (other datasets, algorithm,
   k, or engine mode) → :class:`CheckpointMismatchError`
@@ -76,7 +78,7 @@ def load_checkpoint(path: str | Path, faults=None) -> dict[str, Any]:
             f"this build reads version {FORMAT_VERSION}"
         )
     if faults is not None:
-        blob = faults.maybe_corrupt_checkpoint(blob)
+        blob = faults.maybe_corrupt("checkpoint_read", blob)
     if not isinstance(blob, bytes) or zlib.crc32(blob) != crc:
         raise CheckpointCorruptionError(
             f"checkpoint {path} failed CRC validation (corrupt or truncated)"
@@ -128,4 +130,12 @@ def validate_checkpoint(
         raise CheckpointMismatchError(
             f"checkpoint mode {mode!r} cannot be resumed by this engine "
             f"(supports: {', '.join(modes)})"
+        )
+    if mode == "shm" and "ctr" in payload["engine"]:
+        # The parallel engine charges its sweep work into the stats
+        # prefix alone; a body that also holds the counters comes from
+        # an earlier engine and resumes to a wrong row.
+        raise CheckpointVersionError(
+            "checkpoint was written by an earlier parallel engine that kept "
+            "its work counters in the engine state; re-run the join"
         )

@@ -25,9 +25,9 @@ class NodeFileStore:
     """Page-addressed node reads from an index file.
 
     Satisfies the read side of the :class:`~repro.storage.pages.PageStore`
-    surface (``read``, ``__len__``, ``page_ids``, ``id_bound``) so the
-    rest of the library — buffer pool included — cannot tell it apart
-    from the in-memory store.
+    surface (``read``, ``__len__``, ``page_ids``) so the rest of the
+    library — buffer pool included — cannot tell it apart from the
+    in-memory store.
     """
 
     def __init__(self, path: str | Path, page_size: int, page_count: int,
@@ -44,11 +44,6 @@ class NodeFileStore:
         return Node.decode(page_id, self._file.read(self._page_size))
 
     def __len__(self) -> int:
-        return self._page_count
-
-    @property
-    def id_bound(self) -> int:
-        """One past the largest page id (the file's pages are dense)."""
         return self._page_count
 
     def __contains__(self, page_id: int) -> bool:
@@ -88,8 +83,8 @@ class FileRTree(RTree):
                                    _FILE_HEADER.size)
         self.root_id = root_id
         self.size = size
-        # Read-only view: the mutation counter never moves, so its flat
-        # image is built once and its streams never go stale.
+        # Read-only view: the mutation counter never moves, so its node
+        # blocks are built once and its streams never go stale.
         self.version = 0
 
     @classmethod

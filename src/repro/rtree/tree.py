@@ -80,7 +80,7 @@ class RTree:
         self.size = 0
         #: Mutation counter, bumped by every insert/delete: open
         #: incremental streams go stale, and the parallel engine's next
-        #: flat image of this tree is a new build.
+        #: node blocks of this tree are a new build.
         self.version = 0
 
     # ------------------------------------------------------------------

@@ -52,11 +52,6 @@ class PageStore:
     def __len__(self) -> int:
         return len(self._pages)
 
-    @property
-    def id_bound(self) -> int:
-        """One past the largest page id ever allocated (ids are never reused)."""
-        return self._next_id
-
     def __contains__(self, page_id: int) -> bool:
         return page_id in self._pages
 

@@ -13,7 +13,7 @@ from hypothesis import settings
 
 from repro.geometry.distances import min_distance
 from repro.geometry.rect import Rect
-from repro.kernels.arena import SharedTreeView, tree_image
+from repro.kernels.arena import TreeArena
 from repro.rtree.tree import RTree
 
 
@@ -106,50 +106,64 @@ def fingerprint(pairs, stats) -> tuple[str, str, float]:
     )
 
 
-def assert_image_describes(tree):
-    """The tree's memoized image is a full build of its current nodes:
-    every live page's row holds its level, MBR and entries, every other
-    row is empty, and every row's ``cnt`` is its subtree's object count."""
-    layout, buf = tree_image(tree)
-    assert (layout.rows, layout.root, layout.size) == (
-        tree.store.id_bound, tree.root_id, tree.size
-    )
-    view = SharedTreeView(layout, memoryview(buf).toreadonly())
-    try:
-        counts = {}
-        for node in sorted(tree.iter_nodes(), key=lambda node: node.level):
-            row = node.page_id
-            lo, hi = view.span(row)
-            assert (int(view.lvl[row]), hi - lo) == (node.level, len(node.entries))
-            if node.entries:  # an empty root has no MBR
-                assert view.node_rect(row) == node.mbr()
-            assert [
-                (view.entry_rect(j), int(view.eref[j])) for j in range(lo, hi)
-            ] == [(entry.rect, entry.ref) for entry in node.entries]
-            counts[row] = (
-                len(node.entries) if node.is_leaf
-                else sum(counts[entry.ref] for entry in node.entries)
-            )
-            assert int(view.cnt[row]) == counts[row]
-        for row in set(range(layout.rows)) - set(counts):
-            assert view.span(row) == (0, 0)
-    finally:
-        view.release()
+def block_rects(block) -> list[Rect]:
+    """A node block's entry rects, read back from its packed columns."""
+    rects = block.rects
+    return [
+        Rect(float(x0), float(y0), float(x1), float(y1))
+        for x0, y0, x1, y1 in zip(rects.xmin, rects.ymin, rects.xmax, rects.ymax)
+    ]
+
+
+def describe_blocks(arena):
+    """``(root, {page: (level, mbr, entries, count)})`` of an arena's R
+    tree, each block's entries as ``(rect, ref)`` pairs."""
+    return arena.root_r, {
+        page: (
+            block.level,
+            block.mbr,
+            list(zip(block_rects(block), block.refs)),
+            block.count,
+        )
+        for page, block in arena.blocks_r.items()
+    }
+
+
+def assert_blocks_describe(tree):
+    """The tree's memoized blocks are a full build of its current nodes:
+    one block per live page, holding its level, MBR and entries, and
+    its subtree's object count; no other page id is a key."""
+    root, blocks = describe_blocks(TreeArena(tree, tree))
+    assert root == tree.root_id
+    counts = {}
+    for node in sorted(tree.iter_nodes(), key=lambda node: node.level):
+        level, mbr, entries, count = blocks[node.page_id]
+        assert level == node.level
+        # An empty root has no MBR.
+        assert mbr == (node.mbr() if node.entries else None)
+        assert entries == [(entry.rect, entry.ref) for entry in node.entries]
+        counts[node.page_id] = (
+            len(node.entries) if node.is_leaf
+            else sum(counts[entry.ref] for entry in node.entries)
+        )
+        assert count == counts[node.page_id]
+    assert blocks.keys() == counts.keys() == set(tree.store.page_ids())
+    assert blocks[root][3] == tree.size
 
 
 @pytest.fixture
-def image_builds(monkeypatch):
-    """The tree of every flat image built, in order (each is a full build)."""
+def block_builds(monkeypatch):
+    """The tree of every node-block build, in order (each is a full build)."""
     from repro.kernels import arena
 
     calls = []
-    real = arena._build_image
+    real = arena._build_blocks
 
     def counting(tree):
         calls.append(tree)
         return real(tree)
 
-    monkeypatch.setattr(arena, "_build_image", counting)
+    monkeypatch.setattr(arena, "_build_blocks", counting)
     return calls
 
 

@@ -18,7 +18,15 @@ from dataclasses import replace
 
 import pytest
 
-from repro import JoinConfig, JoinRunner, Rect, RTree, parallel_kdj
+from repro import (
+    JoinConfig,
+    JoinRunner,
+    Rect,
+    RTree,
+    all_nearest_neighbors,
+    parallel_kdj,
+    within_distance_join,
+)
 from repro.core import planesweep
 from repro.obs import load_trace
 from repro.queues.main_queue import MainQueue
@@ -35,6 +43,7 @@ from repro.resilience.errors import (
     CheckpointVersionError,
     JoinDeadlineExceeded,
     JoinInterrupted,
+    SpillCorruptionError,
 )
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import load_checkpoint, validate_checkpoint
@@ -461,6 +470,45 @@ def test_parallel_resume_reports_the_uninterrupted_counters(
             assert total == getattr(resumed.stats, counter), field
 
 
+def test_parallel_checkpoint_with_engine_counters_is_a_version_error(
+    staged_trees, tmp_path, monkeypatch
+):
+    # An earlier parallel engine kept its sweep counters in the "shm"
+    # engine body (``ctr``) as well as in the stats prefix; such a file
+    # resumed to a wrong row.  Validation rejects it as a version
+    # mismatch (CLI exit 78) before the trace, plane or manager opens.
+    tree_r, tree_s = staged_trees
+    path = tmp_path / "join.ckpt"
+    monkeypatch.setattr(CheckpointManager, "due", lambda self: True)
+    parallel_kdj(
+        tree_r, tree_s, 120, JoinConfig(parallel=1, checkpoint_path=str(path))
+    )
+    monkeypatch.undo()
+    magic, version, _, blob = pickle.loads(path.read_bytes())
+    payload = pickle.loads(blob)
+    payload["engine"]["ctr"] = {
+        "real": 79, "axis": 0, "nodes": 2, "batches": 1, "batched_pairs": 4,
+        "pushes": 0,
+    }
+    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    path.write_bytes(pickle.dumps((magic, version, zlib.crc32(blob), blob)))
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"ts": 0.0, "ph": "i", "name": "earlier", "track": 0}\n')
+    earlier = trace.read_bytes()
+    before = publishers()
+    config = JoinConfig(
+        parallel=1,
+        resume_from=str(path),
+        status_path=str(tmp_path / "status.json"),
+        trace_path=str(trace),
+    )
+    with pytest.raises(CheckpointVersionError) as raised:
+        parallel_kdj(tree_r, tree_s, 120, config)
+    assert raised.value.exit_code == 78
+    assert publishers() - before == set()
+    assert trace.read_bytes() == earlier
+
+
 def publishers():
     return {t for t in threading.enumerate() if t.name == "repro-live-publisher"}
 
@@ -567,6 +615,102 @@ def test_parallel_exit_paths_leave_nothing_behind(
     if exit_path == "shutdown":
         assert load_checkpoint(checkpoint)["engine"]["stages"] == 1
     if exit_path == "corrupt-resume":
+        assert not trace.exists()
+    else:
+        assert balanced(load_trace(trace))
+
+
+#: Every sequential run: the k-distance joins, both incremental streams
+#: (closed after a partial pull) and both join variants.
+SEQUENTIAL_RUNS = EXACT_KDJ + REPLAY_KDJ + ["idj-hs", "idj-amidj", "within", "ann"]
+
+#: The runs that pop a main queue, and so can spill it.
+QUEUE_RUNS = ("hs", "bkdj", "amkdj", "idj-hs", "idj-amidj")
+
+#: How a sequential run can end: normally, or by the typed error raised.
+SEQUENTIAL_EXITS = {
+    "complete": None,
+    "deadline": JoinDeadlineExceeded,
+    "shutdown": JoinInterrupted,
+    "corrupt-resume": CheckpointCorruptionError,
+    "spill-read": SpillCorruptionError,
+}
+
+
+def sequential_run(kind, trees, config):
+    """One run of ``kind`` (see :data:`SEQUENTIAL_RUNS`); a stream pulls
+    100 pairs and is closed on every exit path."""
+    tree_r, tree_s = trees
+    if kind == "within":
+        return within_distance_join(tree_r, tree_s, 20.0, config)
+    if kind == "ann":
+        return all_nearest_neighbors(tree_r, tree_s, config)
+    if kind.startswith("idj-"):
+        with JoinRunner(tree_r, tree_s, config).idj(kind[len("idj-"):]) as stream:
+            return stream.next_batch(100)
+    return JoinRunner(tree_r, tree_s, config).kdj(60, kind)
+
+
+@pytest.mark.parametrize(
+    "kind, exit_path",
+    [
+        (kind, exit_path)
+        for kind in SEQUENTIAL_RUNS
+        for exit_path in SEQUENTIAL_EXITS
+        if exit_path != "spill-read" or kind in QUEUE_RUNS
+    ],
+)
+def test_sequential_exit_paths_leave_nothing_behind(
+    point_trees, tmp_path, kind, exit_path
+):
+    # The sequential twin of the parallel test above: whichever way the
+    # run ends, no spill file or directory, checkpoint temp file or
+    # publisher thread is left, and the trace is closed and balanced.
+    spill = tmp_path / "spill"
+    trace = tmp_path / "trace.json"
+    checkpoint = tmp_path / "join.ckpt"
+    config = JoinConfig(
+        spill_dir=str(spill),
+        trace_path=str(trace),
+        status_path=str(tmp_path / "status.json"),
+        checkpoint_path=str(checkpoint),
+        checkpoint_every_s=0.0,
+    )
+    if exit_path == "deadline":
+        config = replace(config, deadline_s=1e-9)
+    elif exit_path == "shutdown":
+        # As SIGTERM does: the run checkpoints and stops at its first
+        # barrier.
+        CheckpointManager.shutdown_all("SIGTERM")
+    elif exit_path == "corrupt-resume":
+        corrupt = tmp_path / "corrupt.ckpt"
+        corrupt.write_bytes(b"this is not a checkpoint")
+        config = replace(config, resume_from=str(corrupt))
+    elif exit_path == "spill-read":
+        # A queue of a few entries spills at once; reading a batch back
+        # finds it corrupt.
+        config = replace(
+            config, queue_memory=256, fault_plan=FaultPlan.parse("spill_read")
+        )
+    error = SEQUENTIAL_EXITS[exit_path]
+    if kind == "ann" and exit_path in ("shutdown", "corrupt-resume"):
+        # The aNN searches have no capture point: the run opens no
+        # checkpoint manager, so it reads no checkpoint and never stops
+        # at a barrier.
+        error = None
+    before = publishers()
+    if error is None:
+        assert sequential_run(kind, point_trees, config)
+    else:
+        with pytest.raises(error):
+            sequential_run(kind, point_trees, config)
+    assert publishers() - before == set()
+    assert list(tmp_path.rglob("*.pile")) == []
+    assert not spill.exists()
+    assert not checkpoint.with_name(checkpoint.name + ".tmp").exists()
+    if exit_path == "shutdown" and error is not None:
+        assert load_checkpoint(checkpoint)["watermark"] >= 0
+    if exit_path == "corrupt-resume" and error is not None:
         assert not trace.exists()
     else:
         assert balanced(load_trace(trace))

@@ -1,20 +1,21 @@
-"""The flat-image contract: a tree's image is a full build of its version.
+"""The node-block contract: a tree's parallel image is a full build of
+its version.
 
-The parallel engine reads trees through flat images (``tree_image``),
-memoized per ``RTree.version``; every version's image is built in full
-from the nodes.  A file-backed tree's image must equal the image of the
-same file loaded into memory, byte for byte and layout included, and an
-image built after writes that split, force reinserts, orphan subtrees,
-grow and shrink the root must describe the written tree.
+The parallel engine reads a tree through one node block per live page
+(``TreeArena``), memoized per ``RTree.version``; every version's blocks
+are built in full from ``Node.entries``.  A file-backed tree's blocks
+must equal those of the same file loaded into memory, and blocks built
+after writes that split, force reinserts, orphan subtrees, grow and
+shrink the root must describe the written tree, freed pages excluded.
 """
 
 import random
 
 from repro import Rect, RTree
-from repro.kernels.arena import tree_image
+from repro.kernels.arena import TreeArena
 from repro.rtree import FileRTree
 
-from tests.conftest import assert_image_describes
+from tests.conftest import assert_blocks_describe, describe_blocks
 
 
 def grid_rect(rng):
@@ -61,21 +62,21 @@ def test_file_tree_image_equals_loaded_tree_image(tmp_path):
     churn.tree.save(path)
     loaded = RTree.load(path)
     with FileRTree.open(path) as file_tree:
-        layout, buf = tree_image(file_tree)
-        assert (layout, buf) == tree_image(loaded)
-    assert layout.rows == len(loaded.store)
-    assert layout.size == len(churn.live) == loaded.size
+        root, blocks = describe_blocks(TreeArena(file_tree, file_tree))
+        assert (root, blocks) == describe_blocks(TreeArena(loaded, loaded))
+    assert len(blocks) == len(loaded.store)
+    assert blocks[root][3] == len(churn.live) == loaded.size
 
 
 def test_image_after_writes_describes_the_tree():
     churn = Churn(RTree(max_entries=6), random.Random(11))
-    assert_image_describes(churn.tree)
+    assert_blocks_describe(churn.tree)
     for _ in range(6):
         churn.run(80)
         churn.tree.validate()
-        assert_image_describes(churn.tree)
+        assert_blocks_describe(churn.tree)
     # Drain to empty: the root shrinks back to a leaf.
     for oid in sorted(churn.live):
         churn.delete(oid)
     assert churn.tree.height == 1
-    assert_image_describes(churn.tree)
+    assert_blocks_describe(churn.tree)

@@ -130,6 +130,25 @@ def test_stage_deltas_sum_to_counters(trees, kind):
             assert total == getattr(stats, counter), field
 
 
+#: The runs that pop a main queue; the others never read one.
+QUEUE_RUNS = {"hs", "bkdj", "amkdj", "idj-hs", "idj-amidj"}
+
+
+@pytest.mark.parametrize("kind", RUNS)
+def test_only_queue_runs_report_queue_depth(trees, tmp_path, kind):
+    # A run that never reads its main queue builds none, so it reports
+    # no depth histogram of an empty queue and creates no spill
+    # directory.
+    spill = tmp_path / "spill"
+    _, stats = run(kind, *trees, collect_metrics=True, spill_dir=str(spill))
+    depth = [key for key in stats.extra if key.startswith("obs.queue_depth.")]
+    if kind in QUEUE_RUNS:
+        assert stats.extra["obs.queue_depth.count"] > 0
+    else:
+        assert depth == []
+    assert not spill.exists()
+
+
 def balanced(records):
     """Every span that begins ends, in LIFO order."""
     open_spans = []

@@ -53,11 +53,9 @@ def underflow_points(n: int = 40) -> list[Rect]:
 
 
 def block(rects: list[Rect], backend):
-    """A struct-of-arrays coordinate block, as the arena slices them."""
+    """A struct-of-arrays coordinate block, as the arena packs a node's."""
     if backend.name == "numpy":
-        from repro.kernels.numpy_backend import PackedRects
-
-        return PackedRects(rects)
+        return backend.pack_rects(rects)
     return SimpleNamespace(
         xmin=[r.xmin for r in rects],
         ymin=[r.ymin for r in rects],

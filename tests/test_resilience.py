@@ -120,7 +120,7 @@ class TestFaultPlan:
     def test_spill_write_raises_enospc(self):
         plan = FaultPlan.parse("spill_write")
         with pytest.raises(OSError) as info:
-            plan.maybe_fail_spill_write()
+            plan.maybe_fail_write("spill_write")
         import errno
 
         assert info.value.errno == errno.ENOSPC
@@ -128,10 +128,30 @@ class TestFaultPlan:
     def test_corrupt_alternates_flip_and_truncate(self):
         plan = FaultPlan.parse("spill_read")
         blob = bytes(range(32))
-        flipped = plan.maybe_corrupt(blob)
+        flipped = plan.maybe_corrupt("spill_read", blob)
         assert len(flipped) == len(blob) and flipped != blob
-        truncated = plan.maybe_corrupt(blob)
+        truncated = plan.maybe_corrupt("spill_read", blob)
         assert len(truncated) < len(blob)
+
+    def test_write_and_read_sites_count_their_own_occurrences(self):
+        # One helper per fault shape serves both sites of that shape;
+        # each site keeps its own occurrence counter.
+        plan = FaultPlan.parse("spill_write:@1,checkpoint_write:@0,checkpoint_read:@1")
+        plan.maybe_fail_write("spill_write")
+        with pytest.raises(OSError):
+            plan.maybe_fail_write("checkpoint_write")
+        with pytest.raises(OSError):
+            plan.maybe_fail_write("spill_write")
+        plan.maybe_fail_write("checkpoint_write")
+        blob = bytes(range(32))
+        # Unarmed: passes through and counts nothing.
+        assert plan.maybe_corrupt("spill_read", blob) == blob
+        assert plan.maybe_corrupt("checkpoint_read", blob) == blob
+        # Occurrence 1 is odd: the payload is truncated.
+        assert len(plan.maybe_corrupt("checkpoint_read", blob)) < len(blob)
+        assert plan._counts == {
+            "spill_write": 2, "checkpoint_write": 2, "checkpoint_read": 2,
+        }
 
     def test_trip_worker_crash_raises_in_parent(self):
         plan = FaultPlan.parse("worker_crash:@0")

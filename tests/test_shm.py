@@ -8,8 +8,8 @@ without injected faults.  The engine picks the runtime itself: forked
 worker processes at two workers or more on Linux, the calling thread
 otherwise.  ``JoinConfig.parallel_mode`` selects nothing; the tests that
 take a ``mode`` pass each accepted value to show that.  The
-serialization tests pin the flat-buffer layout; the fault tests
-additionally assert that no worker process outlives a run.
+serialization tests pin the node blocks the engine reads; the fault
+tests additionally assert that no worker process outlives a run.
 """
 
 import hashlib
@@ -23,13 +23,13 @@ import pytest
 from repro.core.api import JoinConfig, JoinRunner
 from repro.geometry.distances import min_distance
 from repro.geometry.rect import Rect
-from repro.kernels.arena import SharedTreeView, TreeArena, tree_image
+from repro.kernels.arena import TreeArena
 from repro.parallel import runtime
 from repro.parallel.engine import parallel_kdj
 from repro.resilience.faults import FaultPlan
 from repro.rtree.tree import RTree
 
-from tests.conftest import BACKENDS, assert_image_describes
+from tests.conftest import BACKENDS, assert_blocks_describe, block_rects
 
 
 def _points(n, seed, span=1000.0):
@@ -80,145 +80,115 @@ def sequential(point_trees):
     return JoinRunner(tree_r, tree_s, JoinConfig()).kdj(400, "amkdj")
 
 
-def _walk(view):
-    """Rows reachable from the layout's root, parents before children."""
-    rows, pending = [], [view.layout.root]
+def _walk(blocks, root):
+    """Pages reachable from ``root``, parents before children."""
+    pages, pending = [], [root]
     while pending:
-        row = pending.pop()
-        rows.append(row)
-        if int(view.lvl[row]):
-            lo, hi = view.span(row)
-            pending.extend(int(view.eref[j]) for j in range(lo, hi))
-    return rows
+        page = pending.pop()
+        pages.append(page)
+        if blocks[page].level:
+            pending.extend(blocks[page].refs)
+    return pages
 
 
 def _read_arena(arena, outbox=None):
-    """Both views' entry refs and R's root MBR, as one worker sees them."""
-    vr, vs = arena.view_r, arena.view_s
-    seen = (bytes(vr.eref), bytes(vs.eref), vr.node_rect(vr.layout.root))
+    """Both trees' entry refs and R's root MBR, as one worker sees them."""
+    seen = (
+        {page: tuple(block.refs) for page, block in arena.blocks_r.items()},
+        {page: tuple(block.refs) for page, block in arena.blocks_s.items()},
+        arena.blocks_r[arena.root_r].mbr,
+    )
     if outbox is not None:
         outbox.put(seen)
     return seen
 
 
 class TestSerialization:
-    def test_layout_roundtrip(self):
+    def test_root_block_covers_the_tree(self):
         tree = RTree.bulk_load(_points(300, 5))
-        layout, buf = tree_image(tree)
-        assert layout.size == tree.size
-        assert layout.height == tree.height
-        assert layout.root == tree.root_id
-        assert layout.rows == tree.store.id_bound
-        assert layout.slots == tree.max_entries
-        assert len(buf) == layout.nbytes
-        view = SharedTreeView(layout, memoryview(buf))
-        root = layout.root
+        arena = TreeArena(tree, tree)
+        assert arena.root_r == tree.root_id
+        root = arena.blocks_r[arena.root_r]
         # The root's subtree count covers every object.
-        assert int(view.cnt[root]) == tree.size
-        assert view.node_rect(root) == tree.bounds()
+        assert root.count == tree.size
+        assert root.mbr == tree.bounds()
         # Level decreases root-to-leaf; leaves are level 0.
-        assert int(view.lvl[root]) == tree.height - 1
-        view.release()
+        assert root.level == tree.height - 1
 
-    def test_rows_are_page_ids_and_free_rows_are_zero(self):
+    def test_blocks_cover_live_pages_only(self):
         tree = RTree.bulk_load(_points(400, 6), max_entries=8)
-        layout, buf = tree_image(tree)
-        view = SharedTreeView(layout, memoryview(buf))
-        m = layout.slots
+        blocks = TreeArena(tree, tree).blocks_r
         live = set(tree.store.page_ids())
-        # Page 0 is the bootstrap root a bulk load frees: never row 0.
-        assert 0 not in live and layout.root != 0
-        for row in range(layout.rows):
-            lo, hi = view.span(row)
-            if row in live:
-                assert (lo, hi) == (row * m, row * m + len(tree._get_node(row)))
-                vacated = range(hi, (row + 1) * m)
-            else:
-                assert (lo, hi) == (0, 0)
-                assert int(view.cnt[row]) == int(view.lvl[row]) == 0
-                assert view.node_rect(row) == Rect(0.0, 0.0, 0.0, 0.0)
-                vacated = range(row * m, (row + 1) * m)
-            for j in vacated:
-                assert int(view.eref[j]) == 0
-                assert view.entry_rect(j) == Rect(0.0, 0.0, 0.0, 0.0)
-        view.release()
+        assert blocks.keys() == live
+        # Page 0 is the bootstrap root a bulk load frees: a dangling id
+        # fails loudly.
+        assert 0 not in live
+        with pytest.raises(KeyError):
+            blocks[0]
+        for page in live:
+            assert len(block_rects(blocks[page])) == len(blocks[page].refs)
+            assert len(blocks[page].refs) == len(tree._get_node(page))
 
     def test_children_follow_parents(self):
         tree = RTree.bulk_load(_points(400, 6))
-        layout, buf = tree_image(tree)
-        view = SharedTreeView(layout, memoryview(buf))
-        rows = _walk(view)
-        assert sorted(rows) == sorted(tree.store.page_ids())
-        for row in rows:
-            if int(view.lvl[row]) == 0:
+        arena = TreeArena(tree, tree)
+        blocks = arena.blocks_r
+        pages = _walk(blocks, arena.root_r)
+        assert sorted(pages) == sorted(tree.store.page_ids())
+        for page in pages:
+            block = blocks[page]
+            if block.level == 0:
                 continue
-            lo, hi = view.span(row)
-            for j in range(lo, hi):
-                child = int(view.eref[j])
-                assert int(view.lvl[child]) == int(view.lvl[row]) - 1
-                # A directory entry's MBR is its child row's node MBR.
-                assert view.entry_rect(j) == view.node_rect(child)
-        view.release()
+            for rect, child in zip(block_rects(block), block.refs):
+                assert blocks[child].level == block.level - 1
+                # A directory entry's MBR is its child block's MBR.
+                assert rect == blocks[child].mbr
 
     def test_leaf_entries_carry_object_ids(self):
         items = _points(64, 7)
         tree = RTree.bulk_load(items)
-        layout, buf = tree_image(tree)
-        view = SharedTreeView(layout, memoryview(buf))
+        arena = TreeArena(tree, tree)
         seen = []
-        for row in _walk(view):
-            if int(view.lvl[row]) != 0:
-                continue
-            lo, hi = view.span(row)
-            seen.extend(int(view.eref[j]) for j in range(lo, hi))
+        for page in _walk(arena.blocks_r, arena.root_r):
+            if arena.blocks_r[page].level == 0:
+                seen.extend(arena.blocks_r[page].refs)
         assert sorted(seen) == sorted(oid for _, oid in items)
-        view.release()
 
     def test_forked_worker_reads_the_parent_arena(self):
-        # A forked child reads the parent's images in place: the arena
+        # A forked child reads the parent's blocks in place: the arena
         # reaches it as a Process argument and is never pickled.
         ctx = runtime._fork_context()
         if ctx is None:
             pytest.skip("the engine forks only on Linux")
         tree_r = RTree.bulk_load(_points(200, 8))
         tree_s = RTree.bulk_load(_points(200, 9))
-        with TreeArena(tree_r, tree_s) as arena:
-            outbox = ctx.Queue()
-            proc = ctx.Process(target=_read_arena, args=(arena, outbox))
-            proc.start()
-            seen = outbox.get(timeout=30)
-            proc.join(timeout=30)
-            assert seen == _read_arena(arena)
+        arena = TreeArena(tree_r, tree_s)
+        outbox = ctx.Queue()
+        proc = ctx.Process(target=_read_arena, args=(arena, outbox))
+        proc.start()
+        seen = outbox.get(timeout=30)
+        proc.join(timeout=30)
+        assert seen == _read_arena(arena)
         assert proc.exitcode == 0
         assert seen[2] == tree_r.bounds()
 
-    def test_arena_close_is_idempotent(self):
-        tree = RTree.bulk_load(_points(100, 10))
-        arena = TreeArena(tree, tree)
-        arena.close()
-        arena.close()
-        assert arena.view_r.entries is None
-
     def test_mindist_contract_matches_scalar(self):
         # The kernels' shortcut arithmetic must reproduce min_distance
-        # bit-for-bit over the shared views — this is what makes the
+        # bit-for-bit over the node blocks — this is what makes the
         # parallel stream byte-identical.
         from repro.kernels import resolve_backend
 
         tree_r = RTree.bulk_load(_rects(120, 13))
         tree_s = RTree.bulk_load(_rects(120, 14))
         arena = TreeArena(tree_r, tree_s)
-        try:
-            vr, vs = arena.view_r, arena.view_s
-            kern = resolve_backend()
-            rect = vr.entry_rect(vr.span(vr.layout.root)[0])
-            lo, hi = vs.span(vs.layout.root)
-            hits = kern.block_within(rect, vs.entries.slice(lo, hi), math.inf)
-            assert hits, "unbounded query must hit every entry"
-            for j, dist in hits:
-                assert dist == min_distance(rect, vs.entry_rect(lo + j))
-        finally:
-            arena.close()
+        kern = resolve_backend()
+        rect = block_rects(arena.blocks_r[arena.root_r])[0]
+        root_s = arena.blocks_s[arena.root_s]
+        hits = kern.block_within(rect, root_s.rects, math.inf)
+        assert hits, "unbounded query must hit every entry"
+        rects_s = block_rects(root_s)
+        for j, dist in hits:
+            assert dist == min_distance(rect, rects_s[j])
 
 
 #: Every value ``JoinConfig.parallel_mode`` accepts; none selects a runtime.
@@ -606,18 +576,18 @@ class TestCrashRecovery:
 
 
 class TestMutatedTree:
-    """A write to S rebuilds S's image alone; R's image is reused, and
+    """A write to S rebuilds S's node blocks alone; R's are reused, and
     the sequential engines build none.  ``mode`` selects nothing."""
 
     @pytest.mark.parametrize("mode", ["shm-serial", "shm-process"])
-    def test_mode_tracks_write_and_reuses_r_image(self, mode, image_builds):
+    def test_mode_tracks_write_and_reuses_r_image(self, mode, block_builds):
         tree_r = RTree.bulk_load(_points(800, 41))
         items_s = _points(800, 42)
         tree_s = RTree.bulk_load(items_s)
         config = JoinConfig(parallel=2, parallel_mode=mode)
         before = parallel_kdj(tree_r, tree_s, 300, config=config)
-        assert image_builds == [tree_r, tree_s]
-        image_r = tree_image(tree_r)
+        assert block_builds == [tree_r, tree_s]
+        blocks_r = TreeArena(tree_r, tree_s).blocks_r
         assert _stream(before) == _stream(JoinRunner(tree_r, tree_s).kdj(300, "amkdj"))
         rng = random.Random(43)
         for rect, oid in items_s[:40]:
@@ -626,12 +596,12 @@ class TestMutatedTree:
                 Rect.from_point(rng.uniform(0, 1000), rng.uniform(0, 1000)), oid
             )
         seq = JoinRunner(tree_r, tree_s).kdj(300, "amkdj")
-        assert image_builds == [tree_r, tree_s]
+        assert block_builds == [tree_r, tree_s]
         result = parallel_kdj(tree_r, tree_s, 300, config=config)
-        assert image_builds == [tree_r, tree_s, tree_s]
-        assert_image_describes(tree_s)
+        assert block_builds == [tree_r, tree_s, tree_s]
+        assert_blocks_describe(tree_s)
         assert _stream(result) == _stream(seq)
         assert _stream(seq) == _stream(JoinRunner(tree_r, tree_s).kdj(300, "nlj"))
-        assert tree_image(tree_r) is image_r
-        assert image_builds == [tree_r, tree_s, tree_s]
+        assert TreeArena(tree_r, tree_s).blocks_r is blocks_r
+        assert block_builds == [tree_r, tree_s, tree_s]
         assert _no_live_workers()

@@ -2,12 +2,12 @@
 
 The sequential engines read nodes through ``Node.entries`` only, which
 writes edit in place: every join must see the tree as it is now, and
-none may build a flat image, before or after writes.  Flat images are
-the parallel engine's: each tree's image is memoized per
+none may build node blocks, before or after writes.  Node blocks are
+the parallel engine's image of a tree: they are memoized per
 ``RTree.version``, so a parallel join after a write builds the written
-tree's image once, in full, and reuses the other's; an arena opened
+tree's blocks once, in full, and reuses the other's; an arena opened
 before a write must keep reading the old version, and a dropped tree
-must take its image with it.  An open incremental stream cannot follow
+must take its blocks with it.  An open incremental stream cannot follow
 a write at all, so it must refuse to go on (``StaleStreamError``)
 instead of serving pairs that name deleted objects.
 """
@@ -25,10 +25,12 @@ from repro.core.api import JoinResult
 from repro.core.base import JoinContext
 from repro.geometry.distances import min_distance
 from repro.kernels import arena as arena_mod
-from repro.kernels.arena import TreeArena, tree_image
+from repro.kernels.arena import TreeArena
 from repro.parallel.engine import parallel_kdj
 from repro.resilience import StaleStreamError
 from repro.rtree import FileRTree
+
+from tests.conftest import block_rects, describe_blocks
 
 #: The sequential KDJ engines; ``nlj`` is the brute-force oracle.
 SEQUENTIAL_KDJ = ("amkdj", "bkdj", "hs", "sjsort")
@@ -65,7 +67,7 @@ def assert_matches_oracle(result, oracle, live_r, live_s):
 
 
 # ----------------------------------------------------------------------
-# Sequential joins build no image; parallel joins build one per version
+# Sequential joins build no blocks; parallel joins build one set per version
 # ----------------------------------------------------------------------
 
 
@@ -80,7 +82,7 @@ def sequential_joins(tree_r, tree_s, k):
     return runs
 
 
-def test_sequential_joins_follow_writes_and_build_no_image(image_builds, tmp_path):
+def test_sequential_joins_follow_writes_and_build_no_image(block_builds, tmp_path):
     items_r = quantized_rects(400, seed=61)
     items_s = quantized_rects(300, seed=62)
     tree_r = RTree.bulk_load(items_r, max_entries=16)
@@ -98,13 +100,13 @@ def test_sequential_joins_follow_writes_and_build_no_image(image_builds, tmp_pat
                 tree_s.insert(live_s[oid], oid)
         oracle = JoinRunner(tree_r, tree_s).kdj(120, "nlj")
         runs = sequential_joins(tree_r, tree_s, 120)
-        assert image_builds == [], step
+        assert block_builds == [], step
         # Reference: the written trees saved and loaded back.
         tree_r.save(tmp_path / "r.rt")
         tree_s.save(tmp_path / "s.rt")
         copies = RTree.load(tmp_path / "r.rt"), RTree.load(tmp_path / "s.rt")
         baseline = sequential_joins(*copies, 120)
-        assert image_builds == [], step
+        assert block_builds == [], step
         for name, got in runs.items():
             assert stream(got) == stream(baseline[name]), (step, name)
             assert row(got) == row(baseline[name]), (step, name)
@@ -118,90 +120,77 @@ def test_sequential_joins_follow_writes_and_build_no_image(image_builds, tmp_pat
         }
 
 
-def test_self_join_arena_builds_once_per_version(image_builds):
+def test_self_join_arena_builds_once_per_version(block_builds):
     tree = RTree.bulk_load(quantized_rects(200, seed=64), max_entries=8)
     arena = TreeArena(tree, tree)
-    try:
-        assert image_builds == [tree]
-        assert bytes(arena.view_r.eref) == bytes(arena.view_s.eref)
-    finally:
-        arena.close()
-    TreeArena(tree, tree).close()
-    assert image_builds == [tree]
+    assert block_builds == [tree]
+    assert arena.blocks_r is arena.blocks_s
+    assert TreeArena(tree, tree).blocks_r is arena.blocks_r
+    assert block_builds == [tree]
     tree.insert(Rect(1.0, 1.0, 3.5, 2.5), 10_000)
-    with TreeArena(tree, tree) as arena:
-        assert arena.view_r.layout is arena.view_s.layout
-    assert image_builds == [tree, tree]
+    written = TreeArena(tree, tree)
+    assert written.blocks_r is written.blocks_s
+    assert block_builds == [tree, tree]
+
+
+def _slots_of(blocks, oid):
+    """The rects of every leaf entry of ``oid`` among ``blocks``."""
+    return [
+        rect
+        for block in blocks.values()
+        if block.level == 0
+        for rect, ref in zip(block_rects(block), block.refs)
+        if ref == oid
+    ]
 
 
 def test_arena_opened_before_a_write_keeps_its_version():
-    # A new version's image is a new buffer, so views on the old image
-    # (another thread's parallel join) read the pre-write coordinates
-    # after the write and after the next build.
+    # A new version's blocks are new objects, so an arena on the old
+    # ones (another thread's parallel join) reads the pre-write
+    # coordinates after the write and after the next build.
     items = quantized_rects(300, seed=67)
     tree = RTree.bulk_load(items, max_entries=8)
     rect, oid = items[17]
     arena = TreeArena(tree, tree)
-    try:
-        view = arena.view_r
-        before = bytes(view._mv)
-        slot = next(
-            j
-            for row in tree.store.page_ids()
-            if int(view.lvl[row]) == 0
-            for j in range(*view.span(row))
-            if int(view.eref[j]) == oid
-        )
-        assert view.entry_rect(slot) == rect
-        assert tree.delete(rect, oid)
-        moved = Rect(1002.5, 1002.5, 1002.5, 1002.5)
-        tree.insert(moved, oid)
-        assert bytes(view._mv) == before
-        result = JoinRunner(tree, tree).kdj(30, "amkdj")
-        assert len(result) == 30
-        assert bytes(view._mv) == before
-        assert view.entry_rect(slot) == rect
-        layout, buf = tree_image(tree)
-        assert layout.size == view.layout.size
-        fresh = arena_mod.SharedTreeView(layout, memoryview(buf).toreadonly())
-        try:
-            slots = [
-                j
-                for row in tree.store.page_ids()
-                if int(fresh.lvl[row]) == 0
-                for j in range(*fresh.span(row))
-                if int(fresh.eref[j]) == oid
-            ]
-            assert [fresh.entry_rect(j) for j in slots] == [moved]
-        finally:
-            fresh.release()
-    finally:
-        arena.close()
+    before = describe_blocks(arena)
+    assert _slots_of(arena.blocks_r, oid) == [rect]
+    assert tree.delete(rect, oid)
+    moved = Rect(1002.5, 1002.5, 1002.5, 1002.5)
+    tree.insert(moved, oid)
+    result = JoinRunner(tree, tree).kdj(30, "amkdj")
+    assert len(result) == 30
+    assert _slots_of(arena.blocks_r, oid) == [rect]
+    fresh = TreeArena(tree, tree)
+    assert fresh.blocks_r is not arena.blocks_r
+    assert _slots_of(fresh.blocks_r, oid) == [moved]
+    assert describe_blocks(arena) == before
 
 
 def test_arena_views_are_read_only():
-    # Later arenas share the image, so no arena may write through it.
+    # Later arenas share the blocks, so no arena may write through them.
     tree = RTree.bulk_load(quantized_rects(50, seed=65))
     arena = TreeArena(tree, tree)
-    try:
-        with pytest.raises((ValueError, TypeError)):
-            arena.view_r.exmin[0] = -1.0
-    finally:
-        arena.close()
+    block = arena.blocks_r[arena.root_r]
+    with pytest.raises((ValueError, TypeError)):
+        block.rects.xmin[0] = -1.0
+    with pytest.raises(TypeError):
+        block.refs[0] = -1
+    with pytest.raises(AttributeError):
+        block.count = 0
 
 
 def test_dropped_tree_frees_its_image():
     gc.collect()
-    before = len(arena_mod._IMAGES)
+    before = len(arena_mod._BLOCKS)
     tree = RTree.bulk_load(quantized_rects(200, seed=66), max_entries=8)
     result = parallel_kdj(tree, tree, 20, JoinConfig(parallel=1))
     assert len(result) == 20
-    assert len(arena_mod._IMAGES) == before + 1
+    assert len(arena_mod._BLOCKS) == before + 1
     alive = weakref.ref(tree)
     del tree, result
     gc.collect()
     assert alive() is None
-    assert len(arena_mod._IMAGES) == before
+    assert len(arena_mod._BLOCKS) == before
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,9 @@ tree joined with itself.  After each step HS, B-KDJ, AM-KDJ, SJ-SORT
 parallel engine's inline drain run under both kernel backends and must agree with
 the brute-force oracle, tie-aware: the same distance multiset, and every
 returned pair a distinct pair of live objects at its reported distance.
-The joins between steps read patched flat images and node entry lists
-that writes edited in place; this is the net under both.
+The joins between steps read node entry lists that writes edited in
+place, and the parallel engine's node blocks rebuilt from them; this is
+the net under both.
 
 Each step also saves both trees and joins what the page codec decodes:
 an ``RTree.load`` copy and a ``FileRTree.open`` view must hold the

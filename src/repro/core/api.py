@@ -62,12 +62,11 @@ class JoinConfig:
     R-tree buffer sizes (512 KB defaults), the plane-sweep optimizations,
     the eDmax override for Figure 14, and the cost model.
 
-    No field picks the distance-kernel backend: HS's child-list
-    batches and the parallel engine's block crosses run on NumPy when it
-    imports, else in pure Python (:mod:`repro.kernels`), with identical
-    results and simulated costs either way.  Nor does any field set a
-    pop width: every best-first engine pops one queue head per
-    iteration, as in the paper.
+    No field picks the distance-kernel backend: the parallel engine's
+    block crosses run on NumPy when it imports, else in pure Python
+    (:mod:`repro.kernels`), with identical results and simulated costs
+    either way.  Nor does any field set a pop width: every best-first
+    engine pops one queue head per iteration, as in the paper.
 
     ``parallel`` (N > 1) runs AM-KDJ on the parallel engine
     (:mod:`repro.parallel`) with N workers; the other k-distance joins
@@ -216,7 +215,9 @@ class JoinRunner:
     def open(self, algorithm: str, k: int, modes=("exact", "replay")):
         """``(ctx, resume payload)``: a context carrying the run's tracer,
         registry, live plane and checkpoint manager, which ``ctx.close()``
-        releases.  Empty ``modes`` take no checkpoints.
+        releases.  Empty ``modes`` take no checkpoints: a run opened so
+        rejects ``resume_from`` and ``checkpoint_path`` with a
+        ``ValueError`` that names the field, before anything opens.
 
         A ``resume_from`` checkpoint is loaded, CRC-verified and
         validated against this join's fingerprint and the resume
@@ -229,7 +230,10 @@ class JoinRunner:
         """
         cfg = self.config
         fingerprint = resume_payload = None
-        if modes and (cfg.checkpoint_path is not None or cfg.resume_from is not None):
+        for field in ("resume_from", "checkpoint_path"):
+            if not modes and getattr(cfg, field) is not None:
+                raise ValueError(f"{algorithm} takes no checkpoints; {field} must be None")
+        if cfg.checkpoint_path is not None or cfg.resume_from is not None:
             fingerprint = join_fingerprint(self.tree_r, self.tree_s, algorithm, k)
             if cfg.resume_from is not None:
                 resume_payload = load_checkpoint(cfg.resume_from, faults=cfg.fault_plan)

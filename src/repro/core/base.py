@@ -266,7 +266,7 @@ class JoinContext:
         completion, and an open stream raises ``StaleStreamError``
         before it expands again), so writes edit it in place, and the
         per-join caches keyed by page id (the sweeper's sorted sides,
-        HS's packed blocks) stay exact for the whole join.
+        HS's sorted child lists) stay exact for the whole join.
         """
         if item.is_object:
             return [item]

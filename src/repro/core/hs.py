@@ -102,14 +102,14 @@ def hs_incremental(
             batch.tick(children=len(children))
             cutoff = qdmax() if prune else math.inf
             # HS pairs the partner with *every* child (no sweep pruning),
-            # so the whole child list is one kernel batch; all distances
-            # are computed (and charged), but only candidates within the
-            # cutoff-at-batch-start cross back into Python.  qDmax only
-            # tightens, so that set is a superset of the true survivors;
-            # each candidate is re-checked against the live cutoff below.
-            # The expanded node's (side, ref) tags the batch so the
-            # backend packs each node's children once, however many
-            # partners it is re-expanded against.
+            # so every child's distance is counted and charged, but only
+            # the children within the cutoff-at-call-start are computed
+            # and come back, in child order.  qDmax only tightens, so that
+            # set is a superset of the true survivors; each candidate is
+            # re-checked against the live cutoff below.  The expanded
+            # node's (side, ref) tags the call so each node's children
+            # are sorted for the bounded scan once, however many partners
+            # it is re-expanded against.
             expanded = payload.a if expand_r else payload.b
             candidates = ctx.instr.mindist_within_items(
                 partner.rect, children, cutoff, tag=(expand_r, expanded.ref)

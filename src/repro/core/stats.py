@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.geometry.distances import axis_distance, min_distance
 from repro.geometry.rect import Rect
-from repro.kernels import resolve_backend
+from repro.kernels.window import ChildWindow, scan_all
 from repro.obs.metrics import GAUGE_KEY_SUFFIX
 from repro.obs.tracer import NULL_TRACER
 from repro.storage.disk import SimulatedDisk
@@ -147,14 +148,7 @@ class JoinStats:
         }
 
 
-def _within(rect: Rect, rects: list[Rect], bound: float) -> list[tuple[int, float]]:
-    """The scalar batch: ``(index, distance)`` for each rect within ``bound``."""
-    out = []
-    for i, other in enumerate(rects):
-        real = min_distance(rect, other)
-        if real <= bound:
-            out.append((i, real))
-    return out
+_RECT = attrgetter("rect")
 
 
 class Instruments:
@@ -181,18 +175,15 @@ class Instruments:
         self.real_distance_computations = 0
         self.axis_distance_computations = 0
         self.main_queue = None  # attached by JoinContext once built
-        # The kernels backend (repro.kernels) for HS's child-list
-        # batches.  A backend only changes *how* distance arithmetic
-        # runs; every logical distance is still counted and charged
-        # here, so the simulated cost model is backend-invariant.
-        self.kernels = resolve_backend()
+        # The parallel engine's kernel calls, charged in at each stage
+        # end (``parallel.engine._charge``).
         self.kernel_batches = 0
         self.kernel_batched_pairs = 0
-        # HS's packed child blocks, keyed by its ``(side_r, page id)``
-        # tag (see :meth:`mindist_within_items`): a node re-expanded
-        # against many partners is packed once per join.  Keyed by page
-        # ids, so it never outgrows the trees.
-        self._packs: dict[object, object] = {}
+        # HS's sorted child lists, keyed by its ``(side_r, page id)`` tag
+        # (see :meth:`mindist_within_items`): a node re-expanded against
+        # many partners is sorted once per join.  Keyed by page ids, so
+        # it never outgrows the trees.
+        self._windows: dict[object, ChildWindow] = {}
         # Observability rides the same choke point as the counters: the
         # engines read the tracer and registry from here, so a run's
         # trace can never describe a different environment than its
@@ -234,7 +225,7 @@ class Instruments:
         self.disk.charge_cpu(n * self.disk.cost_model.cpu_axis_distance)
 
     def count_real(self, n: int) -> None:
-        """Count ``n`` real-distance computations done by a batched kernel.
+        """Count ``n`` real-distance computations done by a scan or kernel.
 
         The charge is ``n * cpu_real_distance`` — per *logical* distance,
         exactly as if :meth:`real_distance` had run ``n`` times — so the
@@ -260,12 +251,9 @@ class Instruments:
             stats.physical_reads += n
 
     def mindist_batch(self, rect: Rect, rects: list[Rect]) -> list[float]:
-        """Counted batch of minimum distances from ``rect`` to ``rects``."""
-        n = len(rects)
-        self.count_real(n)
-        if self._vector_call(n):
-            return self.kernels.mindist_packed(rect, self.kernels.pack_rects(rects))
-        return [min_distance(rect, other) for other in rects]
+        """Counted minimum distances from ``rect`` to every one of ``rects``."""
+        self.count_real(len(rects))
+        return [real for _, real in scan_all(rect, rects)]
 
     def mindist_within(
         self, rect: Rect, rects: list[Rect], bound: float
@@ -273,54 +261,41 @@ class Instruments:
         """Counted bounded batch: ``(index, distance)`` pairs within ``bound``.
 
         Every one of the ``len(rects)`` logical distances is counted and
-        charged — the bound only filters what crosses back into Python,
-        not what the simulated cost model sees.
+        charged; the bound only limits which ones are computed, not what
+        the simulated cost model sees.  The same scan as
+        :meth:`mindist_within_items`, over bare rects and uncached.
         """
-        n = len(rects)
-        self.count_real(n)
-        if self._vector_call(n):
-            return self.kernels.mindist_packed_within(
-                rect, self.kernels.pack_rects(rects), bound
-            )
-        return _within(rect, rects, bound)
+        self.count_real(len(rects))
+        if bound == math.inf:
+            return scan_all(rect, rects)
+        return ChildWindow(rects).within(rect, bound)
 
     def mindist_within_items(
         self, rect: Rect, items, bound: float, tag: object = None
     ) -> list[tuple[int, float]]:
         """:meth:`mindist_within` over ``.rect``-bearing items.
 
-        HS's whole-child-list batch.  ``tag``, when given, names the
-        list for this join (HS passes the expanded node's ``(side_r,
-        page id)``), and the packed coordinates are kept under it, so
-        re-expanding a node against many partners packs its children
-        once and touches no item on a hit.  Like the sweeper's sorted
-        sides, this relies on no join reading a tree across a write.
+        HS's whole-child-list call (:mod:`repro.kernels.window`).  Under
+        an infinite bound every child's distance comes back, in one scan
+        in child order.  Under a finite one the list is sorted along one
+        axis (a :class:`~repro.kernels.window.ChildWindow`) and only the
+        children whose edges can reach ``rect`` are computed.  ``tag``,
+        when given, names the list for this join (HS passes the expanded
+        node's ``(side_r, page id)``), and the sorted list is kept under
+        it, so re-expanding a node against many partners sorts its
+        children once and touches no item on a hit.  Like the sweeper's
+        sorted sides, this relies on no join reading a tree across a
+        write.
         """
-        n = len(items)
-        self.count_real(n)
-        if self._vector_call(n):
-            packed = self._packs.get(tag) if tag is not None else None
-            if packed is None:
-                packed = self.kernels.pack_rects([item.rect for item in items])
-                if tag is not None:
-                    self._packs[tag] = packed
-            return self.kernels.mindist_packed_within(rect, packed, bound)
-        return _within(rect, [item.rect for item in items], bound)
-
-    def _vector_call(self, n: int) -> bool:
-        """True, and counted, when ``n`` distances go to the backend at once.
-
-        False sends the caller to the scalar loop: the pure-Python
-        backend never takes a batch, NumPy only from ``min_window`` on.
-        """
-        kernels = self.kernels
-        if not (kernels.batched and n >= kernels.min_window):
-            return False
-        self.kernel_batches += 1
-        self.kernel_batched_pairs += n
-        if self.metrics is not None:
-            self.metrics.histogram("kernel_batch_size").observe(float(n))
-        return True
+        self.count_real(len(items))
+        if bound == math.inf:
+            return scan_all(rect, map(_RECT, items))
+        window = self._windows.get(tag)
+        if window is None:
+            window = ChildWindow(list(map(_RECT, items)))
+            if tag is not None:
+                self._windows[tag] = window
+        return window.within(rect, bound)
 
     # -- sorting --------------------------------------------------------
 

@@ -68,7 +68,9 @@ def all_nearest_neighbors(
     consecutive R objects is what the buffer exploits — the result list
     is built by scanning R's leaves in tree order for exactly that
     reason).  Traced as ``join:ann`` with one ``stage:search``; the
-    searches have no capture point, so the run takes no checkpoints.
+    searches have no capture point, so the run takes no checkpoints and
+    raises ``ValueError`` if ``config`` sets ``resume_from`` or
+    ``checkpoint_path``.
     """
     ctx, _ = JoinRunner(tree_r, tree_s, config).open("ann", 0, modes=())
     started = time.perf_counter()

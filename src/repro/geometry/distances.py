@@ -31,10 +31,13 @@ def min_distance(a: Rect, b: Rect) -> float:
     about 1e-162) the sum reads 0.0; the rectangles do not touch, so the
     larger gap stands in, as in :meth:`Rect.min_dist`.  When the squares
     overflow (gaps above about 1.3e154) the root reads ``inf``, and the
-    scaled ``math.hypot`` gives the distance instead.
+    scaled ``math.hypot`` gives the distance instead.  The clips put
+    ``0.0`` first: the builtin ``max`` keeps the first of equal operands,
+    so a gap computed as ``-0.0 - 0.0`` reads +0.0, as it does in the
+    plane sweep and the NumPy kernels.
     """
-    dx = max(a.xmin - b.xmax, b.xmin - a.xmax, 0.0)
-    dy = max(a.ymin - b.ymax, b.ymin - a.ymax, 0.0)
+    dx = max(0.0, a.xmin - b.xmax, b.xmin - a.xmax)
+    dy = max(0.0, a.ymin - b.ymax, b.ymin - a.ymax)
     if dx == 0.0:
         return dy
     if dy == 0.0:
@@ -66,8 +69,8 @@ def axis_distance(a: Rect, b: Rect, axis: int) -> float:
     sound plane-sweep pruning test (Algorithm 1, line 16).
     """
     if axis == 0:
-        return max(a.xmin - b.xmax, b.xmin - a.xmax, 0.0)
-    return max(a.ymin - b.ymax, b.ymin - a.ymax, 0.0)
+        return max(0.0, a.xmin - b.xmax, b.xmin - a.xmax)
+    return max(0.0, a.ymin - b.ymax, b.ymin - a.ymax)
 
 
 def point_distance(x1: float, y1: float, x2: float, y2: float) -> float:

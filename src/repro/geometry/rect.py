@@ -185,8 +185,8 @@ class Rect:
         :func:`repro.geometry.distances.min_distance` and the batched
         kernels, bit for bit.
         """
-        dx = max(self.xmin - other.xmax, other.xmin - self.xmax, 0.0)
-        dy = max(self.ymin - other.ymax, other.ymin - self.ymax, 0.0)
+        dx = max(0.0, self.xmin - other.xmax, other.xmin - self.xmax)
+        dy = max(0.0, self.ymin - other.ymax, other.ymin - self.ymax)
         if dx == 0.0:
             return dy
         if dy == 0.0:
@@ -208,8 +208,8 @@ class Rect:
     def axis_dist(self, other: "Rect", axis: int) -> float:
         """Separation of the projections on ``axis``; zero when they overlap."""
         if axis == 0:
-            return max(self.xmin - other.xmax, other.xmin - self.xmax, 0.0)
-        return max(self.ymin - other.ymax, other.ymin - self.ymax, 0.0)
+            return max(0.0, self.xmin - other.xmax, other.xmin - self.xmax)
+        return max(0.0, self.ymin - other.ymax, other.ymin - self.ymax)
 
     # ------------------------------------------------------------------
     # Misc

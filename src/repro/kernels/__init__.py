@@ -1,16 +1,18 @@
-"""Distance kernels over whole node blocks, and the parallel engine's blocks.
+"""Distance kernels over whole node blocks, the parallel engine's blocks,
+and HS's child-list scan.
 
 The plane sweep computes its distances one at a time, inline: an
 anchor's scan averages about two pairs, too short for a vector call to
-pay.  Two callers evaluate whole node blocks instead, and only they go
-through a kernels backend:
-
-- HS pairs a partner with *every* child of the node it expands, so the
-  child list is one batch
-  (:meth:`~repro.core.stats.Instruments.mindist_within_items`);
-- the parallel engine (:mod:`repro.parallel.runtime`) crosses two
-  node blocks, or one rect and a block, per expansion
-  (``cross_within``/``block_within``).
+pay.  HS pairs a partner with *every* child of the node it expands, but
+under a finite bound only a couple of children per call can matter, so
+its scan is scalar too (:mod:`repro.kernels.window`, through
+:meth:`~repro.core.stats.Instruments.mindist_within_items`): it counts
+and charges every child's distance and computes only the children
+within the bound's window along one sorted axis.  Only the parallel
+engine (:mod:`repro.parallel.runtime`) evaluates whole node blocks,
+crossing two node blocks, or one rect and a block, per expansion
+(``cross_within``/``block_within``), and only it goes through a kernels
+backend.
 
 Two backends implement those calls:
 

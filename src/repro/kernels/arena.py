@@ -4,8 +4,8 @@ The parallel engine expands node pairs with the block kernels, one
 node's entries at a time, as HS expands a node against its child list.
 A tree version's parallel view is one immutable :class:`NodeBlock` per
 live page, built from ``Node.entries``: the node's level and MBR, its
-entries' coordinates packed the way HS packs a child list, their refs
-and the subtree's object count.  It lives here in :mod:`repro.kernels`,
+entries' coordinates packed as four coordinate columns, their refs and
+the subtree's object count.  It lives here in :mod:`repro.kernels`,
 next to the kernels that read it; nothing here imports anything
 process-related.  The sequential engines read ``Node.entries`` itself.
 

@@ -1,11 +1,11 @@
 """NumPy kernels backend: distances over whole node blocks in one call.
 
-HS evaluates a partner against an expanded node's whole child list
-(:meth:`mindist_packed_within`, or :meth:`mindist_packed`), over
-child lists packed by :meth:`NumpyKernels.pack_rects` once per node and
-join, and the parallel engine crosses the node blocks of
-:mod:`repro.kernels.arena`, packed the same way once per tree version
-(:meth:`block_within`, :meth:`cross_within`).
+The parallel engine crosses the node blocks of
+:mod:`repro.kernels.arena` (:meth:`NumpyKernels.block_within`,
+:meth:`NumpyKernels.cross_within`), whose coordinates are packed as
+:class:`PackedRects` once per tree version, and the ``nlj`` oracle scans
+its matrix with :func:`exact_distances`.  HS's child-list scan is scalar
+on both backends (:mod:`repro.kernels.window`).
 
 Bitwise contract: distances are ``sqrt(dx*dx + dy*dy)`` with the same
 ``dx == 0`` / ``dy == 0`` shortcuts, the same ``max(dx, dy)`` fallback
@@ -13,7 +13,9 @@ when both squares underflow, and the same ``math.hypot`` where they
 overflow, as the scalar :func:`repro.geometry.distances.min_distance`.
 IEEE-754 basic operations round identically in NumPy and CPython, so
 the two paths agree bit for bit — the property the backend-equivalence
-tests pin.
+tests pin.  A zero gap reads +0.0 here as in the scalar code:
+``np.maximum`` returns its second operand on a tie, so the final clip
+against ``0.0`` never keeps a ``-0.0`` gap.
 """
 
 from __future__ import annotations
@@ -36,12 +38,6 @@ class PackedRects:
 
     def __len__(self) -> int:
         return len(self.xmin)
-
-
-#: Bounds for which :meth:`NumpyKernels.mindist_packed_within` may
-#: prefilter on the raw ``sqrt``: squares of gaps near them are normal.
-_PREFILTER_LO = 1e-150
-_PREFILTER_HI = 1e150
 
 
 def _gaps(rect, packed):
@@ -78,84 +74,18 @@ def exact_distances(dx, dy):
 
 
 class NumpyKernels:
-    """Vectorized implementation of the kernel API."""
+    """Vectorized implementation of the parallel engine's block calls."""
 
     name = "numpy"
-    #: Whether HS's child-list batches go through the backend.
-    batched = True
-    #: Child lists shorter than this are evaluated by the scalar loop in
-    #: :class:`~repro.core.stats.Instruments`: a vector call costs about
-    #: as much in dispatch as this many scalar distances.
-    min_window = 32
-
-    def pack_rects(self, rects) -> PackedRects:
-        """Pack a bare rect list for (repeated) ``mindist_packed`` calls."""
-        return PackedRects(
-            [r.xmin for r in rects],
-            [r.ymin for r in rects],
-            [r.xmax for r in rects],
-            [r.ymax for r in rects],
-        )
-
-    def mindist_packed(self, rect, packed: PackedRects) -> list[float]:
-        """Minimum distances from ``rect`` to every packed rectangle."""
-        # tolist() hands plain Python floats downstream (queues serialize
-        # results; np.float64 would not round-trip through json).
-        return exact_distances(*_gaps(rect, packed)).tolist()
-
-    def mindist_packed_within(
-        self, rect, packed: PackedRects, bound: float
-    ) -> list[tuple[int, float]]:
-        """``(index, distance)`` for every packed rect within ``bound``.
-
-        Filtering before ``tolist`` is the point: with a tight bound only
-        a handful of candidates survive, so only those get boxed into
-        Python floats and walked by the caller.
-
-        The exact-distance rules are applied to the *survivors* of a
-        ``np.hypot`` prefilter, in scalar code, instead of as full-width
-        passes.  That is sound for a bound in ``[_PREFILTER_LO,
-        _PREFILTER_HI]``: there ``hypot`` is within a few ulps of the
-        exact distance of any pair near the bound (whose squares neither
-        underflow nor overflow), so prefiltering with a 1e-12 margin
-        yields a superset, and the exact bound is re-applied per
-        survivor.  ``hypot`` never overflows, so gaps past 1.3e154 raise
-        no warning.  Other bounds take the full-width rules.  Either way
-        the output is bitwise identical to the scalar loop's.
-        """
-        dx, dy = _gaps(rect, packed)
-        if not _PREFILTER_LO <= bound <= _PREFILTER_HI:
-            exact = exact_distances(dx, dy)
-            idx = np.nonzero(exact <= bound)[0]
-            return list(zip(idx.tolist(), exact[idx].tolist()))
-        idx = np.nonzero(np.hypot(dx, dy) <= bound * (1.0 + 1e-12))[0]
-        hits = idx.tolist()
-        if not hits:
-            return []
-        out = []
-        for i, dxi, dyi in zip(hits, dx[idx].tolist(), dy[idx].tolist()):
-            if dxi == 0.0:
-                real = dyi
-            elif dyi == 0.0:
-                real = dxi
-            else:
-                real = math.sqrt(dxi * dxi + dyi * dyi) or max(dxi, dyi)
-                if real == math.inf:
-                    real = math.hypot(dxi, dyi)
-            if real <= bound:
-                out.append((i, real))
-        return out
 
     def block_within(
         self, rect, packed: PackedRects, bound: float
     ) -> list[tuple[int, float]]:
         """``(index, distance)`` for packed rects within ``bound`` of ``rect``.
 
-        Like :meth:`mindist_packed_within` but with the exact-distance
-        rules applied full-width (the blocks the parallel engine
-        evaluates are small, so the extra ``where`` passes are cheaper
-        than the survivor re-check dance) — the distances are bitwise
-        identical either way.
+        The exact-distance rules are applied full-width: the blocks the
+        parallel engine evaluates are small, so the extra ``where``
+        passes cost less than re-checking survivors in scalar code.
         """
         exact = exact_distances(*_gaps(rect, packed))
         idx = np.nonzero(exact <= bound)[0]

@@ -1,12 +1,11 @@
 """Pure-Python kernels backend.
 
-The fallback when NumPy is not importable.  There is nothing to
-vectorize with, so the backend is not ``batched``: HS's child-list
-batches take :class:`~repro.core.stats.Instruments`' scalar loop, and
-only the parallel engine's block calls live here, written with the
-arithmetic of the scalar ``min_distance`` (its zero-gap shortcuts, its
-underflow fallback and its ``math.hypot`` where the squares overflow)
-so that the distances match the NumPy backend's bit for bit.
+The fallback when NumPy is not importable: the parallel engine's block
+calls, written with the arithmetic of the scalar ``min_distance`` (its
+clip that puts ``0.0`` first, its zero-gap shortcuts, its underflow
+fallback and its ``math.hypot`` where the squares overflow) so that the
+distances match the NumPy backend's bit for bit.  HS's child-list scan
+is scalar on both backends (:mod:`repro.kernels.window`).
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ class PythonKernels:
     """Scalar implementation of the parallel engine's block calls."""
 
     name = "python"
-    #: Whether HS's child-list batches go through the backend.  False
-    #: here: :class:`~repro.core.stats.Instruments` runs them per pair.
-    batched = False
 
     def block_within(self, rect, block, bound) -> list[tuple[int, float]]:
         """``(index, distance)`` for block rects within ``bound`` of ``rect``.
@@ -36,8 +32,8 @@ class PythonKernels:
         bxmin, bymin, bxmax, bymax = _columns(block)
         out = []
         for i in range(len(bxmin)):
-            dx = max(rxmin - bxmax[i], bxmin[i] - rxmax, 0.0)
-            dy = max(rymin - bymax[i], bymin[i] - rymax, 0.0)
+            dx = max(0.0, rxmin - bxmax[i], bxmin[i] - rxmax)
+            dy = max(0.0, rymin - bymax[i], bymin[i] - rymax)
             if dx > bound or dy > bound:
                 continue
             real = (
@@ -75,8 +71,8 @@ class PythonKernels:
             rxmax = axmax[i]
             rymax = aymax[i]
             for j in range(nb):
-                dx = max(rxmin - bxmax[j], bxmin[j] - rxmax, 0.0)
-                dy = max(rymin - bymax[j], bymin[j] - rymax, 0.0)
+                dx = max(0.0, rxmin - bxmax[j], bxmin[j] - rxmax)
+                dy = max(0.0, rymin - bymax[j], bymin[j] - rymax)
                 x_ok = dx <= bound
                 y_ok = dy <= bound
                 if x_ok:

@@ -693,11 +693,15 @@ def test_sequential_exit_paths_leave_nothing_behind(
             config, queue_memory=256, fault_plan=FaultPlan.parse("spill_read")
         )
     error = SEQUENTIAL_EXITS[exit_path]
-    if kind == "ann" and exit_path in ("shutdown", "corrupt-resume"):
-        # The aNN searches have no capture point: the run opens no
-        # checkpoint manager, so it reads no checkpoint and never stops
-        # at a barrier.
-        error = None
+    if kind == "ann":
+        # The aNN searches have no capture point, so the run takes no
+        # checkpoints: a checkpoint field raises before anything opens.
+        # The shutdown and corrupt-resume paths rest on one; the others
+        # run without.
+        if exit_path in ("shutdown", "corrupt-resume"):
+            error = ValueError
+        else:
+            config = replace(config, checkpoint_path=None)
     before = publishers()
     if error is None:
         assert sequential_run(kind, point_trees, config)
@@ -708,12 +712,38 @@ def test_sequential_exit_paths_leave_nothing_behind(
     assert list(tmp_path.rglob("*.pile")) == []
     assert not spill.exists()
     assert not checkpoint.with_name(checkpoint.name + ".tmp").exists()
-    if exit_path == "shutdown" and error is not None:
+    if exit_path == "shutdown" and error is JoinInterrupted:
         assert load_checkpoint(checkpoint)["watermark"] >= 0
-    if exit_path == "corrupt-resume" and error is not None:
+    if error in (CheckpointCorruptionError, ValueError):
         assert not trace.exists()
+        assert not checkpoint.exists()
     else:
         assert balanced(load_trace(trace))
+
+
+@pytest.mark.parametrize(
+    "field", ["resume_from", "checkpoint_path", "resume_from+checkpoint_path"]
+)
+def test_ann_rejects_checkpoint_fields(point_trees, tmp_path, field):
+    # aNN takes no checkpoints, so a field that asks for one raises a
+    # ValueError naming it, before the trace file or the plane opens.
+    trace = tmp_path / "trace.json"
+    corrupt = tmp_path / "corrupt.ckpt"
+    corrupt.write_bytes(b"this is not a checkpoint")
+    fields = {
+        "resume_from": str(corrupt),
+        "checkpoint_path": str(tmp_path / "join.ckpt"),
+    }
+    config = JoinConfig(
+        trace_path=str(trace),
+        status_path=str(tmp_path / "status.json"),
+        **{name: fields[name] for name in field.split("+")},
+    )
+    before = publishers()
+    with pytest.raises(ValueError, match=field.split("+")[0]):
+        all_nearest_neighbors(*point_trees, config)
+    assert publishers() - before == set()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["corrupt.ckpt"]
 
 
 # ----------------------------------------------------------------------

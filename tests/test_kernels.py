@@ -1,9 +1,10 @@
 """Tests for the distance kernels and their two backends.
 
-Two callers batch: HS (a partner against a node's whole child list,
-through ``Instruments``) and the shared-memory engine (``block_within``
-and ``cross_within``).  The backend is chosen by whether NumPy imports;
-the ``kernels_backend`` fixture swaps it, so the pure-Python backend is
+HS's child-list scan (a partner against a node's whole child list,
+through ``Instruments``) is scalar on both backends; only the parallel
+engine's block calls (``block_within`` and ``cross_within``) go through
+a backend.  The backend is chosen by whether NumPy imports; the
+``kernels_backend`` fixture swaps it, so the pure-Python backend is
 compared with the NumPy one directly.  Tests of the NumPy backend
 itself skip when NumPy is not importable.
 """
@@ -15,16 +16,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import kernels
+from repro import all_nearest_neighbors, kernels, parallel_kdj, within_distance_join
 from repro.core.api import JoinConfig, JoinRunner
 from repro.core.base import EngineOptions
 from repro.core.stats import Instruments
 from repro.datagen.tiger import synthetic_tiger
-from repro.geometry.distances import min_distance
+from repro.geometry.distances import axis_distance, min_distance
 from repro.geometry.rect import Rect
 from repro.kernels import resolve_backend
+from repro.kernels.window import ChildWindow, scan_all
 from repro.rtree.tree import RTree, TreeAccessor
 from repro.storage.disk import SimulatedDisk
+
+from tests.conftest import BACKENDS
 
 #: Both backends; the fixture skips "numpy" where NumPy is missing.
 ALL_BACKENDS = ["python", "numpy"]
@@ -54,13 +58,18 @@ def underflow_points(n: int = 40) -> list[Rect]:
 
 def block(rects: list[Rect], backend):
     """A struct-of-arrays coordinate block, as the arena packs a node's."""
+    columns = (
+        [r.xmin for r in rects],
+        [r.ymin for r in rects],
+        [r.xmax for r in rects],
+        [r.ymax for r in rects],
+    )
     if backend.name == "numpy":
-        return backend.pack_rects(rects)
+        from repro.kernels.numpy_backend import PackedRects
+
+        return PackedRects(*columns)
     return SimpleNamespace(
-        xmin=[r.xmin for r in rects],
-        ymin=[r.ymin for r in rects],
-        xmax=[r.xmax for r in rects],
-        ymax=[r.ymax for r in rects],
+        xmin=columns[0], ymin=columns[1], xmax=columns[2], ymax=columns[3]
     )
 
 
@@ -71,6 +80,27 @@ def scalar_within(rect, rects, bound):
         if real <= bound:
             out.append((i, real))
     return out
+
+
+#: A touching pair whose y gap is computed as ``-0.0 - 0.0``: R's top
+#: edge is 0.0 and S's bottom edge is -0.0.
+TOUCH_R = Rect(0, -1, 1, 0.0)
+TOUCH_S = Rect(0.5, -0.0, 2, 1)
+
+
+def touching_trees():
+    """The touching pair (object 0 on both sides) among 40 far fillers."""
+    items_r = [(TOUCH_R, 0)] + [
+        (Rect.from_point(1000 + i, 1000 + 3 * i), 100 + i) for i in range(40)
+    ]
+    items_s = [(TOUCH_S, 0)] + [
+        (Rect.from_point(-1000 - i, 2000 + 5 * i), 100 + i) for i in range(40)
+    ]
+    return RTree.bulk_load(items_r), RTree.bulk_load(items_s)
+
+
+def plus_zero(value: float) -> bool:
+    return value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def make_instruments() -> Instruments:
@@ -115,15 +145,22 @@ class TestResolution:
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_backend_reaches_instruments(self, kernels_backend, name):
+        # The backend's calls reach a run's instruments through the
+        # parallel engine only; HS's child-list scan is scalar on both
+        # backends, so it counts no kernel batch and holds no backend.
         data = synthetic_tiger(n_streets=200, n_hydro=100, seed=1)
-        runner = JoinRunner(RTree.bulk_load(data.streets), RTree.bulk_load(data.hydro))
+        tree_r, tree_s = RTree.bulk_load(data.streets), RTree.bulk_load(data.hydro)
         with kernels_backend(name) as backend:
-            ctx = runner._context()
+            assert resolve_backend() is backend
+            ctx = JoinRunner(tree_r, tree_s)._context()
             try:
-                assert ctx.instr.kernels is backend
-                assert ctx.instr.kernels.name == name
+                assert not hasattr(ctx.instr, "kernels")
             finally:
                 ctx.close()
+            hs = JoinRunner(tree_r, tree_s).kdj(100, "hs").stats
+            parallel = parallel_kdj(tree_r, tree_s, 100, JoinConfig(parallel=1)).stats
+        assert "kernels.batches" not in hs.extra
+        assert parallel.extra["kernels.batches"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -153,29 +190,68 @@ class TestBitwiseEquivalence:
         assert instr.mindist_batch(anchor, others) == [
             min_distance(anchor, o) for o in others
         ]
+        items = [SimpleNamespace(rect=o) for o in others]
         for bound in (0.0, 150.0, 400.0, math.inf):
             want = scalar_within(anchor, others, bound)
             assert instr.mindist_within(anchor, others, bound) == want
-            items = [SimpleNamespace(rect=o) for o in others]
             assert instr.mindist_within_items(anchor, items, bound) == want
+            # Tagged: the sorted list is built on the first call and
+            # reused on the second.
+            for _ in range(2):
+                assert instr.mindist_within_items(anchor, items, bound, "t") == want
 
     def test_small_lists_are_not_packed(self, kernels_backend):
-        # Below ``min_window`` HS's batch runs the scalar loop: no kernel
-        # call is counted.  From ``min_window`` on, the NumPy backend
-        # takes it; the pure-Python backend never does.
+        # No list is packed for a backend, whatever its length: HS's
+        # scan is scalar on both backends and counts no kernel batch.
         rng = random.Random(8)
         anchor = random_rects(rng, 1)[0]
-        with kernels_backend("numpy") as backend:
+        for name in BACKENDS:
+            with kernels_backend(name):
+                instr = make_instruments()
+                for count in (1, 31, 32, 100):
+                    rects = random_rects(rng, count)
+                    items = [SimpleNamespace(rect=r) for r in rects]
+                    for bound in (0.0, 300.0, math.inf):
+                        instr.mindist_within_items(anchor, items, bound, tag=count)
+                        instr.mindist_within(anchor, rects, bound)
+                    instr.mindist_batch(anchor, rects)
+            assert instr.kernel_batches == instr.kernel_batched_pairs == 0, name
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_touching_pair_reads_plus_zero(self, kernels_backend, name):
+        # The builtin ``max`` keeps the first of equal operands, so a clip
+        # written ``max(gap1, gap2, 0.0)`` kept the ``-0.0`` gap.
+        a, b = TOUCH_R, TOUCH_S
+        assert math.copysign(1.0, b.ymin - a.ymax) == -1.0
+        got = {
+            "min_distance": [min_distance(a, b), min_distance(b, a)],
+            "Rect.min_dist": [a.min_dist(b), b.min_dist(a)],
+            "axis_distance": [axis_distance(a, b, 1), axis_distance(b, a, 1)],
+            "Rect.axis_dist": [a.axis_dist(b, 1), b.axis_dist(a, 1)],
+        }
+        with kernels_backend(name) as backend:
+            block_a, block_b = block([a], backend), block([b], backend)
+            got["block_within"] = [
+                d for _, d in backend.block_within(a, block_b, 0.0)
+            ] + [d for _, d in backend.block_within(b, block_a, 0.0)]
+            got["cross_within"] = (
+                backend.cross_within(block_a, block_b, 0.0)[2]
+                + backend.cross_within(block_b, block_a, 0.0)[2]
+            )
             instr = make_instruments()
-        n = backend.min_window
-        for count, batches in ((1, 0), (n - 1, 0), (n, 1)):
-            items = [SimpleNamespace(rect=r) for r in random_rects(rng, count)]
-            instr.mindist_within_items(anchor, items, math.inf)
-            assert instr.kernel_batches == batches, count
-        with kernels_backend("python"):
-            scalar = make_instruments()
-        scalar.mindist_within_items(anchor, items, math.inf)
-        assert scalar.kernel_batches == 0
+            got["scan"] = [
+                d
+                for bound in (0.0, math.inf)
+                for partner, child in ((a, b), (b, a))
+                for _, d in instr.mindist_within_items(
+                    partner, [SimpleNamespace(rect=child)], bound, tag=(bound, partner)
+                )
+            ]
+            sweep = within_distance_join(*touching_trees(), 0.0).results
+            got["sweep"] = [p.distance for p in sweep]
+        for where, distances in got.items():
+            assert len(distances) >= 2 or where == "sweep", where
+            assert distances and all(plus_zero(d) for d in distances), (where, distances)
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_block_calls_match_scalar(self, kernels_backend, name):
@@ -227,7 +303,6 @@ class TestUnderflow:
         want_all = [(i, (i + 1) * 1e-170) for i in range(len(points))]
         want_near = want_all[:20]
         with kernels_backend(name) as backend:
-            assert len(points) >= getattr(backend, "min_window", 0)
             packed = block(points, backend)
             assert backend.block_within(origin, packed, math.inf) == want_all
             assert backend.block_within(origin, packed, bound) == want_near
@@ -235,16 +310,17 @@ class TestUnderflow:
                 block([origin], backend), packed, bound
             )
             assert list(zip(cols, dists)) == want_near and set(rows) == {0}
-            if backend.batched:
-                assert backend.mindist_packed(origin, packed) == [d for _, d in want_all]
-                assert backend.mindist_packed_within(origin, packed, math.inf) == want_all
-                assert backend.mindist_packed_within(origin, packed, bound) == want_near
+            window = ChildWindow(points)
+            assert window.within(origin, math.inf) == want_all
+            assert window.within(origin, bound) == want_near
+            assert scan_all(origin, points) == want_all
             instr = make_instruments()
             items = [SimpleNamespace(rect=p) for p in points]
             assert instr.mindist_within_items(origin, items, bound) == want_near
+            assert instr.mindist_within_items(origin, items, bound, tag=1) == want_near
             assert instr.mindist_within(origin, points, math.inf) == want_all
             assert instr.mindist_batch(origin, points) == [d for _, d in want_all]
-            assert instr.kernel_batches == (3 if backend.batched else 0)
+            assert instr.kernel_batches == 0
 
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -253,17 +329,29 @@ class TestUnderflow:
         # One gap 0.0, the other's square subnormal: the raw sqrt reads
         # 2.83574e-160 where the distance is 2.83572e-160.  And a square
         # that overflows to inf.  Both pairs lie exactly at the bound.
+        # Last, a pair whose distance reads *below* its x gap: 2.6e-162
+        # squares to one subnormal step, whose root is 2.2227e-162, so a
+        # cut at the bound itself would drop a pair within it.
         origin = Rect.from_point(0.0, 0.0)
         filler = [Rect.from_point(5.0 + i, 5.0) for i in range(40)]
+        below_gap = Rect.from_point(2.6e-162, 1e-170)
+        cases = [
+            (Rect.from_point(0.0, 2.835719304724109e-160), 2.835719304724109e-160),
+            (Rect.from_point(0.0, 1e155), 1e155),
+            (below_gap, min_distance(origin, below_gap)),
+        ]
+        assert cases[2][1] < below_gap.xmin
         with kernels_backend(name):
             instr = make_instruments()
-            for gap in (2.835719304724109e-160, 1e155):
-                rects = [Rect.from_point(0.0, gap), *filler]
+            for tag, (near, bound) in enumerate(cases):
+                rects = [near, *filler]
                 items = [SimpleNamespace(rect=r) for r in rects]
-                want = scalar_within(origin, rects, gap)
-                assert want[0] == (0, gap)
-                assert instr.mindist_within_items(origin, items, gap) == want
-                assert instr.mindist_within(origin, rects, gap) == want
+                want = scalar_within(origin, rects, bound)
+                assert want[0] == (0, bound)
+                assert ChildWindow(rects).within(origin, bound) == want
+                assert instr.mindist_within_items(origin, items, bound) == want
+                assert instr.mindist_within_items(origin, items, bound, tag) == want
+                assert instr.mindist_within(origin, rects, bound) == want
 
 
 # ----------------------------------------------------------------------
@@ -312,13 +400,38 @@ class TestEngineEquivalence:
 
     @pytest.mark.usefixtures("needs_numpy")
     def test_numpy_backend_reports_batches(self, small_trees, kernels_backend):
-        # HS's whole-child-list batches are the sequential engines' only
-        # vector calls.
+        # The parallel engine's block calls are the only vector calls:
+        # HS's child-list scan is scalar on the NumPy backend too.
         tree_r, tree_s = small_trees
         with kernels_backend("numpy"):
-            stats = JoinRunner(tree_r, tree_s).kdj(400, "hs").stats
-        assert stats.extra.get("kernels.batches", 0) > 0
-        assert stats.extra.get("kernels.batched_pairs", 0) >= stats.extra["kernels.batches"]
+            hs = JoinRunner(tree_r, tree_s).kdj(400, "hs").stats
+            with JoinRunner(tree_r, tree_s).idj("hs") as stream:
+                stream.next_batch(100)
+                hs_idj = stream.stats()
+            parallel = parallel_kdj(tree_r, tree_s, 400, JoinConfig(parallel=1)).stats
+        assert "kernels.batches" not in hs.extra
+        assert "kernels.batches" not in hs_idj.extra
+        assert parallel.extra["kernels.batches"] > 0
+        assert parallel.extra["kernels.batched_pairs"] >= parallel.extra["kernels.batches"]
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_touching_pair_is_plus_zero_in_every_engine(self, kernels_backend, name):
+        # Every engine returns the same bits for a pair whose gap is
+        # computed as -0.0: +0.0, whichever backend runs.
+        tree_r, tree_s = touching_trees()
+        got = {}
+        with kernels_backend(name):
+            for algorithm in ("hs", "bkdj", "amkdj", "sjsort", "nlj"):
+                dmax = 0.0 if algorithm == "sjsort" else None
+                got[algorithm] = JoinRunner(tree_r, tree_s).kdj(1, algorithm, dmax).results
+            got["parallel"] = parallel_kdj(tree_r, tree_s, 1, JoinConfig(parallel=1)).results
+            for algorithm in ("hs", "amidj"):
+                with JoinRunner(tree_r, tree_s).idj(algorithm) as stream:
+                    got[f"idj-{algorithm}"] = stream.next_batch(1)
+            got["ann"] = all_nearest_neighbors(tree_r, tree_s).results[:1]
+        for run, pairs in got.items():
+            assert [(p.ref_r, p.ref_s) for p in pairs] == [(0, 0)], run
+            assert plus_zero(pairs[0].distance), (run, pairs[0].distance)
 
     def test_python_backend_reports_no_batches(self, small_trees, kernels_backend):
         tree_r, tree_s = small_trees
@@ -346,16 +459,18 @@ class TestEngineEquivalence:
         for name, stats in runs.items():
             assert "kernels.batches" not in stats.extra, name
 
-    @pytest.mark.usefixtures("needs_numpy")
     def test_batch_size_histogram_when_metrics_on(self, small_trees, kernels_backend):
+        # HS makes no kernel batch, so with metrics on it observes no
+        # batch-size histogram, on either backend.
         tree_r, tree_s = small_trees
-        with kernels_backend("numpy"):
-            stats = JoinRunner(
-                tree_r, tree_s, JoinConfig(collect_metrics=True)
-            ).kdj(200, "hs").stats
-        # The metrics registry prefixes instrument names with "obs.".
-        assert stats.extra.get("obs.kernel_batch_size.count", 0) > 0
-        assert stats.extra.get("obs.kernel_batch_size.sum", 0) > 0
+        for backend in BACKENDS:
+            with kernels_backend(backend):
+                stats = JoinRunner(
+                    tree_r, tree_s, JoinConfig(collect_metrics=True)
+                ).kdj(200, "hs").stats
+            # The metrics registry prefixes instrument names with "obs.".
+            assert "obs.result_distance.count" in stats.extra, backend
+            assert not any("kernel_batch" in key for key in stats.extra), backend
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +502,7 @@ class TestCountedBatches:
         with kernels_backend("numpy"):
             batched = make_instruments()
         batched.mindist_batch(anchor, others)
-        assert batched.kernel_batches == 1
+        assert batched.kernel_batches == 0  # one counted call, no vector call
         scalar = make_instruments()
         for other in others:
             scalar.real_distance(anchor, other)

@@ -8,9 +8,9 @@ reinserting orphans) and more inserts, hold rects on a grid, so exact
 distance ties are common; the grid is also scaled near 1e-160, where
 the squared gaps underflow, and near 1e154, where they overflow.  For
 every R entry and S entry at any level, objects and roots included, the
-minimum distance from ``Rect.min_dist``, from ``min_distance`` and from
-both kernels backends' batch calls must be at most the distance of
-every object pair below the two entries.
+minimum distance from ``Rect.min_dist``, from ``min_distance``, from
+both kernels backends' block calls and from HS's child-list scan must be
+at most the distance of every object pair below the two entries.
 
 Tier-1 runs a few derandomized seeds per scale; ``--hypothesis-profile
 fuzz`` runs the larger budget of the CI fuzz step.
@@ -25,6 +25,7 @@ from hypothesis import example, given, strategies as st
 
 from repro import Rect, RTree
 from repro.geometry.distances import min_distance
+from repro.kernels.window import ChildWindow, scan_all
 
 from tests.conftest import BACKENDS, seed_budget
 
@@ -73,11 +74,16 @@ def entries_below(tree):
 
 def block(kern, rects):
     """A coordinate block of ``rects`` in the backend's own layout."""
-    if hasattr(kern, "pack_rects"):
-        return kern.pack_rects(rects)
+    columns = (
+        [r.xmin for r in rects], [r.ymin for r in rects],
+        [r.xmax for r in rects], [r.ymax for r in rects],
+    )
+    if kern.name == "numpy":
+        from repro.kernels.numpy_backend import PackedRects
+
+        return PackedRects(*columns)
     return SimpleNamespace(
-        xmin=[r.xmin for r in rects], ymin=[r.ymin for r in rects],
-        xmax=[r.xmax for r in rects], ymax=[r.ymax for r in rects],
+        xmin=columns[0], ymin=columns[1], xmax=columns[2], ymax=columns[3]
     )
 
 
@@ -85,9 +91,14 @@ def bound_tables(entries_r, entries_s, kernels_backend):
     """name -> mindist matrix over (R entry, S entry), one per method."""
     rects_r = [entry.rect for entry, _ in entries_r]
     rects_s = [entry.rect for entry, _ in entries_s]
+    window = ChildWindow(rects_s)
     tables = {
         "Rect.min_dist": [[a.min_dist(b) for b in rects_s] for a in rects_r],
         "min_distance": [[min_distance(a, b) for b in rects_s] for a in rects_r],
+        "scan_all": [[d for _, d in scan_all(a, rects_s)] for a in rects_r],
+        "ChildWindow.within": [
+            [d for _, d in window.within(a, math.inf)] for a in rects_r
+        ],
     }
     for backend in BACKENDS:
         with kernels_backend(backend) as kern:
@@ -102,15 +113,6 @@ def bound_tables(entries_r, entries_s, kernels_backend):
             for i, j, dist in zip(rows, cols, dists):
                 cross[i][j] = dist
             tables[f"{backend}.cross_within"] = cross
-            if kern.batched:
-                tables[f"{backend}.mindist_packed"] = [
-                    kern.mindist_packed(rect, block_s) for rect in rects_r
-                ]
-                packed_within = [[math.nan] * len(rects_s) for _ in rects_r]
-                for i, rect in enumerate(rects_r):
-                    for j, dist in kern.mindist_packed_within(rect, block_s, math.inf):
-                        packed_within[i][j] = dist
-                tables[f"{backend}.mindist_packed_within"] = packed_within
     return tables
 
 

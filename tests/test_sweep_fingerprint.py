@@ -6,8 +6,10 @@ simulated clock as an exact float.  The values were recorded with both
 kernel backends, with and without NumPy, and with the object-graph
 sweep body that the flat body replaced, all agreeing.  Any change to the
 sweep that moves a pair, a counter or a clock bit fails here, under
-whichever backend the suite runs.  The runs cover AM-KDJ, B-KDJ, HS,
-SJ-SORT at the oracle's Dmax, an AM-KDJ whose small eDmax forces a
+whichever backend the suite runs (and HS's runs under the pure-Python
+one too).  The runs cover AM-KDJ, B-KDJ, HS (KDJ at k = 100 and 1,000,
+KDJ without insert pruning, a 300-pair IDJ pull), SJ-SORT at the
+oracle's Dmax, an AM-KDJ whose small eDmax forces a
 compensation stage, a multi-stage AM-IDJ pull and a within-distance
 join.  Below them, SJ-SORT and the within-distance join are pinned on
 small seeded and touching inputs to the output of the object-graph
@@ -51,6 +53,18 @@ def kdj(k, algorithm, dmax_k=None, edmax_share=None):
     return run
 
 
+def hs_unpruned(k):
+    """HS-KDJ with ``hs_insert_pruning`` off: every child is queued."""
+    run = kdj(k, "hs")
+    return lambda trees, **cfg: run(trees, hs_insert_pruning=False, **cfg)
+
+
+def hs_idj_pull(trees, **cfg):
+    with JoinRunner(*trees, JoinConfig(**cfg)).idj("hs") as stream:
+        pairs = stream.next_batch(300)
+        return pairs, stream.stats()
+
+
 def amidj_pull(trees, **cfg):
     runner = JoinRunner(*trees, JoinConfig(initial_k=100, **cfg))
     with runner.idj("amidj") as stream:
@@ -69,6 +83,9 @@ RUNS = {
     "amkdj-1000": kdj(1000, "amkdj"),
     "bkdj-1000": kdj(1000, "bkdj"),
     "hs-100": kdj(100, "hs"),
+    "hs-1000": kdj(1000, "hs"),
+    "hs-100-unpruned": hs_unpruned(100),
+    "hs-idj-300": hs_idj_pull,
     "sjsort-300": kdj(300, "sjsort", dmax_k=300),
     "amkdj-1000-compensated": kdj(1000, "amkdj", dmax_k=1000, edmax_share=0.1),
     "amidj-3000": amidj_pull,
@@ -106,6 +123,21 @@ FINGERPRINTS = {
         "29545994e61ca348d81704e3aeecb9f672962170efaee26dc0230274e72ec4cd",
         1.0501404999999846,
     ),
+    "hs-1000": (
+        "850930786145097ec0c5b533a6dd220b1ac3310dd70e3cbfd80c82f7b0bf3267",
+        "c2a828535a7fe574c1ede1fdc3a399cd520cad3687a53d9c76c7316811a7b849",
+        1.1921912499998,
+    ),
+    "hs-100-unpruned": (
+        "441dfbe8ab0a81522500023cdb4ea4dd76d0293742314cfb18a5e34417815f04",
+        "fe2e167aa6d59e2bb8fcedceeefcb14146784b943f12c9af6bff8ba72b42eea3",
+        3.300729249999863,
+    ),
+    "hs-idj-300": (
+        "04fd7cf53fd86d7cca1634340ad700b18afae4e2652ee58ddc84c731d9545af7",
+        "953de429dbf9d60abbacd5091cb0ef56e7a21bf1c08efe0f1f5d5508a71aa858",
+        3.4489862499999093,
+    ),
     "sjsort-300": (
         "4d2d97b567856552b255f27c0f6609323c588d84f9195045bbfe0f5eca79269f",
         "fa5b393158940e53e870b8e72a60aa7d292cfa8abe9e6c390a8799c7c50a1d15",
@@ -122,6 +154,14 @@ FINGERPRINTS = {
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_sweep_output_matches_the_recorded_fingerprint(trees, name):
     assert fingerprint(*RUNS[name](trees)) == FINGERPRINTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in RUNS if n.startswith("hs-")))
+def test_hs_output_matches_under_the_python_backend(trees, kernels_backend, name):
+    # The test above runs whichever backend the suite has (NumPy's where
+    # it imports); HS's pins must hold on the pure-Python one as well.
+    with kernels_backend("python"):
+        assert fingerprint(*RUNS[name](trees)) == FINGERPRINTS[name]
 
 
 # ----------------------------------------------------------------------
